@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,22 +59,15 @@ def machine_info() -> dict:
 
 
 def git_commit(root: Path) -> str:
-    """HEAD of a git checkout at root, read from .git without running git."""
-    git = root / ".git"
+    # Outside a git checkout, do not let git search the parent directories.
+    if not (root / ".git").exists():
+        return "unknown"
     try:
-        head = (git / "HEAD").read_text(encoding="utf-8").strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        loose = git / ref
-        if loose.exists():
-            return loose.read_text(encoding="utf-8").strip()
-        for line in (git / "packed-refs").read_text(encoding="utf-8").splitlines():
-            if line.endswith(" " + ref):
-                return line.split(" ", 1)[0]
-    except OSError:
-        pass
-    return "unknown"
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
+                              capture_output=True, text=True)
+    except OSError:  # no git on this machine
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 def fmt(value) -> str:

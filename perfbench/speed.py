@@ -11,6 +11,11 @@ time during the chunk, or over the MIN_TICKS samples nearest to it when the
 chunk is too short to hold that many.  Interleaved this finely, the kernel
 tracks the library's own speed to within a few percent, where raw timings
 drift by 10% or more.
+
+A call of a few milliseconds sits inside one fast or slow stretch, which the
+timer's samples around it miss: scaled by them, such calls still spread by
+20% or more.  ``bracketed`` runs the kernel right before and right after the
+call instead and scales by those two times.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import signal
 import statistics
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 # Nominal time of one reference-kernel call: about its mean on a 2-vCPU
 # x86-64 VM with Python 3.11, where the bounds in BENCHMARK.json were set.
@@ -75,6 +80,7 @@ class Chunk:
     start: float
     end: float
     seconds: float  # raw wall time less the reference kernel's
+    ref_s: float | None = None  # kernel time measured around it, if bracketed
 
 
 class SpeedProbe:
@@ -85,17 +91,22 @@ class SpeedProbe:
         self._jitter = random.Random(0)
         self._armed = False
 
-    def _tick(self, _signum, _frame) -> None:
-        t0 = time.perf_counter()
+    @staticmethod
+    def _kernel_seconds() -> float:
         enabled = gc.isenabled()
         gc.disable()
         try:
+            t0 = time.perf_counter()
             reference_kernel()
+            return time.perf_counter() - t0
         finally:
             if enabled:
                 gc.enable()
+
+    def _tick(self, _signum, _frame) -> None:
+        t0 = time.perf_counter()
         self.tick_at.append(t0)
-        self.tick_s.append(time.perf_counter() - t0)
+        self.tick_s.append(self._kernel_seconds())
         if self._armed:  # a tick handled while stopping must not re-arm the timer
             signal.setitimer(signal.ITIMER_REAL, PERIOD_S * self._jitter.uniform(0.5, 1.5))
         self.spent += time.perf_counter() - t0
@@ -121,8 +132,18 @@ class SpeedProbe:
         t1 = time.perf_counter()
         return result, Chunk(t0, t1, t1 - t0 - (self.spent - spent))
 
+    def bracketed(self, fn):
+        """Run fn between two reference-kernel calls; return its result and
+        its Chunk, to be scaled by the mean time of those two calls."""
+        before = self.timed(self._kernel_seconds)[1].seconds  # less any tick
+        result, chunk = self.timed(fn)
+        after = self.timed(self._kernel_seconds)[1].seconds
+        return result, replace(chunk, ref_s=(before + after) / 2)
+
     def nominal(self, chunk: Chunk) -> float:
         """The chunk's seconds at nominal speed; call once the run is over."""
+        if chunk.ref_s is not None:
+            return chunk.seconds * REF_S / chunk.ref_s
         i = bisect.bisect_left(self.tick_at, chunk.start)
         j = bisect.bisect_right(self.tick_at, chunk.end)
         n = len(self.tick_at)

@@ -76,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         spread = (q3 - q1) / med if med else 0.0
         bound = bounds.get(name, {}).get("bound")
         note = ""
-        if bound is not None and name != "setup_s" and spread > bound:
+        if bound is not None and spread > bound:
             note, ok = "  SPREAD OVER BOUND", False
         print(f"{name:<28}{med:>14.6g}{q1:>14.6g}{q3:>14.6g}{spread:>9.4f}"
               f"{'' if bound is None else bound:>7}{note}")

@@ -9,19 +9,20 @@ be reproduced.
 
 search-halfadder
     ``evolve.run`` on the two-input half adder (r=2, q=2, b=4), four islands,
-    12k evals per seed, stopping at the first perfect champion, over a fixed
-    set of eight rng seeds.  It is the only problem that reaches verified TSC,
-    so it carries the paper's success and overhead measures.  Its circuits
-    are four words wide: decode is the largest layer and checking a small
-    one, so fault-parallel checking should barely move it, while a faster
-    decode or cheaper variation and selection should.
+    12k evals per search, stopping at the first perfect champion; the outcome
+    metrics are taken over a fixed set of eight rng seeds.  It is the only
+    problem that reaches verified TSC, so it carries the paper's success and
+    overhead measures.  Its circuits are four words wide: decode is the
+    largest layer and checking a small one, so fault-parallel checking should
+    barely move it, while a faster decode or cheaper variation and selection
+    should.
 search-mult2
     ``evolve.run`` on ``benchmarks/mult2`` (b=6, 60 gene slots), four islands,
-    5k evals per seed over three fixed rng seeds; it does not reach TSC.  It is
-    mid-size and mixed: checking and decode take similar shares, and a third
-    of the evaluations repeat a circuit the search has already scored, so a
-    phenotype-keyed fitness cache shows here, and fault-parallel checking
-    shows less than on replay-decod.
+    5k evals per search, outcomes over three fixed rng seeds; it does not
+    reach TSC.  It is mid-size and mixed: checking and decode take similar
+    shares, and a third of the evaluations repeat a circuit the search has
+    already scored, so a phenotype-keyed fitness cache shows here, and
+    fault-parallel checking shows less than on replay-decod.
 replay-decod
     A stream of distinct ``decod`` genotypes (r=5, q=16, 251 slots, about 146
     live gates) replayed through ``decode`` and ``evaluate_circuit``.  Each is
@@ -32,10 +33,12 @@ replay-decod
     where fault-parallel checking should show most and a cache not at all.
     One circuit of every REPLAY_ROUND batches also goes through ``verify_tsc``.
 
-The search workloads use a fixed set of rng seeds so that their success,
-overhead and champion counts repeat exactly from run to run; a change to any
-of them means the search trajectory changed.  For them ``--seed`` only
-rotates the order of the searches and picks which traced circuits are
+The search workloads take their success, overhead and champion counts over
+a fixed set of rng seeds, so that these repeat exactly from run to run; a
+change to any of them means the search trajectory changed.  After the fixed
+set a run goes on with fresh rng seeds until its time is up, so that no
+timed search repeats one already run in the process.  For them ``--seed``
+only rotates the order of the fixed set and picks which traced circuits are
 sampled.  The replay stream is generated from ``--seed``.
 
 End-to-end timings are scaled to a nominal machine speed (see ``speed.py``).
@@ -44,6 +47,7 @@ End-to-end timings are scaled to a nominal machine speed (see ``speed.py``).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import resource
 import statistics
@@ -78,7 +82,12 @@ SAMPLE_EVERY = 64
 REPLAY_BATCH = 16
 SETUP_MIN_S = 0.05  # repeat short set-ups to time them steadily
 REPLAY_ROUND = 3  # batches scored per round, between verify_tsc calls
-VERIFY_MIN_S = 0.2  # repeat verify_tsc on small circuits to time it steadily
+# verify_tsc is timed on each champion of a search workload's fixed set and
+# on up to this many new circuits one mutation away from it.
+VERIFY_NEIGHBOURS = 40
+# Timed replay set-ups all generate their first batch from this stream seed,
+# so that every run times the same set-up work whatever its --seed.
+SETUP_STREAM_SEED = 0
 
 
 @dataclass
@@ -90,20 +99,23 @@ class Metric:
     raw: float | None = None  # a timing before scaling to nominal speed
 
 
-def timing(probe: SpeedProbe, chunks, unit: str, keys=None) -> Metric:
+def timing(probe: SpeedProbe, chunks, unit: str) -> Metric:
     """Median seconds per call over (chunk, calls) pairs, at nominal speed and
-    raw, in ms for unit "ms".  With keys, the median over keys of each key's
-    median, so that every key of a partly repeated set counts once."""
+    raw, in ms for unit "ms"."""
     factor = 1e3 if unit == "ms" else 1.0
-    keys = range(len(chunks)) if keys is None else keys
 
     def med(seconds):
-        groups: dict = {}
-        for key, (c, n) in zip(keys, chunks):
-            groups.setdefault(key, []).append(seconds(c) / n * factor)
-        return median(median(g) for g in groups.values())
+        return median(seconds(c) / n * factor for c, n in chunks)
 
     return Metric(med(probe.nominal), unit, len(chunks), raw=med(raw_seconds))
+
+
+def mean_timing(probe: SpeedProbe, groups, unit: str) -> Metric:
+    """The mean over groups of (chunk, calls) pairs of each group's timing."""
+    groups = [g for g in groups if g]
+    per_group = [timing(probe, g, unit) for g in groups]
+    return Metric(statistics.fmean(m.value for m in per_group), unit,
+                  sum(map(len, groups)), raw=statistics.fmean(m.raw for m in per_group))
 
 
 @dataclass
@@ -355,20 +367,42 @@ class Search:
     champion: evolve.Individual
 
 
-def rate(searches, rng_seeds, seconds: Callable[[Chunk], float]) -> float:
-    """Median over rng seeds of each seed's evals per second."""
+def neighbours(problem: Problem, champion: evolve.Individual, k: int,
+               rng: random.Random, seen) -> list[Circuit]:
+    """Up to k circuits one mutation from the champion, none of them in seen.
+
+    Each has as many gates as the champion and fault-free rails that never
+    collide, so that verify_tsc takes its full path and about the champion's
+    time on each: a mutation that wires in unused genes can make a circuit
+    ten times as costly to verify.
+    """
+    full = (1 << (1 << problem.layout.r)) - 1
+    ops = (genome.mutate_bit, genome.mutate_routing, genome.mutate_translocate)
+    lock = LockMask.empty()
+    found: list[Circuit] = []
+    for _ in range(50 * k):
+        if len(found) == k:
+            break
+        circuit = genome.decode(rng.choice(ops)(champion.genotype, lock, rng), rng)
+        if (circuit in seen or circuit in found
+                or len(circuit.gates) != len(champion.circuit.gates)):
+            continue
+        z0, z1 = fitness.fault_free_response(circuit).rails
+        if not (z0 ^ z1) ^ full:
+            found.append(circuit)
+    return found
+
+
+def rate(searches, seconds: Callable[[Chunk], float]) -> float:
+    """Evals per second over the searches together."""
     searches = list(searches)
-    per_seed = []
-    for s in rng_seeds:
-        mine = [x for x in searches if x.rng_seed == s]
-        per_seed.append(sum(x.evals for x in mine) / sum(seconds(x.chunk) for x in mine))
-    return median(per_seed)
+    return sum(x.evals for x in searches) / sum(seconds(x.chunk) for x in searches)
 
 
 @dataclass(frozen=True)
 class SearchWorkload:
     load: Callable[[Path], Problem]
-    rng_seeds: tuple[int, ...]
+    rng_seeds: tuple[int, ...]  # the fixed set the outcome metrics are taken over
     max_evals: int
 
     def search(self, probe: SpeedProbe, problem: Problem, rng_seed: int) -> Search:
@@ -396,51 +430,79 @@ class SearchWorkload:
             return self._measured(probe, root, order, seconds)
 
     def _measured(self, probe: SpeedProbe, root: Path, order, seconds: float) -> Outcome:
-        # Rounds of one search, one timing of verify_tsc on its champion and
-        # one set-up, so that every timing samples the same stretch of the
-        # machine's speed; the seed set runs once in full, then repeats.
+        # Rounds of one search, one verify_tsc of its champion and one set-up,
+        # so that every timing samples the same stretch of the machine's
+        # speed.  No timing covers work already done in this process, which a
+        # cache could remember: every round searches a new rng seed (the fixed
+        # set, then fresh seeds above it until the time is up), and verify_tsc
+        # runs once on each distinct circuit.  verify_ms_p50 is taken over the
+        # fixed set's champions and their neighbours only, as the mean over
+        # champions of the median over each one's neighbourhood.  Verify
+        # times of different champions differ up to threefold: a median over
+        # however many searches fit in the time would follow the speed of the
+        # host, a median over all circuits would jump between neighbourhoods,
+        # and one short call per champion is too few to time steadily.  Each
+        # call is scaled by the reference kernel run right around it.
         checks = Checks()
         problem, setup = repeat_timed(probe, lambda: self.load(root), SETUP_MIN_S)
         setup_times = [setup]
-        first, verdicts = {}, {}
-        searches, verify_times = [], []
-        mismatches = 0
+        searches = []
+        verify_times: list[list[tuple[Chunk, int]]] = []  # one list per neighbourhood
+        reports: dict[Circuit, verify.TscReport] = {}
+        mismatches = cross_checked = 0
+
+        def check(label: str, circuit: Circuit, fv, timed: bool) -> None:
+            nonlocal mismatches, cross_checked
+            if circuit not in reports and timed:
+                reports[circuit], chunk = probe.bracketed(lambda: verify.verify_tsc(circuit))
+                verify_times[-1].append((chunk, 1))
+            elif circuit not in reports:
+                reports[circuit] = verify.verify_tsc(circuit)
+            cross_checked += 1
+            if not cross_check(checks, label, circuit, fv, reports[circuit]):
+                mismatches += 1
+
         start = time.perf_counter()
-        while len(searches) < len(order) or time.perf_counter() - start < seconds:
-            s = order[len(searches) % len(order)]
+        for s in itertools.chain(order, itertools.count(max(order) + 1)):
+            if len(searches) >= len(order) and time.perf_counter() - start >= seconds:
+                break
             x = self.search(probe, problem, s)
             searches.append(x)
-            report, per_call = repeat_timed(
-                probe, lambda: verify.verify_tsc(x.champion.circuit), VERIFY_MIN_S)
-            verify_times.append(per_call)
-            if s in first:
-                checks.expect(
-                    (x.digest, x.evals) == (first[s].digest, first[s].evals),
-                    f"rng seed {s}: a repeated search found another champion",
-                )
+            label = f"rng seed {s} champion"
+            if len(searches) > len(order):  # a fresh seed: checked, not timed
+                check(label, x.champion.circuit, x.champion.fitness, False)
             else:
-                first[s], verdicts[s] = x, report
-                if not cross_check(checks, f"rng seed {s} champion", x.champion.circuit,
-                                   x.champion.fitness, report):
-                    mismatches += 1
+                verify_times.append([])
+                check(label, x.champion.circuit, x.champion.fitness, True)
+                near = neighbours(problem, x.champion, VERIFY_NEIGHBOURS, random.Random(s),
+                                  reports)
+                for i, circuit in enumerate(near):
+                    fv = fitness.evaluate_circuit(circuit, problem.target.columns,
+                                                  problem.layout.max_gates)
+                    check(f"rng seed {s} neighbour {i}", circuit, fv, True)
             setup_times.append(repeat_timed(probe, lambda: self.load(root), SETUP_MIN_S)[1])
 
+        # The same search again, untimed: it must find the same champion.
+        first = {x.rng_seed: x for x in searches[: len(order)]}
+        again = self.search(probe, problem, order[0])
+        checks.expect((again.digest, again.evals) == (first[order[0]].digest,
+                                                       first[order[0]].evals),
+                      f"rng seed {order[0]}: a repeated search found another champion")
+
+        verdicts = {s: reports[first[s].champion.circuit] for s in self.rng_seeds}
         g = len(problem.seed_circuit.gates)
         dup = duplication_overhead(g, problem.layout.q)
         won = [s for s in self.rng_seeds if verdicts[s].is_tsc]
-        won_searches = [x for x in searches if x.rng_seed in won]
         n = len(self.rng_seeds)
 
         metrics = {
             "setup_s": timing(probe, setup_times, "s"),
-            "evals_per_s": Metric(
-                rate(searches, self.rng_seeds, probe.nominal), "1/s", len(searches),
-                raw=rate(searches, self.rng_seeds, raw_seconds)),
+            "evals_per_s": Metric(rate(searches, probe.nominal), "1/s", len(searches),
+                                  raw=rate(searches, raw_seconds)),
             "tsc_success_rate": Metric(len(won) / n, "share", n, exact=True),
             "evals_to_tsc_p50": Metric(median(first[s].evals for s in won), "evals",
                                        len(won), exact=True),
-            "seconds_to_tsc_p50": timing(probe, [(x.chunk, 1) for x in won_searches], "s",
-                                         [x.rng_seed for x in won_searches]),
+            "seconds_to_tsc_p50": timing(probe, [(first[s].chunk, 1) for s in won], "s"),
             "overhead_vs_dup_p50": Metric(
                 median((first[s].champion.fitness.live_gates - g) / dup for s in won),
                 "ratio", len(won), exact=True),
@@ -450,9 +512,8 @@ class SearchWorkload:
             "champion_unsignalled_p50": Metric(
                 median(len(verdicts[s].violations) for s in self.rng_seeds),
                 "outputs", n, exact=True),
-            "verify_ms_p50": timing(probe, verify_times, "ms",
-                                    [x.rng_seed for x in searches]),
-            "oracle_mismatches": Metric(mismatches, "count", n, exact=True),
+            "verify_ms_p50": mean_timing(probe, verify_times, "ms"),
+            "oracle_mismatches": Metric(mismatches, "count", cross_checked),
             "peak_rss_mb": Metric(peak_rss_mb(), "MB", 1),
         }
         record = {
@@ -471,7 +532,8 @@ class SearchWorkload:
         return Outcome(metrics, checks, record)
 
     def _traced(self, problem: Problem, order, seed: int) -> Outcome:
-        """Each search untraced, then again traced; the champions must match."""
+        """Each search of the fixed set untraced, then again traced; the
+        champions must match.  verify_tsc runs once on each new champion."""
         checks = Checks()
         tracer = Tracer()
         sampler = Sampler(seed)
@@ -490,20 +552,22 @@ class SearchWorkload:
             (verify, "verify_tsc", "verify.tsc"),
         ]
         untraced, traced = {}, {}
+        verified: set[Circuit] = set()
         for s in order:
             untraced[s] = self.search(clock, problem, s)
             sampler.new_search()
             with tracer.patched(targets):
                 traced[s] = self.search(clock, problem, s)
-                repeat_timed(clock, lambda: verify.verify_tsc(traced[s].champion.circuit),
-                             VERIFY_MIN_S)
+                circuit = traced[s].champion.circuit
+                if circuit not in verified:
+                    verified.add(circuit)
+                    verify.verify_tsc(circuit)
             checks.expect(
                 (traced[s].digest, traced[s].evals)
                 == (untraced[s].digest, untraced[s].evals),
                 f"rng seed {s}: the traced search found another champion",
             )
-        overhead = (rate(untraced.values(), order, raw_seconds)
-                    / rate(traced.values(), order, raw_seconds) - 1)
+        overhead = rate(untraced.values(), raw_seconds) / rate(traced.values(), raw_seconds) - 1
         metrics = layer_metrics(tracer, "evolve.run", sampler, overhead, fixed_work=True)
         record = {"champions": [{"rng_seed": s, "digest": traced[s].digest}
                                 for s in self.rng_seeds],
@@ -660,10 +724,18 @@ class ReplayWorkload:
     def _measured(self, probe: SpeedProbe, root: Path, seed: int, seconds: float) -> Outcome:
         # Rounds of REPLAY_ROUND batches, one verify_tsc of the last batch's
         # first circuit and one set-up, so that every timing samples the same
-        # stretch of the machine's speed.
+        # stretch of the machine's speed.  Set-ups are timed on the fixed
+        # SETUP_STREAM_SEED: how many candidates the stream rejects before
+        # its first batch depends on the seed, and setup_s must not.  The
+        # run's own stream is then built from --seed, untimed.
         checks = Checks()
-        replay, setup = repeat_timed(probe, lambda: self.setup(root, seed), SETUP_MIN_S)
-        setup_times = [setup]
+
+        def timed_setup():
+            return repeat_timed(probe, lambda: self.setup(root, SETUP_STREAM_SEED),
+                                SETUP_MIN_S)[1]
+
+        setup_times = [timed_setup()]
+        replay = self.setup(root, seed)
         scored = []  # (chunk, evals)
         verify_times = []
         mismatches = 0
@@ -679,13 +751,12 @@ class ReplayWorkload:
                     checks.expect(circuit == item.circuit and fv.u_f is not None,
                                   "replay: decode or fault-free rails did not reproduce")
             circuit, fv = results[0]
-            report, per_call = repeat_timed(probe, lambda: verify.verify_tsc(circuit), 0.0)
-            verify_times.append(per_call)
+            report, chunk = probe.timed(lambda: verify.verify_tsc(circuit))
+            verify_times.append((chunk, 1))
             label = f"stream circuit {REPLAY_BATCH * len(scored)}"
             if not cross_check(checks, label, circuit, fv, report):
                 mismatches += 1
-            setup_times.append(
-                repeat_timed(probe, lambda: self.setup(root, seed), SETUP_MIN_S)[1])
+            setup_times.append(timed_setup())
 
         evals = sum(n for _, n in scored)
         metrics = {
@@ -694,7 +765,7 @@ class ReplayWorkload:
                 evals / sum(probe.nominal(c) for c, _ in scored), "1/s", len(scored),
                 raw=evals / sum(c.seconds for c, _ in scored)),
             "verify_ms_p50": timing(probe, verify_times, "ms"),
-            "oracle_mismatches": Metric(mismatches, "count", len(verify_times), exact=True),
+            "oracle_mismatches": Metric(mismatches, "count", len(verify_times)),
             "peak_rss_mb": Metric(peak_rss_mb(), "MB", 1),
         }
         return Outcome(metrics, checks, {"evals": evals})
