@@ -39,6 +39,6 @@ from .formats import (
     render_pla,
     write_native,
 )
-from .evolve import IslandConfig, MigrantMsg, OffspringMix, RunResult, run, run_distributed
+from .evolve import IslandConfig, OffspringMix, RunResult, run, run_distributed
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -74,50 +74,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_EVOLVE_DEFAULTS = {
-    "mode": "unconstrained",
-    "b": None,
-    "islands": 8,
-    "budget_evals": 1_000_000,
-    "budget_seconds": None,
-    "seed_rng": 0,
-    "migration_rate": 0.1,
-    "goal_overhead": None,
-    "checkpoint_every": 50,
-    "applied_words": None,
-    "parallel": False,
-    "no_stop_on_goal": False,
-}
-
-_CASTS = {
-    "b": int,
-    "islands": int,
-    "budget_evals": int,
-    "budget_seconds": float,
-    "seed_rng": int,
-    "migration_rate": float,
-    "goal_overhead": int,
-    "checkpoint_every": int,
-    "parallel": lambda s: str(s).lower() in ("1", "true", "yes"),
-    "no_stop_on_goal": lambda s: str(s).lower() in ("1", "true", "yes"),
-}
-
-
-def _merge_option(name: str, cli_value, config_values: dict[str, str]):
-    if cli_value is not None:
-        return cli_value
-    if name in config_values:
-        cast = _CASTS.get(name, str)
-        return cast(config_values[name])
-    return _EVOLVE_DEFAULTS[name]
-
-
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    config_values = _parse_config_file(args.config) if args.config else {}
-
-    def opt(name: str):
-        return _merge_option(name, getattr(args, name), config_values)
-
     target = _load_target(args.target)
     seed = _load_seed(args.seed)
     if (seed.r, seed.q) != (target.r, target.q):
@@ -129,7 +86,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     g = len(seed.gates)
-    b = opt("b")
+    b = args.b
     if b is None:
         b = default_address_width(seed.r, g, seed.q)
     layout = GenomeLayout(r=seed.r, q=seed.q, b=b)
@@ -139,35 +96,36 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     dup = duplication_overhead(g, seed.q)
-    goal_overhead = opt("goal_overhead")
+    goal_overhead = args.goal_overhead
     if goal_overhead is None:
         goal_overhead = dup - 1
+    # A config-file mode bypasses argparse's choices check.
     mode = {"unconstrained": "unconstrained", "nonintrusive": "non_intrusive"}.get(
-        opt("mode")
+        args.mode
     )
     if mode is None:
-        print(f"error: unknown mode {opt('mode')!r}", file=sys.stderr)
+        print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
         return EXIT_USAGE
 
-    applied = opt("applied_words")
+    applied = args.applied_words
     word_mask = int(applied, 16) if applied is not None else None
 
     config = IslandConfig(
         layout=layout,
-        migration_rate=opt("migration_rate"),
-        rng_seed=opt("seed_rng"),
+        migration_rate=args.migration_rate,
+        rng_seed=args.seed_rng,
         mode=mode,
-        n_islands=opt("islands"),
-        max_evals=opt("budget_evals"),
-        max_seconds=opt("budget_seconds"),
+        n_islands=args.islands,
+        max_evals=args.budget_evals,
+        max_seconds=args.budget_seconds,
         goal_size=g + goal_overhead,
-        stop_on_goal=not opt("no_stop_on_goal"),
+        stop_on_goal=not args.no_stop_on_goal,
         word_mask=word_mask,
-        checkpoint_every=opt("checkpoint_every"),
+        checkpoint_every=args.checkpoint_every,
     )
 
     out_dir = Path(args.out) if args.out else None
-    runner = evolve_mod.run_distributed if opt("parallel") else evolve_mod.run
+    runner = evolve_mod.run_distributed if args.parallel else evolve_mod.run
     result = runner(config, target, seed, out_dir=out_dir)
 
     champion = result.champion
@@ -297,7 +255,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(
+    evolve_config: dict[str, str] | None = None,
+) -> argparse.ArgumentParser:
+    """The CLI parser; ``evolve_config`` holds config-file values, which
+    become the ``evolve`` defaults, so flags on the command line still win."""
     parser = argparse.ArgumentParser(
         prog="tscsynth",
         description="Evolve and verify totally self-checking combinational circuits",
@@ -307,24 +269,46 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="evolve a self-checking circuit from a seed")
     p.add_argument("--target", required=True, help="PLA file with the output function")
     p.add_argument("--seed", required=True, help="BLIF seed netlist (two-input gates)")
-    p.add_argument("--mode", choices=["unconstrained", "nonintrusive"], default=None)
-    p.add_argument("--b", type=int, default=None, help="address width in bits")
-    p.add_argument("--islands", type=int, default=None)
-    p.add_argument("--budget-evals", dest="budget_evals", type=int, default=None)
-    p.add_argument("--budget-seconds", dest="budget_seconds", type=float, default=None)
-    p.add_argument("--seed-rng", dest="seed_rng", type=int, default=None)
-    p.add_argument("--migration-rate", dest="migration_rate", type=float, default=None)
-    p.add_argument("--goal-overhead", dest="goal_overhead", type=int, default=None)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=None)
-    p.add_argument("--applied-words", dest="applied_words", default=None,
-                   help="hex mask of applied input words (default: all)")
-    p.add_argument("--parallel", action="store_const", const=True, default=None,
-                   help="one process per island with socket migration")
-    p.add_argument("--no-stop-on-goal", dest="no_stop_on_goal",
-                   action="store_const", const=True, default=None)
+    configurable = [
+        p.add_argument("--mode", choices=["unconstrained", "nonintrusive"],
+                       default="unconstrained"),
+        p.add_argument("--b", type=int, default=None, help="address width in bits"),
+        p.add_argument("--islands", type=int, default=8),
+        p.add_argument("--budget-evals", dest="budget_evals", type=int,
+                       default=1_000_000),
+        p.add_argument("--budget-seconds", dest="budget_seconds", type=float,
+                       default=None),
+        p.add_argument("--seed-rng", dest="seed_rng", type=int, default=0),
+        p.add_argument("--migration-rate", dest="migration_rate", type=float,
+                       default=0.1),
+        p.add_argument("--goal-overhead", dest="goal_overhead", type=int, default=None),
+        p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int,
+                       default=50),
+        p.add_argument("--applied-words", dest="applied_words", default=None,
+                       help="hex mask of applied input words (default: all)"),
+        p.add_argument("--parallel", action="store_true",
+                       help="one process per island; migrants cross and the "
+                       "budget and goal are checked every "
+                       f"{evolve_mod.EPOCH_GENERATIONS} generations; reproducible"),
+        p.add_argument("--no-stop-on-goal", dest="no_stop_on_goal",
+                       action="store_true"),
+    ]
     p.add_argument("--config", default=None, help="key=value file; CLI flags win")
     p.add_argument("--out", default=None, help="directory for run artifacts")
     p.set_defaults(func=_cmd_evolve)
+    if evolve_config:
+        actions = {action.dest: action for action in configurable}
+        unknown = sorted(set(evolve_config) - set(actions))
+        if unknown:
+            p.error("unknown config key(s): "
+                    + ", ".join(key.replace("_", "-") for key in unknown))
+        # argparse applies each option's type to string defaults, but a flag
+        # has none: "false" would be a truthy string.
+        p.set_defaults(**{
+            key: value.lower() in ("1", "true", "yes") if actions[key].nargs == 0
+            else value
+            for key, value in evolve_config.items()
+        })
 
     p = sub.add_parser("verify", help="prove or refute the TSC property")
     p.add_argument("--circuit", required=True, help="native JSON circuit")
@@ -350,13 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if getattr(args, "config", None):
+            args = build_parser(_parse_config_file(args.config)).parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

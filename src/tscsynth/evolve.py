@@ -7,6 +7,12 @@ mutants, parents drawn by linear rank selection in which the best individual
 is twice as likely to be picked as the median.  Islands sit on a square grid
 filled in spiral order and occasionally emigrate individuals to islands
 chosen with probability inverse to grid distance.
+
+``run`` steps every island in one process.  ``run_distributed`` runs one
+process per island: each steps its island for ``EPOCH_GENERATIONS``
+generations, then the driver routes the migrants bound for other islands
+and starts the next epoch.  Both are deterministic for a fixed
+configuration.
 """
 
 from __future__ import annotations
@@ -15,19 +21,16 @@ import hashlib
 import json
 import math
 import multiprocessing
-import queue
 import random
-import socket
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from pathlib import Path
 
 from .fitness import FitnessVector, evaluate_circuit
-from .formats import TargetSpec, circuit_to_json
+from .formats import TargetSpec
 from .genome import (
     Genotype,
     GenomeLayout,
@@ -85,38 +88,6 @@ class IslandConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_islands < 1:
             raise ValueError("need at least one island")
-
-
-@dataclass(frozen=True)
-class MigrantMsg:
-    genotype: str  # hex serialization
-    fitness: tuple[float, float, float, float]
-    source: tuple[int, int]
-    generation: int
-    layout: tuple[int, int, int]  # (r, q, b)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "genotype": self.genotype,
-                "fitness": list(self.fitness),
-                "source": list(self.source),
-                "generation": self.generation,
-                "layout": {"r": self.layout[0], "q": self.layout[1], "b": self.layout[2]},
-            }
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "MigrantMsg":
-        obj = json.loads(line)
-        lay = obj["layout"]
-        return cls(
-            genotype=str(obj["genotype"]),
-            fitness=tuple(float(v) for v in obj["fitness"]),
-            source=tuple(int(v) for v in obj["source"]),
-            generation=int(obj["generation"]),
-            layout=(int(lay["r"]), int(lay["q"]), int(lay["b"])),
-        )
 
 
 @dataclass
@@ -245,7 +216,7 @@ class Island:
         self.budget = budget
         self.rng = random.Random(_island_rng_seed(config.rng_seed, index))
         self.generation = 0
-        self.inbox: deque[MigrantMsg] = deque()
+        self.inbox: deque[Genotype] = deque()
         self.population: list[Individual] = []
 
     def populate(self) -> None:
@@ -270,19 +241,10 @@ class Island:
         return Individual(genotype, circuit, fv)
 
     def _integrate_immigrants(self) -> None:
-        layout = self.config.layout
-        dims = (layout.r, layout.q, layout.b)
         while self.inbox:
-            msg = self.inbox.popleft()
-            if msg.layout != dims:
-                continue  # drop mismatched layouts
-            try:
-                genotype = Genotype.from_hex(msg.genotype, layout)
-            except ValueError:
-                continue
             # Immigrants are re-evaluated locally and replace the current
             # worst individual (always non-elite for populations above two).
-            self.population[-1] = self._evaluate(genotype)
+            self.population[-1] = self._evaluate(self.inbox.popleft())
             self.population.sort(key=_fitness_key, reverse=True)
 
     def step(self) -> None:
@@ -317,16 +279,8 @@ class Island:
         self.population = offspring
         self.generation += 1
 
-    def make_migrant(self) -> MigrantMsg:
-        chosen = select_parent(self.population, self.rng)
-        layout = self.config.layout
-        return MigrantMsg(
-            genotype=chosen.genotype.to_hex(),
-            fitness=chosen.fitness.key(),
-            source=self.coords,
-            generation=self.generation,
-            layout=(layout.r, layout.q, layout.b),
-        )
+    def make_migrant(self) -> Genotype:
+        return select_parent(self.population, self.rng).genotype
 
 
 @dataclass
@@ -341,12 +295,14 @@ class RunResult:
 
 
 class Engine:
-    """Serial multi-island driver; deterministic for a fixed configuration.
+    """Multi-island driver; deterministic for a fixed configuration.
 
-    Islands are stepped round-robin.  With a transport attached (one-island
-    worker mode) emigrants go out through it and immigrants arrive from it;
-    otherwise migrants move between this engine's own islands.  Islands can
-    be added or removed between generations.
+    Islands are stepped round-robin.  A migrant's destination is drawn over
+    all ``n_islands`` grid positions.  One bound for an island of this engine
+    goes straight into its inbox; one bound for any other island waits in
+    ``outbox``.  ``run`` gives an engine every island, and each
+    ``run_distributed`` worker one; with no islands an engine only keeps the
+    record: champion, history, perfect champions, budget and checkpoints.
     """
 
     def __init__(
@@ -355,9 +311,7 @@ class Engine:
         target: TargetSpec,
         seed_circuit: Circuit,
         out_dir: str | Path | None = None,
-        transport=None,
         island_indices: list[int] | None = None,
-        stop_flag=None,
     ):
         if seed_circuit.r != config.layout.r or seed_circuit.q != config.layout.q:
             raise ValueError("seed circuit shape does not match layout")
@@ -366,8 +320,6 @@ class Engine:
         self.config = config
         self.target = target
         self.seed_circuit = seed_circuit
-        self.transport = transport
-        self.stop_flag = stop_flag
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.budget = Budget(config.max_evals, config.max_seconds)
         self.lock = (
@@ -380,56 +332,34 @@ class Engine:
         indices = island_indices if island_indices is not None else list(
             range(config.n_islands)
         )
-        self._next_index = max(indices) + 1 if indices else 0
-        self.islands = [self._new_island(i) for i in indices]
+        self.islands = [
+            Island(i, self.config, target, seed_circuit, self.lock, self.budget)
+            for i in indices
+        ]
+        self.grid = [spiral_coords(i) for i in range(config.n_islands)]
+        self.outbox: list[tuple[int, Genotype]] = []
         self.generation = 0
         self.champion: Individual | None = None
         self.history: list[dict] = []
-        self.perfect_champions: list[tuple[str, Circuit]] = []
-        self._perfect_seen: set[str] = set()
+        self.perfect_champions: dict[str, Circuit] = {}  # keyed by genotype hex
         for island in self.islands:
             island.populate()
-            self._note_champion(island)
+            self._note_champion(island.population[0], island.index)
 
-    def _new_island(self, index: int) -> Island:
-        return Island(
-            index,
-            self.config,
-            self.target,
-            self.seed_circuit,
-            self.lock,
-            self.budget,
-        )
-
-    def add_island(self) -> Island:
-        island = self._new_island(self._next_index)
-        self._next_index += 1
-        island.populate()
-        self.islands.append(island)
-        self._note_champion(island)
-        return island
-
-    def remove_island(self, index: int) -> None:
-        self.islands = [isl for isl in self.islands if isl.index != index]
-
-    def _note_champion(self, island: Island) -> None:
-        best = island.population[0]
+    def _note_champion(self, best: Individual, island: int) -> None:
         if self.champion is None or _fitness_key(best) > _fitness_key(self.champion):
             self.champion = best
             self.history.append(
                 {
                     "evals": self.budget.evals,
                     "generation": self.generation,
-                    "island": island.index,
+                    "island": island,
                     "fitness": list(best.fitness.key()),
                     "live_gates": best.fitness.live_gates,
                 }
             )
             if best.fitness.perfect_checking:
-                hex_form = best.genotype.to_hex()
-                if hex_form not in self._perfect_seen:
-                    self._perfect_seen.add(hex_form)
-                    self.perfect_champions.append((hex_form, best.circuit))
+                self.perfect_champions.setdefault(best.genotype.to_hex(), best.circuit)
 
     def goal_met(self) -> bool:
         if not self.config.stop_on_goal or self.champion is None:
@@ -441,70 +371,63 @@ class Engine:
 
     def _emit_migration(self, island: Island) -> None:
         rate = self.config.migration_rate
-        if rate <= 0.0:
-            return
-        if self.transport is not None:
-            if island.rng.random() < rate:
-                self.transport.send(island.make_migrant())
-            return
-        if len(self.islands) < 2:
+        if rate <= 0.0 or len(self.grid) < 2:
             return
         if island.rng.random() < rate:
-            msg = island.make_migrant()
-            coords = [isl.coords for isl in self.islands]
-            dest = pick_migration_target(island.coords, coords, island.rng)
+            migrant = island.make_migrant()
+            dest = self.grid.index(
+                pick_migration_target(island.coords, self.grid, island.rng)
+            )
             for isl in self.islands:
-                if isl.coords == dest:
-                    isl.inbox.append(msg)
+                if isl.index == dest:
+                    isl.inbox.append(migrant)
                     break
+            else:
+                self.outbox.append((dest, migrant))
 
     def step_generation(self) -> None:
         """One global generation across all islands."""
         for island in self.islands:
-            if self.budget.exhausted() or self._externally_stopped():
+            if self.budget.exhausted():
                 return
-            if self.transport is not None:
-                island.inbox.extend(self.transport.poll())
             island.step()
-            self._note_champion(island)
+            self._note_champion(island.population[0], island.index)
             self._emit_migration(island)
             if self.goal_met():
                 return
-        self.generation += 1
+        self._advance(1)
+
+    def _advance(self, generations: int) -> None:
+        """Count generations finished on every island; checkpoint each time
+        the count passes a multiple of ``checkpoint_every``."""
+        every = self.config.checkpoint_every
+        before = self.generation
+        self.generation += generations
         if (
             self.out_dir is not None
-            and self.config.checkpoint_every > 0
-            and self.generation % self.config.checkpoint_every == 0
+            and every > 0
+            and self.generation // every > before // every
         ):
             self._write_checkpoint()
-
-    def _externally_stopped(self) -> bool:
-        return self.stop_flag is not None and self.stop_flag()
 
     def _write_checkpoint(self) -> None:
         if self.champion is None:
             return
         self.out_dir.mkdir(parents=True, exist_ok=True)
         layout = self.config.layout
-        record = json.loads(
-            MigrantMsg(
-                genotype=self.champion.genotype.to_hex(),
-                fitness=self.champion.fitness.key(),
-                source=(0, 0),
-                generation=self.generation,
-                layout=(layout.r, layout.q, layout.b),
-            ).to_json()
-        )
-        record["evals"] = self.budget.evals
-        record["elapsed_s"] = round(self.budget.elapsed, 3)
+        record = {
+            "genotype": self.champion.genotype.to_hex(),
+            "fitness": list(self.champion.fitness.key()),
+            "source": list(self.grid[self.history[-1]["island"]]),
+            "generation": self.generation,
+            "layout": {"r": layout.r, "q": layout.q, "b": layout.b},
+            "evals": self.budget.evals,
+            "elapsed_s": round(self.budget.elapsed, 3),
+        }
         with (self.out_dir / "checkpoints.ndjson").open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
 
-    def run(self) -> RunResult:
-        while not (
-            self.budget.exhausted() or self.goal_met() or self._externally_stopped()
-        ):
-            self.step_generation()
+    def result(self) -> RunResult:
         assert self.champion is not None
         return RunResult(
             champion=self.champion,
@@ -513,8 +436,13 @@ class Engine:
             evals=self.budget.evals,
             elapsed=self.budget.elapsed,
             goal_reached=self.goal_met(),
-            perfect_champions=list(self.perfect_champions),
+            perfect_champions=list(self.perfect_champions.items()),
         )
+
+    def run(self) -> RunResult:
+        while not (self.budget.exhausted() or self.goal_met()):
+            self.step_generation()
+        return self.result()
 
 
 def run(
@@ -528,157 +456,50 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# Optional process-per-island mode.  Each worker owns one island and talks
-# newline-delimited MigrantMsg JSON over a TCP stream to a relay, which picks
-# destinations by the same inverse-distance rule.  The first line on each
-# connection is a one-off handshake naming the worker's island; everything
-# after it is plain MigrantMsg lines in both directions.  Messages with a
-# mismatched layout are dropped by the receiving island.
+# Process-per-island mode.  Each worker process owns one island in a one-island
+# Engine and steps it for an epoch of EPOCH_GENERATIONS generations per
+# message from the driver.  The driver, an island-less Engine, collects every
+# worker's report, routes the migrants each one emitted for other islands,
+# and sends them as the next epoch's immigrants.  Messages are pickled over
+# multiprocessing pipes; nothing depends on timing, so the run reproduces.
 # ---------------------------------------------------------------------------
 
-
-class SocketTransport:
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self._file = sock.makefile("r", encoding="utf-8")
-        self._queue: "queue.Queue[MigrantMsg]" = queue.Queue()
-        self._reader = threading.Thread(target=self._drain, daemon=True)
-        self._reader.start()
-
-    def _drain(self) -> None:
-        try:
-            for line in self._file:
-                try:
-                    self._queue.put(MigrantMsg.from_json(line))
-                except (ValueError, KeyError):
-                    continue
-        except OSError:
-            pass
-
-    def send(self, msg: MigrantMsg) -> None:
-        try:
-            self.sock.sendall((msg.to_json() + "\n").encode("utf-8"))
-        except OSError:
-            pass  # relay gone; migrant dropped
-
-    def poll(self) -> list[MigrantMsg]:
-        out = []
-        while True:
-            try:
-                out.append(self._queue.get_nowait())
-            except queue.Empty:
-                return out
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
-class MigrationRelay:
-    """Accepts one connection per island and forwards migrants between them."""
-
-    def __init__(self, n_islands: int, rng_seed: int):
-        self.n_islands = n_islands
-        self.coords = [spiral_coords(i) for i in range(n_islands)]
-        self.rng = random.Random(_island_rng_seed(rng_seed, 1 << 30))
-        self._server = socket.create_server(("127.0.0.1", 0))
-        self.port = self._server.getsockname()[1]
-        self._conns: dict[int, socket.socket] = {}
-        self._lock = threading.Lock()
-        self._closing = False
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-
-    def _accept_loop(self) -> None:
-        while not self._closing:
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
-
-    def _serve(self, conn: socket.socket) -> None:
-        fh = conn.makefile("r", encoding="utf-8")
-        try:
-            handshake = json.loads(fh.readline())
-            island = int(handshake["island"])
-        except (ValueError, KeyError, TypeError):
-            conn.close()
-            return
-        with self._lock:
-            self._conns[island] = conn
-        source = self.coords[island]
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                dest = pick_migration_target(source, self.coords, self.rng)
-            except ValueError:
-                continue
-            dest_index = self.coords.index(dest)
-            with self._lock:
-                target = self._conns.get(dest_index)
-            if target is None:
-                continue  # destination not up; migrant dropped
-            try:
-                target.sendall((line + "\n").encode("utf-8"))
-            except OSError:
-                continue
-        with self._lock:
-            self._conns.pop(island, None)
-
-    def close(self) -> None:
-        self._closing = True
-        try:
-            self._server.close()
-        except OSError:
-            pass
+EPOCH_GENERATIONS = 4
 
 
 def _island_worker(
     config: IslandConfig,
     target: TargetSpec,
     seed_circuit: Circuit,
-    island_index: int,
-    port: int,
-    result_queue,
-    stop_event,
+    index: int,
+    conn,
 ) -> None:
-    sock = socket.create_connection(("127.0.0.1", port))
-    sock.sendall((json.dumps({"island": island_index}) + "\n").encode("utf-8"))
-    transport = SocketTransport(sock)
-    engine = Engine(
-        config,
-        target,
-        seed_circuit,
-        transport=transport,
-        island_indices=[island_index],
-        stop_flag=stop_event.is_set,
+    """Report, then run one epoch per list of immigrants received, forever.
+
+    A report is (evals, champion, perfect champions new since the last
+    report, migrants for other islands as (island, genotype) pairs).
+    """
+    engine = Engine(config, target, seed_circuit, island_indices=[index])
+    reported = 0
+    while True:
+        perfect = list(engine.perfect_champions.items())
+        conn.send(
+            (engine.budget.evals, engine.champion, perfect[reported:], engine.outbox)
+        )
+        reported = len(perfect)
+        engine.outbox = []
+        engine.islands[0].inbox.extend(conn.recv())
+        for _ in range(EPOCH_GENERATIONS):
+            engine.step_generation()
+            if engine.goal_met():
+                break
+
+
+def _worker_exited(island: int, worker) -> RuntimeError:
+    worker.join(timeout=5)
+    return RuntimeError(
+        f"island {island} worker exited (exit code {worker.exitcode})"
     )
-    result = engine.run()
-    result_queue.put(
-        {
-            "island": island_index,
-            "champion_hex": result.champion.genotype.to_hex(),
-            "champion_circuit": circuit_to_json(result.champion.circuit),
-            "fitness": list(result.champion.fitness.key()),
-            "u_f": result.champion.fitness.u_f,
-            "u_i": result.champion.fitness.u_i,
-            "live_gates": result.champion.fitness.live_gates,
-            "history": result.history,
-            "evals": result.evals,
-            "elapsed": result.elapsed,
-            "goal_reached": result.goal_reached,
-            "perfect": [
-                (hex_form, circuit_to_json(circ))
-                for hex_form, circ in result.perfect_champions
-            ],
-        }
-    )
-    transport.close()
 
 
 def run_distributed(
@@ -687,83 +508,69 @@ def run_distributed(
     seed_circuit: Circuit,
     out_dir: str | Path | None = None,
 ) -> RunResult:
-    """One process per island, migrants relayed over a local TCP stream.
+    """One process per island, synchronised in epochs; deterministic for a
+    fixed configuration.
 
-    Budgets are split evenly across islands.  Not bit-reproducible across
-    runs (worker timing affects migration interleaving); use the serial
-    engine when determinism matters.
+    In each epoch every island runs ``EPOCH_GENERATIONS`` generations of
+    ``Engine.step_generation`` (fewer once it reaches the goal).  Migrants
+    are drawn from each island's own rng as in ``run``, but reach their
+    destination at the start of the next epoch.  The driver keeps the
+    champion, the history, whose evals count all islands, and the perfect
+    champions, and writes the checkpoints.
+
+    The eval budget, the time limit and the goal are checked only between
+    epochs, so a run overshoots ``max_evals`` by at most one epoch of evals
+    per island (``EPOCH_GENERATIONS`` times the non-elite offspring) plus the
+    immigrants evaluated in that epoch.  With one island the champion is
+    ``run``'s whenever ``run`` stops on an epoch boundary.
+
+    Workers are started by the spawn method, so a script that calls this
+    needs the ``if __name__ == "__main__":`` guard.  Raises RuntimeError
+    naming the island if a worker process dies.
     """
-    from .formats import read_native  # local import to avoid cycle at module load
-
-    n = config.n_islands
-    per_island = replace(
-        config,
-        max_evals=None if config.max_evals is None else config.max_evals // n,
-    )
-    relay = MigrationRelay(n, config.rng_seed)
-    ctx = multiprocessing.get_context()
-    result_queue: multiprocessing.Queue = ctx.Queue()
-    stop_event = ctx.Event()
-    workers = [
-        ctx.Process(
-            target=_island_worker,
-            args=(per_island, target, seed_circuit, i, relay.port, result_queue, stop_event),
-        )
-        for i in range(n)
-    ]
-    for w in workers:
-        w.start()
-
-    results = []
-    deadline = (
-        None
-        if config.max_seconds is None
-        else time.monotonic() + config.max_seconds + 60.0
-    )
+    driver = Engine(config, target, seed_circuit, out_dir, island_indices=[])
+    worker_config = replace(config, max_evals=None, max_seconds=None)
+    ctx = multiprocessing.get_context("spawn")
+    conns, workers = [], []
     try:
-        while len(results) < n:
-            timeout = None if deadline is None else max(deadline - time.monotonic(), 0.1)
-            try:
-                payload = result_queue.get(timeout=timeout)
-            except queue.Empty:
-                stop_event.set()
-                break
-            results.append(payload)
-            if payload["goal_reached"]:
-                stop_event.set()
+        for i in range(config.n_islands):
+            conn, child_conn = ctx.Pipe()
+            worker = ctx.Process(
+                target=_island_worker,
+                args=(worker_config, target, seed_circuit, i, child_conn),
+                name=f"tscsynth-island-{i}",
+            )
+            worker.start()
+            workers.append(worker)
+            conns.append(conn)
+            child_conn.close()  # the worker's death now reads as end of file
+        for epoch in count():
+            reports = []
+            for i, (conn, worker) in enumerate(zip(conns, workers)):
+                try:
+                    reports.append(conn.recv())
+                except EOFError:
+                    raise _worker_exited(i, worker) from None
+            driver.budget.evals = sum(report[0] for report in reports)
+            inboxes: list[list[Genotype]] = [[] for _ in workers]
+            for i, (_, champion, perfect, outbox) in enumerate(reports):
+                for hex_form, circuit in perfect:
+                    driver.perfect_champions.setdefault(hex_form, circuit)
+                driver._note_champion(champion, i)
+                for dest, genotype in outbox:
+                    inboxes[dest].append(genotype)
+            if epoch:
+                driver._advance(EPOCH_GENERATIONS)
+            if driver.budget.exhausted() or driver.goal_met():
+                return driver.result()
+            for i, (conn, worker) in enumerate(zip(conns, workers)):
+                try:
+                    conn.send(inboxes[i])
+                except (BrokenPipeError, ConnectionResetError):
+                    raise _worker_exited(i, worker) from None
     finally:
-        stop_event.set()
-        for w in workers:
-            w.join(timeout=30)
-            if w.is_alive():
-                w.terminate()
-        relay.close()
-
-    if not results:
-        raise RuntimeError("no island returned a result")
-
-    best = max(results, key=lambda p: tuple(p["fitness"]))
-    champion_geno = Genotype.from_hex(best["champion_hex"], config.layout)
-    champion_circuit = read_native(json.dumps(best["champion_circuit"]))
-    fv = FitnessVector(
-        *best["fitness"],
-        u_f=best["u_f"],
-        u_i=best["u_i"],
-        live_gates=best["live_gates"],
-    )
-    perfect: list[tuple[str, Circuit]] = []
-    seen: set[str] = set()
-    for payload in results:
-        for hex_form, circ_json in payload["perfect"]:
-            if hex_form not in seen:
-                seen.add(hex_form)
-                perfect.append((hex_form, read_native(json.dumps(circ_json))))
-    return RunResult(
-        champion=Individual(champion_geno, champion_circuit, fv),
-        layout=config.layout,
-        history=best["history"],
-        evals=sum(p["evals"] for p in results),
-        elapsed=max(p["elapsed"] for p in results),
-        goal_reached=any(p["goal_reached"] for p in results),
-        perfect_champions=perfect,
-    )
+        for worker in workers:
+            worker.terminate()  # idle in recv, or abandoned after a failure
+            worker.join()
+        for conn in conns:
+            conn.close()

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tscsynth.cli import main
+from tscsynth.cli import build_parser, main
 from tscsynth.formats import parse_blif, read_native, write_native
 from tscsynth.netlist import build_duplication_baseline
 
@@ -140,6 +140,30 @@ class TestEvolveCommand:
         assert code == 0
         record = json.loads((out / "run.json").read_text())
         assert record["evals"] == 32
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("budget-eval = 64\n")  # typo for budget-evals
+        code = run_cli(
+            "evolve",
+            "--target", bench("c17.pla"),
+            "--seed", bench("c17.blif"),
+            "--config", str(cfg),
+            "--islands", "1",
+            "--budget-evals", "0",
+        )
+        assert code == 2
+        assert "budget-eval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,value", [
+        ("false", False), ("no", False), ("0", False),
+        ("true", True), ("Yes", True), ("1", True),
+    ])
+    def test_config_file_flags(self, text, value):
+        parser = build_parser({"parallel": text, "no_stop_on_goal": text})
+        args = parser.parse_args(["evolve", "--target", "t.pla", "--seed", "s.blif"])
+        assert args.parallel is value
+        assert args.no_stop_on_goal is value
 
 
 class TestReport:

@@ -1,12 +1,17 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tscsynth
 from tscsynth.evolve import (
+    EPOCH_GENERATIONS,
     Engine,
     IslandConfig,
-    MigrantMsg,
     OffspringMix,
     migration_weights,
     pick_migration_target,
@@ -127,44 +132,6 @@ class TestMigrationTarget:
             pick_migration_target((0, 0), [(0, 0)], random.Random(0))
 
 
-class TestMigrantMsg:
-    def _msg(self):
-        return MigrantMsg(
-            genotype="ab03",
-            fitness=(1.0, 0.5, 0.25, 0.1),
-            source=(2, -1),
-            generation=17,
-            layout=(2, 2, 3),
-        )
-
-    def test_wire_fields_exact(self):
-        obj = json.loads(self._msg().to_json())
-        assert set(obj) == {"genotype", "fitness", "source", "generation", "layout"}
-        assert obj["layout"] == {"r": 2, "q": 2, "b": 3}
-        assert obj["source"] == [2, -1]
-
-    def test_roundtrip(self):
-        msg = self._msg()
-        assert MigrantMsg.from_json(msg.to_json()) == msg
-
-    def test_layout_mismatch_dropped_by_island(self):
-        seed, target, layout = small_setup()
-        config = small_config(layout, max_evals=None)
-        engine = Engine(config, target, seed)
-        island = engine.islands[0]
-        wrong = MigrantMsg(
-            genotype="00",
-            fitness=(0, 0, 0, 0),
-            source=(0, 0),
-            generation=0,
-            layout=(9, 9, 9),
-        )
-        before = [ind.genotype.value for ind in island.population]
-        island.inbox.append(wrong)
-        island._integrate_immigrants()
-        assert [ind.genotype.value for ind in island.population] == before
-
-
 class TestEngine:
     def test_population_size_constant(self):
         seed, target, layout = small_setup()
@@ -207,27 +174,23 @@ class TestEngine:
         assert r1.champion.genotype.to_hex() == r2.champion.genotype.to_hex()
         assert r1.champion.fitness == r2.champion.fitness
 
+    def test_serial_trajectory_pinned(self):
+        # Champion of this migrating four-island run, recorded before the
+        # parallel driver was rebuilt on Engine: serial search must not move.
+        seed, target, layout = small_setup()
+        config = small_config(layout, n_islands=4, max_evals=6000, rng_seed=7,
+                              migration_rate=0.5)
+        result = run(config, target, seed)
+        assert result.champion.genotype.to_hex() == (
+            "01e76ef1efd3a3e28f2772a81907c47f6b8393ef24b6e2"
+        )
+        assert result.evals == 6011
+
     def test_different_seeds_differ(self):
         seed, target, layout = small_setup()
         r1 = run(small_config(layout, max_evals=2000, rng_seed=1), target, seed)
         r2 = run(small_config(layout, max_evals=2000, rng_seed=2), target, seed)
         assert r1.champion.genotype.to_hex() != r2.champion.genotype.to_hex()
-
-    def test_islands_can_join_and_leave(self):
-        seed, target, layout = small_setup()
-        engine = Engine(small_config(layout, n_islands=2, max_evals=None), target, seed)
-        engine.step_generation()
-        added = engine.add_island()
-        assert added.index == 2
-        assert added.coords == spiral_coords(2)
-        engine.step_generation()
-        key_before = engine.champion.fitness.key()
-        engine.remove_island(0)
-        engine.step_generation()
-        assert len(engine.islands) == 2
-        assert engine.champion.fitness.key() >= key_before
-        for island in engine.islands:
-            assert len(island.population) == 32
 
     def test_adding_islands_never_perturbs_existing_streams(self):
         seed, target, layout = small_setup()
@@ -269,12 +232,14 @@ class TestEngine:
     def test_checkpoints_written(self, tmp_path):
         seed, target, layout = small_setup()
         config = small_config(layout, max_evals=2500, checkpoint_every=2)
-        run(config, target, seed, out_dir=tmp_path)
-        lines = (tmp_path / "checkpoints.ndjson").read_text().splitlines()
-        assert lines
-        record = json.loads(lines[0])
-        assert {"genotype", "fitness", "source", "generation", "layout",
-                "evals", "elapsed_s"} <= set(record)
+        for runner in (run, run_distributed):
+            out = tmp_path / runner.__name__
+            runner(config, target, seed, out_dir=out)
+            lines = (out / "checkpoints.ndjson").read_text().splitlines()
+            assert lines, runner.__name__
+            record = json.loads(lines[0])
+            assert {"genotype", "fitness", "source", "generation", "layout",
+                    "evals", "elapsed_s"} <= set(record)
 
 
 class TestGoal:
@@ -291,20 +256,59 @@ class TestGoal:
         assert verify_tsc(result.champion.circuit).is_tsc
 
 
+_KILL_ISLAND_1 = """
+import multiprocessing, os, signal, threading, time
+from test_evolve import small_config, small_setup
+from tscsynth.evolve import run_distributed
+
+def kill_island_1():
+    while True:
+        for proc in multiprocessing.active_children():
+            if proc.name == "tscsynth-island-1":
+                os.kill(proc.pid, signal.SIGKILL)
+                return
+        time.sleep(0.01)
+
+threading.Thread(target=kill_island_1, daemon=True).start()
+seed, target, layout = small_setup()
+try:
+    run_distributed(small_config(layout, n_islands=3, max_evals=10**7), target, seed)
+except RuntimeError as exc:
+    print("RuntimeError:", exc)
+"""
+
+
 @pytest.mark.slow
 class TestDistributed:
-    def test_two_worker_smoke(self):
+    def test_two_runs_identical(self):
         seed, target, layout = small_setup()
-        config = IslandConfig(
-            layout=layout,
-            rng_seed=11,
-            n_islands=2,
-            max_evals=6000,
-            max_seconds=60,
-            goal_size=None,
-            stop_on_goal=False,
-            migration_rate=0.5,
-        )
-        result = run_distributed(config, target, seed)
-        assert result.evals >= 64
-        assert result.champion.fitness.f_f > 0
+        config = small_config(layout, n_islands=4, max_evals=4000, rng_seed=11,
+                              migration_rate=0.5)
+        r1 = run_distributed(config, target, seed)
+        r2 = run_distributed(config, target, seed)
+        assert r1.champion.genotype.to_hex() == r2.champion.genotype.to_hex()
+        assert (r1.evals, r1.history) == (r2.evals, r2.history)
+        # Budget checked between epochs: at most one epoch of offspring and
+        # one immigrant per island and generation over it.
+        assert 4000 <= r1.evals < 4000 + 4 * EPOCH_GENERATIONS * (30 + 1)
+
+    def test_one_island_matches_serial(self):
+        seed, target, layout = small_setup()
+        # 25 epochs' worth, so the serial run also stops on an epoch boundary.
+        config = small_config(layout, max_evals=32 + 25 * EPOCH_GENERATIONS * 30)
+        parallel = run_distributed(config, target, seed)
+        serial = run(config, target, seed)
+        assert parallel.champion.genotype.to_hex() == serial.champion.genotype.to_hex()
+        assert parallel.evals == serial.evals
+        assert parallel.perfect_champions == serial.perfect_champions
+
+    def test_dead_worker_raises(self):
+        # In a child interpreter with a timeout, so a driver that blocks on a
+        # dead worker fails this test instead of hanging the suite.
+        paths = [str(Path(tscsynth.__file__).resolve().parents[1]),
+                 str(Path(__file__).resolve().parent)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        done = subprocess.run([sys.executable, "-c", _KILL_ISLAND_1], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "RuntimeError: island 1 worker exited" in done.stdout
