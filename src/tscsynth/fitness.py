@@ -1,25 +1,71 @@
 """Four-objective fitness (f_f, f_ST, f_FS, f_p) and its lexicographic order.
 
-Checking quality is scored from gate-output fault simulations only.  Input
-faults never get their own simulation: an input stuck-at either leaves the
-gate output unchanged at a word or flips it, in which case the circuit
-behaves exactly as under the matching output stuck-at at that word.  The
-fast path records, per output fault, the words where the rails collide, and
-credits an input fault as detected when one of its flip words carries an
-error signal under the manifested output fault.
+Every evaluation compiles the circuit once into flat int arrays over its
+live gates (truth table, source a, source b), in one index space that holds
+the r primary inputs first and then the live gates in ascending order.  The
+fault-free values, f_f, the live gate count and the checking counts
+(u_f, u_i) all come from that one form and one fault-free simulation.
+
+Output faults are simulated in parallel (Waicukauski et al., "Fault
+simulation for structured VLSI", 1985).  A packed int holds one slot of
+2**r bits per fault: live gate k owns slot 2k (its output stuck-at-0) and
+slot 2k + 1 (stuck-at-1), and bit w of a slot is the signal's value at
+input word w under that slot's fault.  Each input is copied across all
+slots by one multiply with the slot-repeat constant, every gate is
+evaluated once over the whole int, and a gate's own two slots are forced to
+their stuck values as soon as it is evaluated, so the fault reaches its
+fan-out.  The rails then give every fault's error mask (applied words where
+z_0 == z_1) in its slot, and u_i is one popcount of the applied words with
+a wrong function output and no error signal.  One packed int is at most
+PASS_BITS wide; a circuit with more faults takes several passes, each over
+the slots of a run of consecutive live gates.  A pass copies the fault-free
+values of the gates before its run the same way as the inputs, since none
+of its faults reaches them.
+
+Input faults never get their own simulation.  An input stuck-at either
+leaves the gate output unchanged at a word or flips it, in which case the
+circuit behaves exactly as under the output stuck-at at the flipped value
+at that word.  So an input fault counts as detected when one of its flip
+words is error-signalled in the slot of the matching output fault: its
+stuck-at-0 slot where the fault-free output is 1, its stuck-at-1 slot
+where it is 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .netlist import Circuit, live_set
 from .sim import ResponseMatrix, full_mask, input_patterns
 
 K_ST = 25
 K_FS = 200
+
+# Width cap, in bits, of one packed int of the output-fault pass.
+PASS_BITS = 1 << 16
+
+# Gate evaluators indexed by truth-table value (bit 2*a + b holds the output
+# for inputs (a, b)), over packed vectors whose all-ones value is f.
+_GATE_EVAL = (
+    lambda a, b, f: 0,                    # ZERO
+    lambda a, b, f: (a | b) ^ f,          # NOR
+    lambda a, b, f: (a ^ f) & b,          # LT: a < b
+    lambda a, b, f: a ^ f,                # NOTA
+    lambda a, b, f: a & (b ^ f),          # GT: a > b
+    lambda a, b, f: b ^ f,                # NOTB
+    lambda a, b, f: a ^ b,                # XOR
+    lambda a, b, f: (a & b) ^ f,          # NAND
+    lambda a, b, f: a & b,                # AND
+    lambda a, b, f: a ^ b ^ f,            # XNOR
+    lambda a, b, f: b,                    # B
+    lambda a, b, f: (a & (b ^ f)) ^ f,    # LE: a <= b
+    lambda a, b, f: a,                    # A
+    lambda a, b, f: ((a ^ f) & b) ^ f,    # GE: a >= b
+    lambda a, b, f: a | b,                # OR
+    lambda a, b, f: f,                    # ONE
+)
 
 
 @dataclass(frozen=True)
@@ -102,152 +148,120 @@ def f_parsimony(circuit: Circuit, max_gates: int) -> float:
     return (max_gates - s) / max_gates
 
 
-def _eval_gate(ttv: int, a: int, b: int, full: int) -> int:
-    na = a ^ full
-    nb = b ^ full
-    out = 0
-    if ttv & 1:
-        out |= na & nb
-    if ttv & 2:
-        out |= na & b
-    if ttv & 4:
-        out |= a & nb
-    if ttv & 8:
-        out |= a & b
-    return out
+class _Netlist(NamedTuple):
+    """A circuit's live gates as flat arrays over one index space: primary
+    inputs 0..r-1, then compiled gate k at r + k."""
+
+    r: int
+    tt: list[int]
+    src_a: list[int]
+    src_b: list[int]
+    outputs: list[int]
+    rails: tuple[int, int] | None
 
 
-def _pin_a(ttv: int, d: int, b: int, full: int) -> int:
-    # Gate output with the first input held at d.
-    out = 0
-    if (ttv >> (2 * d)) & 1:
-        out |= b ^ full
-    if (ttv >> (2 * d + 1)) & 1:
-        out |= b
-    return out
+def _compile(circuit: Circuit) -> _Netlist:
+    r = circuit.r
+    gates = circuit.gates
+    live = sorted(live_set(circuit))
+    position = {g: r + k for k, g in enumerate(live)}
+
+    def at(ref) -> int:
+        return ref.index if ref.kind == "x" else position[ref.index]
+
+    tt, src_a, src_b = [], [], []
+    for g in live:
+        gate = gates[g]
+        tt.append(gate.tt.value)
+        src_a.append(at(gate.a))
+        src_b.append(at(gate.b))
+    rails = None
+    if circuit.error_rails is not None:
+        rails = (at(circuit.error_rails[0]), at(circuit.error_rails[1]))
+    return _Netlist(r, tt, src_a, src_b, [at(ref) for ref in circuit.func_outputs], rails)
 
 
-def _pin_b(ttv: int, d: int, a: int, full: int) -> int:
-    out = 0
-    if (ttv >> d) & 1:
-        out |= a ^ full
-    if (ttv >> (2 + d)) & 1:
-        out |= a
-    return out
+def _simulate(net: _Netlist) -> list[int]:
+    """Fault-free value of every index over all 2**r words."""
+    full = full_mask(net.r)
+    values = list(input_patterns(net.r))
+    for t, a, b in zip(net.tt, net.src_a, net.src_b):
+        values.append(_GATE_EVAL[t](values[a], values[b], full))
+    return values
 
 
-def _gate_values(circuit: Circuit) -> list[int]:
-    full = full_mask(circuit.r)
-    xs = input_patterns(circuit.r)
-    gv: list[int] = []
-    for gate in circuit.gates:
-        a = xs[gate.a.index] if gate.a.is_input else gv[gate.a.index]
-        b = xs[gate.b.index] if gate.b.is_input else gv[gate.b.index]
-        gv.append(_eval_gate(gate.tt.value, a, b, full))
-    return gv
+def _response(net: _Netlist, values: list[int]) -> ResponseMatrix:
+    rails = None
+    if net.rails is not None:
+        rails = (values[net.rails[0]], values[net.rails[1]])
+    return ResponseMatrix(1 << net.r, tuple(values[i] for i in net.outputs), rails)
+
+
+def _fault_counts(net: _Netlist, values: list[int], applied: int) -> tuple[int, int]:
+    """(u_f, u_i) over the live gates of a circuit whose fault-free rails do
+    not collide on the applied words."""
+    r = net.r
+    width = 1 << r
+    full = (1 << width) - 1
+    tt, src_a, src_b = net.tt, net.src_a, net.src_b
+    n = len(tt)
+    z0, z1 = net.rails
+    per_pass = max(1, PASS_BITS // (2 * width))
+
+    # errors[2k + d]: applied words signalled under output stuck-at-d of gate k.
+    errors: list[int] = []
+    u_i = 0
+    for k0 in range(0, n, per_pass):
+        k1 = min(n, k0 + per_pass)
+        slots = 2 * (k1 - k0)
+        wide = (1 << (slots * width)) - 1
+        repeat = wide // full
+        # No fault of this pass reaches the gates before its run.
+        v = [x * repeat for x in values[: r + k0]]
+        stuck0 = full
+        stuck_both = (1 << (2 * width)) - 1
+        for k in range(k0, k1):
+            t = (_GATE_EVAL[tt[k]](v[src_a[k]], v[src_b[k]], wide) | stuck_both) ^ stuck0
+            v.append(t)
+            stuck0 <<= 2 * width
+            stuck_both <<= 2 * width
+        for k in range(k1, n):
+            v.append(_GATE_EVAL[tt[k]](v[src_a[k]], v[src_b[k]], wide))
+
+        applied_all = applied * repeat
+        err = (v[z0] ^ v[z1] ^ wide) & applied_all
+        wrong = 0
+        for i in net.outputs:
+            wrong |= v[i] ^ values[i] * repeat
+        u_i += (wrong & (err ^ applied_all)).bit_count()
+        for _ in range(slots):
+            errors.append(err & full)
+            err >>= width
+
+    u_f = errors.count(0)
+    # Input faults by manifestation: a flip word of an input fault counts
+    # when the output fault it manifests as signals an error there.
+    for k in range(n):
+        ev = _GATE_EVAL[tt[k]]
+        a = values[src_a[k]]
+        b = values[src_b[k]]
+        o = values[r + k]
+        detectable = ((o ^ full) & errors[2 * k + 1]) | (o & errors[2 * k])
+        # Output with input a stuck at 0 and at 1, then input b.
+        for pinned in (ev(0, b, full), ev(full, b, full), ev(a, 0, full), ev(a, full, full)):
+            if (pinned ^ o) & detectable == 0:
+                u_f += 1
+    return u_f, u_i
 
 
 def fault_free_response(circuit: Circuit) -> ResponseMatrix:
     """Fault-free response computed by the fitness-side evaluator."""
-    gv = _gate_values(circuit)
-    xs = input_patterns(circuit.r)
-
-    def value(ref):
-        return xs[ref.index] if ref.is_input else gv[ref.index]
-
-    rails = None
-    if circuit.error_rails is not None:
-        rails = (value(circuit.error_rails[0]), value(circuit.error_rails[1]))
-    return ResponseMatrix(
-        1 << circuit.r, tuple(value(ref) for ref in circuit.func_outputs), rails
-    )
+    net = _compile(circuit)
+    return _response(net, _simulate(net))
 
 
-def _fanout_cones(circuit: Circuit, live: list[int]) -> dict[int, list[int]]:
-    """Per live gate, the ascending list of live gates its output can reach
-    (itself included)."""
-    live_here = set(live)
-    consumers: dict[int, list[int]] = {g: [] for g in live}
-    for g in live:
-        gate = circuit.gates[g]
-        for src in (gate.a, gate.b):
-            if not src.is_input and src.index in live_here:
-                consumers[src.index].append(g)
-    cone_sets: dict[int, set[int]] = {}
-    for g in reversed(live):
-        cone = {g}
-        for c in consumers[g]:
-            cone |= cone_sets[c]
-        cone_sets[g] = cone
-    return {g: sorted(cone_sets[g]) for g in live}
-
-
-def _checking_counts(
-    circuit: Circuit, gv: list[int], word_mask: int | None
-) -> tuple[int, int] | None:
-    """(u_f, u_i) over live gates, or None when fault-free rails collide."""
-    full = full_mask(circuit.r)
-    applied = full if word_mask is None else word_mask & full
-    xs = input_patterns(circuit.r)
-
-    def value(ref):
-        return xs[ref.index] if ref.is_input else gv[ref.index]
-
-    z0ref, z1ref = circuit.error_rails
-    if ((value(z0ref) ^ value(z1ref)) ^ full) & applied:
-        return None
-
-    live = sorted(live_set(circuit))
-    cones = _fanout_cones(circuit, live)
-    out_gate_drivers = [
-        (j, ref.index) for j, ref in enumerate(circuit.func_outputs) if not ref.is_input
-    ]
-
-    u_f = 0
-    u_i = 0
-    err_masks: dict[tuple[int, int], int] = {}
-    for g in live:
-        cone = cones[g]
-        cone_set = set(cone)
-        affected_outputs = [gi for (_, gi) in out_gate_drivers if gi in cone_set]
-        for d in (0, 1):
-            w = gv.copy()
-            w[g] = full if d else 0
-            for j in cone[1:]:
-                gate = circuit.gates[j]
-                a = xs[gate.a.index] if gate.a.is_input else w[gate.a.index]
-                b = xs[gate.b.index] if gate.b.is_input else w[gate.b.index]
-                w[j] = _eval_gate(gate.tt.value, a, b, full)
-            z0 = xs[z0ref.index] if z0ref.is_input else w[z0ref.index]
-            z1 = xs[z1ref.index] if z1ref.is_input else w[z1ref.index]
-            err = ((z0 ^ z1) ^ full) & applied
-            err_masks[(g, d)] = err
-            if err == 0:
-                u_f += 1
-            bad = 0
-            for gi in affected_outputs:
-                bad |= w[gi] ^ gv[gi]
-            u_i += (bad & applied & (err ^ full)).bit_count()
-
-    # Input faults via manifestation: flipping a source at word w reproduces
-    # the output stuck-at NOT o(w); the fault is detected iff such a word is
-    # error-signalled under that output fault.
-    for g in live:
-        gate = circuit.gates[g]
-        a = value(gate.a)
-        b = value(gate.b)
-        o = gv[g]
-        detect_base = (o & err_masks[(g, 0)]) | ((o ^ full) & err_masks[(g, 1)])
-        for d in (0, 1):
-            changed = (_pin_a(gate.tt.value, d, b, full) ^ o) & applied
-            if changed & detect_base == 0:
-                u_f += 1
-        for d in (0, 1):
-            changed = (_pin_b(gate.tt.value, d, a, full) ^ o) & applied
-            if changed & detect_base == 0:
-                u_f += 1
-
-    return u_f, u_i
+def _rails_collide(rails: tuple[int, int], full: int, applied: int) -> bool:
+    return bool((rails[0] ^ rails[1] ^ full) & applied)
 
 
 def evaluate_checking(
@@ -264,12 +278,10 @@ def evaluate_checking(
         raise ValueError("circuit has no error rails")
     full = full_mask(circuit.r)
     applied = full if word_mask is None else word_mask & full
-    z0, z1 = resp_free.rails
-    if ((z0 ^ z1) ^ full) & applied:
+    if _rails_collide(resp_free.rails, full, applied):
         return (None, None, 0.0, 0.0)
-    counts = _checking_counts(circuit, _gate_values(circuit), word_mask)
-    assert counts is not None
-    u_f, u_i = counts
+    net = _compile(circuit)
+    u_f, u_i = _fault_counts(net, _simulate(net), applied)
     return (u_f, u_i, st_score(u_f), fs_score(u_i))
 
 
@@ -280,37 +292,20 @@ def evaluate_circuit(
     word_mask: int | None = None,
 ) -> FitnessVector:
     """All four metrics; none is short-circuited when an earlier one is low."""
-    gv = _gate_values(circuit)
-    xs = input_patterns(circuit.r)
-
-    def value(ref):
-        return xs[ref.index] if ref.is_input else gv[ref.index]
-
-    resp = ResponseMatrix(
-        1 << circuit.r,
-        tuple(value(ref) for ref in circuit.func_outputs),
-        (value(circuit.error_rails[0]), value(circuit.error_rails[1]))
-        if circuit.error_rails is not None
-        else None,
-    )
+    net = _compile(circuit)
+    values = _simulate(net)
+    resp = _response(net, values)
     ff = f_function(resp, target, word_mask)
-    live_count = len(live_set(circuit))
+    live_count = len(net.tt)
+    f_p = (max_gates - live_count) / max_gates
 
-    if circuit.error_rails is None:
-        return FitnessVector(ff, 0.0, 0.0, (max_gates - live_count) / max_gates,
-                             None, None, live_count)
-
+    if resp.rails is None:
+        return FitnessVector(ff, 0.0, 0.0, f_p, None, None, live_count)
     full = full_mask(circuit.r)
     applied = full if word_mask is None else word_mask & full
-    z0, z1 = resp.rails
-    if ((z0 ^ z1) ^ full) & applied:
-        u_f: int | None = None
-        u_i: int | None = None
-        fst = ffs = 0.0
-    else:
-        u_f, u_i = _checking_counts(circuit, gv, word_mask)
-        fst = st_score(u_f)
-        ffs = fs_score(u_i)
+    if _rails_collide(resp.rails, full, applied):
+        return FitnessVector(ff, 0.0, 0.0, f_p, None, None, live_count)
+    u_f, u_i = _fault_counts(net, values, applied)
     return FitnessVector(
-        ff, fst, ffs, (max_gates - live_count) / max_gates, u_f, u_i, live_count
+        ff, st_score(u_f), fs_score(u_i), f_p, u_f, u_i, live_count
     )

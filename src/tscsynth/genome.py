@@ -26,6 +26,14 @@ _REV4 = tuple(
     for v in range(16)
 )
 
+# Shared immutable netlist parts, so decode builds only the gates.
+_TABLES = tuple(TruthTable2(v) for v in range(16))
+
+
+@lru_cache(maxsize=None)
+def _signal_refs(kind: str, n: int) -> tuple[SignalRef, ...]:
+    return tuple(SignalRef(kind, k) for k in range(n))
+
 
 @dataclass(frozen=True)
 class GenomeLayout:
@@ -191,14 +199,14 @@ def decode_with_slots(
     ]
     tts: list[int] = []
     srcs: list[list[int]] = []
-    off = lay.m * b
+    step = lay.gene_len
+    shift = L - lay.m * b - 4
     for _ in range(M):
-        shift = L - off - 4
         tts.append(_REV4[(v >> shift) & 0xF])
         a_addr = (v >> (shift - b)) & bmask
         b_addr = (v >> (shift - 2 * b)) & bmask
         srcs.append([a_addr, b_addr])
-        off += lay.gene_len
+        shift -= step
 
     # Iterative DFS; status 1 marks gates on the current search path.
     status = [0] * M
@@ -231,21 +239,21 @@ def decode_with_slots(
         if addr < M and status[addr] == 0:
             visit(addr)
 
-    position = {slot: i for i, slot in enumerate(order)}
-
-    def addr_ref(addr: int) -> SignalRef:
-        if addr >= M:
-            return SignalRef.x(addr - M)
-        return SignalRef.g(position[addr])
+    # Address -> SignalRef: gene slots by decoded position, then the inputs.
+    gate_refs = _signal_refs("g", M)
+    refs: list[SignalRef | None] = [None] * M
+    for i, slot in enumerate(order):
+        refs[slot] = gate_refs[i]
+    refs += _signal_refs("x", lay.r)
 
     gates = tuple(
-        Gate(TruthTable2(tts[slot]), addr_ref(srcs[slot][0]), addr_ref(srcs[slot][1]))
+        Gate(_TABLES[tts[slot]], refs[srcs[slot][0]], refs[srcs[slot][1]])
         for slot in order
     )
-    func = tuple(addr_ref(a) for a in out_addrs[: lay.q])
+    func = tuple(refs[a] for a in out_addrs[: lay.q])
     rails = None
     if lay.rails:
-        rails = (addr_ref(out_addrs[lay.q]), addr_ref(out_addrs[lay.q + 1]))
+        rails = (refs[out_addrs[lay.q]], refs[out_addrs[lay.q + 1]])
     return Circuit(lay.r, gates, func, rails), tuple(order)
 
 

@@ -17,7 +17,7 @@ from enum import Enum
 # LT/GT/LE/GE read as comparisons of the first input against the second.
 GATE_NAMES = (
     "ZERO", "NOR", "LT", "NOTA", "GT", "NOTB", "XOR", "NAND",
-    "AND", "XNOR", "B", "GE", "A", "LE", "OR", "ONE",
+    "AND", "XNOR", "B", "LE", "A", "GE", "OR", "ONE",
 )
 
 
@@ -174,20 +174,22 @@ def live_set(circuit: Circuit) -> frozenset[int]:
     """Indices of gates with a directed path to a function output or error rail.
 
     All other gates are ignored by simulation, fault enumeration and size
-    metrics.
+    metrics.  Sources precede their gates, so one sweep from the last gate
+    back marks every live gate before its sources are reached.
     """
-    live: set[int] = set()
-    stack = [ref.index for ref in circuit.output_refs if not ref.is_input]
-    while stack:
-        i = stack.pop()
-        if i in live:
-            continue
-        live.add(i)
-        gate = circuit.gates[i]
-        for src in (gate.a, gate.b):
-            if not src.is_input and src.index not in live:
-                stack.append(src.index)
-    return frozenset(live)
+    gates = circuit.gates
+    live = [False] * len(gates)
+    for ref in circuit.output_refs:
+        if ref.kind == "g":
+            live[ref.index] = True
+    for i in range(len(gates) - 1, -1, -1):
+        if live[i]:
+            gate = gates[i]
+            if gate.a.kind == "g":
+                live[gate.a.index] = True
+            if gate.b.kind == "g":
+                live[gate.b.index] = True
+    return frozenset(i for i, marked in enumerate(live) if marked)
 
 
 def duplication_overhead(g: int, q: int) -> int:

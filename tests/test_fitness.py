@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from tscsynth import fitness
+from tscsynth.evolve import IslandConfig, run
 from tscsynth.fitness import (
     FitnessVector,
     K_FS,
@@ -14,23 +16,27 @@ from tscsynth.fitness import (
     fault_free_response,
     fs_score,
     st_score,
-    _pin_a,
+    _GATE_EVAL,
 )
+from tscsynth.formats import TargetSpec, parse_blif
+from tscsynth.genome import GenomeLayout
 from tscsynth.netlist import (
     Circuit,
     Gate,
     SignalRef,
+    TruthTable2,
     TT_AND,
     TT_NAND,
     TT_OR,
     TT_XNOR,
     TT_XOR,
+    build_duplication_baseline,
     live_set,
 )
 from tscsynth.sim import FaultScope, simulate
 from tscsynth.verify import verify_fs, verify_st
 
-from conftest import random_circuit
+from conftest import BENCH_DIR, random_circuit
 
 X = SignalRef.x
 G = SignalRef.g
@@ -132,15 +138,29 @@ class TestManifestationPremise:
         # fault behaves as output stuck-1 at that word; at (0, 0) the forced
         # input leaves the output unchanged.
         full = 0b1111
-        b_vec = 0b1100  # x1 over 2 inputs... word bit w: b value
-        free = 0b1000  # AND of a=0b1010, b=0b1100
-        pinned = _pin_a(TT_AND.value, 1, b_vec, full)
+        a_vec = 0b1010  # x0 over 2 inputs: bit w holds a at word w
+        b_vec = 0b1100  # x1
+        and_gate = _GATE_EVAL[TT_AND.value]
+        free = and_gate(a_vec, b_vec, full)
+        pinned = and_gate(full, b_vec, full)  # input a stuck at 1
+        assert free == 0b1000
         changed = pinned ^ free
         w_a0b1 = 2  # word x0=0, x1=1
         w_a0b0 = 0
         assert (changed >> w_a0b1) & 1 == 1
         assert (pinned >> w_a0b1) & 1 == 1  # manifests as stuck-1
         assert (changed >> w_a0b0) & 1 == 0  # unchanged
+
+
+class TestGateEvaluators:
+    def test_every_table_matches_truth_table_eval(self):
+        full = 0b1111
+        a_vec, b_vec = 0b1010, 0b1100  # words 0..3 cover every (a, b) pair
+        for value, evaluate in enumerate(_GATE_EVAL):
+            out = evaluate(a_vec, b_vec, full)
+            tt = TruthTable2(value)
+            for w in range(4):
+                assert (out >> w) & 1 == tt.eval((a_vec >> w) & 1, (b_vec >> w) & 1)
 
 
 class TestEvaluateChecking:
@@ -235,3 +255,85 @@ class TestEvaluateCircuit:
         fv = evaluate_circuit(c, [0b0110], max_gates=10)
         assert fv.live_gates == 2
         assert fv.u_f == 0 and fv.u_i == 0
+
+
+def assert_matches_oracle(c: Circuit, mask: int | None = None) -> bool:
+    """Both fitness entry points against brute force under one word mask.
+
+    Returns whether counts were compared; when the fault-free rails collide
+    both sides must say so instead.
+    """
+    u_f, u_i, _, _ = evaluate_checking(c, fault_free_response(c), mask)
+    fv = evaluate_circuit(c, [0] * c.q, max_gates=max(1, len(c.gates)), word_mask=mask)
+    assert (fv.u_f, fv.u_i) == (u_f, u_i)
+    assert fv.live_gates == len(live_set(c))
+    fs = verify_fs(c, FaultScope.OUTPUTS_ONLY, word_mask=mask)
+    if fs.false_alarm:
+        assert u_f is None and u_i is None
+        return False
+    assert u_f == len(verify_st(c, word_mask=mask).undetected)
+    assert u_i == len(fs.violations)
+    return True
+
+
+def benchmark_baselines() -> dict[str, Circuit]:
+    paths = sorted(BENCH_DIR.glob("*.blif"))
+    assert len(paths) == 8
+    return {p.stem: build_duplication_baseline(parse_blif(p.read_text())) for p in paths}
+
+
+class TestDifferentialOracle:
+    """Fast-path counts against verify_st and verify_fs(OUTPUTS_ONLY) on wider,
+    masked, degenerate, benchmark and evolved circuits."""
+
+    def test_random_circuits_with_masks(self, rng):
+        seen = dict.fromkeys(
+            ("checked", "collide", "masked", "dead_gate", "input_output", "input_rail"), 0
+        )
+        for _ in range(160):
+            r = rng.choice((2, 4, 5, 6))
+            c = random_circuit(rng, r=r, n_gates=rng.randrange(0, 41),
+                               q=rng.randrange(1, 4),
+                               rails=rng.choice(("complement", "random")))
+            mask = rng.getrandbits(1 << r) if rng.random() < 0.5 else None
+            checked = assert_matches_oracle(c, mask)
+            seen["checked" if checked else "collide"] += 1
+            if checked:
+                seen["masked"] += mask is not None
+                seen["dead_gate"] += len(live_set(c)) < len(c.gates)
+                seen["input_output"] += any(ref.is_input for ref in c.func_outputs)
+                seen["input_rail"] += any(ref.is_input for ref in c.error_rails)
+        assert all(seen.values()), seen
+
+    def test_circuit_without_live_gates(self):
+        c = Circuit(2, (Gate(TT_AND, X(0), X(1)),), (X(0),), (X(0), X(1)))
+        assert live_set(c) == frozenset()
+        assert assert_matches_oracle(c, 0b0110)  # the words where x0 != x1
+        fv = evaluate_circuit(c, [0b1010], max_gates=4, word_mask=0b0110)
+        assert (fv.u_f, fv.u_i, fv.live_gates) == (0, 0, 0)
+
+    def test_benchmark_duplication_baselines(self, rng):
+        for c in benchmark_baselines().values():
+            assert assert_matches_oracle(c)
+            assert_matches_oracle(c, rng.getrandbits(1 << c.r))
+
+    def test_half_adder_search_champions(self):
+        seed = Circuit(2, (Gate(TT_XOR, X(0), X(1)), Gate(TT_AND, X(0), X(1))), (G(0), G(1)))
+        target = TargetSpec(2, 2, tuple(simulate(seed).outputs))
+        layout = GenomeLayout(r=2, q=2, b=4)
+        for rng_seed in (1, 2, 3):
+            config = IslandConfig(layout=layout, rng_seed=rng_seed, max_evals=1500,
+                                  stop_on_goal=False)
+            assert assert_matches_oracle(run(config, target, seed).champion.circuit)
+
+    def test_several_passes_give_the_same_counts(self, rng, monkeypatch):
+        baseline = benchmark_baselines()["decod"]
+        slots_bits = 2 * len(live_set(baseline)) << baseline.r
+        assert slots_bits <= fitness.PASS_BITS  # one pass at the shipped cap
+        masks = (None, rng.getrandbits(1 << baseline.r))
+        one_pass = [evaluate_checking(baseline, fault_free_response(baseline), m)
+                    for m in masks]
+        monkeypatch.setattr(fitness, "PASS_BITS", 256)  # four gates per pass
+        for m, expected in zip(masks, one_pass):
+            assert evaluate_checking(baseline, fault_free_response(baseline), m) == expected
+        assert assert_matches_oracle(baseline, masks[1])

@@ -1,6 +1,7 @@
 import pytest
 
 from tscsynth.netlist import (
+    GATE_NAMES,
     Circuit,
     Gate,
     SignalRef,
@@ -29,6 +30,27 @@ def test_truth_table_bits_roundtrip():
         for a in (0, 1):
             for b in (0, 1):
                 assert tt.eval(a, b) == (v >> (2 * a + b)) & 1
+
+
+@pytest.mark.parametrize(
+    "name,fn",
+    [
+        ("LT", lambda a, b: a < b),
+        ("GT", lambda a, b: a > b),
+        ("LE", lambda a, b: a <= b),
+        ("GE", lambda a, b: a >= b),
+        ("A", lambda a, b: a),
+        ("B", lambda a, b: b),
+        ("NOTA", lambda a, b: 1 - a),
+        ("NOTB", lambda a, b: 1 - b),
+    ],
+)
+def test_gate_names_match_tables(name, fn):
+    tt = TruthTable2(GATE_NAMES.index(name))
+    assert tt.name == name
+    for a in (0, 1):
+        for b in (0, 1):
+            assert tt.eval(a, b) == int(fn(a, b))
 
 
 def test_truth_table_rejects_out_of_range():
