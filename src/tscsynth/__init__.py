@@ -8,13 +8,12 @@ from .netlist import (
     SignalRef,
     TruthTable2,
     build_duplication_baseline,
-    build_two_rail_checker_pair,
     duplication_overhead,
     live_set,
     two_rail_checker_circuit,
 )
 from .sim import FaultScope, ResponseMatrix, enumerate_faults, simulate
-from .fitness import FitnessVector, compare_lex, evaluate_checking, evaluate_circuit, f_function, f_parsimony
+from .fitness import FitnessVector, evaluate_checking, evaluate_circuit, f_function
 from .genome import (
     GenomeLayout,
     Genotype,
@@ -39,6 +38,6 @@ from .formats import (
     render_pla,
     write_native,
 )
-from .evolve import IslandConfig, OffspringMix, RunResult, run, run_distributed
+from .evolve import IslandConfig, RunResult, run, run_distributed
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,15 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import evolve as evolve_mod
-from .evolve import IslandConfig, RunResult
+from .evolve import IslandConfig
 from .formats import (
     ParseError,
     TargetSpec,
-    circuit_to_json,
     export_dot,
     parse_blif,
     parse_pla,
@@ -27,22 +25,6 @@ from .verify import codespace_report, verify_tsc
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-
-
-@dataclass
-class RunReport:
-    """Champion summary in the style of an overhead-comparison table row."""
-
-    benchmark: str
-    seed_gates: int
-    champion_live_gates: int
-    overhead: int
-    dup_overhead: int
-    ratio: float | None  # only present for verified-TSC champions
-    verdict: str
-    shrunk_function_logic: bool
-    fitness: list[float]
-    trajectory: list[dict]
 
 
 def _read(path: str) -> str:
@@ -99,14 +81,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     goal_overhead = args.goal_overhead
     if goal_overhead is None:
         goal_overhead = dup - 1
-    # A config-file mode bypasses argparse's choices check.
-    mode = {"unconstrained": "unconstrained", "nonintrusive": "non_intrusive"}.get(
-        args.mode
-    )
-    if mode is None:
-        print(f"error: unknown mode {args.mode!r}", file=sys.stderr)
-        return EXIT_USAGE
-
     applied = args.applied_words
     word_mask = int(applied, 16) if applied is not None else None
 
@@ -114,7 +88,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         layout=layout,
         migration_rate=args.migration_rate,
         rng_seed=args.seed_rng,
-        mode=mode,
+        # A config-file mode bypasses argparse's choices check; IslandConfig
+        # rejects an unknown one.
+        mode=args.mode,
         n_islands=args.islands,
         max_evals=args.budget_evals,
         max_seconds=args.budget_seconds,
@@ -137,7 +113,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "benchmark": name,
         "target": args.target,
         "seed": args.seed,
-        "mode": mode,
+        "mode": args.mode,
         "layout": {"r": layout.r, "q": layout.q, "b": layout.b},
         "seed_gates": g,
         "dup_overhead": dup,
@@ -228,26 +204,28 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.function_core is not None:
         dup = duplication_overhead(args.function_core, record["layout"]["q"])
     is_tsc = record["verification"]["is_tsc"]
-    report = RunReport(
-        benchmark=record["benchmark"],
-        seed_gates=g,
-        champion_live_gates=s,
-        overhead=overhead,
-        dup_overhead=dup,
-        ratio=(overhead / dup) if is_tsc and dup > 0 else None,
-        verdict="TSC" if is_tsc else "not TSC",
-        shrunk_function_logic=s < g,
-        fitness=record["champion"]["fitness"],
-        trajectory=record["history"],
-    )
-    print(json.dumps(asdict(report), indent=2))
-    ratio = f"{report.ratio:.2f}" if report.ratio is not None else "-"
+    # Champion summary in the style of an overhead-comparison table row.
+    report = {
+        "benchmark": record["benchmark"],
+        "seed_gates": g,
+        "champion_live_gates": s,
+        "overhead": overhead,
+        "dup_overhead": dup,
+        "ratio": (overhead / dup) if is_tsc and dup > 0 else None,
+        "verdict": "TSC" if is_tsc else "not TSC",
+        "shrunk_function_logic": s < g,
+        "fitness": record["champion"]["fitness"],
+        "trajectory": record["history"],
+    }
+    print(json.dumps(report, indent=2))
+    ratio = f"{report['ratio']:.2f}" if report["ratio"] is not None else "-"
     print()
     print(f"{'Benchmark':<12}{'Gates':>7}{'Oh.':>6}{'Dup.':>6}{'Oh./Dup.':>10}  Verdict")
     print(
-        f"{report.benchmark:<12}{g:>7}{overhead:>6}{dup:>6}{ratio:>10}  {report.verdict}"
+        f"{report['benchmark']:<12}{g:>7}{overhead:>6}{dup:>6}{ratio:>10}  "
+        f"{report['verdict']}"
     )
-    if report.shrunk_function_logic:
+    if s < g:
         print(
             "note: champion uses fewer live gates than the seed's function "
             "logic; pass --function-core N to compare against the smaller core"

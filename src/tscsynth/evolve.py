@@ -1,12 +1,14 @@
 """Generational GA per island, spiral-grid topology, migration, run control.
 
-Each island owns a population of 32 genotypes.  A generation keeps the top
-two individuals as elites and refills the rest with single-point crossover
-offspring, single-bit mutants, whole-gene translocation mutants and routing
-mutants, parents drawn by linear rank selection in which the best individual
-is twice as likely to be picked as the median.  Islands sit on a square grid
-filled in spiral order and occasionally emigrate individuals to islands
-chosen with probability inverse to grid distance.
+Each island owns a population of ``POPULATION_SIZE`` (32) genotypes.  A
+generation keeps the top ``ELITES`` individuals and refills the rest with
+``CROSSOVERS`` single-point crossover offspring, ``BIT_MUTANTS`` single-bit
+mutants, ``TRANSLOCATIONS`` whole-gene translocation mutants and
+``ROUTING_MUTANTS`` routing mutants, parents drawn by linear rank selection
+in which the best individual is twice as likely to be picked as the median.
+Islands sit on a square grid filled in spiral order and occasionally
+emigrate individuals to islands chosen with probability inverse to grid
+distance.
 
 ``run`` steps every island in one process.  ``run_distributed`` runs one
 process per island: each steps its island for ``EPOCH_GENERATIONS``
@@ -24,7 +26,7 @@ import multiprocessing
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate, count
 from pathlib import Path
@@ -46,33 +48,20 @@ from .genome import (
 from .netlist import Circuit
 
 
-@dataclass(frozen=True)
-class OffspringMix:
-    elites: int = 2
-    crossover: int = 6
-    bit_mutants: int = 16
-    translocations: int = 2
-    routing_mutants: int = 6
-
-    @property
-    def total(self) -> int:
-        return (
-            self.elites
-            + self.crossover
-            + self.bit_mutants
-            + self.translocations
-            + self.routing_mutants
-        )
+ELITES = 2
+CROSSOVERS = 6
+BIT_MUTANTS = 16
+TRANSLOCATIONS = 2
+ROUTING_MUTANTS = 6
+POPULATION_SIZE = ELITES + CROSSOVERS + BIT_MUTANTS + TRANSLOCATIONS + ROUTING_MUTANTS
 
 
 @dataclass(frozen=True)
 class IslandConfig:
     layout: GenomeLayout
-    population_size: int = 32
-    mix: OffspringMix = OffspringMix()
     migration_rate: float = 0.1
     rng_seed: int = 0
-    mode: str = "unconstrained"  # or "non_intrusive"
+    mode: str = "unconstrained"  # or "nonintrusive"
     n_islands: int = 1
     max_evals: int | None = None
     max_seconds: float | None = None
@@ -82,9 +71,7 @@ class IslandConfig:
     checkpoint_every: int = 50
 
     def __post_init__(self) -> None:
-        if self.mix.total != self.population_size:
-            raise ValueError("offspring mix does not sum to the population size")
-        if self.mode not in ("unconstrained", "non_intrusive"):
+        if self.mode not in ("unconstrained", "nonintrusive"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_islands < 1:
             raise ValueError("need at least one island")
@@ -215,15 +202,14 @@ class Island:
         self.lock = lock
         self.budget = budget
         self.rng = random.Random(_island_rng_seed(config.rng_seed, index))
-        self.generation = 0
         self.inbox: deque[Genotype] = deque()
         self.population: list[Individual] = []
 
     def populate(self) -> None:
         layout = self.config.layout
-        lock_seed = self.config.mode == "non_intrusive"
+        lock_seed = self.config.mode == "nonintrusive"
         individuals = []
-        for _ in range(self.config.population_size):
+        for _ in range(POPULATION_SIZE):
             genotype, _ = encode_seed(self.seed_circuit, layout, self.rng, lock_seed)
             individuals.append(self._evaluate(genotype))
         individuals.sort(key=_fitness_key, reverse=True)
@@ -252,32 +238,30 @@ class Island:
         other slot refilled and evaluated."""
         self._integrate_immigrants()
         pop = self.population
-        mix = self.config.mix
         rng = self.rng
         lock = self.lock
 
-        offspring: list[Individual] = list(pop[: mix.elites])
-        for _ in range(mix.crossover):
+        offspring: list[Individual] = list(pop[:ELITES])
+        for _ in range(CROSSOVERS):
             pa = select_parent(pop, rng)
             pb = select_parent(pop, rng)
             child = crossover_single_point(pa.genotype, pb.genotype, rng)
             offspring.append(self._evaluate(child))
-        for _ in range(mix.bit_mutants):
+        for _ in range(BIT_MUTANTS):
             parent = select_parent(pop, rng)
             offspring.append(self._evaluate(mutate_bit(parent.genotype, lock, rng)))
-        for _ in range(mix.translocations):
+        for _ in range(TRANSLOCATIONS):
             parent = select_parent(pop, rng)
             offspring.append(
                 self._evaluate(mutate_translocate(parent.genotype, lock, rng))
             )
-        for _ in range(mix.routing_mutants):
+        for _ in range(ROUTING_MUTANTS):
             parent = select_parent(pop, rng)
             offspring.append(
                 self._evaluate(mutate_routing(parent.genotype, lock, rng))
             )
         offspring.sort(key=_fitness_key, reverse=True)
         self.population = offspring
-        self.generation += 1
 
     def make_migrant(self) -> Genotype:
         return select_parent(self.population, self.rng).genotype
@@ -286,12 +270,10 @@ class Island:
 @dataclass
 class RunResult:
     champion: Individual
-    layout: GenomeLayout
     history: list[dict]
     evals: int
     elapsed: float
     goal_reached: bool
-    perfect_champions: list[tuple[str, Circuit]] = field(default_factory=list)
 
 
 class Engine:
@@ -302,7 +284,7 @@ class Engine:
     goes straight into its inbox; one bound for any other island waits in
     ``outbox``.  ``run`` gives an engine every island, and each
     ``run_distributed`` worker one; with no islands an engine only keeps the
-    record: champion, history, perfect champions, budget and checkpoints.
+    record: champion, history, budget and checkpoints.
     """
 
     def __init__(
@@ -324,16 +306,14 @@ class Engine:
         self.budget = Budget(config.max_evals, config.max_seconds)
         self.lock = (
             seed_lock_mask(seed_circuit, config.layout)
-            if config.mode == "non_intrusive"
+            if config.mode == "nonintrusive"
             else LockMask.empty()
         )
-        if config.word_mask is None and target.word_mask is not None:
-            self.config = replace(config, word_mask=target.word_mask)
         indices = island_indices if island_indices is not None else list(
             range(config.n_islands)
         )
         self.islands = [
-            Island(i, self.config, target, seed_circuit, self.lock, self.budget)
+            Island(i, config, target, seed_circuit, self.lock, self.budget)
             for i in indices
         ]
         self.grid = [spiral_coords(i) for i in range(config.n_islands)]
@@ -341,7 +321,6 @@ class Engine:
         self.generation = 0
         self.champion: Individual | None = None
         self.history: list[dict] = []
-        self.perfect_champions: dict[str, Circuit] = {}  # keyed by genotype hex
         for island in self.islands:
             island.populate()
             self._note_champion(island.population[0], island.index)
@@ -358,8 +337,6 @@ class Engine:
                     "live_gates": best.fitness.live_gates,
                 }
             )
-            if best.fitness.perfect_checking:
-                self.perfect_champions.setdefault(best.genotype.to_hex(), best.circuit)
 
     def goal_met(self) -> bool:
         if not self.config.stop_on_goal or self.champion is None:
@@ -431,12 +408,10 @@ class Engine:
         assert self.champion is not None
         return RunResult(
             champion=self.champion,
-            layout=self.config.layout,
             history=self.history,
             evals=self.budget.evals,
             elapsed=self.budget.elapsed,
             goal_reached=self.goal_met(),
-            perfect_champions=list(self.perfect_champions.items()),
         )
 
     def run(self) -> RunResult:
@@ -476,17 +451,12 @@ def _island_worker(
 ) -> None:
     """Report, then run one epoch per list of immigrants received, forever.
 
-    A report is (evals, champion, perfect champions new since the last
-    report, migrants for other islands as (island, genotype) pairs).
+    A report is (evals, champion, migrants for other islands as (island,
+    genotype) pairs).
     """
     engine = Engine(config, target, seed_circuit, island_indices=[index])
-    reported = 0
     while True:
-        perfect = list(engine.perfect_champions.items())
-        conn.send(
-            (engine.budget.evals, engine.champion, perfect[reported:], engine.outbox)
-        )
-        reported = len(perfect)
+        conn.send((engine.budget.evals, engine.champion, engine.outbox))
         engine.outbox = []
         engine.islands[0].inbox.extend(conn.recv())
         for _ in range(EPOCH_GENERATIONS):
@@ -515,8 +485,8 @@ def run_distributed(
     ``Engine.step_generation`` (fewer once it reaches the goal).  Migrants
     are drawn from each island's own rng as in ``run``, but reach their
     destination at the start of the next epoch.  The driver keeps the
-    champion, the history, whose evals count all islands, and the perfect
-    champions, and writes the checkpoints.
+    champion and the history, whose evals count all islands, and writes the
+    checkpoints.
 
     The eval budget, the time limit and the goal are checked only between
     epochs, so a run overshoots ``max_evals`` by at most one epoch of evals
@@ -553,9 +523,7 @@ def run_distributed(
                     raise _worker_exited(i, worker) from None
             driver.budget.evals = sum(report[0] for report in reports)
             inboxes: list[list[Genotype]] = [[] for _ in workers]
-            for i, (_, champion, perfect, outbox) in enumerate(reports):
-                for hex_form, circuit in perfect:
-                    driver.perfect_champions.setdefault(hex_form, circuit)
+            for i, (_, champion, outbox) in enumerate(reports):
                 driver._note_champion(champion, i)
                 for dest, genotype in outbox:
                     inboxes[dest].append(genotype)

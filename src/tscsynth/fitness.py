@@ -85,21 +85,12 @@ class FitnessVector:
     live_gates: int = 0
 
     def key(self) -> tuple[float, float, float, float]:
+        """Dictionary order on (f_f, f_ST, f_FS, f_p); later entries break ties."""
         return (self.f_f, self.f_st, self.f_fs, self.f_p)
 
     @property
     def perfect_checking(self) -> bool:
         return self.f_f == 1.0 and self.f_st == 1.0 and self.f_fs == 1.0
-
-
-def compare_lex(a: FitnessVector, b: FitnessVector) -> int:
-    """Dictionary order on (f_f, f_ST, f_FS, f_p); later entries break ties."""
-    ka, kb = a.key(), b.key()
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 def st_score(u_f: int) -> float:
@@ -133,6 +124,8 @@ def f_function(
     """Mean |correlation| between each function output and its target column."""
     if len(resp.outputs) != len(target):
         raise ValueError("target column count does not match circuit outputs")
+    if not target:
+        raise ValueError("no function outputs to score")
     full = (1 << resp.n_words) - 1
     mask = full if word_mask is None else word_mask & full
     n = mask.bit_count()
@@ -140,12 +133,6 @@ def f_function(
     for got, want in zip(resp.outputs, target):
         total += _abs_corr(got & mask, want & mask, n)
     return total / len(target)
-
-
-def f_parsimony(circuit: Circuit, max_gates: int) -> float:
-    """(M - s) / M where s counts gates with a path to an output."""
-    s = len(live_set(circuit))
-    return (max_gates - s) / max_gates
 
 
 class _Netlist(NamedTuple):
@@ -296,7 +283,7 @@ def evaluate_circuit(
     values = _simulate(net)
     resp = _response(net, values)
     ff = f_function(resp, target, word_mask)
-    live_count = len(net.tt)
+    live_count = len(net.tt)  # gates with a path to an output
     f_p = (max_gates - live_count) / max_gates
 
     if resp.rails is None:

@@ -18,13 +18,12 @@ class TargetSpec:
     """Expected responses for q outputs over all 2**r input words.
 
     Columns are packed integers (bit w = desired value at word w, x_0 least
-    significant input).  word_mask optionally restricts the applied words.
+    significant input).
     """
 
     r: int
     q: int
     columns: tuple[int, ...]
-    word_mask: int | None = None
 
     def __post_init__(self) -> None:
         if len(self.columns) != self.q:
@@ -230,27 +229,36 @@ def parse_blif(text: str) -> Circuit:
 
     input_index = {name: j for j, name in enumerate(inputs)}
 
-    # Topological order of blocks; DFS also catches undefined nets and cycles.
+    # Topological order of blocks by an iterative post-order DFS, which also
+    # catches undefined nets and cycles; a chain of gates may be any length.
     order: list[int] = []
     state = [0] * len(blocks)  # 0 new, 1 visiting, 2 done
-
-    def visit(k: int) -> None:
-        if state[k] == 2:
-            return
-        if state[k] == 1:
-            raise ParseError(f"cyclic definition through net {blocks[k][1]!r}")
-        state[k] = 1
-        for src in blocks[k][0]:
+    for root in range(len(blocks)):
+        if state[root] == 2:
+            continue
+        state[root] = 1
+        stack = [[root, 0]]  # block, index of its next source
+        while stack:
+            top = stack[-1]
+            k, si = top
+            sources = blocks[k][0]
+            if si == len(sources):
+                state[k] = 2
+                order.append(k)
+                stack.pop()
+                continue
+            top[1] = si + 1
+            src = sources[si]
             if src in input_index:
                 continue
             if src not in defined:
                 raise ParseError(f"undefined net {src!r}")
-            visit(defined[src])
-        state[k] = 2
-        order.append(k)
-
-    for k in range(len(blocks)):
-        visit(k)
+            j = defined[src]
+            if state[j] == 1:
+                raise ParseError(f"cyclic definition through net {blocks[j][1]!r}")
+            if state[j] == 0:
+                state[j] = 1
+                stack.append([j, 0])
     for name in outputs:
         if name not in input_index and name not in defined:
             raise ParseError(f"undefined output net {name!r}")

@@ -49,7 +49,7 @@ class GenomeLayout:
     rails: bool = True
 
     def __post_init__(self) -> None:
-        if self.r < 1 or self.q < 0 or self.b < 1:
+        if self.r < 1 or self.q < 1 or self.b < 1:
             raise ValueError("bad layout dimensions")
         if (1 << self.b) <= self.r:
             raise ValueError("2**b must exceed r (no gene slot encodable)")

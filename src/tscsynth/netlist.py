@@ -233,30 +233,12 @@ def _append_two_rail_checker(gates: list[Gate], pair_a, pair_b):
     return ((c0, False), (c1, False))
 
 
-def build_two_rail_checker_pair(in1, in2, gates=None):
-    """Emit the 6-gate checker for two dual-rail pairs of plain signal refs.
-
-    in1 and in2 are (low, high) SignalRef pairs.  Appends to ``gates`` when
-    given (returning the output refs), otherwise returns a fresh gate list
-    plus the output pair.
-    """
-    own = gates is None
-    if own:
-        gates = []
-    (c0, _), (c1, _) = _append_two_rail_checker(
-        gates,
-        ((in1[0], False), (in1[1], False)),
-        ((in2[0], False), (in2[1], False)),
-    )
-    if own:
-        return gates, (c0, c1)
-    return (c0, c1)
-
-
 def two_rail_checker_circuit() -> Circuit:
     """Standalone checker cell: inputs (a_0, a_1, b_0, b_1) = x0..x3."""
-    gates, (c0, c1) = build_two_rail_checker_pair(
-        (SignalRef.x(0), SignalRef.x(1)), (SignalRef.x(2), SignalRef.x(3))
+    gates: list[Gate] = []
+    x = SignalRef.x
+    (c0, _), (c1, _) = _append_two_rail_checker(
+        gates, ((x(0), False), (x(1), False)), ((x(2), False), (x(3), False))
     )
     return Circuit(r=4, gates=tuple(gates), func_outputs=(), error_rails=(c0, c1))
 

@@ -145,7 +145,6 @@ class CodespaceReport:
     codespace_size: int
     baseline_is_st: bool
     undetectable_checker_faults: list[Fault]
-    undetected_total: list[Fault]
 
     def summary(self) -> str:
         return (
@@ -179,5 +178,4 @@ def codespace_report(
         codespace_size=1 << seed.q,
         baseline_is_st=st.is_st,
         undetectable_checker_faults=checker_faults,
-        undetected_total=st.undetected,
     )

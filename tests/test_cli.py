@@ -141,6 +141,34 @@ class TestEvolveCommand:
         record = json.loads((out / "run.json").read_text())
         assert record["evals"] == 32
 
+    def test_config_file_nonintrusive_mode_runs(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = nonintrusive\nislands = 1\nbudget-evals = 0\n")
+        out = tmp_path / "run"
+        code = run_cli(
+            "evolve",
+            "--target", bench("c17.pla"),
+            "--seed", bench("c17.blif"),
+            "--config", str(cfg),
+            "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads((out / "run.json").read_text())["mode"] == "nonintrusive"
+
+    def test_config_file_unknown_mode_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = bogus\n")  # argparse checks choices on flags only
+        code = run_cli(
+            "evolve",
+            "--target", bench("c17.pla"),
+            "--seed", bench("c17.blif"),
+            "--config", str(cfg),
+            "--islands", "1",
+            "--budget-evals", "0",
+        )
+        assert code == 2
+        assert "unknown mode" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("budget-eval = 64\n")  # typo for budget-evals

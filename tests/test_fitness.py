@@ -8,11 +8,9 @@ from tscsynth.fitness import (
     FitnessVector,
     K_FS,
     K_ST,
-    compare_lex,
     evaluate_checking,
     evaluate_circuit,
     f_function,
-    f_parsimony,
     fault_free_response,
     fs_score,
     st_score,
@@ -32,6 +30,7 @@ from tscsynth.netlist import (
     TT_XOR,
     build_duplication_baseline,
     live_set,
+    two_rail_checker_circuit,
 )
 from tscsynth.sim import FaultScope, simulate
 from tscsynth.verify import verify_fs, verify_st
@@ -77,6 +76,10 @@ class TestFFunction:
         with pytest.raises(ValueError):
             f_function(resp, [0b0110, 0b1010])
 
+    def test_circuit_without_function_outputs_rejected(self):
+        with pytest.raises(ValueError, match="no function outputs"):
+            evaluate_circuit(two_rail_checker_circuit(), [], 10)
+
     def test_partial_correlation_between_zero_and_one(self):
         resp = fault_free_response(xor_pair_circuit())
         score = f_function(resp, [0b0100])
@@ -106,30 +109,30 @@ class TestCompareLex:
     def test_function_fitness_dominates(self):
         a = self.vec(1.0, 0.5, 1.0, 0.9)
         b = self.vec(0.99, 1.0, 1.0, 1.0)
-        assert compare_lex(a, b) == 1
+        assert a.key() > b.key()
 
     def test_parsimony_breaks_ties(self):
         a = self.vec(1.0, 1.0, 1.0, 0.3)
         b = self.vec(1.0, 1.0, 1.0, 0.4)
-        assert compare_lex(a, b) == -1
+        assert a.key() < b.key()
 
     def test_equal_vectors(self):
         a = self.vec(1.0, 1.0, 1.0, 0.3)
-        assert compare_lex(a, a) == 0
+        assert a.key() == self.vec(1.0, 1.0, 1.0, 0.3).key()
 
 
 class TestParsimony:
     def test_empty_circuit(self):
         c = Circuit(2, (), (X(0),))
-        assert f_parsimony(c, 60) == 1.0
+        assert evaluate_circuit(c, [0b1010], 60).f_p == 1.0
 
     def test_value(self):
         c = xor_pair_circuit()
-        assert f_parsimony(c, 60) == (60 - 2) / 60
+        assert evaluate_circuit(c, [0b0110], 60).f_p == (60 - 2) / 60
 
     def test_full_circuit_scores_zero(self):
         c = xor_pair_circuit()
-        assert f_parsimony(c, 2) == 0.0
+        assert evaluate_circuit(c, [0b0110], 2).f_p == 0.0
 
 
 class TestManifestationPremise:

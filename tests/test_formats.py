@@ -104,7 +104,7 @@ class TestBlif:
         assert simulate(c).outputs == (0b1000,)
 
     def test_undeclared_net_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="undefined net 'ghost'"):
             parse_blif(".model t\n.inputs a\n.outputs y\n.names ghost y\n1 1\n.end\n")
 
     def test_fanin_three_rejected(self):
@@ -114,11 +114,26 @@ class TestBlif:
             )
 
     def test_cycle_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="cyclic definition through net"):
             parse_blif(
                 ".model t\n.inputs a\n.outputs y\n"
                 ".names y m\n1 1\n.names m y\n1 1\n.end\n"
             )
+
+    def test_long_chain_listed_last_gate_first(self):
+        # 3000 inverters, each block listed before the one it reads.
+        n = 3000
+        blocks = [f".names n{i - 1} n{i}\n0 1" for i in range(n - 1, 0, -1)]
+        text = "\n".join(
+            [".model t", ".inputs a", f".outputs n{n - 1}", *blocks,
+             ".names a n0\n0 1", ".end"]
+        )
+        c = parse_blif(text)
+        assert len(c.gates) == n
+        assert c.gates[0].a == X(0)
+        assert all(c.gates[i].a == G(i - 1) for i in range(1, n))
+        assert c.func_outputs == (G(n - 1),)
+        assert simulate(c).outputs == (0b10,)
 
     def test_render_parse_simulates_identically(self, rng):
         for _ in range(25):

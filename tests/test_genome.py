@@ -44,6 +44,10 @@ class TestLayout:
         with pytest.raises(ValueError):
             GenomeLayout(r=4, q=1, b=2)
 
+    def test_rejects_no_function_outputs(self):
+        with pytest.raises(ValueError):
+            GenomeLayout(r=2, q=0, b=4)
+
     def test_default_address_width_fits_duplication(self):
         # Needs seed + copy + checker tree slots.
         b = default_address_width(r=4, seed_gates=7, q=4)
