@@ -26,7 +26,7 @@ from .genome import (
     mutate_routing,
     mutate_translocate,
 )
-from .verify import check_theorem2, codespace_report, verify_fs, verify_st, verify_tsc
+from .verify import codespace_report, verify_fs, verify_st, verify_tsc
 from .formats import (
     ParseError,
     TargetSpec,

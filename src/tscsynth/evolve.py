@@ -207,10 +207,9 @@ class Island:
 
     def populate(self) -> None:
         layout = self.config.layout
-        lock_seed = self.config.mode == "nonintrusive"
         individuals = []
         for _ in range(POPULATION_SIZE):
-            genotype, _ = encode_seed(self.seed_circuit, layout, self.rng, lock_seed)
+            genotype, _ = encode_seed(self.seed_circuit, layout, self.rng)
             individuals.append(self._evaluate(genotype))
         individuals.sort(key=_fitness_key, reverse=True)
         self.population = individuals

@@ -33,7 +33,9 @@ class TruthTable2:
 
     @classmethod
     def from_bits(cls, bits) -> "TruthTable2":
-        t0, t1, t2, t3 = (int(bool(t)) for t in bits)
+        t0, t1, t2, t3 = bits
+        if not {t0, t1, t2, t3} <= {0, 1}:
+            raise ValueError(f"truth-table entries must be 0 or 1, got {list(bits)}")
         return cls(t0 | (t1 << 1) | (t2 << 2) | (t3 << 3))
 
     @classmethod

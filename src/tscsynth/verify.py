@@ -2,9 +2,11 @@
 
 Every fault in the full set (output and both input lines, both polarities,
 per live gate) is simulated directly, one full wave each; no manifestation
-shortcut and no code shared with the fitness-side fault evaluation.  This is
-the oracle the fast fitness path is checked against, and the proof engine
-for candidate circuits.
+shortcut and no code shared with the fitness-side fault evaluation.  Each call
+simulates the fault-free circuit once and each fault of its scope once, and
+reads self-testing, fault-secureness and the fault-free false alarm from that
+one pass.  This is the oracle the fast fitness path is checked against, and
+the proof engine for candidate circuits.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .netlist import Circuit, Fault, baseline_checker_range, build_duplication_baseline
-from .sim import FaultScope, ResponseMatrix, enumerate_faults, full_mask, simulate
+from .sim import FaultScope, enumerate_faults, full_mask, simulate
 
 
 class StResult(NamedTuple):
@@ -48,32 +50,47 @@ class TscReport:
         return ", ".join(parts)
 
 
-def _applied(circuit: Circuit, word_mask: int | None) -> int:
-    full = full_mask(circuit.r)
-    return full if word_mask is None else word_mask & full
+def _report(circuit: Circuit, scope: FaultScope, word_mask: int | None) -> TscReport:
+    """Simulate the fault-free circuit once and each fault of scope once.
 
-
-def _collision_words(resp: ResponseMatrix, applied: int, full: int) -> int:
-    z0, z1 = resp.rails
-    return ((z0 ^ z1) ^ full) & applied
-
-
-def verify_st(circuit: Circuit, word_mask: int | None = None) -> StResult:
-    """Self-testing over all gate input and output faults.
-
-    A fault is detected iff some applied word yields z_0 == z_1 under direct
-    simulation of that fault.
+    A fault is detected iff some applied word yields z_0 == z_1.  An incorrect
+    output on an applied word without that collision is a violation; with a
+    fault-free false alarm no violations are listed.
     """
     if circuit.error_rails is None:
         raise ValueError("circuit has no error rails")
     full = full_mask(circuit.r)
-    applied = _applied(circuit, word_mask)
-    undetected = []
-    for fault in enumerate_faults(circuit, FaultScope.ALL):
+    applied = full if word_mask is None else word_mask & full
+    free = simulate(circuit)
+    z0, z1 = free.rails
+    false_alarm = (z0 ^ z1 ^ full) & applied != 0
+    undetected: list[Fault] = []
+    violations: list[tuple[Fault, int]] = []
+    for fault in enumerate_faults(circuit, scope):
         resp = simulate(circuit, fault)
-        if _collision_words(resp, applied, full) == 0:
+        z0, z1 = resp.rails
+        signalled = (z0 ^ z1 ^ full) & applied
+        if not signalled:
             undetected.append(fault)
-    return StResult(not undetected, undetected)
+        wrong = 0
+        for got, want in zip(resp.outputs, free.outputs):
+            wrong |= got ^ want
+        w = wrong & applied & ~signalled
+        while w:
+            low = w & -w
+            violations.append((fault, low.bit_length() - 1))
+            w ^= low
+    if false_alarm:
+        violations = []
+    is_st = not undetected
+    is_fs = not violations and not false_alarm
+    return TscReport(is_st and is_fs, is_st, is_fs, false_alarm, undetected, violations)
+
+
+def verify_st(circuit: Circuit, word_mask: int | None = None) -> StResult:
+    """Self-testing over all gate input and output faults."""
+    report = _report(circuit, FaultScope.ALL, word_mask)
+    return StResult(report.is_st, report.undetected)
 
 
 def verify_fs(
@@ -86,51 +103,14 @@ def verify_fs(
     A circuit whose fault-free rails collide on some applied word is reported
     not fault-secure with the false_alarm flag set and no violations listed.
     """
-    if circuit.error_rails is None:
-        raise ValueError("circuit has no error rails")
-    full = full_mask(circuit.r)
-    applied = _applied(circuit, word_mask)
-    free = simulate(circuit)
-    if _collision_words(free, applied, full):
-        return FsResult(False, [], True)
-
-    violations: list[tuple[Fault, int]] = []
-    for fault in enumerate_faults(circuit, scope):
-        resp = simulate(circuit, fault)
-        wrong = 0
-        for got, want in zip(resp.outputs, free.outputs):
-            wrong |= got ^ want
-        silent_wrong = wrong & applied & (_collision_words(resp, applied, full) ^ applied)
-        w = silent_wrong
-        while w:
-            low = w & -w
-            violations.append((fault, low.bit_length() - 1))
-            w ^= low
-    return FsResult(not violations, violations, False)
+    report = _report(circuit, scope, word_mask)
+    return FsResult(report.is_fs, report.violations, report.false_alarm)
 
 
 def verify_tsc(circuit: Circuit, word_mask: int | None = None) -> TscReport:
     """TSC iff self-testing, fault-secure over the full set, and no fault-free
     rail collision."""
-    full = full_mask(circuit.r)
-    applied = _applied(circuit, word_mask)
-    false_alarm = _collision_words(simulate(circuit), applied, full) != 0
-    st = verify_st(circuit, word_mask)
-    fs = verify_fs(circuit, FaultScope.ALL, word_mask)
-    is_tsc = st.is_st and fs.is_fs and not false_alarm
-    return TscReport(is_tsc, st.is_st, fs.is_fs, false_alarm, st.undetected, fs.violations)
-
-
-def check_theorem2(circuit: Circuit, word_mask: int | None = None) -> bool:
-    """True iff fault-secureness over output faults implies it over all faults.
-
-    Expected to hold for every circuit; a counterexample indicates a
-    simulator defect.
-    """
-    over_outputs = verify_fs(circuit, FaultScope.OUTPUTS_ONLY, word_mask)
-    if not over_outputs.is_fs:
-        return True
-    return verify_fs(circuit, FaultScope.ALL, word_mask).is_fs
+    return _report(circuit, FaultScope.ALL, word_mask)
 
 
 @dataclass
@@ -162,7 +142,8 @@ def codespace_report(
     if baseline is None:
         baseline = build_duplication_baseline(seed)
     resp = simulate(seed)
-    applied = _applied(seed, word_mask)
+    full = full_mask(seed.r)
+    applied = full if word_mask is None else word_mask & full
     patterns = set()
     w = applied
     while w:

@@ -83,6 +83,34 @@ class TestVerifyCommand:
         assert run_cli("verify", "--circuit", str(path)) == 1
         assert "not TSC" in capsys.readouterr().out
 
+    def test_circuit_without_rails_exits_2(self, tmp_path, capsys):
+        circ = {
+            "r": 2,
+            "gates": [{"tt": "0110", "a": "x0", "b": "x1"}],
+            "y": ["g0"],
+            "z": [],
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(circ))
+        assert run_cli("verify", "--circuit", str(path)) == 2
+        assert "no error rails" in capsys.readouterr().err
+
+    def test_truth_table_digit_other_than_0_or_1_exits_2(self, tmp_path, capsys):
+        # "0920" must not be read as XOR and then proven TSC.
+        circ = {
+            "r": 2,
+            "gates": [
+                {"tt": "0920", "a": "x0", "b": "x1"},
+                {"tt": "1001", "a": "x0", "b": "x1"},
+            ],
+            "y": ["g0"],
+            "z": ["g1", "g0"],
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(circ))
+        assert run_cli("verify", "--circuit", str(path)) == 2
+        assert "0 or 1" in capsys.readouterr().err
+
 
 class TestExport:
     def test_writes_dot(self, tmp_path):

@@ -32,6 +32,12 @@ def test_truth_table_bits_roundtrip():
                 assert tt.eval(a, b) == (v >> (2 * a + b)) & 1
 
 
+@pytest.mark.parametrize("bits", [(0, 9, 2, 0), (0, 1, 1, -1), (2, 0, 0, 0)])
+def test_truth_table_rejects_entries_other_than_0_or_1(bits):
+    with pytest.raises(ValueError, match="0 or 1"):
+        TruthTable2.from_bits(bits)
+
+
 @pytest.mark.parametrize(
     "name,fn",
     [

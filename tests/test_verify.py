@@ -1,8 +1,11 @@
 import pytest
 
+from tscsynth import verify
 from tscsynth.fitness import evaluate_checking, fault_free_response
 from tscsynth.netlist import (
     Circuit,
+    Fault,
+    FaultSite,
     Gate,
     SignalRef,
     TruthTable2,
@@ -15,21 +18,29 @@ from tscsynth.netlist import (
     TT_XOR,
     TT_ZERO,
     build_duplication_baseline,
+    live_set,
     two_rail_checker_circuit,
 )
+from tscsynth.formats import parse_blif
 from tscsynth.sim import FaultScope
-from tscsynth.verify import (
-    check_theorem2,
-    codespace_report,
-    verify_fs,
-    verify_st,
-    verify_tsc,
-)
+from tscsynth.verify import codespace_report, verify_fs, verify_st, verify_tsc
 
-from conftest import random_circuit
+from conftest import BENCH_DIR, random_circuit
 
 X = SignalRef.x
 G = SignalRef.g
+
+
+def check_theorem2(circuit: Circuit, word_mask: int | None = None) -> bool:
+    """True iff fault-secureness over output faults implies it over all faults.
+
+    Expected to hold for every circuit; a counterexample indicates a
+    simulator defect.
+    """
+    over_outputs = verify_fs(circuit, FaultScope.OUTPUTS_ONLY, word_mask)
+    if not over_outputs.is_fs:
+        return True
+    return verify_fs(circuit, FaultScope.ALL, word_mask).is_fs
 
 
 def identity_seed() -> Circuit:
@@ -94,8 +105,6 @@ class TestVerifyFs:
         )
         result = verify_fs(c, FaultScope.OUTPUTS_ONLY)
         assert not result.is_fs
-        from tscsynth.netlist import Fault, FaultSite
-
         assert (Fault(FaultSite.OUTPUT, 0, 0), 1) in result.violations
 
     def test_duplication_baselines_always_fault_secure(self, rng):
@@ -154,6 +163,62 @@ class TestVerifyTsc:
                 found += 1
                 assert verify_tsc(c).is_tsc
         assert found > 0
+
+
+class TestOnePass:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        simulate = verify.simulate
+
+        def counting(circuit, fault=None):
+            counted.append(fault)
+            return simulate(circuit, fault)
+
+        monkeypatch.setattr(verify, "simulate", counting)
+        return counted
+
+    def test_one_simulation_per_fault(self, calls):
+        seed = parse_blif((BENCH_DIR / "mult2.blif").read_text())
+        baseline = build_duplication_baseline(seed)
+        n = len(live_set(baseline))
+        assert n == 32
+        verify_tsc(baseline)
+        assert len(calls) == 6 * n + 1 == 193
+        calls.clear()
+        verify_st(baseline)
+        assert len(calls) == 6 * n + 1
+        calls.clear()
+        verify_fs(baseline, FaultScope.OUTPUTS_ONLY)
+        assert len(calls) == 2 * n + 1 == 65
+
+    @pytest.mark.parametrize("check", [verify_st, verify_fs, verify_tsc])
+    def test_no_rails_rejected_before_simulating(self, calls, check):
+        with pytest.raises(ValueError, match="no error rails"):
+            check(identity_seed())
+        assert calls == []
+
+    def test_false_alarm_keeps_undetected_and_drops_violations(self):
+        # Rails (x0, 1) collide fault-free wherever x0 = 1.  The rail buffer
+        # stuck at 0 is never signalled, and the AND output stuck at 1 is
+        # silently wrong at words 0 and 2, which no report lists.
+        c = Circuit(
+            2,
+            (
+                Gate(TT_AND, X(0), X(1)),
+                Gate(TT_BUF_A, X(0), X(0)),
+                Gate(TT_ONE, X(0), X(0)),
+            ),
+            (G(0),),
+            (G(1), G(2)),
+        )
+        report = verify_tsc(c)
+        assert report.false_alarm
+        assert (report.is_tsc, report.is_st, report.is_fs) == (False, False, False)
+        assert Fault(FaultSite.OUTPUT, 1, 0) in report.undetected
+        assert report.undetected == verify_st(c).undetected
+        assert report.violations == []
+        assert verify_fs(c) == (False, [], True)
 
 
 class TestTheorem2:
