@@ -114,6 +114,15 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "target": args.target,
         "seed": args.seed,
         "mode": args.mode,
+        "rng_seed": config.rng_seed,
+        "islands": config.n_islands,
+        "parallel": args.parallel,
+        "migration_rate": config.migration_rate,
+        "budget_evals": config.max_evals,
+        "budget_seconds": config.max_seconds,
+        "goal_size": config.goal_size,
+        "stop_on_goal": config.stop_on_goal,
+        "applied_words": applied,
         "layout": {"r": layout.r, "q": layout.q, "b": layout.b},
         "seed_gates": g,
         "dup_overhead": dup,
@@ -199,10 +208,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     record = json.loads(run_path.read_text(encoding="utf-8"))
     g = record["seed_gates"]
     s = record["champion"]["live_gates"]
-    overhead = s - g
-    dup = record["dup_overhead"]
-    if args.function_core is not None:
-        dup = duplication_overhead(args.function_core, record["layout"]["q"])
+    core = args.function_core
+    base, dup = g, record["dup_overhead"]
+    if core is not None:
+        base, dup = core, duplication_overhead(core, record["layout"]["q"])
+    overhead = s - base
     is_tsc = record["verification"]["is_tsc"]
     # Champion summary in the style of an overhead-comparison table row.
     report = {
@@ -213,7 +223,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "dup_overhead": dup,
         "ratio": (overhead / dup) if is_tsc and dup > 0 else None,
         "verdict": "TSC" if is_tsc else "not TSC",
-        "shrunk_function_logic": s < g,
+        "shrunk_function_logic": s < base,
         "fitness": record["champion"]["fitness"],
         "trajectory": record["history"],
     }
@@ -222,10 +232,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print()
     print(f"{'Benchmark':<12}{'Gates':>7}{'Oh.':>6}{'Dup.':>6}{'Oh./Dup.':>10}  Verdict")
     print(
-        f"{report['benchmark']:<12}{g:>7}{overhead:>6}{dup:>6}{ratio:>10}  "
+        f"{report['benchmark']:<12}{base:>7}{overhead:>6}{dup:>6}{ratio:>10}  "
         f"{report['verdict']}"
     )
-    if s < g:
+    if s < g and core is None:
         print(
             "note: champion uses fewer live gates than the seed's function "
             "logic; pass --function-core N to compare against the smaller core"

@@ -59,17 +59,17 @@ def parse_pla(text: str) -> TargetSpec:
     them with '1'; '0' and '~' leave a cube's contribution out, and words not
     covered by any cube are 0.  Output don't-cares are rejected.
     """
-    r = q = None
+    counts: dict[str, int] = {}
     cubes: list[tuple[str, str]] = []
     ignorable = {"p", "ilb", "ob", "type", "e", "end"}
     for line in _logical_lines(text):
         if line.startswith("."):
             parts = line[1:].split()
             key = parts[0] if parts else ""
-            if key == "i":
-                r = int(parts[1])
-            elif key == "o":
-                q = int(parts[1])
+            if key in ("i", "o"):
+                if len(parts) != 2 or not parts[1].isdecimal():
+                    raise ParseError(f"PLA .{key} needs one count: {line!r}")
+                counts[key] = int(parts[1])
             elif key in ignorable:
                 if key in ("e", "end"):
                     break
@@ -81,6 +81,7 @@ def parse_pla(text: str) -> TargetSpec:
             raise ParseError(f"bad cube line: {line!r}")
         cubes.append((fields[0], fields[1]))
 
+    r, q = counts.get("i"), counts.get("o")
     if r is None or q is None:
         raise ParseError("PLA is missing .i or .o")
     if r < 1 or q < 1:

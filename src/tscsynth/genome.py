@@ -9,6 +9,10 @@ address fields.  Address values 0..M-1 name gene slots; the r largest values
 (2**b - r .. 2**b - 1) name primary inputs x_0..x_{r-1} in ascending order.
 All multi-bit fields read most-significant-bit first in genotype order, and
 genotype bit 0 is the first bit of the first output field.
+
+Decoding reads genes on demand: a depth-first search from the routed outputs
+reads a gene when it first reaches its slot and emits the gate in post-order,
+once both sources are done.  Unreached genes are never read.
 """
 
 from __future__ import annotations
@@ -176,16 +180,17 @@ def _unlocked_genes(layout: GenomeLayout, lock: LockMask) -> tuple[int, ...]:
     )
 
 
-def decode_with_slots(
-    genotype: Genotype, rng: random.Random
-) -> tuple[Circuit, tuple[int, ...]]:
-    """Decode to a feed-forward circuit, also returning each gate's gene slot.
+def decode(genotype: Genotype, rng: random.Random) -> Circuit:
+    """Decode to a feed-forward circuit in one depth-first pass.
 
-    Outputs are routed first (y_0..y_{q-1}, then z_0, z_1 when present).  A
-    depth-first search from each output, source a before source b, breaks any
-    cycle by rerouting the offending edge to a primary input drawn from rng.
-    Repair changes the decoded circuit only, never the genotype.  Gates with
-    no path to an output are dropped.
+    Outputs are routed first (y_0..y_{q-1}, then z_0, z_1 when present).  The
+    search starts from each output and visits source a before source b.  A
+    gene is read when the search first reaches its slot, and its gate is
+    emitted once both sources are done, so gates come out in post-order.  An
+    edge back onto the current search path is rerouted to a primary input
+    drawn from rng; repair changes the decoded circuit only, never the
+    genotype.  Genes the search never reaches are never read: their gates
+    have no path to an output.
     """
     lay = genotype.layout
     b = lay.b
@@ -193,72 +198,50 @@ def decode_with_slots(
     L = lay.total_len
     v = genotype.value
     bmask = (1 << b) - 1
+    glen = lay.gene_len
+    gmask = (1 << glen) - 1
+    genes_end = L - lay.m * b
 
-    out_addrs = [
-        (v >> (L - (i + 1) * b)) & bmask for i in range(lay.m)
-    ]
-    tts: list[int] = []
-    srcs: list[list[int]] = []
-    step = lay.gene_len
-    shift = L - lay.m * b - 4
-    for _ in range(M):
-        tts.append(_REV4[(v >> shift) & 0xF])
-        a_addr = (v >> (shift - b)) & bmask
-        b_addr = (v >> (shift - 2 * b)) & bmask
-        srcs.append([a_addr, b_addr])
-        shift -= step
+    # refs[address] is set once the address is done: inputs from the start,
+    # a gene slot when its gate is emitted.
+    refs: list[SignalRef | None] = [None] * M + list(_signal_refs("x", lay.r))
+    gate_refs = _signal_refs("g", M)
+    on_path = bytearray(M)
+    gates: list[Gate] = []
 
-    # Iterative DFS; status 1 marks gates on the current search path.
-    status = [0] * M
-    order: list[int] = []
+    def reach(slot: int) -> list[int]:
+        # Search frame: [slot, truth table, source a, source b, index of the
+        # next source to visit].  on_path stays set after the gate is
+        # emitted, but refs is checked first.
+        on_path[slot] = 1
+        gene = (v >> (genes_end - (slot + 1) * glen)) & gmask
+        return [slot, _REV4[gene >> 2 * b], (gene >> b) & bmask, gene & bmask, 2]
 
-    def visit(root: int) -> None:
-        status[root] = 1
-        stack: list[list[int]] = [[root, 0]]
+    out_addrs = [(v >> (L - (i + 1) * b)) & bmask for i in range(lay.m)]
+    for root in out_addrs:
+        if refs[root] is not None:
+            continue
+        stack = [reach(root)]
         while stack:
-            top = stack[-1]
-            g, si = top
-            if si == 2:
-                status[g] = 2
-                order.append(g)
+            frame = stack[-1]
+            si = frame[4]
+            if si == 4:
+                refs[frame[0]] = gate_refs[len(gates)]
+                gates.append(Gate(_TABLES[frame[1]], refs[frame[2]], refs[frame[3]]))
                 stack.pop()
                 continue
-            top[1] = si + 1
-            addr = srcs[g][si]
-            if addr >= M:
+            frame[4] = si + 1
+            addr = frame[si]
+            if refs[addr] is not None:
                 continue
-            st = status[addr]
-            if st == 1:
+            if on_path[addr]:
                 # Edge back onto the current path: break the loop here.
-                srcs[g][si] = M + rng.randrange(lay.r)
-            elif st == 0:
-                status[addr] = 1
-                stack.append([addr, 0])
+                frame[si] = M + rng.randrange(lay.r)
+            else:
+                stack.append(reach(addr))
 
-    for addr in out_addrs:
-        if addr < M and status[addr] == 0:
-            visit(addr)
-
-    # Address -> SignalRef: gene slots by decoded position, then the inputs.
-    gate_refs = _signal_refs("g", M)
-    refs: list[SignalRef | None] = [None] * M
-    for i, slot in enumerate(order):
-        refs[slot] = gate_refs[i]
-    refs += _signal_refs("x", lay.r)
-
-    gates = tuple(
-        Gate(_TABLES[tts[slot]], refs[srcs[slot][0]], refs[srcs[slot][1]])
-        for slot in order
-    )
-    func = tuple(refs[a] for a in out_addrs[: lay.q])
-    rails = None
-    if lay.rails:
-        rails = (refs[out_addrs[lay.q]], refs[out_addrs[lay.q + 1]])
-    return Circuit(lay.r, gates, func, rails), tuple(order)
-
-
-def decode(genotype: Genotype, rng: random.Random) -> Circuit:
-    return decode_with_slots(genotype, rng)[0]
+    outs = tuple(refs[a] for a in out_addrs)
+    return Circuit(lay.r, tuple(gates), outs[: lay.q], outs[lay.q :] or None)
 
 
 def seed_lock_mask(circuit: Circuit, layout: GenomeLayout) -> LockMask:

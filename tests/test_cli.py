@@ -34,6 +34,16 @@ class TestUsage:
         )
         assert code == 2
 
+    def test_pla_directive_without_count_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pla"
+        bad.write_text(".i\n.o 1\n1 1\n.e\n")
+        code = run_cli(
+            "evolve", "--target", str(bad), "--seed", bench("c17.blif"),
+            "--budget-evals", "0",
+        )
+        assert code == 2
+        assert "needs one count" in capsys.readouterr().err
+
 
 class TestBaseline:
     def test_b1_prints_dup_overhead_23(self, capsys):
@@ -144,6 +154,50 @@ class TestEvolveCommand:
         assert (tmp_path / "run" / "champion.json").exists()
         assert (tmp_path / "run" / "champion.hex").exists()
 
+    def test_run_record_reruns_its_run(self, tmp_path):
+        # Every search setting differs from its default, so a field that
+        # run.json drops changes the rerun's champion.
+        first = tmp_path / "first"
+        assert run_cli(
+            "evolve",
+            "--target", bench("c17.pla"),
+            "--seed", bench("c17.blif"),
+            "--b", "6",
+            "--islands", "2",
+            "--seed-rng", "3",
+            "--migration-rate", "0.5",
+            "--budget-evals", "300",
+            "--goal-overhead", "4",
+            "--no-stop-on-goal",
+            "--applied-words", "fffff0ff",
+            "--out", str(first),
+        ) == 0
+        rec = json.loads((first / "run.json").read_text())
+        argv = [
+            "evolve",
+            "--target", rec["target"],
+            "--seed", rec["seed"],
+            "--mode", rec["mode"],
+            "--b", str(rec["layout"]["b"]),
+            "--islands", str(rec["islands"]),
+            "--seed-rng", str(rec["rng_seed"]),
+            "--migration-rate", str(rec["migration_rate"]),
+            "--budget-evals", str(rec["budget_evals"]),
+            "--goal-overhead", str(rec["goal_size"] - rec["seed_gates"]),
+            "--applied-words", rec["applied_words"],
+            "--out", str(tmp_path / "again"),
+        ]
+        assert rec["budget_seconds"] is None
+        if rec["parallel"]:
+            argv.append("--parallel")
+        if not rec["stop_on_goal"]:
+            argv.append("--no-stop-on-goal")
+        assert run_cli(*argv) == 0
+        again = json.loads((tmp_path / "again" / "run.json").read_text())
+        assert again["champion"]["genotype"] == rec["champion"]["genotype"]
+        assert again["evals"] == rec["evals"]
+        assert again["verification"] == rec["verification"]
+
     def test_seed_target_shape_mismatch_exits_2(self, capsys):
         code = run_cli(
             "evolve",
@@ -248,6 +302,29 @@ class TestReport:
         # ratio only reported for verified-TSC champions
         if report["verdict"] != "TSC":
             assert report["ratio"] is None
+
+    def test_function_core_sets_overhead_and_duplication(self, tmp_path, capsys):
+        # Seed of 12 gates, champion of 10 live gates, function core of 6:
+        # the overhead over the core is 4 and duplicating the core costs 12.
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "run.json").write_text(json.dumps({
+            "benchmark": "demo",
+            "seed_gates": 12,
+            "dup_overhead": 18,
+            "layout": {"r": 3, "q": 2, "b": 5},
+            "champion": {"live_gates": 10, "fitness": []},
+            "verification": {"is_tsc": True},
+            "history": [],
+        }))
+        assert run_cli("report", "--run", str(run), "--function-core", "6") == 0
+        printed = capsys.readouterr().out
+        header, _, rest = printed.partition("\n\n")
+        report = json.loads(header)
+        assert report["overhead"] == 4
+        assert report["dup_overhead"] == 12
+        assert report["ratio"] == pytest.approx(4 / 12)
+        assert "--function-core" not in rest
 
     def test_missing_run_dir_exits_2(self, tmp_path):
         assert run_cli("report", "--run", str(tmp_path / "nope")) == 2

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import tscsynth
+from tscsynth import evolve
 from tscsynth.evolve import (
     EPOCH_GENERATIONS,
     POPULATION_SIZE,
@@ -177,6 +178,21 @@ class TestEngine:
             "01e76ef1efd3a3e28f2772a81907c47f6b8393ef24b6e2"
         )
         assert result.evals == 6011
+
+    def test_each_evaluation_decodes_and_scores_once(self, monkeypatch):
+        # The traced benchmark pass (perfbench/workloads.py) wraps
+        # evolve.decode and evolve.evaluate_circuit and divides each layer's
+        # time by its call count, so every evaluation must call both names.
+        calls = {"decode": 0, "evaluate_circuit": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(evolve, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(evolve, name, counted)
+        seed, target, layout = small_setup()
+        result = run(small_config(layout, max_evals=500), target, seed)
+        assert calls == {"decode": result.evals, "evaluate_circuit": result.evals}
 
     def test_different_seeds_differ(self):
         seed, target, layout = small_setup()

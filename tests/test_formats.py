@@ -50,6 +50,16 @@ class TestPla:
         with pytest.raises(ParseError):
             parse_pla("11 1\n.e\n")
 
+    @pytest.mark.parametrize("text", [
+        ".i\n.o 1\n1 1\n.e\n",
+        ".i 1\n.o\n1 1\n.e\n",
+        ".i 1 2\n.o 1\n1 1\n.e\n",
+        ".i x\n.o 1\n1 1\n.e\n",
+    ])
+    def test_count_directive_needs_one_count(self, text):
+        with pytest.raises(ParseError, match="needs one count"):
+            parse_pla(text)
+
     def test_inconsistent_width_rejected(self):
         with pytest.raises(ParseError):
             parse_pla(".i 2\n.o 1\n111 1\n.e\n")
