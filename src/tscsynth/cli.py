@@ -105,7 +105,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     result = runner(config, target, seed, out_dir=out_dir)
 
     champion = result.champion
-    report = verify_tsc(champion.circuit, word_mask)
+    report = verify_tsc(champion.circuit, word_mask, target.columns)
     name = Path(args.target).stem
     s = champion.fitness.live_gates
     overhead = s - g
@@ -142,6 +142,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             "false_alarm": report.false_alarm,
             "undetected_faults": len(report.undetected),
             "unsignalled_incorrect": len(report.violations),
+            "computes_target": report.computes_target,
         },
         "history": result.history,
     }
@@ -167,13 +168,25 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.circuit)
     word_mask = int(args.applied_words, 16) if args.applied_words else None
-    report = verify_tsc(circuit, word_mask)
+    columns = None
+    if args.target is not None:
+        target = _load_target(args.target)
+        if (target.r, target.q) != (circuit.r, circuit.q):
+            print(
+                f"error: circuit is {circuit.r} in/{circuit.q} out but target is "
+                f"{target.r} in/{target.q} out",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+        columns = target.columns
+    report = verify_tsc(circuit, word_mask, columns)
     print(report.summary())
     for fault in report.undetected[:10]:
         print(f"  undetected: {fault}")
     for fault, word in report.violations[:10]:
         print(f"  unsignalled incorrect output: fault {fault} at word {word}")
-    return EXIT_OK if report.is_tsc else EXIT_VERIFY_FAILED
+    ok = report.is_tsc and report.computes_target is not False
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
@@ -213,7 +226,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if core is not None:
         base, dup = core, duplication_overhead(core, record["layout"]["q"])
     overhead = s - base
-    is_tsc = record["verification"]["is_tsc"]
+    checks = record["verification"]
+    is_tsc = checks["is_tsc"]
+    # Records written before the function check lack its key.
+    computes = checks.get("computes_target")
+    verdict = ("not TSC" if not is_tsc else "TSC" if computes
+               else "TSC, wrong function" if computes is False
+               else "TSC, function unchecked")
     # Champion summary in the style of an overhead-comparison table row.
     report = {
         "benchmark": record["benchmark"],
@@ -221,8 +240,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "champion_live_gates": s,
         "overhead": overhead,
         "dup_overhead": dup,
-        "ratio": (overhead / dup) if is_tsc and dup > 0 else None,
-        "verdict": "TSC" if is_tsc else "not TSC",
+        "ratio": (overhead / dup) if is_tsc and computes and dup > 0 else None,
+        "verdict": verdict,
         "shrunk_function_logic": s < base,
         "fitness": record["champion"]["fitness"],
         "trajectory": record["history"],
@@ -301,6 +320,8 @@ def build_parser(
     p = sub.add_parser("verify", help="prove or refute the TSC property")
     p.add_argument("--circuit", required=True, help="native JSON circuit")
     p.add_argument("--applied-words", dest="applied_words", default=None)
+    p.add_argument("--target", default=None,
+                   help="PLA file; also require the circuit to compute it")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("baseline", help="build the duplication baseline for a seed")

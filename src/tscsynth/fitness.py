@@ -28,7 +28,10 @@ circuit behaves exactly as under the output stuck-at at the flipped value
 at that word.  So an input fault counts as detected when one of its flip
 words is error-signalled in the slot of the matching output fault: its
 stuck-at-0 slot where the fault-free output is 1, its stuck-at-1 slot
-where it is 0.
+where it is 0.  A gate whose two slots signal no such word leaves all four
+of its input faults undetected at once.  Otherwise each pinned output is
+read off the truth-table bits: with one input stuck, the gate passes,
+inverts or fixes the other input (_pinned_outputs).
 """
 
 from __future__ import annotations
@@ -151,21 +154,23 @@ def _compile(circuit: Circuit) -> _Netlist:
     r = circuit.r
     gates = circuit.gates
     live = sorted(live_set(circuit))
-    position = {g: r + k for k, g in enumerate(live)}
-
-    def at(ref) -> int:
-        return ref.index if ref.kind == "x" else position[ref.index]
+    # One list maps both kinds of reference: input x sits at x, gate g at
+    # r + g, and holds the reference's compiled index.
+    position = list(range(r + len(gates)))
+    for k, g in enumerate(live, r):
+        position[r + g] = k
 
     tt, src_a, src_b = [], [], []
     for g in live:
         gate = gates[g]
+        a, b = gate.a, gate.b
         tt.append(gate.tt.value)
-        src_a.append(at(gate.a))
-        src_b.append(at(gate.b))
-    rails = None
-    if circuit.error_rails is not None:
-        rails = (at(circuit.error_rails[0]), at(circuit.error_rails[1]))
-    return _Netlist(r, tt, src_a, src_b, [at(ref) for ref in circuit.func_outputs], rails)
+        src_a.append(position[a.index if a.kind == "x" else r + a.index])
+        src_b.append(position[b.index if b.kind == "x" else r + b.index])
+    q = circuit.q
+    outs = [position[ref.index if ref.kind == "x" else r + ref.index]
+            for ref in circuit.output_refs]
+    return _Netlist(r, tt, src_a, src_b, outs[:q], tuple(outs[q:]) or None)
 
 
 def _simulate(net: _Netlist) -> list[int]:
@@ -182,6 +187,22 @@ def _response(net: _Netlist, values: list[int]) -> ResponseMatrix:
     if net.rails is not None:
         rails = (values[net.rails[0]], values[net.rails[1]])
     return ResponseMatrix(1 << net.r, tuple(values[i] for i in net.outputs), rails)
+
+
+def _pinned_outputs(t: int, a: int, b: int, full: int) -> tuple[int, int, int, int]:
+    """Output of a gate with table t and packed inputs a, b under input a
+    stuck at 0 and at 1, then input b stuck at 0 and at 1.
+
+    With one input pinned the output is a function of the other input x
+    alone: bit 2a + b of t gives its value where x is 0 and where x is 1.
+    """
+    na, nb = a ^ full, b ^ full
+    return (
+        (nb if t & 1 else 0) | (b if t & 2 else 0),  # a = 0: t0 where b = 0, t1 where 1
+        (nb if t & 4 else 0) | (b if t & 8 else 0),  # a = 1: t2, t3
+        (na if t & 1 else 0) | (a if t & 4 else 0),  # b = 0: t0 where a = 0, t2 where 1
+        (na if t & 2 else 0) | (a if t & 8 else 0),  # b = 1: t1, t3
+    )
 
 
 def _fault_counts(net: _Netlist, values: list[int], applied: int) -> tuple[int, int]:
@@ -229,13 +250,12 @@ def _fault_counts(net: _Netlist, values: list[int], applied: int) -> tuple[int, 
     # Input faults by manifestation: a flip word of an input fault counts
     # when the output fault it manifests as signals an error there.
     for k in range(n):
-        ev = _GATE_EVAL[tt[k]]
-        a = values[src_a[k]]
-        b = values[src_b[k]]
         o = values[r + k]
         detectable = ((o ^ full) & errors[2 * k + 1]) | (o & errors[2 * k])
-        # Output with input a stuck at 0 and at 1, then input b.
-        for pinned in (ev(0, b, full), ev(full, b, full), ev(a, 0, full), ev(a, full, full)):
+        if not detectable:
+            u_f += 4  # no flip word of any input fault can be signalled
+            continue
+        for pinned in _pinned_outputs(tt[k], values[src_a[k]], values[src_b[k]], full):
             if (pinned ^ o) & detectable == 0:
                 u_f += 1
     return u_f, u_i

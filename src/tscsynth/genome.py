@@ -18,7 +18,7 @@ once both sources are done.  Unreached genes are never read.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .netlist import Circuit, Gate, SignalRef, TruthTable2
@@ -51,28 +51,25 @@ class GenomeLayout:
     q: int
     b: int
     rails: bool = True
+    # Derived sizes, computed once: operators and decode read them on every
+    # call.  They take no part in equality, hashing or repr.
+    m: int = field(init=False, repr=False, compare=False)
+    max_gates: int = field(init=False, repr=False, compare=False)
+    gene_len: int = field(init=False, repr=False, compare=False)
+    total_len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.r < 1 or self.q < 1 or self.b < 1:
             raise ValueError("bad layout dimensions")
         if (1 << self.b) <= self.r:
             raise ValueError("2**b must exceed r (no gene slot encodable)")
-
-    @property
-    def m(self) -> int:
-        return self.q + (2 if self.rails else 0)
-
-    @property
-    def max_gates(self) -> int:
-        return (1 << self.b) - self.r
-
-    @property
-    def gene_len(self) -> int:
-        return 4 + 2 * self.b
-
-    @property
-    def total_len(self) -> int:
-        return self.m * self.b + self.max_gates * self.gene_len
+        m = self.q + (2 if self.rails else 0)
+        max_gates = (1 << self.b) - self.r
+        gene_len = 4 + 2 * self.b
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "max_gates", max_gates)
+        object.__setattr__(self, "gene_len", gene_len)
+        object.__setattr__(self, "total_len", m * self.b + max_gates * gene_len)
 
     def gene_offset(self, k: int) -> int:
         return self.m * self.b + k * self.gene_len
@@ -103,7 +100,7 @@ class Genotype:
     layout: GenomeLayout
 
     def __post_init__(self) -> None:
-        if not 0 <= self.value < (1 << self.layout.total_len):
+        if self.value < 0 or self.value.bit_length() > self.layout.total_len:
             raise ValueError("genotype value does not fit the layout")
 
     def __len__(self) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 # Function names for the 16 two-input truth tables, indexed by table value.
 # LT/GT/LE/GE read as comparisons of the first input against the second.
@@ -141,18 +142,29 @@ class Circuit:
     error_rails: tuple[SignalRef, SignalRef] | None = None
 
     def __post_init__(self) -> None:
-        if self.r < 0:
+        # Every reference is checked here, inline: an input index must be
+        # below r, a gate index below upto (the gate's own position for a gate
+        # source, the gate count for an output or rail).  _check_ref runs only
+        # on a failing reference, to raise its message.
+        r = self.r
+        if r < 0:
             raise ValueError("negative input count")
         for i, gate in enumerate(self.gates):
-            for src in (gate.a, gate.b):
-                self._check_ref(src, upto=i)
+            a, b = gate.a, gate.b
+            if (a.index >= (r if a.kind == "x" else i)
+                    or b.index >= (r if b.kind == "x" else i)):
+                self._check_ref(a, upto=i)
+                self._check_ref(b, upto=i)
+        n = len(self.gates)
         for ref in self.func_outputs:
-            self._check_ref(ref, upto=len(self.gates))
+            if ref.index >= (r if ref.kind == "x" else n):
+                self._check_ref(ref, upto=n)
         if self.error_rails is not None:
             if len(self.error_rails) != 2:
                 raise ValueError("error rails come in pairs")
             for ref in self.error_rails:
-                self._check_ref(ref, upto=len(self.gates))
+                if ref.index >= (r if ref.kind == "x" else n):
+                    self._check_ref(ref, upto=n)
 
     def _check_ref(self, ref: SignalRef, upto: int) -> None:
         if ref.is_input:
@@ -191,7 +203,7 @@ def live_set(circuit: Circuit) -> frozenset[int]:
                 live[gate.a.index] = True
             if gate.b.kind == "g":
                 live[gate.b.index] = True
-    return frozenset(i for i, marked in enumerate(live) if marked)
+    return frozenset(compress(range(len(gates)), live))
 
 
 def duplication_overhead(g: int, q: int) -> int:

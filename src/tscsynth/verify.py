@@ -4,15 +4,16 @@ Every fault in the full set (output and both input lines, both polarities,
 per live gate) is simulated directly, one full wave each; no manifestation
 shortcut and no code shared with the fitness-side fault evaluation.  Each call
 simulates the fault-free circuit once and each fault of its scope once, and
-reads self-testing, fault-secureness and the fault-free false alarm from that
-one pass.  This is the oracle the fast fitness path is checked against, and
-the proof engine for candidate circuits.
+reads self-testing, fault-secureness, the fault-free false alarm and, given a
+target, whether the function outputs compute it, from that one pass.  This is
+the oracle the fast fitness path is checked against, and the proof engine for
+candidate circuits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .netlist import Circuit, Fault, baseline_checker_range, build_duplication_baseline
 from .sim import FaultScope, enumerate_faults, full_mask, simulate
@@ -31,12 +32,17 @@ class FsResult(NamedTuple):
 
 @dataclass
 class TscReport:
+    """is_tsc is the self-checking property alone.  computes_target says
+    whether every function output equals its target column on the applied
+    words; it is None when no target was given."""
+
     is_tsc: bool
     is_st: bool
     is_fs: bool
     false_alarm: bool
     undetected: list[Fault] = field(default_factory=list)
     violations: list[tuple[Fault, int]] = field(default_factory=list)
+    computes_target: bool | None = None
 
     def summary(self) -> str:
         verdict = "TSC" if self.is_tsc else "not TSC"
@@ -47,21 +53,39 @@ class TscReport:
             f"undetected faults={len(self.undetected)}",
             f"unsignalled incorrect instances={len(self.violations)}",
         ]
+        if self.computes_target is not None:
+            parts.append(f"computes target={self.computes_target}")
         return ", ".join(parts)
 
 
-def _report(circuit: Circuit, scope: FaultScope, word_mask: int | None) -> TscReport:
+def _report(
+    circuit: Circuit,
+    scope: FaultScope,
+    word_mask: int | None,
+    target: Sequence[int] | None = None,
+) -> TscReport:
     """Simulate the fault-free circuit once and each fault of scope once.
 
     A fault is detected iff some applied word yields z_0 == z_1.  An incorrect
     output on an applied word without that collision is a violation; with a
-    fault-free false alarm no violations are listed.
+    fault-free false alarm no violations are listed.  With a target, the
+    fault-free outputs are also compared with its columns on the applied
+    words.
     """
     if circuit.error_rails is None:
         raise ValueError("circuit has no error rails")
+    if target is not None and len(target) != circuit.q:
+        raise ValueError(
+            f"target has {len(target)} columns, circuit has {circuit.q} outputs"
+        )
     full = full_mask(circuit.r)
     applied = full if word_mask is None else word_mask & full
     free = simulate(circuit)
+    computes_target = None
+    if target is not None:
+        computes_target = all(
+            not (got ^ want) & applied for got, want in zip(free.outputs, target)
+        )
     z0, z1 = free.rails
     false_alarm = (z0 ^ z1 ^ full) & applied != 0
     undetected: list[Fault] = []
@@ -84,7 +108,8 @@ def _report(circuit: Circuit, scope: FaultScope, word_mask: int | None) -> TscRe
         violations = []
     is_st = not undetected
     is_fs = not violations and not false_alarm
-    return TscReport(is_st and is_fs, is_st, is_fs, false_alarm, undetected, violations)
+    return TscReport(is_st and is_fs, is_st, is_fs, false_alarm, undetected, violations,
+                     computes_target)
 
 
 def verify_st(circuit: Circuit, word_mask: int | None = None) -> StResult:
@@ -107,10 +132,15 @@ def verify_fs(
     return FsResult(report.is_fs, report.violations, report.false_alarm)
 
 
-def verify_tsc(circuit: Circuit, word_mask: int | None = None) -> TscReport:
+def verify_tsc(
+    circuit: Circuit,
+    word_mask: int | None = None,
+    target: Sequence[int] | None = None,
+) -> TscReport:
     """TSC iff self-testing, fault-secure over the full set, and no fault-free
-    rail collision."""
-    return _report(circuit, FaultScope.ALL, word_mask)
+    rail collision.  With target (one packed column per function output) the
+    report also says whether the circuit computes it on the applied words."""
+    return _report(circuit, FaultScope.ALL, word_mask, target)
 
 
 @dataclass

@@ -94,6 +94,34 @@ def random_circuit(
     return Circuit(r, tuple(gates), func, error_rails)
 
 
+# Half adder: y_0 = x0 XOR x1, y_1 = x0 AND x1 (PLA inputs read x0 first).
+HALF_ADDER_PLA = ".i 2\n.o 2\n01 10\n10 10\n11 01\n.e\n"
+
+
+def tsc_half_adder(sum_xnor: bool = False) -> Circuit:
+    """A verified-TSC half adder found by search (10 live gates).
+
+    With sum_xnor=True the sum gate computes XNOR and its two consumers take
+    its complement in their tables, so every fault behaves as before: the
+    circuit is still TSC, but y_0 is the complement of the sum.
+    """
+    x, g, tt = SignalRef.x, SignalRef.g, TruthTable2
+    xor, le, gt = (tt(9), tt(7), tt(1)) if sum_xnor else (tt(6), tt(11), tt(4))
+    gates = (
+        Gate(xor, x(0), x(1)),
+        Gate(tt(8), x(0), x(1)),
+        Gate(le, x(1), g(0)),
+        Gate(tt(6), x(0), x(1)),
+        Gate(tt(9), g(2), g(3)),
+        Gate(gt, g(0), x(1)),
+        Gate(tt(6), g(4), g(5)),
+        Gate(tt(1), x(0), x(1)),
+        Gate(tt(9), g(1), g(7)),
+        Gate(tt(9), g(8), x(0)),
+    )
+    return Circuit(2, gates, (g(0), g(1)), (g(6), g(9)))
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

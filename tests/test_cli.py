@@ -7,7 +7,7 @@ from tscsynth.cli import build_parser, main
 from tscsynth.formats import parse_blif, read_native, write_native
 from tscsynth.netlist import build_duplication_baseline
 
-from conftest import BENCH_DIR
+from conftest import BENCH_DIR, HALF_ADDER_PLA, tsc_half_adder
 
 
 def bench(name: str) -> str:
@@ -121,6 +121,31 @@ class TestVerifyCommand:
         assert run_cli("verify", "--circuit", str(path)) == 2
         assert "0 or 1" in capsys.readouterr().err
 
+    def _half_adder_files(self, tmp_path, sum_xnor: bool) -> tuple[str, str]:
+        circuit = tmp_path / "c.json"
+        circuit.write_text(write_native(tsc_half_adder(sum_xnor)))
+        pla = tmp_path / "ha.pla"
+        pla.write_text(HALF_ADDER_PLA)
+        return str(circuit), str(pla)
+
+    def test_target_rejects_tsc_circuit_with_wrong_function(self, tmp_path, capsys):
+        # XNOR in place of XOR: totally self-checking, but not a half adder.
+        circuit, pla = self._half_adder_files(tmp_path, sum_xnor=True)
+        assert run_cli("verify", "--circuit", circuit) == 0
+        capsys.readouterr()
+        assert run_cli("verify", "--circuit", circuit, "--target", pla) == 1
+        assert "computes target=False" in capsys.readouterr().out
+
+    def test_target_accepts_tsc_circuit_computing_it(self, tmp_path, capsys):
+        circuit, pla = self._half_adder_files(tmp_path, sum_xnor=False)
+        assert run_cli("verify", "--circuit", circuit, "--target", pla) == 0
+        assert "computes target=True" in capsys.readouterr().out
+
+    def test_target_shape_mismatch_exits_2(self, tmp_path, capsys):
+        circuit, _ = self._half_adder_files(tmp_path, sum_xnor=False)
+        assert run_cli("verify", "--circuit", circuit, "--target", bench("c17.pla")) == 2
+        assert "target is 5 in/2 out" in capsys.readouterr().err
+
 
 class TestExport:
     def test_writes_dot(self, tmp_path):
@@ -151,6 +176,9 @@ class TestEvolveCommand:
         assert code == 0
         run_record = json.loads((tmp_path / "run" / "run.json").read_text())
         assert run_record["evals"] == 32
+        # The bare seed computes c17 without checking it.
+        assert run_record["verification"]["is_tsc"] is False
+        assert run_record["verification"]["computes_target"] is True
         assert (tmp_path / "run" / "champion.json").exists()
         assert (tmp_path / "run" / "champion.hex").exists()
 
@@ -314,7 +342,7 @@ class TestReport:
             "dup_overhead": 18,
             "layout": {"r": 3, "q": 2, "b": 5},
             "champion": {"live_gates": 10, "fitness": []},
-            "verification": {"is_tsc": True},
+            "verification": {"is_tsc": True, "computes_target": True},
             "history": [],
         }))
         assert run_cli("report", "--run", str(run), "--function-core", "6") == 0
@@ -325,6 +353,32 @@ class TestReport:
         assert report["dup_overhead"] == 12
         assert report["ratio"] == pytest.approx(4 / 12)
         assert "--function-core" not in rest
+
+    @pytest.mark.parametrize("verification,verdict", [
+        ({"is_tsc": True, "computes_target": False}, "TSC, wrong function"),
+        ({"is_tsc": True}, "TSC, function unchecked"),  # recorded before the check
+        ({"is_tsc": False, "computes_target": True}, "not TSC"),
+        ({"is_tsc": True, "computes_target": True}, "TSC"),
+    ])
+    def test_ratio_only_when_tsc_and_computing_target(self, tmp_path, capsys,
+                                                      verification, verdict):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "run.json").write_text(json.dumps({
+            "benchmark": "demo",
+            "seed_gates": 6,
+            "dup_overhead": 12,
+            "layout": {"r": 3, "q": 2, "b": 5},
+            "champion": {"live_gates": 10, "fitness": []},
+            "verification": verification,
+            "history": [],
+        }))
+        assert run_cli("report", "--run", str(run)) == 0
+        header, _, rest = capsys.readouterr().out.partition("\n\n")
+        report = json.loads(header)
+        assert report["verdict"] == verdict
+        assert report["ratio"] == (pytest.approx(4 / 12) if verdict == "TSC" else None)
+        assert rest.rstrip().endswith(verdict)
 
     def test_missing_run_dir_exits_2(self, tmp_path):
         assert run_cli("report", "--run", str(tmp_path / "nope")) == 2

@@ -1,4 +1,7 @@
+import hashlib
 import random
+from collections import Counter
+from dataclasses import astuple
 
 import pytest
 
@@ -17,7 +20,7 @@ from tscsynth.fitness import (
     _GATE_EVAL,
 )
 from tscsynth.formats import TargetSpec, parse_blif
-from tscsynth.genome import GenomeLayout
+from tscsynth.genome import GenomeLayout, Genotype, LockMask, decode, encode_seed, mutate_bit
 from tscsynth.netlist import (
     Circuit,
     Gate,
@@ -154,6 +157,22 @@ class TestManifestationPremise:
         assert (pinned >> w_a0b1) & 1 == 1  # manifests as stuck-1
         assert (changed >> w_a0b0) & 1 == 0  # unchanged
 
+    @pytest.mark.parametrize("value", range(16))
+    def test_pinned_outputs_match_truth_table(self, value):
+        # Words 0..3 cover every (a, b) pair; each pinned output is the table
+        # with that input forced, at every word.
+        full = 0b1111
+        a_vec, b_vec = 0b1010, 0b1100
+        tt = TruthTable2(value)
+        pinned = fitness._pinned_outputs(value, a_vec, b_vec, full)
+        forced = ((0, None), (1, None), (None, 0), (None, 1))  # a/0, a/1, b/0, b/1
+        for out, (fa, fb) in zip(pinned, forced, strict=True):
+            for w in range(4):
+                a, b = (a_vec >> w) & 1, (b_vec >> w) & 1
+                a = a if fa is None else fa
+                b = b if fb is None else fb
+                assert (out >> w) & 1 == tt.eval(a, b)
+
 
 class TestGateEvaluators:
     def test_every_table_matches_truth_table_eval(self):
@@ -258,6 +277,54 @@ class TestEvaluateCircuit:
         fv = evaluate_circuit(c, [0b0110], max_gates=10)
         assert fv.live_gates == 2
         assert fv.u_f == 0 and fv.u_i == 0
+
+    def test_evaluate_pinned(self):
+        # One sha256 over every FitnessVector field, recorded before the
+        # compiled form and the input-fault step were rewritten: any change to
+        # a score or a count changes every later search.  Half the genotypes
+        # are random (their rails mostly collide), half are mutated encodings
+        # of duplication baselines (mostly checked in full); odd ones are
+        # scored under a random word mask.  The last layout is decod's.
+        layouts = ((2, 2, 4, True, 240), (3, 2, 4, True, 200), (4, 3, 5, True, 200),
+                   (4, 2, 5, False, 100), (5, 4, 6, True, 160), (5, 16, 8, True, 40))
+        decod = benchmark_baselines()["decod"]
+        digest = hashlib.sha256()
+        seen = Counter()
+
+        def score(circuit, target, max_gates, mask):
+            fv = evaluate_circuit(circuit, target, max_gates, mask)
+            digest.update(repr(astuple(fv)).encode())
+            seen["checked" if fv.u_f is not None else "unchecked"] += 1
+
+        for i, (r, q, b, rails, n) in enumerate(layouts):
+            lay = GenomeLayout(r=r, q=q, b=b, rails=rails)
+            draw = random.Random(300 + i)
+            target = [draw.getrandbits(1 << r) for _ in range(q)]
+            for k in range(n):
+                if k % 4 < 2:
+                    g = Genotype(draw.getrandbits(lay.total_len), lay)
+                else:
+                    baseline = decod if q == 16 else build_duplication_baseline(
+                        random_circuit(draw, r=r, n_gates=draw.randrange(1, 4), q=q))
+                    g = encode_seed(baseline, lay, draw)[0]
+                    for _ in range(draw.randrange(3)):
+                        g = mutate_bit(g, LockMask.empty(), draw)
+                mask = draw.getrandbits(1 << r) if k % 2 else None
+                score(decode(g, draw), target, lay.max_gates, mask)
+        draw = random.Random(400)
+        for k in range(240):
+            r = draw.choice((2, 3, 5))
+            c = random_circuit(draw, r=r, n_gates=draw.randrange(0, 25),
+                               q=draw.randrange(1, 4),
+                               rails=("none", "random", "complement")[k % 3])
+            mask = draw.getrandbits(1 << r) if k % 2 else None
+            score(c, [draw.getrandbits(1 << r) for _ in range(c.q)], 30, mask)
+        # Of the 430 checked, 383 leave a fault undetected and 143 an
+        # incorrect word unsignalled; 218 of all 1180 have dead gates.
+        assert seen == {"checked": 430, "unchecked": 750}
+        assert digest.hexdigest() == (
+            "3031f323629188b43177c17077d755de60dc35d981a473f358e2d5bbfae454a6"
+        )
 
 
 def assert_matches_oracle(c: Circuit, mask: int | None = None) -> bool:

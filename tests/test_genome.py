@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from collections import Counter
 
@@ -49,6 +50,28 @@ class TestLayout:
     def test_rejects_no_function_outputs(self):
         with pytest.raises(ValueError):
             GenomeLayout(r=2, q=0, b=4)
+
+    def test_sizes_survive_pickle(self):
+        # Configs cross to worker processes pickled, and the operator caches
+        # key on layouts: a layout whose sizes were read must still equal
+        # and hash like a fresh one after the round trip.
+        lay = GenomeLayout(r=5, q=16, b=8)
+        sizes = (lay.m, lay.max_gates, lay.gene_len, lay.total_len)
+        back = pickle.loads(pickle.dumps(lay))
+        assert back == lay == GenomeLayout(r=5, q=16, b=8)
+        assert hash(back) == hash(lay) == hash(GenomeLayout(r=5, q=16, b=8))
+        assert (back.m, back.max_gates, back.gene_len, back.total_len) == sizes
+        assert repr(back) == "GenomeLayout(r=5, q=16, b=8, rails=True)"
+        assert back != GenomeLayout(r=5, q=16, b=8, rails=False)
+
+    def test_genotype_value_range(self):
+        lay = GenomeLayout(r=2, q=1, b=2, rails=False)
+        L = lay.total_len
+        assert Genotype((1 << L) - 1, lay).value == (1 << L) - 1
+        assert Genotype(0, lay).value == 0
+        for value in (-1, 1 << L, 1 << (L + 5)):
+            with pytest.raises(ValueError, match="does not fit"):
+                Genotype(value, lay)
 
     def test_default_address_width_fits_duplication(self):
         # Needs seed + copy + checker tree slots.

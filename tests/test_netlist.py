@@ -79,6 +79,34 @@ def test_circuit_rejects_single_rail():
         Circuit(2, (Gate(TT_AND, X(0), X(1)),), (G(0),), (G(0),))
 
 
+_AND01 = Gate(TT_AND, X(0), X(1))
+
+
+@pytest.mark.parametrize(
+    "gates,outputs,rails,message",
+    [
+        # Gate inputs: the second one out of range, after a valid first one.
+        ((Gate(TT_AND, X(0), X(2)),), (G(0),), None, "input reference out of range: x2"),
+        ((Gate(TT_AND, X(3), X(0)),), (G(0),), None, "input reference out of range: x3"),
+        # A gate reading itself or a later gate.
+        ((_AND01, Gate(TT_OR, X(0), G(1))), (G(1),), None,
+         "forward or dangling gate reference: g1"),
+        ((Gate(TT_OR, G(1), X(0)), _AND01), (G(1),), None,
+         "forward or dangling gate reference: g1"),
+        # Function outputs.
+        ((_AND01,), (G(0), X(2)), None, "input reference out of range: x2"),
+        ((_AND01,), (G(0), G(1)), None, "forward or dangling gate reference: g1"),
+        # Error rails.
+        ((_AND01,), (G(0),), (X(0), X(5)), "input reference out of range: x5"),
+        ((_AND01,), (G(0),), (G(3), G(0)), "forward or dangling gate reference: g3"),
+        ((_AND01,), (G(0),), (G(0),), "error rails come in pairs"),
+    ],
+)
+def test_circuit_rejection_messages(gates, outputs, rails, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Circuit(2, gates, outputs, rails)
+
+
 class TestLiveSet:
     def test_unreachable_gate_dropped(self):
         c = Circuit(

@@ -21,11 +21,11 @@ from tscsynth.netlist import (
     live_set,
     two_rail_checker_circuit,
 )
-from tscsynth.formats import parse_blif
-from tscsynth.sim import FaultScope
+from tscsynth.formats import parse_blif, parse_pla
+from tscsynth.sim import FaultScope, simulate
 from tscsynth.verify import codespace_report, verify_fs, verify_st, verify_tsc
 
-from conftest import BENCH_DIR, random_circuit
+from conftest import BENCH_DIR, HALF_ADDER_PLA, random_circuit, tsc_half_adder
 
 X = SignalRef.x
 G = SignalRef.g
@@ -149,6 +149,29 @@ class TestVerifyTsc:
         assert not report.is_tsc
         assert not report.is_st or not report.is_fs
 
+    def test_target_check_catches_complemented_output(self):
+        target = parse_pla(HALF_ADDER_PLA).columns
+        good, bad = tsc_half_adder(), tsc_half_adder(sum_xnor=True)
+        assert verify_tsc(good, None, target).computes_target is True
+        report = verify_tsc(bad, None, target)
+        # TSC as a checking circuit, but y_0 is XNOR, not XOR.
+        assert report.is_tsc and report.computes_target is False
+        assert "computes target=False" in report.summary()
+        assert verify_tsc(bad).computes_target is None
+        assert "computes target" not in verify_tsc(bad).summary()
+
+    def test_target_compared_on_applied_words_only(self):
+        # Only y_1 (AND) is right everywhere; y_0 is wrong on every word.
+        target = parse_pla(HALF_ADDER_PLA).columns
+        bad = tsc_half_adder(sum_xnor=True)
+        assert verify_tsc(bad, 0b0000, target).computes_target is True
+        for word in range(4):
+            assert verify_tsc(bad, 1 << word, target).computes_target is False
+
+    def test_target_width_must_match_outputs(self):
+        with pytest.raises(ValueError, match="target has 1 columns"):
+            verify_tsc(tsc_half_adder(), None, [0b0110])
+
     def test_perfect_fitness_implies_verified_tsc(self, rng):
         # Executable closure: whenever the fast path scores (1, 1, 1) the
         # brute-force verifier must agree the circuit is TSC.
@@ -185,6 +208,9 @@ class TestOnePass:
         assert n == 32
         verify_tsc(baseline)
         assert len(calls) == 6 * n + 1 == 193
+        calls.clear()
+        verify_tsc(baseline, None, simulate(seed).outputs)
+        assert len(calls) == 6 * n + 1  # the function check reads the same pass
         calls.clear()
         verify_st(baseline)
         assert len(calls) == 6 * n + 1
