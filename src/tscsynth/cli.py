@@ -127,6 +127,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "seed_gates": g,
         "dup_overhead": dup,
         "evals": result.evals,
+        "scored": result.scored,
         "elapsed_s": round(result.elapsed, 3),
         "goal_reached": result.goal_reached,
         "champion": {
@@ -159,7 +160,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         )
     print(
         f"{name}: fitness={champion.fitness.key()} live_gates={s} "
-        f"overhead={overhead} (duplication {dup}) evals={result.evals}"
+        f"overhead={overhead} (duplication {dup}) evals={result.evals} "
+        f"scored={result.scored}"
     )
     print(f"verification: {report.summary()}")
     return EXIT_OK
@@ -244,6 +246,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         "verdict": verdict,
         "shrunk_function_logic": s < base,
         "fitness": record["champion"]["fitness"],
+        # Records written before the fitness cache lack "scored".
+        "evals": record.get("evals"),
+        "scored": record.get("scored"),
         "trajectory": record["history"],
     }
     print(json.dumps(report, indent=2))
@@ -254,6 +259,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         f"{report['benchmark']:<12}{base:>7}{overhead:>6}{dup:>6}{ratio:>10}  "
         f"{report['verdict']}"
     )
+    if report["scored"] is not None:
+        print(f"evals: {report['evals']}, scored: {report['scored']} (the rest "
+              "were fitness cache hits)")
     if s < g and core is None:
         print(
             "note: champion uses fewer live gates than the seed's function "

@@ -10,6 +10,19 @@ Islands sit on a square grid filled in spiral order and occasionally
 emigrate individuals to islands chosen with probability inverse to grid
 distance.
 
+Each island keeps a ``FitnessCache`` keyed by the compiled netlist, since
+many children decode to a netlist the island has just scored.  It holds the
+netlists evaluated in the current generation and the previous one; a
+netlist met again within that window is not scored again, and a hit in the
+previous generation carries the entry into the current one.  The window
+moves at the start of every ``Island.step``, so the cache is bounded by two
+generations' evaluations, immigrants included.  A cache is valid for one
+``(target, max_gates, word_mask)`` only, which an island never changes.  A
+hit still decodes, calls ``evaluate_circuit`` and counts toward
+``max_evals``, so the search is the same with or without it;
+``RunResult.scored`` counts the evaluations that ran the fitness
+computation.
+
 ``run`` steps every island in one process.  ``run_distributed`` runs one
 process per island: each steps its island for ``EPOCH_GENERATIONS``
 generations, then the driver routes the migrants bound for other islands
@@ -31,7 +44,7 @@ from functools import lru_cache
 from itertools import accumulate, count
 from pathlib import Path
 
-from .fitness import FitnessVector, evaluate_circuit
+from .fitness import FitnessCache, FitnessVector, evaluate_circuit
 from .formats import TargetSpec
 from .genome import (
     Genotype,
@@ -204,6 +217,7 @@ class Island:
         self.rng = random.Random(_island_rng_seed(config.rng_seed, index))
         self.inbox: deque[Genotype] = deque()
         self.population: list[Individual] = []
+        self.cache = FitnessCache()
 
     def populate(self) -> None:
         layout = self.config.layout
@@ -221,6 +235,7 @@ class Island:
             self.target.columns,
             self.config.layout.max_gates,
             self.config.word_mask,
+            self.cache,
         )
         self.budget.evals += 1
         return Individual(genotype, circuit, fv)
@@ -235,6 +250,7 @@ class Island:
     def step(self) -> None:
         """One generation: elites carried with their cached evaluation, every
         other slot refilled and evaluated."""
+        self.cache.next_generation()
         self._integrate_immigrants()
         pop = self.population
         rng = self.rng
@@ -271,6 +287,7 @@ class RunResult:
     champion: Individual
     history: list[dict]
     evals: int
+    scored: int  # evaluations the fitness cache missed, so scored in full
     elapsed: float
     goal_reached: bool
 
@@ -403,12 +420,16 @@ class Engine:
         with (self.out_dir / "checkpoints.ndjson").open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
 
+    def scored(self) -> int:
+        return sum(island.cache.scored for island in self.islands)
+
     def result(self) -> RunResult:
         assert self.champion is not None
         return RunResult(
             champion=self.champion,
             history=self.history,
             evals=self.budget.evals,
+            scored=self.scored(),
             elapsed=self.budget.elapsed,
             goal_reached=self.goal_met(),
         )
@@ -450,12 +471,13 @@ def _island_worker(
 ) -> None:
     """Report, then run one epoch per list of immigrants received, forever.
 
-    A report is (evals, champion, migrants for other islands as (island,
-    genotype) pairs).
+    A report is (evals, scored, champion, migrants for other islands as
+    (island, genotype) pairs).
     """
     engine = Engine(config, target, seed_circuit, island_indices=[index])
     while True:
-        conn.send((engine.budget.evals, engine.champion, engine.outbox))
+        conn.send((engine.budget.evals, engine.scored(), engine.champion,
+                   engine.outbox))
         engine.outbox = []
         engine.islands[0].inbox.extend(conn.recv())
         for _ in range(EPOCH_GENERATIONS):
@@ -485,7 +507,7 @@ def run_distributed(
     are drawn from each island's own rng as in ``run``, but reach their
     destination at the start of the next epoch.  The driver keeps the
     champion and the history, whose evals count all islands, and writes the
-    checkpoints.
+    checkpoints.  The result's ``scored`` sums the workers' counts.
 
     The eval budget, the time limit and the goal are checked only between
     epochs, so a run overshoots ``max_evals`` by at most one epoch of evals
@@ -522,14 +544,15 @@ def run_distributed(
                     raise _worker_exited(i, worker) from None
             driver.budget.evals = sum(report[0] for report in reports)
             inboxes: list[list[Genotype]] = [[] for _ in workers]
-            for i, (_, champion, outbox) in enumerate(reports):
+            for i, (_, _, champion, outbox) in enumerate(reports):
                 driver._note_champion(champion, i)
                 for dest, genotype in outbox:
                     inboxes[dest].append(genotype)
             if epoch:
                 driver._advance(EPOCH_GENERATIONS)
             if driver.budget.exhausted() or driver.goal_met():
-                return driver.result()
+                return replace(driver.result(),
+                               scored=sum(report[1] for report in reports))
             for i, (conn, worker) in enumerate(zip(conns, workers)):
                 try:
                     conn.send(inboxes[i])

@@ -292,14 +292,56 @@ def evaluate_checking(
     return (u_f, u_i, st_score(u_f), fs_score(u_i))
 
 
+class FitnessCache:
+    """Fitness vectors by compiled netlist for the current and the previous
+    generation (see ``evaluate_circuit``); ``scored`` counts the vectors it
+    had to compute."""
+
+    def __init__(self) -> None:
+        self.current: dict[tuple[int, ...], FitnessVector] = {}
+        self.previous: dict[tuple[int, ...], FitnessVector] = {}
+        self.scored = 0
+
+    def next_generation(self) -> None:
+        self.previous = self.current
+        self.current = {}
+
+
 def evaluate_circuit(
     circuit: Circuit,
     target: Sequence[int],
     max_gates: int,
     word_mask: int | None = None,
+    cache: FitnessCache | None = None,
 ) -> FitnessVector:
-    """All four metrics; none is short-circuited when an earlier one is low."""
+    """All four metrics; none is short-circuited when an earlier one is low.
+
+    With a cache, a circuit whose compiled netlist was met in the cache's
+    current or previous generation gets the stored vector back, and the
+    entry joins the current generation; any other is scored and stored
+    there.  The netlist fixes every metric once the target, ``max_gates``
+    and ``word_mask`` are fixed, so a cache is valid for one
+    ``(target, max_gates, word_mask)`` only.
+    """
     net = _compile(circuit)
+    if cache is None:
+        return _score(net, target, max_gates, word_mask)
+    # For a fixed q the length (3 per live gate, q outputs, 0 or 2 rails)
+    # tells where each part ends.
+    key = (*net.tt, *net.src_a, *net.src_b, *net.outputs, *(net.rails or ()))
+    fv = cache.current.get(key)
+    if fv is None:
+        fv = cache.previous.pop(key, None)
+        if fv is None:
+            fv = _score(net, target, max_gates, word_mask)
+            cache.scored += 1
+        cache.current[key] = fv
+    return fv
+
+
+def _score(
+    net: _Netlist, target: Sequence[int], max_gates: int, word_mask: int | None
+) -> FitnessVector:
     values = _simulate(net)
     resp = _response(net, values)
     ff = f_function(resp, target, word_mask)
@@ -308,7 +350,7 @@ def evaluate_circuit(
 
     if resp.rails is None:
         return FitnessVector(ff, 0.0, 0.0, f_p, None, None, live_count)
-    full = full_mask(circuit.r)
+    full = full_mask(net.r)
     applied = full if word_mask is None else word_mask & full
     if _rails_collide(resp.rails, full, applied):
         return FitnessVector(ff, 0.0, 0.0, f_p, None, None, live_count)

@@ -359,6 +359,8 @@ def read_native(text: str) -> Circuit:
         raw_z = obj.get("z", [])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing circuit field: {exc}") from exc
+    if not isinstance(raw_z, list):
+        raise ParseError(f"error rails must be a list, got {raw_z!r}")
     if len(raw_z) not in (0, 2):
         raise ParseError("error rails come in pairs")
     try:

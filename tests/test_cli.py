@@ -121,6 +121,13 @@ class TestVerifyCommand:
         assert run_cli("verify", "--circuit", str(path)) == 2
         assert "0 or 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["verify"], ["export", "--dot", "c.dot"]])
+    def test_rails_not_a_list_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        Path("c.json").write_text(json.dumps({"r": 2, "gates": [], "y": ["x0"], "z": None}))
+        assert run_cli(command[0], "--circuit", "c.json", *command[1:]) == 2
+        assert "error rails must be a list" in capsys.readouterr().err
+
     def _half_adder_files(self, tmp_path, sum_xnor: bool) -> tuple[str, str]:
         circuit = tmp_path / "c.json"
         circuit.write_text(write_native(tsc_half_adder(sum_xnor)))
@@ -327,6 +334,8 @@ class TestReport:
         assert report["benchmark"] == "c17"
         assert report["dup_overhead"] == 12
         assert "Benchmark" in rest
+        assert report["evals"] == 32 and 0 < report["scored"] <= 32
+        assert f"evals: 32, scored: {report['scored']}" in rest
         # ratio only reported for verified-TSC champions
         if report["verdict"] != "TSC":
             assert report["ratio"] is None

@@ -10,6 +10,7 @@ import pytest
 import tscsynth
 from tscsynth import evolve
 from tscsynth.evolve import (
+    ELITES,
     EPOCH_GENERATIONS,
     POPULATION_SIZE,
     Engine,
@@ -21,9 +22,9 @@ from tscsynth.evolve import (
     select_parent,
     spiral_coords,
 )
-from tscsynth.fitness import FitnessVector
+from tscsynth.fitness import FitnessCache, FitnessVector, evaluate_circuit
 from tscsynth.formats import TargetSpec, parse_blif, parse_pla
-from tscsynth.genome import GenomeLayout, Genotype, seed_lock_mask
+from tscsynth.genome import GenomeLayout, Genotype, default_address_width, seed_lock_mask
 from tscsynth.netlist import Circuit, Gate, SignalRef, TT_AND, TT_XOR
 from tscsynth.sim import simulate
 
@@ -250,6 +251,61 @@ class TestEngine:
                     "evals", "elapsed_s"} <= set(record)
 
 
+class TestFitnessCache:
+    @pytest.mark.parametrize("problem", ["half adder", "mult2"])
+    def test_cached_vectors_equal_fresh_scores(self, monkeypatch, problem):
+        if problem == "half adder":
+            seed, target, layout = small_setup()
+            config = small_config(layout, n_islands=4, max_evals=4000,
+                                  migration_rate=0.5)
+        else:
+            seed = parse_blif((BENCH_DIR / "mult2.blif").read_text())
+            target = parse_pla((BENCH_DIR / "mult2.pla").read_text())
+            layout = GenomeLayout(r=4, q=4, b=default_address_width(4, len(seed.gates), 4))
+            config = small_config(layout, n_islands=2, max_evals=3000,
+                                  word_mask=0b1011_0111_1110_1101)
+        checked = []
+
+        def checking(circuit, columns, max_gates, word_mask, cache):
+            assert isinstance(cache, FitnessCache)
+            fv = evaluate_circuit(circuit, columns, max_gates, word_mask, cache)
+            assert fv == evaluate_circuit(circuit, columns, max_gates, word_mask)
+            checked.append(fv)
+            return fv
+
+        monkeypatch.setattr(evolve, "evaluate_circuit", checking)
+        result = run(config, target, seed)
+        # Every evaluation, hit or not, is called and counted.
+        assert len(checked) == result.evals
+        assert 0 < result.scored < result.evals
+
+    def test_cache_holds_at_most_two_generations(self, monkeypatch):
+        seed, target, layout = small_setup()
+        config = small_config(layout, n_islands=4, max_evals=None, migration_rate=1.0)
+        evaluated: dict[int, int] = {}
+
+        def counting(circuit, columns, max_gates, word_mask, cache):
+            evaluated[id(cache)] = evaluated.get(id(cache), 0) + 1
+            return evaluate_circuit(circuit, columns, max_gates, word_mask, cache)
+
+        monkeypatch.setattr(evolve, "evaluate_circuit", counting)
+        engine = Engine(config, target, seed)
+        caches = [island.cache for island in engine.islands]
+        # Evaluations per island in the last two generations, populate first.
+        window = {id(cache): (0, evaluated[id(cache)]) for cache in caches}
+        with_immigrants = 0
+        for _ in range(20):
+            before = dict(evaluated)
+            engine.step_generation()
+            for cache in caches:
+                now = evaluated[id(cache)] - before[id(cache)]
+                with_immigrants += now > POPULATION_SIZE - ELITES
+                previous, current = window[id(cache)] = (window[id(cache)][1], now)
+                assert len(cache.current) <= current
+                assert len(cache.previous) <= previous
+        assert with_immigrants > 0
+
+
 class TestGoal:
     def test_stops_on_perfect_checking(self):
         seed, target, layout = small_setup()
@@ -308,6 +364,20 @@ class TestDistributed:
         serial = run(config, target, seed)
         assert parallel.champion.genotype.to_hex() == serial.champion.genotype.to_hex()
         assert parallel.evals == serial.evals
+
+    def test_parallel_scored_sums_workers(self):
+        # Without migration every island runs as in the serial engine, and
+        # both drivers stop after 8 generations, so the counts must agree.
+        seed, target, layout = small_setup()
+        config = small_config(layout, n_islands=2, migration_rate=0.0,
+                              max_evals=2 * (32 + 2 * EPOCH_GENERATIONS * 30))
+        engine = Engine(config, target, seed)
+        serial = engine.run()
+        per_island = [island.cache.scored for island in engine.islands]
+        parallel = run_distributed(config, target, seed)
+        assert parallel.evals == serial.evals
+        assert parallel.scored == serial.scored == sum(per_island)
+        assert all(0 < n < parallel.scored for n in per_island)
 
     def test_dead_worker_raises(self):
         # In a child interpreter with a timeout, so a driver that blocks on a

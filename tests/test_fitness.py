@@ -1,13 +1,14 @@
 import hashlib
 import random
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 
 from tscsynth import fitness
 from tscsynth.evolve import IslandConfig, run
 from tscsynth.fitness import (
+    FitnessCache,
     FitnessVector,
     K_FS,
     K_ST,
@@ -19,7 +20,7 @@ from tscsynth.fitness import (
     st_score,
     _GATE_EVAL,
 )
-from tscsynth.formats import TargetSpec, parse_blif
+from tscsynth.formats import TargetSpec, parse_blif, parse_pla
 from tscsynth.genome import GenomeLayout, Genotype, LockMask, decode, encode_seed, mutate_bit
 from tscsynth.netlist import (
     Circuit,
@@ -38,7 +39,7 @@ from tscsynth.netlist import (
 from tscsynth.sim import FaultScope, simulate
 from tscsynth.verify import verify_fs, verify_st
 
-from conftest import BENCH_DIR, random_circuit
+from conftest import BENCH_DIR, HALF_ADDER_PLA, random_circuit, tsc_half_adder
 
 X = SignalRef.x
 G = SignalRef.g
@@ -325,6 +326,49 @@ class TestEvaluateCircuit:
         assert digest.hexdigest() == (
             "3031f323629188b43177c17077d755de60dc35d981a473f358e2d5bbfae454a6"
         )
+
+
+class TestFitnessCache:
+    def test_netlists_differing_in_one_place_get_their_own_entry(self):
+        base = tsc_half_adder()
+        gates = list(base.gates)
+
+        def with_gate(k: int, gate: Gate) -> Circuit:
+            return replace(base, gates=tuple(gates[:k] + [gate] + gates[k + 1:]))
+
+        z0, z1 = base.error_rails
+        variants = [
+            base,
+            replace(base, error_rails=(z1, z0)),
+            replace(base, func_outputs=(G(3), G(1))),  # g3 also computes the sum
+            with_gate(0, Gate(TT_XNOR, gates[0].a, gates[0].b)),
+            with_gate(2, Gate(gates[2].tt, gates[2].b, gates[2].a)),
+        ]
+        target = parse_pla(HALF_ADDER_PLA).columns
+        fresh = [evaluate_circuit(c, target, 20) for c in variants]
+        assert len(set(fresh)) > 1
+        cache = FitnessCache()
+        for i, c in enumerate(variants):
+            assert evaluate_circuit(c, target, 20, None, cache) == fresh[i]
+            assert cache.scored == i + 1
+        for c, fv in zip(variants, fresh):
+            assert evaluate_circuit(c, target, 20, None, cache) == fv
+        assert cache.scored == len(variants)
+
+    def test_window_keeps_what_the_last_two_generations_met(self):
+        c = tsc_half_adder()
+        target = parse_pla(HALF_ADDER_PLA).columns
+        cache = FitnessCache()
+        evaluate_circuit(c, target, 20, None, cache)
+        for _ in range(3):
+            cache.next_generation()
+            evaluate_circuit(c, target, 20, None, cache)  # moved to current
+        assert cache.scored == 1 and len(cache.current) == 1
+        cache.next_generation()
+        cache.next_generation()
+        assert not cache.current and not cache.previous
+        evaluate_circuit(c, target, 20, None, cache)
+        assert cache.scored == 2
 
 
 def assert_matches_oracle(c: Circuit, mask: int | None = None) -> bool:

@@ -175,6 +175,12 @@ class TestNative:
         with pytest.raises(ParseError):
             read_native(text)
 
+    @pytest.mark.parametrize("rails", [None, 3, "g0"])
+    def test_rails_not_a_list_rejected(self, rails):
+        text = json.dumps({"r": 2, "gates": [], "y": ["x0"], "z": rails})
+        with pytest.raises(ParseError, match="error rails must be a list"):
+            read_native(text)
+
     def test_dangling_ref_rejected(self):
         text = json.dumps({"r": 2, "gates": [], "y": ["g0"], "z": []})
         with pytest.raises(ParseError):
