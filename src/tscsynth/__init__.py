@@ -9,7 +9,6 @@ from .netlist import (
     TruthTable2,
     build_duplication_baseline,
     duplication_overhead,
-    live_set,
     two_rail_checker_circuit,
 )
 from .sim import FaultScope, ResponseMatrix, enumerate_faults, simulate

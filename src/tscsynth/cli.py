@@ -11,7 +11,6 @@ from . import evolve as evolve_mod
 from .evolve import IslandConfig
 from .formats import (
     ParseError,
-    TargetSpec,
     export_dot,
     parse_blif,
     parse_pla,
@@ -19,7 +18,7 @@ from .formats import (
     write_native,
 )
 from .genome import GenomeLayout, default_address_width
-from .netlist import Circuit, build_duplication_baseline, duplication_overhead, live_set
+from .netlist import build_duplication_baseline, duplication_overhead
 from .verify import codespace_report, verify_tsc
 
 EXIT_OK = 0
@@ -31,16 +30,13 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_target(path: str) -> TargetSpec:
-    return parse_pla(_read(path))
-
-
-def _load_seed(path: str) -> Circuit:
-    return parse_blif(_read(path))
-
-
-def _load_circuit(path: str) -> Circuit:
-    return read_native(_read(path))
+def _word_mask(text: str | None, r: int) -> int | None:
+    """The --applied-words mask over the 2**r input words; None applies all."""
+    mask = None if text is None else int(text, 16)
+    if mask is not None and (mask <= 0 or mask >> (1 << r)):
+        raise ValueError(f"--applied-words {text} must apply at least one word "
+                         f"and only words below 2**{r}")
+    return mask
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -57,8 +53,8 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    target = _load_target(args.target)
-    seed = _load_seed(args.seed)
+    target = parse_pla(_read(args.target))
+    seed = parse_blif(_read(args.seed))
     if (seed.r, seed.q) != (target.r, target.q):
         print(
             f"error: seed is {seed.r} in/{seed.q} out but target is "
@@ -82,7 +78,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if goal_overhead is None:
         goal_overhead = dup - 1
     applied = args.applied_words
-    word_mask = int(applied, 16) if applied is not None else None
+    word_mask = _word_mask(applied, layout.r)
 
     config = IslandConfig(
         layout=layout,
@@ -168,11 +164,11 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    circuit = _load_circuit(args.circuit)
-    word_mask = int(args.applied_words, 16) if args.applied_words else None
+    circuit = read_native(_read(args.circuit))
+    word_mask = _word_mask(args.applied_words, circuit.r)
     columns = None
     if args.target is not None:
-        target = _load_target(args.target)
+        target = parse_pla(_read(args.target))
         if (target.r, target.q) != (circuit.r, circuit.q):
             print(
                 f"error: circuit is {circuit.r} in/{circuit.q} out but target is "
@@ -192,13 +188,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    seed = _load_seed(args.seed)
+    seed = parse_blif(_read(args.seed))
     g = len(seed.gates)
     dup = duplication_overhead(g, seed.q)
     baseline = build_duplication_baseline(seed)
     print(f"seed: {g} gates, {seed.q} outputs")
     print(f"duplication overhead: {dup}")
-    print(f"baseline size: {len(live_set(baseline))} live gates")
+    print(f"baseline size: {len(baseline.gates)} gates")
     report = codespace_report(seed, baseline)
     print(report.summary())
     for fault in report.undetectable_checker_faults[:10]:
@@ -209,7 +205,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    circuit = _load_circuit(args.circuit)
+    circuit = read_native(_read(args.circuit))
     Path(args.dot).write_text(export_dot(circuit), encoding="utf-8")
     print(f"wrote {args.dot}")
     return EXIT_OK
@@ -221,9 +217,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"error: {run_path} not found", file=sys.stderr)
         return EXIT_USAGE
     record = json.loads(run_path.read_text(encoding="utf-8"))
+    try:
+        return _print_report(record, args.function_core)
+    except KeyError as exc:
+        raise ParseError(f"{run_path} has no field {exc.args[0]!r}") from None
+
+
+def _print_report(record: dict, core: int | None) -> int:
+    # Every field is read before anything is printed.
     g = record["seed_gates"]
     s = record["champion"]["live_gates"]
-    core = args.function_core
     base, dup = g, record["dup_overhead"]
     if core is not None:
         base, dup = core, duplication_overhead(core, record["layout"]["q"])

@@ -1,14 +1,15 @@
 """Four-objective fitness (f_f, f_ST, f_FS, f_p) and its lexicographic order.
 
 Every evaluation compiles the circuit once into flat int arrays over its
-live gates (truth table, source a, source b), in one index space that holds
-the r primary inputs first and then the live gates in ascending order.  The
-fault-free values, f_f, the live gate count and the checking counts
-(u_f, u_i) all come from that one form and one fault-free simulation.
+gates (truth table, source a, source b), in one index space that holds the
+r primary inputs first and then the gates in order; every gate of a
+circuit is live (see netlist).  The fault-free values, f_f, the live gate
+count and the checking counts (u_f, u_i) all come from that one form and
+one fault-free simulation.
 
 Output faults are simulated in parallel (Waicukauski et al., "Fault
 simulation for structured VLSI", 1985).  A packed int holds one slot of
-2**r bits per fault: live gate k owns slot 2k (its output stuck-at-0) and
+2**r bits per fault: gate k owns slot 2k (its output stuck-at-0) and
 slot 2k + 1 (stuck-at-1), and bit w of a slot is the signal's value at
 input word w under that slot's fault.  Each input is copied across all
 slots by one multiply with the slot-repeat constant, every gate is
@@ -18,7 +19,7 @@ fan-out.  The rails then give every fault's error mask (applied words where
 z_0 == z_1) in its slot, and u_i is one popcount of the applied words with
 a wrong function output and no error signal.  One packed int is at most
 PASS_BITS wide; a circuit with more faults takes several passes, each over
-the slots of a run of consecutive live gates.  A pass copies the fault-free
+the slots of a run of consecutive gates.  A pass copies the fault-free
 values of the gates before its run the same way as the inputs, since none
 of its faults reaches them.
 
@@ -40,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .netlist import Circuit, live_set
+from .netlist import Circuit
 from .sim import ResponseMatrix, full_mask, input_patterns
 
 K_ST = 25
@@ -139,8 +140,8 @@ def f_function(
 
 
 class _Netlist(NamedTuple):
-    """A circuit's live gates as flat arrays over one index space: primary
-    inputs 0..r-1, then compiled gate k at r + k."""
+    """A circuit's gates as flat arrays over one index space: primary inputs
+    0..r-1, then gate k at r + k."""
 
     r: int
     tt: list[int]
@@ -152,23 +153,14 @@ class _Netlist(NamedTuple):
 
 def _compile(circuit: Circuit) -> _Netlist:
     r = circuit.r
-    gates = circuit.gates
-    live = sorted(live_set(circuit))
-    # One list maps both kinds of reference: input x sits at x, gate g at
-    # r + g, and holds the reference's compiled index.
-    position = list(range(r + len(gates)))
-    for k, g in enumerate(live, r):
-        position[r + g] = k
-
     tt, src_a, src_b = [], [], []
-    for g in live:
-        gate = gates[g]
+    for gate in circuit.gates:
         a, b = gate.a, gate.b
         tt.append(gate.tt.value)
-        src_a.append(position[a.index if a.kind == "x" else r + a.index])
-        src_b.append(position[b.index if b.kind == "x" else r + b.index])
+        src_a.append(a.index if a.kind == "x" else r + a.index)
+        src_b.append(b.index if b.kind == "x" else r + b.index)
     q = circuit.q
-    outs = [position[ref.index if ref.kind == "x" else r + ref.index]
+    outs = [ref.index if ref.kind == "x" else r + ref.index
             for ref in circuit.output_refs]
     return _Netlist(r, tt, src_a, src_b, outs[:q], tuple(outs[q:]) or None)
 
@@ -206,8 +198,8 @@ def _pinned_outputs(t: int, a: int, b: int, full: int) -> tuple[int, int, int, i
 
 
 def _fault_counts(net: _Netlist, values: list[int], applied: int) -> tuple[int, int]:
-    """(u_f, u_i) over the live gates of a circuit whose fault-free rails do
-    not collide on the applied words."""
+    """(u_f, u_i) over the gates of a circuit whose fault-free rails do not
+    collide on the applied words."""
     r = net.r
     width = 1 << r
     full = (1 << width) - 1
@@ -326,7 +318,7 @@ def evaluate_circuit(
     net = _compile(circuit)
     if cache is None:
         return _score(net, target, max_gates, word_mask)
-    # For a fixed q the length (3 per live gate, q outputs, 0 or 2 rails)
+    # For a fixed q the length (3 per gate, q outputs, 0 or 2 rails)
     # tells where each part ends.
     key = (*net.tt, *net.src_a, *net.src_b, *net.outputs, *(net.rails or ()))
     fv = cache.current.get(key)
@@ -345,7 +337,7 @@ def _score(
     values = _simulate(net)
     resp = _response(net, values)
     ff = f_function(resp, target, word_mask)
-    live_count = len(net.tt)  # gates with a path to an output
+    live_count = len(net.tt)
     f_p = (max_gates - live_count) / max_gates
 
     if resp.rails is None:

@@ -171,8 +171,8 @@ def parse_blif(text: str) -> Circuit:
 
     Each .names block becomes one two-input gate; one-input and constant
     blocks embed as degenerate two-input gates with unused sources tied to
-    x_0.  Fan-in above two, undefined nets, redefinitions and cyclic
-    definitions are errors.
+    x_0.  Fan-in above two, undefined nets, redefinitions, cyclic
+    definitions and blocks no output depends on are errors.
     """
     inputs: list[str] = []
     outputs: list[str] = []
@@ -263,6 +263,12 @@ def parse_blif(text: str) -> Circuit:
     for name in outputs:
         if name not in input_index and name not in defined:
             raise ParseError(f"undefined output net {name!r}")
+    # The blocks form no cycle, so a block reaches an output iff an output or
+    # another block reads its net.
+    read = set(outputs).union(*(sources for sources, _, _ in blocks))
+    for _, name, _ in blocks:
+        if name not in read:
+            raise ParseError(f"net {name!r} feeds no output (unused .names block)")
 
     gate_pos = {blocks[k][1]: i for i, k in enumerate(order)}
 

@@ -6,13 +6,16 @@ earlier in the list, so the list order is a topological order.  A circuit
 exposes q function outputs y_0..y_{q-1} and, optionally, a dual-rail error
 signal (z_0, z_1): normal operation requires z_0 != z_1 and the error
 condition is z_0 == z_1.
+
+Every gate is live: a later gate, a function output or a rail reads it, so
+each has a path to an output.  Simulation, fault enumeration and size
+metrics therefore take all gates, and the gate count is the circuit's size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 
 # Function names for the 16 two-input truth tables, indexed by table value.
 # LT/GT/LE/GE read as comparisons of the first input against the second.
@@ -143,35 +146,35 @@ class Circuit:
 
     def __post_init__(self) -> None:
         # Every reference is checked here, inline: an input index must be
-        # below r, a gate index below upto (the gate's own position for a gate
-        # source, the gate count for an output or rail).  _check_ref runs only
-        # on a failing reference, to raise its message.
+        # below r, a gate index below the gate's own position for a gate
+        # source, or below the gate count for an output or rail.  read[k]
+        # marks gate k as read; a gate nothing reads is rejected.
         r = self.r
         if r < 0:
             raise ValueError("negative input count")
+        n = len(self.gates)
+        read = bytearray(n)
         for i, gate in enumerate(self.gates):
             a, b = gate.a, gate.b
-            if (a.index >= (r if a.kind == "x" else i)
-                    or b.index >= (r if b.kind == "x" else i)):
-                self._check_ref(a, upto=i)
-                self._check_ref(b, upto=i)
-        n = len(self.gates)
-        for ref in self.func_outputs:
-            if ref.index >= (r if ref.kind == "x" else n):
-                self._check_ref(ref, upto=n)
-        if self.error_rails is not None:
-            if len(self.error_rails) != 2:
-                raise ValueError("error rails come in pairs")
-            for ref in self.error_rails:
-                if ref.index >= (r if ref.kind == "x" else n):
-                    self._check_ref(ref, upto=n)
-
-    def _check_ref(self, ref: SignalRef, upto: int) -> None:
-        if ref.is_input:
-            if ref.index >= self.r:
-                raise ValueError(f"input reference out of range: {ref}")
-        elif ref.index >= upto:
-            raise ValueError(f"forward or dangling gate reference: {ref}")
+            if a.kind == "g" and a.index < i:
+                read[a.index] = 1
+            elif a.index >= (r if a.kind == "x" else i):
+                raise _bad_ref(a)
+            if b.kind == "g" and b.index < i:
+                read[b.index] = 1
+            elif b.index >= (r if b.kind == "x" else i):
+                raise _bad_ref(b)
+        if self.error_rails is not None and len(self.error_rails) != 2:
+            raise ValueError("error rails come in pairs")
+        for ref in self.output_refs:
+            if ref.kind == "g" and ref.index < n:
+                read[ref.index] = 1
+            elif ref.index >= (r if ref.kind == "x" else n):
+                raise _bad_ref(ref)
+        if 0 in read:
+            raise ValueError(
+                f"gate read by no later gate, output or rail: g{read.index(0)}"
+            )
 
     @property
     def q(self) -> int:
@@ -184,26 +187,10 @@ class Circuit:
         return self.func_outputs + self.error_rails
 
 
-def live_set(circuit: Circuit) -> frozenset[int]:
-    """Indices of gates with a directed path to a function output or error rail.
-
-    All other gates are ignored by simulation, fault enumeration and size
-    metrics.  Sources precede their gates, so one sweep from the last gate
-    back marks every live gate before its sources are reached.
-    """
-    gates = circuit.gates
-    live = [False] * len(gates)
-    for ref in circuit.output_refs:
-        if ref.kind == "g":
-            live[ref.index] = True
-    for i in range(len(gates) - 1, -1, -1):
-        if live[i]:
-            gate = gates[i]
-            if gate.a.kind == "g":
-                live[gate.a.index] = True
-            if gate.b.kind == "g":
-                live[gate.b.index] = True
-    return frozenset(compress(range(len(gates)), live))
+def _bad_ref(ref: SignalRef) -> ValueError:
+    if ref.is_input:
+        return ValueError(f"input reference out of range: {ref}")
+    return ValueError(f"forward or dangling gate reference: {ref}")
 
 
 def duplication_overhead(g: int, q: int) -> int:

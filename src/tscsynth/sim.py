@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .netlist import Circuit, Fault, FaultSite, SignalRef, live_set
+from .netlist import Circuit, Fault, FaultSite, SignalRef
 
 
 class FaultScope(Enum):
@@ -62,8 +62,8 @@ def simulate(circuit: Circuit, fault: Fault | None = None) -> ResponseMatrix:
     fault at a gate input forces the corresponding source value before the
     table is applied, for that gate only.
     """
-    if fault is not None and fault.gate not in live_set(circuit):
-        raise ValueError(f"fault on pruned gate {fault.gate}")
+    if fault is not None and not 0 <= fault.gate < len(circuit.gates):
+        raise ValueError(f"fault on gate {fault.gate} outside the circuit")
     full = full_mask(circuit.r)
     xs = input_patterns(circuit.r)
     gv: list[int] = []
@@ -92,10 +92,10 @@ def simulate(circuit: Circuit, fault: Fault | None = None) -> ResponseMatrix:
 
 
 def enumerate_faults(circuit: Circuit, scope: FaultScope) -> list[Fault]:
-    """All stuck-at faults on live gates, in deterministic order.
+    """All stuck-at faults of the circuit, in deterministic order.
 
     Order: ascending gate index, site (output, input a, input b), stuck-0
-    before stuck-1.  OUTPUTS_ONLY yields 2 faults per live gate, ALL yields 6.
+    before stuck-1.  OUTPUTS_ONLY yields 2 faults per gate, ALL yields 6.
     """
     if scope is FaultScope.OUTPUTS_ONLY:
         sites = (FaultSite.OUTPUT,)
@@ -103,7 +103,7 @@ def enumerate_faults(circuit: Circuit, scope: FaultScope) -> list[Fault]:
         sites = (FaultSite.OUTPUT, FaultSite.INPUT_A, FaultSite.INPUT_B)
     return [
         Fault(site, g, stuck)
-        for g in sorted(live_set(circuit))
+        for g in range(len(circuit.gates))
         for site in sites
         for stuck in (0, 1)
     ]

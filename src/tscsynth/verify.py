@@ -1,7 +1,7 @@
 """Independent brute-force self-checking verification.
 
 Every fault in the full set (output and both input lines, both polarities,
-per live gate) is simulated directly, one full wave each; no manifestation
+per gate) is simulated directly, one full wave each; no manifestation
 shortcut and no code shared with the fitness-side fault evaluation.  Each call
 simulates the fault-free circuit once and each fault of its scope once, and
 reads self-testing, fault-secureness, the fault-free false alarm and, given a

@@ -73,7 +73,7 @@ def random_circuit(
     q: int,
     rails: str = "none",
 ) -> Circuit:
-    """Random feed-forward circuit.
+    """Random feed-forward circuit, n_gates drawn and the unread ones dropped.
 
     rails: "none", "random" (two random refs), or "complement" (z_1 random,
     z_0 = explicit inverter gate on z_1, so fault-free rails never collide).
@@ -91,7 +91,37 @@ def random_circuit(
         gates.append(Gate(TT_NOT_A, z1, z1))
         error_rails = (SignalRef.g(len(gates) - 1), z1)
     func = tuple(random_ref(rng, r, n_gates) for _ in range(q))
-    return Circuit(r, tuple(gates), func, error_rails)
+    return live_circuit(r, gates, func, error_rails)
+
+
+def live_circuit(r: int, gates, func, rails=None) -> Circuit:
+    """Circuit of the gates with a path to an output or a rail, in order.
+
+    A Circuit rejects a gate nothing reads, so drawn netlists drop theirs
+    first.  Sources precede their gates, so one sweep from the last gate
+    back marks every live gate before its sources are reached.
+    """
+    live = [False] * len(gates)
+    for ref in func + (rails or ()):
+        if not ref.is_input:
+            live[ref.index] = True
+    for i in range(len(gates) - 1, -1, -1):
+        if live[i]:
+            for ref in (gates[i].a, gates[i].b):
+                if not ref.is_input:
+                    live[ref.index] = True
+    keep = [i for i in range(len(gates)) if live[i]]
+    new_index = {old: new for new, old in enumerate(keep)}
+
+    def move(ref: SignalRef) -> SignalRef:
+        return ref if ref.is_input else SignalRef.g(new_index[ref.index])
+
+    return Circuit(
+        r,
+        tuple(Gate(gates[i].tt, move(gates[i].a), move(gates[i].b)) for i in keep),
+        tuple(move(ref) for ref in func),
+        None if rails is None else (move(rails[0]), move(rails[1])),
+    )
 
 
 # Half adder: y_0 = x0 XOR x1, y_1 = x0 AND x1 (PLA inputs read x0 first).

@@ -45,11 +45,35 @@ class TestUsage:
         assert "needs one count" in capsys.readouterr().err
 
 
+# An AND seed with one more .names block that no output reads.
+UNUSED_BLOCK_BLIF = (
+    ".model t\n.inputs a b\n.outputs y\n"
+    ".names a b y\n11 1\n.names a b spare\n10 1\n.end\n"
+)
+
+
+class TestSeedWithUnusedLogic:
+    @pytest.mark.parametrize("command", [
+        ["baseline"],
+        ["evolve", "--target", "and.pla", "--islands", "1", "--budget-evals", "0"],
+    ])
+    def test_exits_2_naming_the_net(self, tmp_path, capsys, monkeypatch, command):
+        # Counting the unused block would double the seed's duplication cost.
+        monkeypatch.chdir(tmp_path)
+        Path("seed.blif").write_text(UNUSED_BLOCK_BLIF)
+        Path("and.pla").write_text(".i 2\n.o 1\n11 1\n.e\n")
+        assert run_cli(*command, "--seed", "seed.blif") == 2
+        out, err = capsys.readouterr()
+        assert "'spare'" in err and "feeds no output" in err
+        assert "duplication overhead" not in out
+
+
 class TestBaseline:
     def test_b1_prints_dup_overhead_23(self, capsys):
         assert run_cli("baseline", "--seed", bench("b1.blif")) == 0
         out = capsys.readouterr().out
         assert "duplication overhead: 23" in out
+        assert "baseline size: 28 gates" in out
 
     def test_writes_baseline_circuit(self, tmp_path, capsys):
         out_file = tmp_path / "baseline.json"
@@ -148,6 +172,15 @@ class TestVerifyCommand:
         assert run_cli("verify", "--circuit", circuit, "--target", pla) == 0
         assert "computes target=True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mask", ["-1", "0", "10", "1f"])
+    def test_applied_words_outside_the_words_exit_2(self, tmp_path, capsys, mask):
+        # r = 2: a mask names words 0..3, so only 1..f is valid.
+        circuit, _ = self._half_adder_files(tmp_path, sum_xnor=False)
+        assert run_cli("verify", "--circuit", circuit, "--applied-words", "f") == 0
+        capsys.readouterr()
+        assert run_cli("verify", "--circuit", circuit, "--applied-words", mask) == 2
+        assert f"--applied-words {mask}" in capsys.readouterr().err
+
     def test_target_shape_mismatch_exits_2(self, tmp_path, capsys):
         circuit, _ = self._half_adder_files(tmp_path, sum_xnor=False)
         assert run_cli("verify", "--circuit", circuit, "--target", bench("c17.pla")) == 2
@@ -232,6 +265,22 @@ class TestEvolveCommand:
         assert again["champion"]["genotype"] == rec["champion"]["genotype"]
         assert again["evals"] == rec["evals"]
         assert again["verification"] == rec["verification"]
+
+    @pytest.mark.parametrize("mask", ["-1", "0", "100000000"])
+    def test_applied_words_outside_the_words_exit_2(self, tmp_path, capsys, mask):
+        # c17 has 5 inputs, so a mask names words 0..31.
+        code = run_cli(
+            "evolve",
+            "--target", bench("c17.pla"),
+            "--seed", bench("c17.blif"),
+            "--islands", "1",
+            "--budget-evals", "0",
+            "--applied-words", mask,
+            "--out", str(tmp_path / "run"),
+        )
+        assert code == 2
+        assert f"--applied-words {mask}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_seed_target_shape_mismatch_exits_2(self, capsys):
         code = run_cli(
@@ -391,3 +440,29 @@ class TestReport:
 
     def test_missing_run_dir_exits_2(self, tmp_path):
         assert run_cli("report", "--run", str(tmp_path / "nope")) == 2
+
+    @pytest.mark.parametrize("part,field", [
+        (None, "seed_gates"),
+        (None, "history"),
+        ("champion", "live_gates"),
+        ("verification", "is_tsc"),
+    ])
+    def test_record_without_a_field_exits_2(self, tmp_path, capsys, part, field):
+        # Exit 1 would read as "verification failed".
+        record = {
+            "benchmark": "demo",
+            "seed_gates": 6,
+            "dup_overhead": 12,
+            "layout": {"r": 3, "q": 2, "b": 5},
+            "champion": {"live_gates": 10, "fitness": []},
+            "verification": {"is_tsc": True, "computes_target": True},
+            "history": [],
+        }
+        del (record if part is None else record[part])[field]
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "run.json").write_text(json.dumps(record))
+        assert run_cli("report", "--run", str(run)) == 2
+        out, err = capsys.readouterr()
+        assert f"has no field {field!r}" in err
+        assert out == ""

@@ -33,7 +33,6 @@ from tscsynth.netlist import (
     TT_XNOR,
     TT_XOR,
     build_duplication_baseline,
-    live_set,
     two_rail_checker_circuit,
 )
 from tscsynth.sim import FaultScope, simulate
@@ -267,25 +266,13 @@ class TestEvaluateCircuit:
         b = evaluate_circuit(c, target, 20)
         assert a == b
 
-    def test_live_gate_exclusion(self, rng):
-        # Dead gates influence neither fault counts nor parsimony.
-        c = Circuit(
-            2,
-            (Gate(TT_XOR, X(0), X(1)), Gate(TT_XNOR, X(0), X(1)), Gate(TT_OR, X(0), X(1))),
-            (G(0),),
-            (G(1), G(0)),
-        )
-        fv = evaluate_circuit(c, [0b0110], max_gates=10)
-        assert fv.live_gates == 2
-        assert fv.u_f == 0 and fv.u_i == 0
-
     def test_evaluate_pinned(self):
-        # One sha256 over every FitnessVector field, recorded before the
-        # compiled form and the input-fault step were rewritten: any change to
-        # a score or a count changes every later search.  Half the genotypes
-        # are random (their rails mostly collide), half are mutated encodings
-        # of duplication baselines (mostly checked in full); odd ones are
-        # scored under a random word mask.  The last layout is decod's.
+        # One sha256 over every FitnessVector field, recorded while fitness
+        # still found the live gates itself: any change to a score or a count
+        # changes every later search.  Half the genotypes are random (their
+        # rails mostly collide), half are mutated encodings of duplication
+        # baselines (mostly checked in full); odd ones are scored under a
+        # random word mask.  The last layout is decod's.
         layouts = ((2, 2, 4, True, 240), (3, 2, 4, True, 200), (4, 3, 5, True, 200),
                    (4, 2, 5, False, 100), (5, 4, 6, True, 160), (5, 16, 8, True, 40))
         decod = benchmark_baselines()["decod"]
@@ -320,11 +307,11 @@ class TestEvaluateCircuit:
                                rails=("none", "random", "complement")[k % 3])
             mask = draw.getrandbits(1 << r) if k % 2 else None
             score(c, [draw.getrandbits(1 << r) for _ in range(c.q)], 30, mask)
-        # Of the 430 checked, 383 leave a fault undetected and 143 an
-        # incorrect word unsignalled; 218 of all 1180 have dead gates.
-        assert seen == {"checked": 430, "unchecked": 750}
+        # Of the 437 checked, 383 leave a fault undetected and 140 an
+        # incorrect word unsignalled.
+        assert seen == {"checked": 437, "unchecked": 743}
         assert digest.hexdigest() == (
-            "3031f323629188b43177c17077d755de60dc35d981a473f358e2d5bbfae454a6"
+            "a105d63be961ce8b3d3816bd2eae3325c4ada9c1f95ed36cafa46bbdc4189de4"
         )
 
 
@@ -380,7 +367,7 @@ def assert_matches_oracle(c: Circuit, mask: int | None = None) -> bool:
     u_f, u_i, _, _ = evaluate_checking(c, fault_free_response(c), mask)
     fv = evaluate_circuit(c, [0] * c.q, max_gates=max(1, len(c.gates)), word_mask=mask)
     assert (fv.u_f, fv.u_i) == (u_f, u_i)
-    assert fv.live_gates == len(live_set(c))
+    assert fv.live_gates == len(c.gates)
     fs = verify_fs(c, FaultScope.OUTPUTS_ONLY, word_mask=mask)
     if fs.false_alarm:
         assert u_f is None and u_i is None
@@ -402,7 +389,7 @@ class TestDifferentialOracle:
 
     def test_random_circuits_with_masks(self, rng):
         seen = dict.fromkeys(
-            ("checked", "collide", "masked", "dead_gate", "input_output", "input_rail"), 0
+            ("checked", "collide", "masked", "input_output", "input_rail"), 0
         )
         for _ in range(160):
             r = rng.choice((2, 4, 5, 6))
@@ -414,14 +401,12 @@ class TestDifferentialOracle:
             seen["checked" if checked else "collide"] += 1
             if checked:
                 seen["masked"] += mask is not None
-                seen["dead_gate"] += len(live_set(c)) < len(c.gates)
                 seen["input_output"] += any(ref.is_input for ref in c.func_outputs)
                 seen["input_rail"] += any(ref.is_input for ref in c.error_rails)
         assert all(seen.values()), seen
 
     def test_circuit_without_live_gates(self):
-        c = Circuit(2, (Gate(TT_AND, X(0), X(1)),), (X(0),), (X(0), X(1)))
-        assert live_set(c) == frozenset()
+        c = Circuit(2, (), (X(0),), (X(0), X(1)))
         assert assert_matches_oracle(c, 0b0110)  # the words where x0 != x1
         fv = evaluate_circuit(c, [0b1010], max_gates=4, word_mask=0b0110)
         assert (fv.u_f, fv.u_i, fv.live_gates) == (0, 0, 0)
@@ -442,7 +427,7 @@ class TestDifferentialOracle:
 
     def test_several_passes_give_the_same_counts(self, rng, monkeypatch):
         baseline = benchmark_baselines()["decod"]
-        slots_bits = 2 * len(live_set(baseline)) << baseline.r
+        slots_bits = 2 * len(baseline.gates) << baseline.r
         assert slots_bits <= fitness.PASS_BITS  # one pass at the shipped cap
         masks = (None, rng.getrandbits(1 << baseline.r))
         one_pass = [evaluate_checking(baseline, fault_free_response(baseline), m)

@@ -130,6 +130,16 @@ class TestBlif:
                 ".names y m\n1 1\n.names m y\n1 1\n.end\n"
             )
 
+    @pytest.mark.parametrize("extra,net", [
+        (".names a spare\n1 1\n", "spare"),
+        # Read, but only by a block no output reads: that one is named.
+        (".names a n1\n1 1\n.names n1 n2\n0 1\n", "n2"),
+    ])
+    def test_block_no_output_reads_rejected(self, extra, net):
+        text = f".model t\n.inputs a b\n.outputs y\n.names a b y\n11 1\n{extra}.end\n"
+        with pytest.raises(ParseError, match=f"^net '{net}' feeds no output"):
+            parse_blif(text)
+
     def test_long_chain_listed_last_gate_first(self):
         # 3000 inverters, each block listed before the one it reads.
         n = 3000

@@ -171,7 +171,11 @@ class TestEncodeSeed:
             assert simulate(decoded).outputs == simulate(seed).outputs
 
     def test_seed_too_large_rejected(self, rng):
-        seed = random_circuit(rng, r=2, n_gates=3, q=1, rails="none")
+        seed = Circuit(
+            2,
+            (Gate(TT_AND, X(0), X(1)), Gate(TT_XOR, G(0), X(0)), Gate(TT_XOR, G(1), G(0))),
+            (G(2),),
+        )
         lay = GenomeLayout(r=2, q=1, b=2)  # max_gates == 2
         with pytest.raises(ValueError):
             encode_seed(seed, lay, rng)
@@ -192,8 +196,8 @@ class TestEncodeSeed:
         # z routing fields stay free
         z_bits = set(range(2 * lay.b, 4 * lay.b))
         assert not (z_bits & lock.locked)
-        gene_bits = set(range(lay.gene_offset(0), lay.gene_offset(4)))
-        assert gene_bits.issubset(lock.locked)
+        gene_bits = set(range(lay.gene_offset(0), lay.gene_offset(len(seed.gates))))
+        assert gene_bits and gene_bits.issubset(lock.locked)
 
     def test_locked_content_identical_across_individuals(self, rng):
         seed = random_circuit(rng, r=3, n_gates=4, q=2, rails="none")
@@ -379,26 +383,6 @@ class TestHexSerialization:
             Genotype.from_hex("00000f", lay)
 
 
-def _prune_to_live(circuit: Circuit) -> Circuit:
-    from tscsynth.netlist import live_set
-
-    keep = sorted(live_set(circuit))
-    remap = {old: new for new, old in enumerate(keep)}
-
-    def rewrite(ref):
-        return ref if ref.is_input else SignalRef.g(remap[ref.index])
-
-    return Circuit(
-        circuit.r,
-        tuple(
-            Gate(circuit.gates[i].tt, rewrite(circuit.gates[i].a), rewrite(circuit.gates[i].b))
-            for i in keep
-        ),
-        tuple(rewrite(ref) for ref in circuit.func_outputs),
-        None,
-    )
-
-
 def _function_cone(circuit: Circuit) -> tuple[tuple, Counter]:
     """The function outputs as gate expressions, and the multiset of the
     gates in their cone, each as its expression.
@@ -428,10 +412,9 @@ def _function_cone(circuit: Circuit) -> tuple[tuple, Counter]:
 
 
 def test_nonintrusive_champion_contains_seed_verbatim(rng):
-    # Only fully live seeds can survive verbatim: dead seed gates are always
-    # dropped by decode.  Locked genes and function routing must decode to the
-    # seed's function cone, gate for gate, whatever the mutations did elsewhere.
-    seed = _prune_to_live(random_circuit(rng, r=3, n_gates=5, q=2, rails="none"))
+    # Locked genes and function routing must decode to the seed's function
+    # cone, gate for gate, whatever the mutations did elsewhere.
+    seed = random_circuit(rng, r=3, n_gates=5, q=2, rails="none")
     lay = GenomeLayout(r=3, q=2, b=4)
     genotype, lock = encode_seed(seed, lay, rng, lock_seed=True)
     for _ in range(30):

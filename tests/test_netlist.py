@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from tscsynth.netlist import (
@@ -12,12 +14,11 @@ from tscsynth.netlist import (
     TT_XOR,
     build_duplication_baseline,
     duplication_overhead,
-    live_set,
     two_rail_checker_circuit,
 )
 from tscsynth.sim import simulate
 
-from conftest import random_circuit
+from conftest import live_circuit, random_circuit, random_ref, scalar_simulate
 
 X = SignalRef.x
 G = SignalRef.g
@@ -107,49 +108,62 @@ def test_circuit_rejection_messages(gates, outputs, rails, message):
         Circuit(2, gates, outputs, rails)
 
 
+@pytest.mark.parametrize(
+    "gates,outputs,rails,dead",
+    [
+        # Read by nothing at all.
+        ((_AND01, Gate(TT_OR, X(0), X(1))), (G(0),), None, "g1"),
+        # Read only by a gate nothing reads: the first unread one is named.
+        ((_AND01, Gate(TT_OR, G(0), X(1)), Gate(TT_XOR, X(0), X(1))), (X(0),), None, "g1"),
+        # No output or rail reads any gate.
+        ((_AND01,), (), None, "g0"),
+        ((_AND01,), (X(1),), (X(0), X(1)), "g0"),
+    ],
+)
+def test_circuit_rejects_unread_gate(gates, outputs, rails, dead):
+    message = f"^gate read by no later gate, output or rail: {dead}$"
+    with pytest.raises(ValueError, match=message):
+        Circuit(2, gates, outputs, rails)
+
+
 class TestLiveSet:
+    """conftest.live_circuit, the liveness pass random netlists take before
+    they become a Circuit."""
+
     def test_unreachable_gate_dropped(self):
-        c = Circuit(
-            2,
-            (Gate(TT_AND, X(0), X(1)), Gate(TT_OR, X(0), X(1))),
-            (G(0),),
-        )
-        assert live_set(c) == {0}
+        gates = (Gate(TT_AND, X(0), X(1)), Gate(TT_OR, X(0), X(1)), Gate(TT_XOR, X(0), G(1)))
+        c = live_circuit(2, gates, (G(0),))
+        assert c.gates == gates[:1] and c.func_outputs == (G(0),)
 
     def test_rail_and_output_both_reachable(self):
-        c = Circuit(
-            2,
-            (Gate(TT_AND, X(0), X(1)), Gate(TT_OR, X(0), X(1)), Gate(TT_NOT_A, G(1), G(1))),
-            (G(0),),
-            (G(2), G(1)),
+        gates = (
+            Gate(TT_AND, X(0), X(1)),
+            Gate(TT_XOR, X(0), X(1)),
+            Gate(TT_OR, X(0), X(1)),
+            Gate(TT_NOT_A, G(2), G(2)),
         )
-        assert live_set(c) == {0, 1, 2}
+        c = live_circuit(2, gates, (G(0),), (G(3), G(2)))
+        assert c.gates == (gates[0], gates[2], Gate(TT_NOT_A, G(1), G(1)))
+        assert c.error_rails == (G(2), G(1))
 
     def test_empty_gate_list(self):
-        c = Circuit(2, (), (X(0), X(1)))
-        assert live_set(c) == frozenset()
+        assert live_circuit(2, (), (X(0), X(1))).gates == ()
 
     def test_pruning_dead_gates_keeps_responses(self, rng):
-        # Removing non-live gates never changes any output response.
+        # Removing gates with no path to an output never changes a response.
         for _ in range(50):
-            c = random_circuit(rng, r=3, n_gates=8, q=2, rails="random")
-            live = live_set(c)
-            keep = sorted(live)
-            remap = {old: new for new, old in enumerate(keep)}
-
-            def rewrite(ref):
-                return ref if ref.is_input else SignalRef.g(remap[ref.index])
-
-            pruned = Circuit(
-                c.r,
-                tuple(
-                    Gate(c.gates[i].tt, rewrite(c.gates[i].a), rewrite(c.gates[i].b))
-                    for i in keep
-                ),
-                tuple(rewrite(ref) for ref in c.func_outputs),
-                tuple(rewrite(ref) for ref in c.error_rails),
+            gates = tuple(
+                Gate(TruthTable2(rng.randrange(16)), random_ref(rng, 3, i),
+                     random_ref(rng, 3, i))
+                for i in range(8)
             )
-            assert simulate(pruned) == simulate(c)
+            func = (random_ref(rng, 3, 8), random_ref(rng, 3, 8))
+            rails = (random_ref(rng, 3, 8), random_ref(rng, 3, 8))
+            netlist = SimpleNamespace(r=3, q=2, gates=gates, func_outputs=func,
+                                      error_rails=rails)
+            packed = simulate(live_circuit(3, gates, func, rails))
+            ref = scalar_simulate(netlist)
+            assert packed.outputs == ref["outputs"] and packed.rails == ref["rails"]
 
 
 class TestDuplicationOverhead:

@@ -18,7 +18,6 @@ from tscsynth.netlist import (
     TT_XOR,
     TT_ZERO,
     build_duplication_baseline,
-    live_set,
     two_rail_checker_circuit,
 )
 from tscsynth.formats import parse_blif, parse_pla
@@ -204,7 +203,7 @@ class TestOnePass:
     def test_one_simulation_per_fault(self, calls):
         seed = parse_blif((BENCH_DIR / "mult2.blif").read_text())
         baseline = build_duplication_baseline(seed)
-        n = len(live_set(baseline))
+        n = len(baseline.gates)
         assert n == 32
         verify_tsc(baseline)
         assert len(calls) == 6 * n + 1 == 193
