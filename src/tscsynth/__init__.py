@@ -9,7 +9,6 @@ from .netlist import (
     TruthTable2,
     build_duplication_baseline,
     duplication_overhead,
-    two_rail_checker_circuit,
 )
 from .sim import FaultScope, ResponseMatrix, enumerate_faults, simulate
 from .fitness import FitnessVector, evaluate_checking, evaluate_circuit, f_function
@@ -25,7 +24,7 @@ from .genome import (
     mutate_routing,
     mutate_translocate,
 )
-from .verify import codespace_report, verify_fs, verify_st, verify_tsc
+from .verify import codespace_report, verify_fs, verify_tsc
 from .formats import (
     ParseError,
     TargetSpec,

@@ -219,28 +219,48 @@ def _cmd_report(args: argparse.Namespace) -> int:
     record = json.loads(run_path.read_text(encoding="utf-8"))
     try:
         return _print_report(record, args.function_core)
-    except KeyError as exc:
-        raise ParseError(f"{run_path} has no field {exc.args[0]!r}") from None
+    except ParseError as exc:
+        raise ParseError(f"{run_path} {exc}") from None
+
+
+_JSON_KINDS = {type(None): "null", dict: "an object", list: "a list", str: "a string",
+               int: "an integer", float: "a number", bool: "a boolean"}
+
+
+def _field(record, path: str, kind: type, optional: bool = False):
+    """The value at a dotted path of a run record, checked to be of kind; an
+    optional field may be missing or null, and then reads as None."""
+    value, keys = record, path.split(".")
+    for i, key in enumerate(keys):
+        if type(value) is not dict:
+            where = f"field {'.'.join(keys[:i])!r}" if i else "record"
+            raise ParseError(f"{where} is {_JSON_KINDS[type(value)]}, not an object")
+        if key not in value and not optional:
+            raise ParseError(f"has no field {key!r}")
+        value = value.get(key)
+    if type(value) is not kind and not (optional and value is None):
+        raise ParseError(f"field {path!r} is {_JSON_KINDS[type(value)]}, "
+                         f"not {_JSON_KINDS[kind]}")
+    return value
 
 
 def _print_report(record: dict, core: int | None) -> int:
     # Every field is read before anything is printed.
-    g = record["seed_gates"]
-    s = record["champion"]["live_gates"]
-    base, dup = g, record["dup_overhead"]
+    g = _field(record, "seed_gates", int)
+    s = _field(record, "champion.live_gates", int)
+    base, dup = g, _field(record, "dup_overhead", int)
     if core is not None:
-        base, dup = core, duplication_overhead(core, record["layout"]["q"])
+        base, dup = core, duplication_overhead(core, _field(record, "layout.q", int))
     overhead = s - base
-    checks = record["verification"]
-    is_tsc = checks["is_tsc"]
+    is_tsc = _field(record, "verification.is_tsc", bool)
     # Records written before the function check lack its key.
-    computes = checks.get("computes_target")
+    computes = _field(record, "verification.computes_target", bool, optional=True)
     verdict = ("not TSC" if not is_tsc else "TSC" if computes
                else "TSC, wrong function" if computes is False
                else "TSC, function unchecked")
     # Champion summary in the style of an overhead-comparison table row.
     report = {
-        "benchmark": record["benchmark"],
+        "benchmark": _field(record, "benchmark", str),
         "seed_gates": g,
         "champion_live_gates": s,
         "overhead": overhead,
@@ -248,11 +268,11 @@ def _print_report(record: dict, core: int | None) -> int:
         "ratio": (overhead / dup) if is_tsc and computes and dup > 0 else None,
         "verdict": verdict,
         "shrunk_function_logic": s < base,
-        "fitness": record["champion"]["fitness"],
+        "fitness": _field(record, "champion.fitness", list),
         # Records written before the fitness cache lack "scored".
-        "evals": record.get("evals"),
-        "scored": record.get("scored"),
-        "trajectory": record["history"],
+        "evals": _field(record, "evals", int, optional=True),
+        "scored": _field(record, "scored", int, optional=True),
+        "trajectory": _field(record, "history", list),
     }
     print(json.dumps(report, indent=2))
     ratio = f"{report['ratio']:.2f}" if report["ratio"] is not None else "-"

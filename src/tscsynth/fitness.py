@@ -1,9 +1,10 @@
 """Four-objective fitness (f_f, f_ST, f_FS, f_p) and its lexicographic order.
 
-Every evaluation compiles the circuit once into flat int arrays over its
-gates (truth table, source a, source b), in one index space that holds the
-r primary inputs first and then the gates in order; every gate of a
-circuit is live (see netlist).  The fault-free values, f_f, the live gate
+Only circuits with error rails (z_0, z_1) are scored; one without them
+raises ValueError.  Every evaluation compiles the circuit once into flat int
+arrays over its gates (truth table, source a, source b), in one index space
+that holds the r primary inputs first and then the gates in order; every
+gate of a circuit is live (see netlist).  The fault-free values, f_f, the live gate
 count and the checking counts (u_f, u_i) all come from that one form and
 one fault-free simulation.
 
@@ -74,7 +75,8 @@ _GATE_EVAL = (
 
 @dataclass(frozen=True)
 class FitnessVector:
-    """Objectives in priority order plus the raw counts behind them.
+    """Objectives in priority order plus the raw counts behind them; only a
+    circuit with error rails is scored.
 
     u_f and u_i are None when the fault-free rails already collide (the
     checking scores are then zero by definition and no faults are simulated).
@@ -148,10 +150,12 @@ class _Netlist(NamedTuple):
     src_a: list[int]
     src_b: list[int]
     outputs: list[int]
-    rails: tuple[int, int] | None
+    rails: tuple[int, int]
 
 
 def _compile(circuit: Circuit) -> _Netlist:
+    if circuit.error_rails is None:
+        raise ValueError("circuit has no error rails")
     r = circuit.r
     tt, src_a, src_b = [], [], []
     for gate in circuit.gates:
@@ -162,7 +166,7 @@ def _compile(circuit: Circuit) -> _Netlist:
     q = circuit.q
     outs = [ref.index if ref.kind == "x" else r + ref.index
             for ref in circuit.output_refs]
-    return _Netlist(r, tt, src_a, src_b, outs[:q], tuple(outs[q:]) or None)
+    return _Netlist(r, tt, src_a, src_b, outs[:q], (outs[q], outs[q + 1]))
 
 
 def _simulate(net: _Netlist) -> list[int]:
@@ -175,10 +179,10 @@ def _simulate(net: _Netlist) -> list[int]:
 
 
 def _response(net: _Netlist, values: list[int]) -> ResponseMatrix:
-    rails = None
-    if net.rails is not None:
-        rails = (values[net.rails[0]], values[net.rails[1]])
-    return ResponseMatrix(1 << net.r, tuple(values[i] for i in net.outputs), rails)
+    z0, z1 = net.rails
+    return ResponseMatrix(
+        1 << net.r, tuple(values[i] for i in net.outputs), (values[z0], values[z1])
+    )
 
 
 def _pinned_outputs(t: int, a: int, b: int, full: int) -> tuple[int, int, int, int]:
@@ -254,13 +258,10 @@ def _fault_counts(net: _Netlist, values: list[int], applied: int) -> tuple[int, 
 
 
 def fault_free_response(circuit: Circuit) -> ResponseMatrix:
-    """Fault-free response computed by the fitness-side evaluator."""
+    """Fault-free response of a circuit with error rails, computed by the
+    fitness-side evaluator."""
     net = _compile(circuit)
     return _response(net, _simulate(net))
-
-
-def _rails_collide(rails: tuple[int, int], full: int, applied: int) -> bool:
-    return bool((rails[0] ^ rails[1] ^ full) & applied)
 
 
 def evaluate_checking(
@@ -273,14 +274,22 @@ def evaluate_checking(
     An error signalled during fault-free operation (z_0 == z_1 at any applied
     word) zeroes both scores immediately.
     """
-    if circuit.error_rails is None:
-        raise ValueError("circuit has no error rails")
-    full = full_mask(circuit.r)
+    return _checking(_compile(circuit), resp_free.rails, word_mask)
+
+
+def _checking(
+    net: _Netlist, rails: tuple[int, int], word_mask: int | None,
+    values: list[int] | None = None,
+) -> tuple[int | None, int | None, float, float]:
+    """(u_f, u_i, f_ST, f_FS) given the fault-free rail values; the netlist
+    is simulated only when they do not collide and values is None."""
+    full = full_mask(net.r)
     applied = full if word_mask is None else word_mask & full
-    if _rails_collide(resp_free.rails, full, applied):
+    if (rails[0] ^ rails[1] ^ full) & applied:
         return (None, None, 0.0, 0.0)
-    net = _compile(circuit)
-    u_f, u_i = _fault_counts(net, _simulate(net), applied)
+    if values is None:
+        values = _simulate(net)
+    u_f, u_i = _fault_counts(net, values, applied)
     return (u_f, u_i, st_score(u_f), fs_score(u_i))
 
 
@@ -308,6 +317,8 @@ def evaluate_circuit(
 ) -> FitnessVector:
     """All four metrics; none is short-circuited when an earlier one is low.
 
+    The circuit must carry error rails; one without them raises ValueError.
+
     With a cache, a circuit whose compiled netlist was met in the cache's
     current or previous generation gets the stored vector back, and the
     entry joins the current generation; any other is scored and stored
@@ -318,9 +329,9 @@ def evaluate_circuit(
     net = _compile(circuit)
     if cache is None:
         return _score(net, target, max_gates, word_mask)
-    # For a fixed q the length (3 per gate, q outputs, 0 or 2 rails)
-    # tells where each part ends.
-    key = (*net.tt, *net.src_a, *net.src_b, *net.outputs, *(net.rails or ()))
+    # For a fixed q the length (3 per gate, q outputs, 2 rails) tells where
+    # each part ends.
+    key = (*net.tt, *net.src_a, *net.src_b, *net.outputs, *net.rails)
     fv = cache.current.get(key)
     if fv is None:
         fv = cache.previous.pop(key, None)
@@ -339,14 +350,5 @@ def _score(
     ff = f_function(resp, target, word_mask)
     live_count = len(net.tt)
     f_p = (max_gates - live_count) / max_gates
-
-    if resp.rails is None:
-        return FitnessVector(ff, 0.0, 0.0, f_p, None, None, live_count)
-    full = full_mask(net.r)
-    applied = full if word_mask is None else word_mask & full
-    if _rails_collide(resp.rails, full, applied):
-        return FitnessVector(ff, 0.0, 0.0, f_p, None, None, live_count)
-    u_f, u_i = _fault_counts(net, values, applied)
-    return FitnessVector(
-        ff, st_score(u_f), fs_score(u_i), f_p, u_f, u_i, live_count
-    )
+    u_f, u_i, f_st, f_fs = _checking(net, resp.rails, word_mask, values)
+    return FitnessVector(ff, f_st, f_fs, f_p, u_f, u_i, live_count)

@@ -1,8 +1,11 @@
 """Fixed-length bit-string genotypes: circuit encoding and genetic operators.
 
-Layout of a genotype with m routed outputs and M = 2**b - r gene slots:
+Layout of a genotype for q function outputs and M = 2**b - r gene slots:
 
-  [m output address fields of b bits] [M genes of 4 + 2b bits]
+  [m = q + 2 output address fields of b bits] [M genes of 4 + 2b bits]
+
+The m routed outputs are y_0..y_{q-1}, then the error rails z_0, z_1: every
+genotype carries its dual-rail error signal.
 
 A gene holds the four truth-table bits t0..t3 followed by two b-bit source
 address fields.  Address values 0..M-1 name gene slots; the r largest values
@@ -43,14 +46,13 @@ def _signal_refs(kind: str, n: int) -> tuple[SignalRef, ...]:
 class GenomeLayout:
     """Genotype geometry for circuits with r inputs and q function outputs.
 
-    With rails=True two extra routed outputs (z_0, z_1) follow the function
-    outputs, giving m = q + 2 routed outputs in total.
+    The two error rails (z_0, z_1) follow the function outputs, giving
+    m = q + 2 routed outputs in total.
     """
 
     r: int
     q: int
     b: int
-    rails: bool = True
     # Derived sizes, computed once: operators and decode read them on every
     # call.  They take no part in equality, hashing or repr.
     m: int = field(init=False, repr=False, compare=False)
@@ -63,7 +65,7 @@ class GenomeLayout:
             raise ValueError("bad layout dimensions")
         if (1 << self.b) <= self.r:
             raise ValueError("2**b must exceed r (no gene slot encodable)")
-        m = self.q + (2 if self.rails else 0)
+        m = self.q + 2
         max_gates = (1 << self.b) - self.r
         gene_len = 4 + 2 * self.b
         object.__setattr__(self, "m", m)
@@ -105,9 +107,6 @@ class Genotype:
 
     def __len__(self) -> int:
         return self.layout.total_len
-
-    def bit(self, pos: int) -> int:
-        return (self.value >> (self.layout.total_len - 1 - pos)) & 1
 
     def field(self, offset: int, width: int) -> int:
         shift = self.layout.total_len - offset - width
@@ -180,7 +179,7 @@ def _unlocked_genes(layout: GenomeLayout, lock: LockMask) -> tuple[int, ...]:
 def decode(genotype: Genotype, rng: random.Random) -> Circuit:
     """Decode to a feed-forward circuit in one depth-first pass.
 
-    Outputs are routed first (y_0..y_{q-1}, then z_0, z_1 when present).  The
+    Outputs are routed first (y_0..y_{q-1}, then z_0, z_1).  The
     search starts from each output and visits source a before source b.  A
     gene is read when the search first reaches its slot, and its gate is
     emitted once both sources are done, so gates come out in post-order.  An
@@ -238,7 +237,7 @@ def decode(genotype: Genotype, rng: random.Random) -> Circuit:
                 stack.append(reach(addr))
 
     outs = tuple(refs[a] for a in out_addrs)
-    return Circuit(lay.r, tuple(gates), outs[: lay.q], outs[lay.q :] or None)
+    return Circuit(lay.r, tuple(gates), outs[: lay.q], outs[lay.q :])
 
 
 def seed_lock_mask(circuit: Circuit, layout: GenomeLayout) -> LockMask:
@@ -260,9 +259,10 @@ def encode_seed(
 ) -> tuple[Genotype, LockMask]:
     """Embed a circuit into gene slots 0..gates-1 and randomize the rest.
 
-    Function-output routing (and rail routing, when the seed carries rails)
-    is set to the seed's drivers; every remaining bit is drawn uniformly from
-    rng.  With lock_seed=True the returned mask covers the seed genes and the
+    Function-output routing is set to the seed's drivers, and so is rail
+    routing when the seed carries rails; a seed without rails gets random
+    rail routing.  Every remaining bit is drawn uniformly from rng.  With
+    lock_seed=True the returned mask covers the seed genes and the
     function-output routing fields.
     """
     if len(circuit.gates) > layout.max_gates:
@@ -275,7 +275,7 @@ def encode_seed(
     g = Genotype(rng.getrandbits(layout.total_len), layout)
     for i, ref in enumerate(circuit.func_outputs):
         g = g.with_field(i * layout.b, layout.b, layout.ref_to_address(ref))
-    if circuit.error_rails is not None and layout.rails:
+    if circuit.error_rails is not None:
         for j, ref in enumerate(circuit.error_rails):
             g = g.with_field(
                 (layout.q + j) * layout.b, layout.b, layout.ref_to_address(ref)

@@ -234,16 +234,6 @@ def _append_two_rail_checker(gates: list[Gate], pair_a, pair_b):
     return ((c0, False), (c1, False))
 
 
-def two_rail_checker_circuit() -> Circuit:
-    """Standalone checker cell: inputs (a_0, a_1, b_0, b_1) = x0..x3."""
-    gates: list[Gate] = []
-    x = SignalRef.x
-    (c0, _), (c1, _) = _append_two_rail_checker(
-        gates, ((x(0), False), (x(1), False)), ((x(2), False), (x(3), False))
-    )
-    return Circuit(r=4, gates=tuple(gates), func_outputs=(), error_rails=(c0, c1))
-
-
 def build_duplication_baseline(seed: Circuit) -> Circuit:
     """Seed plus an inverted functional copy and a two-rail checker tree.
 

@@ -8,26 +8,19 @@ reads self-testing, fault-secureness, the fault-free false alarm and, given a
 target, whether the function outputs compute it, from that one pass.  This is
 the oracle the fast fitness path is checked against, and the proof engine for
 candidate circuits.
+
+There is one report type, TscReport, and two entry points: verify_tsc over
+the full fault set, optionally checking the function against a target, and
+verify_fs over a chosen fault scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .netlist import Circuit, Fault, baseline_checker_range, build_duplication_baseline
 from .sim import FaultScope, enumerate_faults, full_mask, simulate
-
-
-class StResult(NamedTuple):
-    is_st: bool
-    undetected: list[Fault]
-
-
-class FsResult(NamedTuple):
-    is_fs: bool
-    violations: list[tuple[Fault, int]]
-    false_alarm: bool
 
 
 @dataclass
@@ -112,24 +105,19 @@ def _report(
                      computes_target)
 
 
-def verify_st(circuit: Circuit, word_mask: int | None = None) -> StResult:
-    """Self-testing over all gate input and output faults."""
-    report = _report(circuit, FaultScope.ALL, word_mask)
-    return StResult(report.is_st, report.undetected)
-
-
 def verify_fs(
     circuit: Circuit,
     scope: FaultScope = FaultScope.ALL,
     word_mask: int | None = None,
-) -> FsResult:
+) -> TscReport:
     """Fault-secureness: no incorrect output without a simultaneous error.
 
-    A circuit whose fault-free rails collide on some applied word is reported
-    not fault-secure with the false_alarm flag set and no violations listed.
+    The report covers the faults of scope only, so its is_st, is_tsc and
+    undetected hold for that scope alone.  A circuit whose fault-free rails
+    collide on some applied word is reported not fault-secure with the
+    false_alarm flag set and no violations listed.
     """
-    report = _report(circuit, scope, word_mask)
-    return FsResult(report.is_fs, report.violations, report.false_alarm)
+    return _report(circuit, scope, word_mask)
 
 
 def verify_tsc(
@@ -164,29 +152,17 @@ class CodespaceReport:
         )
 
 
-def codespace_report(
-    seed: Circuit,
-    baseline: Circuit | None = None,
-    word_mask: int | None = None,
-) -> CodespaceReport:
+def codespace_report(seed: Circuit, baseline: Circuit | None = None) -> CodespaceReport:
     if baseline is None:
         baseline = build_duplication_baseline(seed)
-    resp = simulate(seed)
-    full = full_mask(seed.r)
-    applied = full if word_mask is None else word_mask & full
-    patterns = set()
-    w = applied
-    while w:
-        low = w & -w
-        word = low.bit_length() - 1
-        patterns.add(tuple((vec >> word) & 1 for vec in resp.outputs))
-        w ^= low
+    outputs = simulate(seed).outputs
+    patterns = {tuple((vec >> w) & 1 for vec in outputs) for w in range(1 << seed.r)}
     lo, hi = baseline_checker_range(seed)
-    st = verify_st(baseline, word_mask)
-    checker_faults = [f for f in st.undetected if lo <= f.gate < hi]
+    report = verify_tsc(baseline)
+    checker_faults = [f for f in report.undetected if lo <= f.gate < hi]
     return CodespaceReport(
         realized_patterns=len(patterns),
         codespace_size=1 << seed.q,
-        baseline_is_st=st.is_st,
+        baseline_is_st=report.is_st,
         undetectable_checker_faults=checker_faults,
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tscsynth.genome import Genotype
 from tscsynth.netlist import (
     Circuit,
     Fault,
@@ -15,6 +16,7 @@ from tscsynth.netlist import (
     SignalRef,
     TruthTable2,
     TT_NOT_A,
+    _append_two_rail_checker,
 )
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -122,6 +124,22 @@ def live_circuit(r: int, gates, func, rails=None) -> Circuit:
         tuple(move(ref) for ref in func),
         None if rails is None else (move(rails[0]), move(rails[1])),
     )
+
+
+def two_rail_checker_circuit() -> Circuit:
+    """Standalone checker cell: inputs (a_0, a_1, b_0, b_1) = x0..x3, no
+    function outputs, the cell's output pair as the error rails."""
+    gates: list[Gate] = []
+    x = SignalRef.x
+    (c0, _), (c1, _) = _append_two_rail_checker(
+        gates, ((x(0), False), (x(1), False)), ((x(2), False), (x(3), False))
+    )
+    return Circuit(r=4, gates=tuple(gates), func_outputs=(), error_rails=(c0, c1))
+
+
+def genotype_bit(g: Genotype, pos: int) -> int:
+    """Genotype bit pos; bit 0 is the most significant bit of the value."""
+    return (g.value >> (g.layout.total_len - 1 - pos)) & 1
 
 
 # Half adder: y_0 = x0 XOR x1, y_1 = x0 AND x1 (PLA inputs read x0 first).

@@ -392,17 +392,8 @@ class TestReport:
     def test_function_core_sets_overhead_and_duplication(self, tmp_path, capsys):
         # Seed of 12 gates, champion of 10 live gates, function core of 6:
         # the overhead over the core is 4 and duplicating the core costs 12.
-        run = tmp_path / "run"
-        run.mkdir()
-        (run / "run.json").write_text(json.dumps({
-            "benchmark": "demo",
-            "seed_gates": 12,
-            "dup_overhead": 18,
-            "layout": {"r": 3, "q": 2, "b": 5},
-            "champion": {"live_gates": 10, "fitness": []},
-            "verification": {"is_tsc": True, "computes_target": True},
-            "history": [],
-        }))
+        record = {**self._record(), "seed_gates": 12, "dup_overhead": 18}
+        run = self._write(tmp_path, record)
         assert run_cli("report", "--run", str(run), "--function-core", "6") == 0
         printed = capsys.readouterr().out
         header, _, rest = printed.partition("\n\n")
@@ -420,23 +411,32 @@ class TestReport:
     ])
     def test_ratio_only_when_tsc_and_computing_target(self, tmp_path, capsys,
                                                       verification, verdict):
-        run = tmp_path / "run"
-        run.mkdir()
-        (run / "run.json").write_text(json.dumps({
-            "benchmark": "demo",
-            "seed_gates": 6,
-            "dup_overhead": 12,
-            "layout": {"r": 3, "q": 2, "b": 5},
-            "champion": {"live_gates": 10, "fitness": []},
-            "verification": verification,
-            "history": [],
-        }))
-        assert run_cli("report", "--run", str(run)) == 0
+        record = {**self._record(), "verification": verification}
+        assert run_cli("report", "--run", str(self._write(tmp_path, record))) == 0
         header, _, rest = capsys.readouterr().out.partition("\n\n")
         report = json.loads(header)
         assert report["verdict"] == verdict
         assert report["ratio"] == (pytest.approx(4 / 12) if verdict == "TSC" else None)
         assert rest.rstrip().endswith(verdict)
+
+    @staticmethod
+    def _record() -> dict:
+        return {
+            "benchmark": "demo",
+            "seed_gates": 6,
+            "dup_overhead": 12,
+            "layout": {"r": 3, "q": 2, "b": 5},
+            "champion": {"live_gates": 10, "fitness": []},
+            "verification": {"is_tsc": True, "computes_target": True},
+            "history": [],
+        }
+
+    @staticmethod
+    def _write(tmp_path, record) -> Path:
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "run.json").write_text(json.dumps(record))
+        return run
 
     def test_missing_run_dir_exits_2(self, tmp_path):
         assert run_cli("report", "--run", str(tmp_path / "nope")) == 2
@@ -449,20 +449,31 @@ class TestReport:
     ])
     def test_record_without_a_field_exits_2(self, tmp_path, capsys, part, field):
         # Exit 1 would read as "verification failed".
-        record = {
-            "benchmark": "demo",
-            "seed_gates": 6,
-            "dup_overhead": 12,
-            "layout": {"r": 3, "q": 2, "b": 5},
-            "champion": {"live_gates": 10, "fitness": []},
-            "verification": {"is_tsc": True, "computes_target": True},
-            "history": [],
-        }
+        record = self._record()
         del (record if part is None else record[part])[field]
-        run = tmp_path / "run"
-        run.mkdir()
-        (run / "run.json").write_text(json.dumps(record))
-        assert run_cli("report", "--run", str(run)) == 2
+        assert run_cli("report", "--run", str(self._write(tmp_path, record))) == 2
         out, err = capsys.readouterr()
         assert f"has no field {field!r}" in err
         assert out == ""
+
+    @pytest.mark.parametrize("part,field,value,message", [
+        (None, "champion", None, "field 'champion' is null, not an object"),
+        (None, "verification", None, "field 'verification' is null, not an object"),
+        (None, "seed_gates", "6", "field 'seed_gates' is a string, not an integer"),
+        ("champion", "live_gates", "10",
+         "field 'champion.live_gates' is a string, not an integer"),
+        ("verification", "computes_target", 1,
+         "field 'verification.computes_target' is an integer, not a boolean"),
+    ])
+    def test_record_with_a_wrongly_typed_field_exits_2(self, tmp_path, capsys, part,
+                                                        field, value, message):
+        record = self._record()
+        (record if part is None else record[part])[field] = value
+        assert run_cli("report", "--run", str(self._write(tmp_path, record))) == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert out == ""
+
+    def test_record_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        assert run_cli("report", "--run", str(self._write(tmp_path, []))) == 2
+        assert "run.json record is a list, not an object" in capsys.readouterr().err

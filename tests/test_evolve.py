@@ -24,11 +24,11 @@ from tscsynth.evolve import (
 )
 from tscsynth.fitness import FitnessCache, FitnessVector, evaluate_circuit
 from tscsynth.formats import TargetSpec, parse_blif, parse_pla
-from tscsynth.genome import GenomeLayout, Genotype, default_address_width, seed_lock_mask
+from tscsynth.genome import GenomeLayout, default_address_width, seed_lock_mask
 from tscsynth.netlist import Circuit, Gate, SignalRef, TT_AND, TT_XOR
 from tscsynth.sim import simulate
 
-from conftest import BENCH_DIR
+from conftest import BENCH_DIR, genotype_bit
 
 X = SignalRef.x
 G = SignalRef.g
@@ -77,8 +77,6 @@ class TestSpiral:
 
 class TestSelection:
     def _pop(self, n):
-        lay = GenomeLayout(r=2, q=1, b=2, rails=False)
-
         class Stub:
             def __init__(self, rank):
                 self.rank = rank
@@ -236,7 +234,7 @@ class TestEngine:
         reference, _ = encode_seed(seed, layout, random.Random(0), lock_seed=True)
         champ = result.champion.genotype
         for pos in lock.locked:
-            assert champ.bit(pos) == reference.bit(pos)
+            assert genotype_bit(champ, pos) == genotype_bit(reference, pos)
 
     def test_checkpoints_written(self, tmp_path):
         seed, target, layout = small_setup()

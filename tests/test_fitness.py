@@ -33,12 +33,17 @@ from tscsynth.netlist import (
     TT_XNOR,
     TT_XOR,
     build_duplication_baseline,
-    two_rail_checker_circuit,
 )
 from tscsynth.sim import FaultScope, simulate
-from tscsynth.verify import verify_fs, verify_st
+from tscsynth.verify import verify_fs, verify_tsc
 
-from conftest import BENCH_DIR, HALF_ADDER_PLA, random_circuit, tsc_half_adder
+from conftest import (
+    BENCH_DIR,
+    HALF_ADDER_PLA,
+    random_circuit,
+    tsc_half_adder,
+    two_rail_checker_circuit,
+)
 
 X = SignalRef.x
 G = SignalRef.g
@@ -71,7 +76,7 @@ class TestFFunction:
             (Gate(TT_XOR, X(0), X(0)), Gate(TT_XOR, X(0), X(1))),
             (G(1), G(0)),
         )
-        resp = fault_free_response(c)
+        resp = simulate(c)
         assert f_function(resp, [0b0110, 0b0110]) == 0.5
 
     def test_mismatched_target_width_rejected(self):
@@ -126,7 +131,7 @@ class TestCompareLex:
 
 class TestParsimony:
     def test_empty_circuit(self):
-        c = Circuit(2, (), (X(0),))
+        c = Circuit(2, (), (X(0),), (X(0), X(1)))
         assert evaluate_circuit(c, [0b1010], 60).f_p == 1.0
 
     def test_value(self):
@@ -201,8 +206,10 @@ class TestEvaluateChecking:
 
     def test_requires_rails(self):
         c = Circuit(2, (Gate(TT_AND, X(0), X(1)),), (G(0),))
-        with pytest.raises(ValueError):
-            evaluate_checking(c, fault_free_response(c))
+        with pytest.raises(ValueError, match="no error rails"):
+            evaluate_checking(c, simulate(c))
+        with pytest.raises(ValueError, match="no error rails"):
+            evaluate_circuit(c, [0b1000], 10)
 
     def test_single_undetected_fault_scores_one_26th(self):
         # z1 is a constant-0 gate, z0 = x1, applied words restricted to x1=1:
@@ -217,7 +224,7 @@ class TestEvaluateChecking:
         u_f, u_i, f_st, f_fs = evaluate_checking(c, fault_free_response(c), mask)
         assert u_f == 1
         assert f_st == 1 / 26
-        assert len(verify_st(c, word_mask=mask).undetected) == 1
+        assert len(verify_tsc(c, mask).undetected) == 1
 
     def test_single_violation_scores_one_201st(self):
         # Checked AND plus an unchecked OR output; at the single applied word
@@ -246,7 +253,7 @@ class TestEvaluateChecking:
             c = random_circuit(rng, r=3, n_gates=rng.randrange(1, 9), q=2, rails="complement")
             resp = fault_free_response(c)
             u_f, u_i, _, _ = evaluate_checking(c, resp)
-            assert u_f == len(verify_st(c).undetected)
+            assert u_f == len(verify_tsc(c).undetected)
             assert u_i == len(verify_fs(c, FaultScope.OUTPUTS_ONLY).violations)
             checked += 1
 
@@ -268,13 +275,13 @@ class TestEvaluateCircuit:
 
     def test_evaluate_pinned(self):
         # One sha256 over every FitnessVector field, recorded while fitness
-        # still found the live gates itself: any change to a score or a count
-        # changes every later search.  Half the genotypes are random (their
+        # still scored circuits without rails: any change to a score or a
+        # count changes every later search.  Half the genotypes are random (their
         # rails mostly collide), half are mutated encodings of duplication
         # baselines (mostly checked in full); odd ones are scored under a
         # random word mask.  The last layout is decod's.
-        layouts = ((2, 2, 4, True, 240), (3, 2, 4, True, 200), (4, 3, 5, True, 200),
-                   (4, 2, 5, False, 100), (5, 4, 6, True, 160), (5, 16, 8, True, 40))
+        layouts = ((2, 2, 4, 240), (3, 2, 4, 200), (4, 3, 5, 200),
+                   (4, 2, 5, 100), (5, 4, 6, 160), (5, 16, 8, 40))
         decod = benchmark_baselines()["decod"]
         digest = hashlib.sha256()
         seen = Counter()
@@ -284,8 +291,8 @@ class TestEvaluateCircuit:
             digest.update(repr(astuple(fv)).encode())
             seen["checked" if fv.u_f is not None else "unchecked"] += 1
 
-        for i, (r, q, b, rails, n) in enumerate(layouts):
-            lay = GenomeLayout(r=r, q=q, b=b, rails=rails)
+        for i, (r, q, b, n) in enumerate(layouts):
+            lay = GenomeLayout(r=r, q=q, b=b)
             draw = random.Random(300 + i)
             target = [draw.getrandbits(1 << r) for _ in range(q)]
             for k in range(n):
@@ -304,14 +311,14 @@ class TestEvaluateCircuit:
             r = draw.choice((2, 3, 5))
             c = random_circuit(draw, r=r, n_gates=draw.randrange(0, 25),
                                q=draw.randrange(1, 4),
-                               rails=("none", "random", "complement")[k % 3])
+                               rails=("random", "complement")[k // 2 % 2])
             mask = draw.getrandbits(1 << r) if k % 2 else None
             score(c, [draw.getrandbits(1 << r) for _ in range(c.q)], 30, mask)
-        # Of the 437 checked, 383 leave a fault undetected and 140 an
+        # Of the 514 checked, 443 leave a fault undetected and 182 an
         # incorrect word unsignalled.
-        assert seen == {"checked": 437, "unchecked": 743}
+        assert seen == {"checked": 514, "unchecked": 666}
         assert digest.hexdigest() == (
-            "a105d63be961ce8b3d3816bd2eae3325c4ada9c1f95ed36cafa46bbdc4189de4"
+            "a99f894c923b560512c91f061405010d5f0d3b22473e7b448970fa389c9ef669"
         )
 
 
@@ -372,7 +379,7 @@ def assert_matches_oracle(c: Circuit, mask: int | None = None) -> bool:
     if fs.false_alarm:
         assert u_f is None and u_i is None
         return False
-    assert u_f == len(verify_st(c, word_mask=mask).undetected)
+    assert u_f == len(verify_tsc(c, mask).undetected)
     assert u_i == len(fs.violations)
     return True
 
@@ -384,7 +391,7 @@ def benchmark_baselines() -> dict[str, Circuit]:
 
 
 class TestDifferentialOracle:
-    """Fast-path counts against verify_st and verify_fs(OUTPUTS_ONLY) on wider,
+    """Fast-path counts against verify_tsc and verify_fs(OUTPUTS_ONLY) on wider,
     masked, degenerate, benchmark and evolved circuits."""
 
     def test_random_circuits_with_masks(self, rng):

@@ -24,7 +24,7 @@ from tscsynth.formats import write_native
 from tscsynth.netlist import Circuit, Gate, SignalRef, TT_AND, TT_XOR
 from tscsynth.sim import simulate
 
-from conftest import random_circuit
+from conftest import genotype_bit, random_circuit
 
 X = SignalRef.x
 G = SignalRef.g
@@ -61,11 +61,17 @@ class TestLayout:
         assert back == lay == GenomeLayout(r=5, q=16, b=8)
         assert hash(back) == hash(lay) == hash(GenomeLayout(r=5, q=16, b=8))
         assert (back.m, back.max_gates, back.gene_len, back.total_len) == sizes
-        assert repr(back) == "GenomeLayout(r=5, q=16, b=8, rails=True)"
-        assert back != GenomeLayout(r=5, q=16, b=8, rails=False)
+        assert repr(back) == "GenomeLayout(r=5, q=16, b=8)"
+        assert back != GenomeLayout(r=5, q=15, b=8)
+
+    def test_rails_are_not_optional(self):
+        # Every genotype routes z_0 and z_1 after the function outputs.
+        with pytest.raises(TypeError):
+            GenomeLayout(r=2, q=1, b=2, rails=False)
+        assert GenomeLayout(r=2, q=1, b=2).m == 3
 
     def test_genotype_value_range(self):
-        lay = GenomeLayout(r=2, q=1, b=2, rails=False)
+        lay = GenomeLayout(r=2, q=1, b=2)
         L = lay.total_len
         assert Genotype((1 << L) - 1, lay).value == (1 << L) - 1
         assert Genotype(0, lay).value == 0
@@ -82,21 +88,22 @@ class TestLayout:
 
 class TestDecode:
     def test_hand_decoded_xor(self):
-        # One output field "00" -> gene 0; gene 0 is XOR of x0, x1 (addresses
-        # 2 and 3 name the primary inputs); gene 1 is all zeros and pruned.
-        lay = GenomeLayout(r=2, q=1, b=2, rails=False)
-        assert lay.max_gates == 2 and lay.gene_len == 8 and lay.total_len == 18
-        g = bits_to_genotype("00" + "0110" + "10" + "11" + "00000000", lay)
+        # Output field "00" -> gene 0 and rail fields "10", "11" -> x0, x1
+        # (addresses 2 and 3 name the primary inputs); gene 0 is XOR of x0,
+        # x1; gene 1 is all zeros and pruned.
+        lay = GenomeLayout(r=2, q=1, b=2)
+        assert lay.max_gates == 2 and lay.gene_len == 8 and lay.total_len == 22
+        g = bits_to_genotype("00" + "1011" + "0110" + "10" + "11" + "00000000", lay)
         circuit = decode(g, random.Random(0))
         assert len(circuit.gates) == 1
         assert circuit.gates[0].tt.value == 0b0110
         assert simulate(circuit).outputs[0] == 0b0110
-        assert circuit.error_rails is None
+        assert circuit.error_rails == (X(0), X(1))
 
     def test_self_loop_repaired_to_primary_input(self):
         # Gene 0 sources itself; repair must reroute that edge to an input.
-        lay = GenomeLayout(r=2, q=1, b=2, rails=False)
-        g = bits_to_genotype("00" + "0110" + "00" + "11" + "00000000", lay)
+        lay = GenomeLayout(r=2, q=1, b=2)
+        g = bits_to_genotype("00" + "1011" + "0110" + "00" + "11" + "00000000", lay)
         circuit = decode(g, random.Random(7))
         assert len(circuit.gates) == 1
         assert circuit.gates[0].a.is_input  # rerouted
@@ -130,15 +137,15 @@ class TestDecode:
 
     def test_decode_pinned(self):
         # One sha256 over the decoded netlists and the rng state after each
-        # decode, recorded from the earlier multi-pass decoder: any change to
-        # the netlist or to the cycle-repair draws changes every later search.
+        # decode, recorded from the one-pass decoder: any change to the
+        # netlist or to the cycle-repair draws changes every later search.
         # Small b makes cycles common; the last layout is decod-sized.
-        layouts = ((2, 1, 2, False, 300), (2, 2, 2, True, 300), (3, 2, 3, True, 300),
-                   (4, 3, 5, False, 300), (5, 4, 6, True, 200), (5, 16, 8, True, 40))
+        layouts = ((2, 1, 2, 300), (2, 2, 2, 300), (3, 2, 3, 300),
+                   (4, 3, 5, 300), (5, 4, 6, 200), (5, 16, 8, 40))
         digest = hashlib.sha256()
         repaired = 0
-        for i, (r, q, b, rails, n) in enumerate(layouts):
-            lay = GenomeLayout(r=r, q=q, b=b, rails=rails)
+        for i, (r, q, b, n) in enumerate(layouts):
+            lay = GenomeLayout(r=r, q=q, b=b)
             genotypes = random.Random(i)
             rng = random.Random(100 + i)
             for _ in range(n):
@@ -148,14 +155,14 @@ class TestDecode:
                 repaired += state != before
                 digest.update(write_native(circuit).encode())
                 digest.update(repr(state).encode())
-        assert repaired == 1078  # of 1440 decodes
+        assert repaired == 1180  # of 1440 decodes
         assert digest.hexdigest() == (
-            "5d2e68b018451a0a2ca626f29a4e615d520a5297513487b6a5c176353bb8a1e0"
+            "6527cc35578a39814b3929985c0b2d1e521e7f48338253dcafc56b07a371cb50"
         )
 
     def test_decode_repair_changes_phenotype_only(self):
-        lay = GenomeLayout(r=2, q=1, b=2, rails=False)
-        g = bits_to_genotype("00" + "0110" + "00" + "11" + "00000000", lay)
+        lay = GenomeLayout(r=2, q=1, b=2)
+        g = bits_to_genotype("00" + "1011" + "0110" + "00" + "11" + "00000000", lay)
         before = g.value
         decode(g, random.Random(1))
         assert g.value == before
@@ -182,7 +189,7 @@ class TestEncodeSeed:
 
     def test_boundary_seed_fills_all_genes(self, rng):
         seed = Circuit(2, (Gate(TT_AND, X(0), X(1)), Gate(TT_XOR, G(0), X(0))), (G(1),))
-        lay = GenomeLayout(r=2, q=1, b=2, rails=False)
+        lay = GenomeLayout(r=2, q=1, b=2)
         genotype, _ = encode_seed(seed, lay, rng)
         decoded = decode(genotype, rng)
         assert simulate(decoded).outputs == simulate(seed).outputs
@@ -205,12 +212,12 @@ class TestEncodeSeed:
         a, lock = encode_seed(seed, lay, rng, lock_seed=True)
         b, _ = encode_seed(seed, lay, rng, lock_seed=True)
         for pos in lock.locked:
-            assert a.bit(pos) == b.bit(pos)
+            assert genotype_bit(a, pos) == genotype_bit(b, pos)
 
 
 class TestOperators:
     def _layout(self):
-        return GenomeLayout(r=2, q=1, b=2, rails=False)
+        return GenomeLayout(r=2, q=1, b=2)
 
     def test_bit_mutation_hamming_distance_one(self, rng):
         lay = self._layout()
@@ -308,8 +315,8 @@ class TestOperators:
         assert child.value == 1 << (lay.total_len - 1)
 
     def test_crossover_layout_mismatch(self, rng):
-        a = Genotype(0, GenomeLayout(r=2, q=1, b=2, rails=False))
-        b = Genotype(0, GenomeLayout(r=2, q=1, b=3, rails=False))
+        a = Genotype(0, GenomeLayout(r=2, q=1, b=2))
+        b = Genotype(0, GenomeLayout(r=2, q=1, b=3))
         with pytest.raises(ValueError):
             crossover_single_point(a, b, rng)
 
@@ -335,7 +342,7 @@ class TestOperators:
                 # crossover preserves locked regions only when both parents
                 # agree there, so align the other parent's locked bits first
                 for pos in lock.locked:
-                    bit = current.bit(pos)
+                    bit = genotype_bit(current, pos)
                     shift = lay.total_len - 1 - pos
                     other = Genotype(
                         (other.value & ~(1 << shift)) | (bit << shift), lay
@@ -347,7 +354,7 @@ class TestOperators:
                 except ValueError:
                     continue
         for pos in lock.locked:
-            assert current.bit(pos) == g.bit(pos)
+            assert genotype_bit(current, pos) == genotype_bit(g, pos)
 
     def test_operators_preserve_length_and_layout(self, rng):
         lay = GenomeLayout(r=3, q=2, b=3)
@@ -366,19 +373,19 @@ class TestHexSerialization:
             assert Genotype.from_hex(g.to_hex(), lay).value == g.value
 
     def test_known_packing(self):
-        # 18-bit genotype 0b00_0110_10_11_00000000 packs MSB-first with zero
-        # padding in the final byte.
-        lay = GenomeLayout(r=2, q=1, b=2, rails=False)
-        g = bits_to_genotype("000110101100000000", lay)
-        assert g.to_hex() == bytes([0b00011010, 0b11000000, 0]).hex()
+        # 22-bit genotype 0b00_10_11_0110_10_11_00000000 packs MSB-first with
+        # zero padding in the final byte.
+        lay = GenomeLayout(r=2, q=1, b=2)
+        g = bits_to_genotype("0010110110101100000000", lay)
+        assert g.to_hex() == bytes([0b00101101, 0b10101100, 0]).hex()
 
     def test_wrong_length_rejected(self):
-        lay = GenomeLayout(r=2, q=1, b=2, rails=False)
+        lay = GenomeLayout(r=2, q=1, b=2)
         with pytest.raises(ValueError):
             Genotype.from_hex("ff", lay)
 
     def test_nonzero_padding_rejected(self):
-        lay = GenomeLayout(r=2, q=1, b=2, rails=False)
+        lay = GenomeLayout(r=2, q=1, b=2)
         with pytest.raises(ValueError):
             Genotype.from_hex("00000f", lay)
 

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by the module itself."""
+"""Every module-level import in the package, the tests and the scripts is
+used by the module itself."""
 
 import ast
 from pathlib import Path
@@ -7,9 +8,14 @@ import pytest
 
 import tscsynth
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     path
-    for path in Path(tscsynth.__file__).resolve().parent.glob("*.py")
+    for path in (
+        *Path(tscsynth.__file__).resolve().parent.glob("*.py"),
+        *(ROOT / "tests").glob("*.py"),
+        *(ROOT / "scripts").glob("*.py"),
+    )
     if path.name != "__init__.py"  # re-exports its imports
 )
 
@@ -31,6 +37,8 @@ def test_finds_unused_import():
     assert unused_imports(source) == ["os", "z"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda path: str(path.relative_to(ROOT)).replace("src/tscsynth/", "")
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -14,11 +14,16 @@ from tscsynth.netlist import (
     TT_XOR,
     build_duplication_baseline,
     duplication_overhead,
-    two_rail_checker_circuit,
 )
 from tscsynth.sim import simulate
 
-from conftest import live_circuit, random_circuit, random_ref, scalar_simulate
+from conftest import (
+    live_circuit,
+    random_circuit,
+    random_ref,
+    scalar_simulate,
+    two_rail_checker_circuit,
+)
 
 X = SignalRef.x
 G = SignalRef.g

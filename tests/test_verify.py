@@ -8,23 +8,26 @@ from tscsynth.netlist import (
     FaultSite,
     Gate,
     SignalRef,
-    TruthTable2,
     TT_AND,
     TT_BUF_A,
-    TT_NAND,
     TT_NOT_A,
     TT_ONE,
     TT_XNOR,
     TT_XOR,
     TT_ZERO,
     build_duplication_baseline,
-    two_rail_checker_circuit,
 )
 from tscsynth.formats import parse_blif, parse_pla
 from tscsynth.sim import FaultScope, simulate
-from tscsynth.verify import codespace_report, verify_fs, verify_st, verify_tsc
+from tscsynth.verify import codespace_report, verify_fs, verify_tsc
 
-from conftest import BENCH_DIR, HALF_ADDER_PLA, random_circuit, tsc_half_adder
+from conftest import (
+    BENCH_DIR,
+    HALF_ADDER_PLA,
+    random_circuit,
+    tsc_half_adder,
+    two_rail_checker_circuit,
+)
 
 X = SignalRef.x
 G = SignalRef.g
@@ -57,23 +60,23 @@ class TestVerifySt:
             (X(0),),
             (G(0), G(1)),
         )
-        result = verify_st(c)
+        result = verify_tsc(c)
         assert not result.is_st
         assert result.undetected
 
     def test_identity_duplication_baseline_is_self_testing(self):
         # A 2-in/2-out identity exercises the full output codespace.
         baseline = build_duplication_baseline(identity_seed())
-        result = verify_st(baseline)
+        result = verify_tsc(baseline)
         assert result.is_st, [str(f) for f in result.undetected]
 
     def test_no_live_gates_vacuously_self_testing(self):
         c = Circuit(2, (), (X(0),), (X(0), X(1)))
-        assert verify_st(c).is_st
+        assert verify_tsc(c).is_st
 
     def test_requires_rails(self):
         with pytest.raises(ValueError):
-            verify_st(identity_seed())
+            verify_tsc(identity_seed())
 
 
 class TestVerifyFs:
@@ -211,13 +214,10 @@ class TestOnePass:
         verify_tsc(baseline, None, simulate(seed).outputs)
         assert len(calls) == 6 * n + 1  # the function check reads the same pass
         calls.clear()
-        verify_st(baseline)
-        assert len(calls) == 6 * n + 1
-        calls.clear()
         verify_fs(baseline, FaultScope.OUTPUTS_ONLY)
         assert len(calls) == 2 * n + 1 == 65
 
-    @pytest.mark.parametrize("check", [verify_st, verify_fs, verify_tsc])
+    @pytest.mark.parametrize("check", [verify_fs, verify_tsc])
     def test_no_rails_rejected_before_simulating(self, calls, check):
         with pytest.raises(ValueError, match="no error rails"):
             check(identity_seed())
@@ -241,9 +241,10 @@ class TestOnePass:
         assert report.false_alarm
         assert (report.is_tsc, report.is_st, report.is_fs) == (False, False, False)
         assert Fault(FaultSite.OUTPUT, 1, 0) in report.undetected
-        assert report.undetected == verify_st(c).undetected
         assert report.violations == []
-        assert verify_fs(c) == (False, [], True)
+        fs = verify_fs(c)
+        assert (fs.is_fs, fs.violations, fs.false_alarm) == (False, [], True)
+        assert fs.undetected == report.undetected
 
 
 class TestTheorem2:
