@@ -10,11 +10,12 @@ Islands sit on a square grid filled in spiral order and occasionally
 emigrate individuals to islands chosen with probability inverse to grid
 distance.
 
-Each island keeps a ``FitnessCache`` keyed by the compiled netlist, since
-many children decode to a netlist the island has just scored.  It holds the
-netlists evaluated in the current generation and the previous one; a
-netlist met again within that window is not scored again, and a hit in the
-previous generation carries the entry into the current one.  The window
+Each island keeps a ``FitnessCache`` keyed by the decoded ``Circuit`` (its
+stored arrays, see netlist), since many children decode to a netlist the
+island has just scored.  It holds the circuits evaluated in the current
+generation and the previous one; a circuit met again within that window is
+not scored again, and a hit in the previous generation carries the entry
+into the current one.  The window
 moves at the start of every ``Island.step``, so the cache is bounded by two
 generations' evaluations, immigrants included.  A cache is valid for one
 ``(target, max_gates, word_mask)`` only, which an island never changes.  A

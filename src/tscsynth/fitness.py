@@ -1,12 +1,12 @@
 """Four-objective fitness (f_f, f_ST, f_FS, f_p) and its lexicographic order.
 
 Only circuits with error rails (z_0, z_1) are scored; one without them
-raises ValueError.  Every evaluation compiles the circuit once into flat int
-arrays over its gates (truth table, source a, source b), in one index space
-that holds the r primary inputs first and then the gates in order; every
-gate of a circuit is live (see netlist).  The fault-free values, f_f, the live gate
-count and the checking counts (u_f, u_i) all come from that one form and
-one fault-free simulation.
+raises ValueError.  Every evaluation reads the flat int arrays a Circuit
+stores (truth table, source a, source b, in one index space that holds the
+r primary inputs first and then the gates in order; see netlist) and never
+its Gate view; every gate of a circuit is live.  The fault-free values, f_f,
+the live gate count and the checking counts (u_f, u_i) all come from that
+one form and one fault-free simulation.
 
 Output faults are simulated in parallel (Waicukauski et al., "Fault
 simulation for structured VLSI", 1985).  A packed int holds one slot of
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .netlist import Circuit
 from .sim import ResponseMatrix, full_mask, input_patterns
@@ -141,48 +141,21 @@ def f_function(
     return total / len(target)
 
 
-class _Netlist(NamedTuple):
-    """A circuit's gates as flat arrays over one index space: primary inputs
-    0..r-1, then gate k at r + k."""
-
-    r: int
-    tt: list[int]
-    src_a: list[int]
-    src_b: list[int]
-    outputs: list[int]
-    rails: tuple[int, int]
-
-
-def _compile(circuit: Circuit) -> _Netlist:
-    if circuit.error_rails is None:
-        raise ValueError("circuit has no error rails")
-    r = circuit.r
-    tt, src_a, src_b = [], [], []
-    for gate in circuit.gates:
-        a, b = gate.a, gate.b
-        tt.append(gate.tt.value)
-        src_a.append(a.index if a.kind == "x" else r + a.index)
-        src_b.append(b.index if b.kind == "x" else r + b.index)
-    q = circuit.q
-    outs = [ref.index if ref.kind == "x" else r + ref.index
-            for ref in circuit.output_refs]
-    return _Netlist(r, tt, src_a, src_b, outs[:q], (outs[q], outs[q + 1]))
-
-
-def _simulate(net: _Netlist) -> list[int]:
+def _simulate(circuit: Circuit) -> list[int]:
     """Fault-free value of every index over all 2**r words."""
-    full = full_mask(net.r)
-    values = list(input_patterns(net.r))
-    for t, a, b in zip(net.tt, net.src_a, net.src_b):
+    full = full_mask(circuit.r)
+    values = list(input_patterns(circuit.r))
+    for t, a, b in zip(circuit.tt, circuit.src_a, circuit.src_b):
         values.append(_GATE_EVAL[t](values[a], values[b], full))
     return values
 
 
-def _response(net: _Netlist, values: list[int]) -> ResponseMatrix:
-    z0, z1 = net.rails
-    return ResponseMatrix(
-        1 << net.r, tuple(values[i] for i in net.outputs), (values[z0], values[z1])
-    )
+def _response(circuit: Circuit, values: list[int]) -> ResponseMatrix:
+    if circuit.rails is None:
+        raise ValueError("circuit has no error rails")
+    z0, z1 = circuit.rails
+    return ResponseMatrix(1 << circuit.r, tuple(values[i] for i in circuit.outputs),
+                          (values[z0], values[z1]))
 
 
 def _pinned_outputs(t: int, a: int, b: int, full: int) -> tuple[int, int, int, int]:
@@ -201,15 +174,15 @@ def _pinned_outputs(t: int, a: int, b: int, full: int) -> tuple[int, int, int, i
     )
 
 
-def _fault_counts(net: _Netlist, values: list[int], applied: int) -> tuple[int, int]:
+def _fault_counts(circuit: Circuit, values: list[int], applied: int) -> tuple[int, int]:
     """(u_f, u_i) over the gates of a circuit whose fault-free rails do not
     collide on the applied words."""
-    r = net.r
+    r = circuit.r
     width = 1 << r
     full = (1 << width) - 1
-    tt, src_a, src_b = net.tt, net.src_a, net.src_b
+    tt, src_a, src_b = circuit.tt, circuit.src_a, circuit.src_b
     n = len(tt)
-    z0, z1 = net.rails
+    z0, z1 = circuit.rails
     per_pass = max(1, PASS_BITS // (2 * width))
 
     # errors[2k + d]: applied words signalled under output stuck-at-d of gate k.
@@ -235,7 +208,7 @@ def _fault_counts(net: _Netlist, values: list[int], applied: int) -> tuple[int, 
         applied_all = applied * repeat
         err = (v[z0] ^ v[z1] ^ wide) & applied_all
         wrong = 0
-        for i in net.outputs:
+        for i in circuit.outputs:
             wrong |= v[i] ^ values[i] * repeat
         u_i += (wrong & (err ^ applied_all)).bit_count()
         for _ in range(slots):
@@ -260,8 +233,7 @@ def _fault_counts(net: _Netlist, values: list[int], applied: int) -> tuple[int, 
 def fault_free_response(circuit: Circuit) -> ResponseMatrix:
     """Fault-free response of a circuit with error rails, computed by the
     fitness-side evaluator."""
-    net = _compile(circuit)
-    return _response(net, _simulate(net))
+    return _response(circuit, _simulate(circuit))
 
 
 def evaluate_checking(
@@ -274,33 +246,35 @@ def evaluate_checking(
     An error signalled during fault-free operation (z_0 == z_1 at any applied
     word) zeroes both scores immediately.
     """
-    return _checking(_compile(circuit), resp_free.rails, word_mask)
+    if circuit.rails is None:
+        raise ValueError("circuit has no error rails")
+    return _checking(circuit, resp_free.rails, word_mask)
 
 
 def _checking(
-    net: _Netlist, rails: tuple[int, int], word_mask: int | None,
+    circuit: Circuit, rails: tuple[int, int], word_mask: int | None,
     values: list[int] | None = None,
 ) -> tuple[int | None, int | None, float, float]:
-    """(u_f, u_i, f_ST, f_FS) given the fault-free rail values; the netlist
+    """(u_f, u_i, f_ST, f_FS) given the fault-free rail values; the circuit
     is simulated only when they do not collide and values is None."""
-    full = full_mask(net.r)
+    full = full_mask(circuit.r)
     applied = full if word_mask is None else word_mask & full
     if (rails[0] ^ rails[1] ^ full) & applied:
         return (None, None, 0.0, 0.0)
     if values is None:
-        values = _simulate(net)
-    u_f, u_i = _fault_counts(net, values, applied)
+        values = _simulate(circuit)
+    u_f, u_i = _fault_counts(circuit, values, applied)
     return (u_f, u_i, st_score(u_f), fs_score(u_i))
 
 
 class FitnessCache:
-    """Fitness vectors by compiled netlist for the current and the previous
+    """Fitness vectors by circuit for the current and the previous
     generation (see ``evaluate_circuit``); ``scored`` counts the vectors it
     had to compute."""
 
     def __init__(self) -> None:
-        self.current: dict[tuple[int, ...], FitnessVector] = {}
-        self.previous: dict[tuple[int, ...], FitnessVector] = {}
+        self.current: dict[Circuit, FitnessVector] = {}
+        self.previous: dict[Circuit, FitnessVector] = {}
         self.scored = 0
 
     def next_generation(self) -> None:
@@ -319,36 +293,32 @@ def evaluate_circuit(
 
     The circuit must carry error rails; one without them raises ValueError.
 
-    With a cache, a circuit whose compiled netlist was met in the cache's
-    current or previous generation gets the stored vector back, and the
-    entry joins the current generation; any other is scored and stored
-    there.  The netlist fixes every metric once the target, ``max_gates``
-    and ``word_mask`` are fixed, so a cache is valid for one
-    ``(target, max_gates, word_mask)`` only.
+    With a cache, a circuit equal to one met in the cache's current or
+    previous generation gets the stored vector back, and the entry joins the
+    current generation; any other is scored and stored there.  The circuit
+    fixes every metric once the target, ``max_gates`` and ``word_mask`` are
+    fixed, so a cache is valid for one ``(target, max_gates, word_mask)``
+    only.
     """
-    net = _compile(circuit)
     if cache is None:
-        return _score(net, target, max_gates, word_mask)
-    # For a fixed q the length (3 per gate, q outputs, 2 rails) tells where
-    # each part ends.
-    key = (*net.tt, *net.src_a, *net.src_b, *net.outputs, *net.rails)
-    fv = cache.current.get(key)
+        return _score(circuit, target, max_gates, word_mask)
+    fv = cache.current.get(circuit)
     if fv is None:
-        fv = cache.previous.pop(key, None)
+        fv = cache.previous.pop(circuit, None)
         if fv is None:
-            fv = _score(net, target, max_gates, word_mask)
+            fv = _score(circuit, target, max_gates, word_mask)
             cache.scored += 1
-        cache.current[key] = fv
+        cache.current[circuit] = fv
     return fv
 
 
 def _score(
-    net: _Netlist, target: Sequence[int], max_gates: int, word_mask: int | None
+    circuit: Circuit, target: Sequence[int], max_gates: int, word_mask: int | None
 ) -> FitnessVector:
-    values = _simulate(net)
-    resp = _response(net, values)
+    values = _simulate(circuit)
+    resp = _response(circuit, values)
     ff = f_function(resp, target, word_mask)
-    live_count = len(net.tt)
+    live_count = len(circuit.tt)
     f_p = (max_gates - live_count) / max_gates
-    u_f, u_i, f_st, f_fs = _checking(net, resp.rails, word_mask, values)
+    u_f, u_i, f_st, f_fs = _checking(circuit, resp.rails, word_mask, values)
     return FitnessVector(ff, f_st, f_fs, f_p, u_f, u_i, live_count)

@@ -6,11 +6,16 @@ import json
 from dataclasses import dataclass
 
 from .netlist import Circuit, Gate, SignalRef, TruthTable2
-from .sim import full_mask, input_patterns
+from .sim import MAX_INPUTS, full_mask, input_patterns
 
 
 class ParseError(ValueError):
     pass
+
+
+def _check_inputs(r: int, what: str) -> None:
+    if r > MAX_INPUTS:
+        raise ParseError(f"{what} has {r} inputs; at most {MAX_INPUTS} are supported")
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,7 @@ def parse_pla(text: str) -> TargetSpec:
         raise ParseError("PLA is missing .i or .o")
     if r < 1 or q < 1:
         raise ParseError("PLA needs at least one input and one output")
+    _check_inputs(r, "PLA")
 
     xs = input_patterns(r)
     full = full_mask(r)
@@ -218,6 +224,7 @@ def parse_blif(text: str) -> Circuit:
 
     if not inputs:
         raise ParseError("BLIF has no .inputs")
+    _check_inputs(len(inputs), "BLIF")
     if not outputs:
         raise ParseError("BLIF has no .outputs")
 
@@ -270,36 +277,24 @@ def parse_blif(text: str) -> Circuit:
         if name not in read:
             raise ParseError(f"net {name!r} feeds no output (unused .names block)")
 
-    gate_pos = {blocks[k][1]: i for i, k in enumerate(order)}
-
-    def net_ref(name: str) -> SignalRef:
-        if name in input_index:
-            return SignalRef.x(input_index[name])
-        return SignalRef.g(gate_pos[name])
-
-    gates = []
+    # Circuit index of every net: inputs first, then the blocks in order.
+    r = len(inputs)
+    index = {**input_index, **{blocks[k][1]: r + i for i, k in enumerate(order)}}
+    tt, src_a, src_b = [], [], []
     for k in order:
         sources, name, rows = blocks[k]
         table = _cover_function(rows, len(sources), f".names block for {name!r}")
-        x0 = SignalRef.x(0)
-        if len(sources) == 2:
-            tt = TruthTable2.from_bits(
-                [table[a | (b_ << 1)] for a in (0, 1) for b_ in (0, 1)]
-            )
-            gates.append(Gate(tt, net_ref(sources[0]), net_ref(sources[1])))
-        elif len(sources) == 1:
-            tt = TruthTable2.from_bits([table[a] for a in (0, 1) for _ in (0, 1)])
-            gates.append(Gate(tt, net_ref(sources[0]), x0))
-        else:
-            tt = TruthTable2(0b1111 if table[0] else 0)
-            gates.append(Gate(tt, x0, x0))
-
-    return Circuit(
-        r=len(inputs),
-        gates=tuple(gates),
-        func_outputs=tuple(net_ref(name) for name in outputs),
-        error_rails=None,
-    )
+        # Bit 2a + b of the gate's table is its output for inputs (a, b).
+        # The gate reads the block's sources in order, and x_0 in place of a
+        # missing one, which the block's table (first source in bit 0 of
+        # its index) ignores.
+        used = (1 << len(sources)) - 1
+        tt.append(sum(table[(a | b << 1) & used] << (2 * a + b)
+                      for a in (0, 1) for b in (0, 1)))
+        reads = [index[source] for source in sources] + [0, 0]
+        src_a.append(reads[0])
+        src_b.append(reads[1])
+    return Circuit.from_arrays(r, tt, src_a, src_b, [index[name] for name in outputs], None)
 
 
 def render_blif(circuit: Circuit, model: str = "circuit") -> str:
@@ -343,9 +338,7 @@ def circuit_to_json(circuit: Circuit) -> dict:
             for gate in circuit.gates
         ],
         "y": [str(ref) for ref in circuit.func_outputs],
-        "z": [str(ref) for ref in circuit.error_rails]
-        if circuit.error_rails is not None
-        else [],
+        "z": [str(ref) for ref in circuit.error_rails or ()],
     }
 
 
@@ -359,12 +352,15 @@ def read_native(text: str) -> Circuit:
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     try:
-        r = int(obj["r"])
+        r = obj["r"]
         raw_gates = obj["gates"]
         raw_y = obj["y"]
         raw_z = obj.get("z", [])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing circuit field: {exc}") from exc
+    if type(r) is not int:
+        raise ParseError(f"input count must be an integer, got {r!r}")
+    _check_inputs(r, "circuit")
     if not isinstance(raw_z, list):
         raise ParseError(f"error rails must be a list, got {raw_z!r}")
     if len(raw_z) not in (0, 2):
@@ -400,9 +396,8 @@ def export_dot(circuit: Circuit) -> str:
     for j, ref in enumerate(circuit.func_outputs):
         lines.append(f"  y{j} [shape=plaintext];")
         lines.append(f"  {ref} -> y{j};")
-    if circuit.error_rails is not None:
-        for j, ref in enumerate(circuit.error_rails):
-            lines.append(f"  z{j} [shape=diamond];")
-            lines.append(f"  {ref} -> z{j};")
+    for j, ref in enumerate(circuit.error_rails or ()):
+        lines.append(f"  z{j} [shape=diamond];")
+        lines.append(f"  {ref} -> z{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,10 @@ genotype bit 0 is the first bit of the first output field.
 
 Decoding reads genes on demand: a depth-first search from the routed outputs
 reads a gene when it first reaches its slot and emits the gate in post-order,
-once both sources are done.  Unreached genes are never read.
+once both sources are done.  Unreached genes are never read, so every
+emitted gate is live.  decode emits the Circuit's flat arrays directly
+(Circuit.from_arrays) and builds no Gate object; encode_seed reads the same
+arrays back.
 """
 
 from __future__ import annotations
@@ -24,23 +27,14 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .netlist import Circuit, Gate, SignalRef, TruthTable2
+from .netlist import Circuit
 
 # Reverse the bit order of a 4-bit value: genotype stores t0 first (most
-# significant in the field), TruthTable2 stores t0 in bit 0.
+# significant in the field), a Circuit's truth table stores t0 in bit 0.
 _REV4 = tuple(
     ((v >> 3) & 1) | (((v >> 2) & 1) << 1) | (((v >> 1) & 1) << 2) | ((v & 1) << 3)
     for v in range(16)
 )
-
-# Shared immutable netlist parts, so decode builds only the gates.
-_TABLES = tuple(TruthTable2(v) for v in range(16))
-
-
-@lru_cache(maxsize=None)
-def _signal_refs(kind: str, n: int) -> tuple[SignalRef, ...]:
-    return tuple(SignalRef(kind, k) for k in range(n))
-
 
 @dataclass(frozen=True)
 class GenomeLayout:
@@ -76,10 +70,9 @@ class GenomeLayout:
     def gene_offset(self, k: int) -> int:
         return self.m * self.b + k * self.gene_len
 
-    def ref_to_address(self, ref: SignalRef) -> int:
-        if ref.is_input:
-            return self.max_gates + ref.index
-        return ref.index
+    def address(self, s: int) -> int:
+        """Address of index s of a Circuit's index space (inputs first)."""
+        return self.max_gates + s if s < self.r else s - self.r
 
 
 def default_address_width(r: int, seed_gates: int, q: int) -> int:
@@ -198,54 +191,58 @@ def decode(genotype: Genotype, rng: random.Random) -> Circuit:
     gmask = (1 << glen) - 1
     genes_end = L - lay.m * b
 
-    # refs[address] is set once the address is done: inputs from the start,
-    # a gene slot when its gate is emitted.
-    refs: list[SignalRef | None] = [None] * M + list(_signal_refs("x", lay.r))
-    gate_refs = _signal_refs("g", M)
+    # index[address] is the circuit index of the address once it is done:
+    # inputs from the start, a gene slot when its gate is emitted.
+    r = lay.r
+    index: list[int | None] = [None] * M + list(range(r))
     on_path = bytearray(M)
-    gates: list[Gate] = []
+    tt: list[int] = []
+    src_a: list[int] = []
+    src_b: list[int] = []
 
     def reach(slot: int) -> list[int]:
         # Search frame: [slot, truth table, source a, source b, index of the
         # next source to visit].  on_path stays set after the gate is
-        # emitted, but refs is checked first.
+        # emitted, but index is checked first.
         on_path[slot] = 1
         gene = (v >> (genes_end - (slot + 1) * glen)) & gmask
         return [slot, _REV4[gene >> 2 * b], (gene >> b) & bmask, gene & bmask, 2]
 
     out_addrs = [(v >> (L - (i + 1) * b)) & bmask for i in range(lay.m)]
     for root in out_addrs:
-        if refs[root] is not None:
+        if index[root] is not None:
             continue
         stack = [reach(root)]
         while stack:
             frame = stack[-1]
             si = frame[4]
             if si == 4:
-                refs[frame[0]] = gate_refs[len(gates)]
-                gates.append(Gate(_TABLES[frame[1]], refs[frame[2]], refs[frame[3]]))
+                index[frame[0]] = r + len(tt)
+                tt.append(frame[1])
+                src_a.append(index[frame[2]])
+                src_b.append(index[frame[3]])
                 stack.pop()
                 continue
             frame[4] = si + 1
             addr = frame[si]
-            if refs[addr] is not None:
+            if index[addr] is not None:
                 continue
             if on_path[addr]:
                 # Edge back onto the current path: break the loop here.
-                frame[si] = M + rng.randrange(lay.r)
+                frame[si] = M + rng.randrange(r)
             else:
                 stack.append(reach(addr))
 
-    outs = tuple(refs[a] for a in out_addrs)
-    return Circuit(lay.r, tuple(gates), outs[: lay.q], outs[lay.q :])
+    outs = [index[a] for a in out_addrs]
+    return Circuit.from_arrays(r, tt, src_a, src_b, outs[: lay.q], outs[lay.q :])
 
 
 def seed_lock_mask(circuit: Circuit, layout: GenomeLayout) -> LockMask:
     """Positions covering the seed's genes and function-output routing fields."""
     locked: set[int] = set()
-    for i in range(len(circuit.func_outputs)):
+    for i in range(circuit.q):
         locked.update(range(i * layout.b, (i + 1) * layout.b))
-    for k in range(len(circuit.gates)):
+    for k in range(len(circuit.tt)):
         base = layout.gene_offset(k)
         locked.update(range(base, base + layout.gene_len))
     return LockMask(frozenset(locked))
@@ -265,26 +262,22 @@ def encode_seed(
     lock_seed=True the returned mask covers the seed genes and the
     function-output routing fields.
     """
-    if len(circuit.gates) > layout.max_gates:
+    if len(circuit.tt) > layout.max_gates:
         raise ValueError(
-            f"seed has {len(circuit.gates)} gates, layout holds {layout.max_gates}"
+            f"seed has {len(circuit.tt)} gates, layout holds {layout.max_gates}"
         )
     if circuit.r != layout.r or circuit.q != layout.q:
         raise ValueError("seed shape does not match layout")
 
     g = Genotype(rng.getrandbits(layout.total_len), layout)
-    for i, ref in enumerate(circuit.func_outputs):
-        g = g.with_field(i * layout.b, layout.b, layout.ref_to_address(ref))
-    if circuit.error_rails is not None:
-        for j, ref in enumerate(circuit.error_rails):
-            g = g.with_field(
-                (layout.q + j) * layout.b, layout.b, layout.ref_to_address(ref)
-            )
-    for k, gate in enumerate(circuit.gates):
+    # The rails' routing fields follow the function outputs' fields.
+    for i, s in enumerate(circuit.outputs + (circuit.rails or ())):
+        g = g.with_field(i * layout.b, layout.b, layout.address(s))
+    for k, (t, a, b) in enumerate(zip(circuit.tt, circuit.src_a, circuit.src_b)):
         base = layout.gene_offset(k)
-        g = g.with_field(base, 4, _REV4[gate.tt.value])
-        g = g.with_field(base + 4, layout.b, layout.ref_to_address(gate.a))
-        g = g.with_field(base + 4 + layout.b, layout.b, layout.ref_to_address(gate.b))
+        g = g.with_field(base, 4, _REV4[t])
+        g = g.with_field(base + 4, layout.b, layout.address(a))
+        g = g.with_field(base + 4 + layout.b, layout.b, layout.address(b))
 
     lock = seed_lock_mask(circuit, layout) if lock_seed else LockMask.empty()
     return g, lock

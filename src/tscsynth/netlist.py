@@ -1,11 +1,16 @@
 """Two-input gate netlists and reference checking constructions.
 
 A circuit is a feed-forward list of two-input gates over primary inputs
-x_0..x_{r-1}.  Gate sources always point at primary inputs or at gates
-earlier in the list, so the list order is a topological order.  A circuit
-exposes q function outputs y_0..y_{q-1} and, optionally, a dual-rail error
-signal (z_0, z_1): normal operation requires z_0 != z_1 and the error
-condition is z_0 == z_1.
+x_0..x_{r-1}.  It exposes q function outputs y_0..y_{q-1} and, optionally,
+a dual-rail error signal (z_0, z_1): normal operation requires z_0 != z_1
+and the error condition is z_0 == z_1.
+
+A Circuit stores one form: flat int arrays over one index space (input x_j
+at j, gate k at r + k).  A gate reads only lower indices, so the list order
+is a topological order.  decode emits these arrays; fitness, its cache and
+the verify oracle's simulator read them.  Gate and SignalRef objects are a
+read-only view of them (Circuit.gates, func_outputs, error_rails), used to
+build circuits by hand and by the text formats and the CLI.
 
 Every gate is live: a later gate, a function output or a rail reads it, so
 each has a path to an output.  Simulation, fault enumeration and size
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 # Function names for the 16 two-input truth tables, indexed by table value.
 # LT/GT/LE/GE read as comparisons of the first input against the second.
@@ -41,10 +47,6 @@ class TruthTable2:
         if not {t0, t1, t2, t3} <= {0, 1}:
             raise ValueError(f"truth-table entries must be 0 or 1, got {list(bits)}")
         return cls(t0 | (t1 << 1) | (t2 << 2) | (t3 << 3))
-
-    @classmethod
-    def from_function(cls, fn) -> "TruthTable2":
-        return cls.from_bits([fn(a, b) for a in (0, 1) for b in (0, 1)])
 
     @property
     def bits(self) -> tuple[int, int, int, int]:
@@ -137,60 +139,106 @@ class Fault:
         return f"{self.site.value}{self.gate}.{self.stuck}"
 
 
-@dataclass(frozen=True)
-class Circuit:
-    r: int
-    gates: tuple[Gate, ...]
-    func_outputs: tuple[SignalRef, ...]
-    error_rails: tuple[SignalRef, SignalRef] | None = None
+_TABLE_VALUES = frozenset(range(16))
 
-    def __post_init__(self) -> None:
-        # Every reference is checked here, inline: an input index must be
-        # below r, a gate index below the gate's own position for a gate
-        # source, or below the gate count for an output or rail.  read[k]
-        # marks gate k as read; a gate nothing reads is rejected.
-        r = self.r
+
+@dataclass(frozen=True, init=False)
+class Circuit:
+    """Gate k has truth table tt[k] and reads indices src_a[k] and src_b[k];
+    outputs holds the index of each function output, rails those of z_0 and
+    z_1 (or None).  Equality and hash are over these fields.  The constructor
+    converts Gate and SignalRef objects, from_arrays takes the arrays; both
+    go through _store.  The views gates, func_outputs and error_rails are
+    each built at most once."""
+
+    r: int
+    tt: tuple[int, ...]
+    src_a: tuple[int, ...]
+    src_b: tuple[int, ...]
+    outputs: tuple[int, ...]
+    rails: tuple[int, int] | None
+
+    def __init__(self, r: int, gates, func_outputs, error_rails=None) -> None:
+        def index(ref: SignalRef) -> int:
+            # An input x_j beyond r has no index: ~j is negative, so it never
+            # aliases gate j - r, and _store rejects it by name.
+            if ref.kind == "g":
+                return r + ref.index
+            return ref.index if ref.index < r else ~ref.index
+
+        gates = tuple(gates)
+        tt, src_a, src_b = [], [], []
+        for gate in gates:
+            tt.append(gate.tt.value)
+            src_a.append(index(gate.a))
+            src_b.append(index(gate.b))
+        self._store(r, tt, src_a, src_b, map(index, func_outputs),
+                    None if error_rails is None else map(index, error_rails))
+        self.__dict__["gates"] = gates
+
+    @classmethod
+    def from_arrays(cls, r: int, tt, src_a, src_b, outputs, rails) -> "Circuit":
+        circuit = object.__new__(cls)
+        circuit._store(r, tt, src_a, src_b, outputs, rails)
+        return circuit
+
+    def _store(self, r: int, tt, src_a, src_b, outputs, rails) -> None:
+        """Store the arrays as tuples if they are a feed-forward netlist of
+        live gates.  Gate k may read only indices below r + k, an output or
+        rail only indices below r + n; a negative index is an input beyond r.
+        A gate index that nothing reads is rejected."""
+        tt, src_a, src_b, outputs = tuple(tt), tuple(src_a), tuple(src_b), tuple(outputs)
+        rails = None if rails is None else tuple(rails)
         if r < 0:
             raise ValueError("negative input count")
-        n = len(self.gates)
-        read = bytearray(n)
-        for i, gate in enumerate(self.gates):
-            a, b = gate.a, gate.b
-            if a.kind == "g" and a.index < i:
-                read[a.index] = 1
-            elif a.index >= (r if a.kind == "x" else i):
-                raise _bad_ref(a)
-            if b.kind == "g" and b.index < i:
-                read[b.index] = 1
-            elif b.index >= (r if b.kind == "x" else i):
-                raise _bad_ref(b)
-        if self.error_rails is not None and len(self.error_rails) != 2:
+        n = len(tt)
+        if len(src_a) != n or len(src_b) != n:
+            raise ValueError("gate arrays differ in length")
+        if not _TABLE_VALUES.issuperset(tt):
+            bad = next(t for t in tt if t not in _TABLE_VALUES)
+            raise ValueError(f"truth table value out of range: {bad}")
+        for limit, a, b in zip(range(r, r + n), src_a, src_b):
+            if not 0 <= a < limit:
+                raise _bad_index(a, r)
+            if not 0 <= b < limit:
+                raise _bad_index(b, r)
+        if rails is not None and len(rails) != 2:
             raise ValueError("error rails come in pairs")
-        for ref in self.output_refs:
-            if ref.kind == "g" and ref.index < n:
-                read[ref.index] = 1
-            elif ref.index >= (r if ref.kind == "x" else n):
-                raise _bad_ref(ref)
-        if 0 in read:
-            raise ValueError(
-                f"gate read by no later gate, output or rail: g{read.index(0)}"
-            )
+        for s in outputs + (rails or ()):
+            if not 0 <= s < r + n:
+                raise _bad_index(s, r)
+        unread = set(range(r, r + n)).difference(src_a, src_b, outputs, rails or ())
+        if unread:
+            raise ValueError(f"gate read by no later gate, output or rail: g{min(unread) - r}")
+        self.__dict__.update(r=r, tt=tt, src_a=src_a, src_b=src_b,
+                             outputs=outputs, rails=rails)
 
     @property
     def q(self) -> int:
-        return len(self.func_outputs)
+        return len(self.outputs)
 
-    @property
-    def output_refs(self) -> tuple[SignalRef, ...]:
-        if self.error_rails is None:
-            return self.func_outputs
-        return self.func_outputs + self.error_rails
+    def _ref(self, s: int) -> SignalRef:
+        return SignalRef.x(s) if s < self.r else SignalRef.g(s - self.r)
+
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        ref = self._ref
+        return tuple(Gate(TruthTable2(t), ref(a), ref(b))
+                     for t, a, b in zip(self.tt, self.src_a, self.src_b))
+
+    @cached_property
+    def func_outputs(self) -> tuple[SignalRef, ...]:
+        return tuple(map(self._ref, self.outputs))
+
+    @cached_property
+    def error_rails(self) -> tuple[SignalRef, SignalRef] | None:
+        return None if self.rails is None else tuple(map(self._ref, self.rails))
 
 
-def _bad_ref(ref: SignalRef) -> ValueError:
-    if ref.is_input:
-        return ValueError(f"input reference out of range: {ref}")
-    return ValueError(f"forward or dangling gate reference: {ref}")
+def _bad_index(s: int, r: int) -> ValueError:
+    if s < 0:
+        return ValueError(f"input reference out of range: x{~s}")
+    return ValueError(f"forward or dangling gate reference: g{s - r}")
 
 
 def duplication_overhead(g: int, q: int) -> int:
@@ -201,11 +249,10 @@ def duplication_overhead(g: int, q: int) -> int:
 
 
 def _and_tt(invert_a: bool, invert_b: bool) -> TruthTable2:
-    # AND with either input optionally complemented; absorbing inversions into
-    # the table keeps inverted-copy outputs cost-free.
-    return TruthTable2.from_function(
-        lambda a, b: (a ^ invert_a) & (b ^ invert_b)
-    )
+    # AND with either input optionally complemented, a table with one 1 at
+    # a = not invert_a, b = not invert_b; absorbing inversions into the
+    # table keeps inverted-copy outputs cost-free.
+    return TruthTable2(1 << (2 * (not invert_a) + (not invert_b)))
 
 
 # A dual-rail operand is ((low_ref, low_inverted), (high_ref, high_inverted)):
@@ -237,13 +284,15 @@ def _append_two_rail_checker(gates: list[Gate], pair_a, pair_b):
 def build_duplication_baseline(seed: Circuit) -> Circuit:
     """Seed plus an inverted functional copy and a two-rail checker tree.
 
-    The copy's output inversions are absorbed into the consuming gates'
-    truth tables, so the added gate count is gates(seed) + 6*(q - 1).  The
-    checker tree is balanced, merging output pairs in index order.  For a
-    single-output seed the copy itself is built inverted and the pair
-    (NOT y_0, y_0) is used as the error rails directly.
+    The seed's n gates come first, then the copy's, then the checker tree's:
+    the checker is every gate from index 2n on.  The copy's output
+    inversions are absorbed into the consuming gates' truth tables, so the
+    added gate count is gates(seed) + 6*(q - 1).  The checker tree is
+    balanced, merging output pairs in index order.  For a single-output seed
+    the copy itself is built inverted and the pair (NOT y_0, y_0) is used as
+    the error rails directly.
     """
-    if seed.error_rails is not None:
+    if seed.rails is not None:
         raise ValueError("seed already carries error rails")
     q = seed.q
     if q < 1:
@@ -281,12 +330,3 @@ def build_duplication_baseline(seed: Circuit) -> Circuit:
         pairs = merged
     (z0, _), (z1, _) = pairs[0]
     return Circuit(seed.r, tuple(gates), seed.func_outputs, (z0, z1))
-
-
-def baseline_checker_range(seed: Circuit) -> tuple[int, int]:
-    """Gate index range [start, stop) holding the checker tree of the baseline."""
-    n = len(seed.gates)
-    if seed.q == 1:
-        start = n if seed.func_outputs[0].is_input else 2 * n
-        return (start, start + (1 if seed.func_outputs[0].is_input else 0))
-    return (2 * n, 2 * n + 6 * (seed.q - 1))

@@ -3,7 +3,8 @@
 Signals are packed integers: bit w of a vector is the signal's value under
 input word w, for all 2**r words in ascending numeric order with x_0 as the
 least significant input bit.  Gates are refreshed once, in list order, which
-is sufficient for feed-forward circuits.
+is sufficient for feed-forward circuits; the simulator reads a Circuit's
+stored arrays, not its Gate view.
 """
 
 from __future__ import annotations
@@ -12,7 +13,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .netlist import Circuit, Fault, FaultSite, SignalRef
+from .netlist import Circuit, Fault, FaultSite
+
+
+# Most primary inputs a circuit or target read from a file may have: a
+# packed vector holds 2**r bits, and PLA parsing grows 5x per two inputs.
+MAX_INPUTS = 16
 
 
 class FaultScope(Enum):
@@ -62,33 +68,25 @@ def simulate(circuit: Circuit, fault: Fault | None = None) -> ResponseMatrix:
     fault at a gate input forces the corresponding source value before the
     table is applied, for that gate only.
     """
-    if fault is not None and not 0 <= fault.gate < len(circuit.gates):
+    r = circuit.r
+    if fault is not None and not 0 <= fault.gate < len(circuit.tt):
         raise ValueError(f"fault on gate {fault.gate} outside the circuit")
-    full = full_mask(circuit.r)
-    xs = input_patterns(circuit.r)
-    gv: list[int] = []
-
-    def value(ref: SignalRef) -> int:
-        return xs[ref.index] if ref.is_input else gv[ref.index]
-
-    for i, gate in enumerate(circuit.gates):
-        a = value(gate.a)
-        b = value(gate.b)
+    full = full_mask(r)
+    v = list(input_patterns(r))  # value of every index: inputs, then gates
+    for i, (t, a, b) in enumerate(zip(circuit.tt, circuit.src_a, circuit.src_b)):
+        a, b = v[a], v[b]
         if fault is not None and fault.gate == i:
             if fault.site is FaultSite.INPUT_A:
                 a = full if fault.stuck else 0
             elif fault.site is FaultSite.INPUT_B:
                 b = full if fault.stuck else 0
-        out = _tt_vector(gate.tt.value, a, b, full)
+        out = _tt_vector(t, a, b, full)
         if fault is not None and fault.gate == i and fault.site is FaultSite.OUTPUT:
             out = full if fault.stuck else 0
-        gv.append(out)
+        v.append(out)
 
-    outputs = tuple(value(ref) for ref in circuit.func_outputs)
-    rails = None
-    if circuit.error_rails is not None:
-        rails = (value(circuit.error_rails[0]), value(circuit.error_rails[1]))
-    return ResponseMatrix(1 << circuit.r, outputs, rails)
+    rails = None if circuit.rails is None else tuple(v[s] for s in circuit.rails)
+    return ResponseMatrix(1 << r, tuple(v[s] for s in circuit.outputs), rails)
 
 
 def enumerate_faults(circuit: Circuit, scope: FaultScope) -> list[Fault]:
@@ -103,7 +101,7 @@ def enumerate_faults(circuit: Circuit, scope: FaultScope) -> list[Fault]:
         sites = (FaultSite.OUTPUT, FaultSite.INPUT_A, FaultSite.INPUT_B)
     return [
         Fault(site, g, stuck)
-        for g in range(len(circuit.gates))
+        for g in range(len(circuit.tt))
         for site in sites
         for stuck in (0, 1)
     ]

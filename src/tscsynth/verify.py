@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .netlist import Circuit, Fault, baseline_checker_range, build_duplication_baseline
+from .netlist import Circuit, Fault, build_duplication_baseline
 from .sim import FaultScope, enumerate_faults, full_mask, simulate
 
 
@@ -65,7 +65,7 @@ def _report(
     fault-free outputs are also compared with its columns on the applied
     words.
     """
-    if circuit.error_rails is None:
+    if circuit.rails is None:
         raise ValueError("circuit has no error rails")
     if target is not None and len(target) != circuit.q:
         raise ValueError(
@@ -157,9 +157,9 @@ def codespace_report(seed: Circuit, baseline: Circuit | None = None) -> Codespac
         baseline = build_duplication_baseline(seed)
     outputs = simulate(seed).outputs
     patterns = {tuple((vec >> w) & 1 for vec in outputs) for w in range(1 << seed.r)}
-    lo, hi = baseline_checker_range(seed)
     report = verify_tsc(baseline)
-    checker_faults = [f for f in report.undetected if lo <= f.gate < hi]
+    # The baseline's checker is every gate after the seed and its copy.
+    checker_faults = [f for f in report.undetected if f.gate >= 2 * len(seed.tt)]
     return CodespaceReport(
         realized_patterns=len(patterns),
         codespace_size=1 << seed.q,

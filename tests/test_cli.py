@@ -44,6 +44,13 @@ class TestUsage:
         assert code == 2
         assert "needs one count" in capsys.readouterr().err
 
+    def test_circuit_with_too_many_inputs_exits_2(self, tmp_path, capsys):
+        # Verifying it would allocate 2**40-bit vectors.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"r": 40, "gates": [], "y": ["x0"], "z": ["x0", "x1"]}))
+        assert run_cli("verify", "--circuit", str(path)) == 2
+        assert "circuit has 40 inputs; at most 16" in capsys.readouterr().err
+
 
 # An AND seed with one more .names block that no output reads.
 UNUSED_BLOCK_BLIF = (

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from collections import Counter
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import pytest
 
@@ -328,13 +328,14 @@ class TestFitnessCache:
         gates = list(base.gates)
 
         def with_gate(k: int, gate: Gate) -> Circuit:
-            return replace(base, gates=tuple(gates[:k] + [gate] + gates[k + 1:]))
+            return Circuit(base.r, gates[:k] + [gate] + gates[k + 1:], base.func_outputs,
+                           base.error_rails)
 
         z0, z1 = base.error_rails
         variants = [
             base,
-            replace(base, error_rails=(z1, z0)),
-            replace(base, func_outputs=(G(3), G(1))),  # g3 also computes the sum
+            Circuit(base.r, gates, base.func_outputs, (z1, z0)),
+            Circuit(base.r, gates, (G(3), G(1)), base.error_rails),  # g3 also computes the sum
             with_gate(0, Gate(TT_XNOR, gates[0].a, gates[0].b)),
             with_gate(2, Gate(gates[2].tt, gates[2].b, gates[2].a)),
         ]

@@ -16,7 +16,7 @@ from tscsynth.formats import (
     write_native,
 )
 from tscsynth.netlist import Circuit, Gate, SignalRef, TT_XOR
-from tscsynth.sim import simulate
+from tscsynth.sim import MAX_INPUTS, simulate
 
 from conftest import random_circuit
 
@@ -72,6 +72,16 @@ class TestPla:
         with pytest.raises(ParseError):
             parse_pla(".i 2\n.o 1\n11 -\n.e\n")
 
+    @pytest.mark.parametrize("r", [MAX_INPUTS + 1, 40])
+    def test_more_than_max_inputs_rejected(self, r):
+        # Rejected before any 2**r-word column is built.
+        with pytest.raises(ParseError, match=f"PLA has {r} inputs; at most 16"):
+            parse_pla(f".i {r}\n.o 1\n{'1' * r} 1\n.e\n")
+
+    def test_max_inputs_accepted(self):
+        r = MAX_INPUTS
+        assert parse_pla(f".i {r}\n.o 1\n{'1' * r} 1\n.e\n").columns == (1 << (1 << r) - 1,)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), r=st.integers(1, 6), q=st.integers(1, 4))
     def test_render_parse_roundtrip(self, data, r, q):
@@ -94,6 +104,12 @@ class TestBlif:
         assert len(c.gates) == 1
         assert c.gates[0].tt.bits == (1, 1, 0, 0)
         assert simulate(c).outputs == (0b01,)
+
+    def test_more_than_max_inputs_rejected(self):
+        names = " ".join(f"a{j}" for j in range(MAX_INPUTS + 1))
+        text = f".model t\n.inputs {names}\n.outputs y\n.names a0 a1 y\n11 1\n.end\n"
+        with pytest.raises(ParseError, match="BLIF has 17 inputs; at most 16"):
+            parse_blif(text)
 
     def test_constant_one(self):
         c = parse_blif(".model t\n.inputs a\n.outputs y\n.names y\n1\n.end\n")
@@ -177,6 +193,20 @@ class TestNative:
         for _ in range(25):
             c = random_circuit(rng, r=3, n_gates=5, q=2, rails="random")
             assert read_native(write_native(c)) == c
+
+    @pytest.mark.parametrize("r,message", [
+        (MAX_INPUTS + 1, "circuit has 17 inputs; at most 16 are supported"),
+        (40, "circuit has 40 inputs; at most 16 are supported"),
+        (2.5, "input count must be an integer, got 2.5"),
+        (2.0, "input count must be an integer, got 2.0"),
+        (True, "input count must be an integer, got True"),
+        ("2", "input count must be an integer, got '2'"),
+        (-1, "negative input count"),
+    ])
+    def test_bad_input_count_rejected(self, r, message):
+        text = json.dumps({"r": r, "gates": [], "y": ["x0"], "z": []})
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            read_native(text)
 
     def test_single_rail_rejected(self):
         text = json.dumps(

@@ -20,7 +20,7 @@ from tscsynth.genome import (
     mutate_translocate,
     seed_lock_mask,
 )
-from tscsynth.formats import write_native
+from tscsynth.formats import read_native, write_native
 from tscsynth.netlist import Circuit, Gate, SignalRef, TT_AND, TT_XOR
 from tscsynth.sim import simulate
 
@@ -134,6 +134,22 @@ class TestDecode:
         for i, gate in enumerate(circuit.gates):
             for src in (gate.a, gate.b):
                 assert src.is_input or src.index < i
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(),
+           shape=st.sampled_from([(2, 1, 2), (2, 2, 4), (3, 2, 4), (4, 3, 5), (5, 4, 6),
+                                  (5, 16, 8)]))
+    def test_gate_view_rebuilds_the_same_circuit(self, data, shape):
+        # decode emits the arrays; the Gate view, the native format and a
+        # pickle each give back an equal circuit with an equal hash.  The
+        # last layout is decod-sized.
+        r, q, b = shape
+        lay = GenomeLayout(r=r, q=q, b=b)
+        value = data.draw(st.integers(0, (1 << lay.total_len) - 1))
+        c = decode(Genotype(value, lay), random.Random(data.draw(st.integers(0, 1 << 32))))
+        for again in (Circuit(c.r, c.gates, c.func_outputs, c.error_rails),
+                      read_native(write_native(c)), pickle.loads(pickle.dumps(c))):
+            assert again == c and hash(again) == hash(c)
 
     def test_decode_pinned(self):
         # One sha256 over the decoded netlists and the rng state after each

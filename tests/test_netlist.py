@@ -88,6 +88,21 @@ def test_circuit_rejects_single_rail():
 _AND01 = Gate(TT_AND, X(0), X(1))
 
 
+def arrays(r: int, gates, outputs, rails) -> tuple:
+    """from_arrays' arguments for a netlist given as Gate and SignalRef
+    objects: x_j is index j, g_k is r + k, and an input beyond r is ~j, the
+    negative index that stands for it."""
+
+    def index(ref: SignalRef) -> int:
+        if ref.kind == "g":
+            return r + ref.index
+        return ref.index if ref.index < r else ~ref.index
+
+    return (r, [g.tt.value for g in gates], [index(g.a) for g in gates],
+            [index(g.b) for g in gates], [index(ref) for ref in outputs],
+            None if rails is None else [index(ref) for ref in rails])
+
+
 @pytest.mark.parametrize(
     "gates,outputs,rails,message",
     [
@@ -111,6 +126,30 @@ _AND01 = Gate(TT_AND, X(0), X(1))
 def test_circuit_rejection_messages(gates, outputs, rails, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Circuit(2, gates, outputs, rails)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Circuit.from_arrays(*arrays(2, gates, outputs, rails))
+
+
+@pytest.mark.parametrize(
+    "tt,src_a,src_b,message",
+    [
+        ([8, 16], [0, 2], [1, 0], "truth table value out of range: 16"),
+        ([8, -1], [0, 2], [1, 0], "truth table value out of range: -1"),
+        ([8], [0, 1], [1], "gate arrays differ in length"),
+        ([8], [0], [], "gate arrays differ in length"),
+    ],
+)
+def test_array_form_rejects_bad_tables_and_lengths(tt, src_a, src_b, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Circuit.from_arrays(2, tt, src_a, src_b, [2], None)
+
+
+def test_array_form_equals_gate_form():
+    c = Circuit.from_arrays(2, [8, 14], [0, 2], [1, 0], [3], [2, 3])
+    assert c == Circuit(2, (_AND01, Gate(TT_OR, G(0), X(0))), (G(1),), (G(0), G(1)))
+    assert c.gates == (_AND01, Gate(TT_OR, G(0), X(0)))
+    assert c.gates is c.gates  # built once
+    assert (c.func_outputs, c.error_rails) == ((G(1),), (G(0), G(1)))
 
 
 @pytest.mark.parametrize(
@@ -129,6 +168,8 @@ def test_circuit_rejects_unread_gate(gates, outputs, rails, dead):
     message = f"^gate read by no later gate, output or rail: {dead}$"
     with pytest.raises(ValueError, match=message):
         Circuit(2, gates, outputs, rails)
+    with pytest.raises(ValueError, match=message):
+        Circuit.from_arrays(*arrays(2, gates, outputs, rails))
 
 
 class TestLiveSet:
