@@ -124,6 +124,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "dup_overhead": dup,
         "evals": result.evals,
         "scored": result.scored,
+        "decoded": result.decoded,
         "elapsed_s": round(result.elapsed, 3),
         "goal_reached": result.goal_reached,
         "champion": {
@@ -157,7 +158,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     print(
         f"{name}: fitness={champion.fitness.key()} live_gates={s} "
         f"overhead={overhead} (duplication {dup}) evals={result.evals} "
-        f"scored={result.scored}"
+        f"scored={result.scored} decoded={result.decoded}"
     )
     print(f"verification: {report.summary()}")
     return EXIT_OK
@@ -272,6 +273,8 @@ def _print_report(record: dict, core: int | None) -> int:
         # Records written before the fitness cache lack "scored".
         "evals": _field(record, "evals", int, optional=True),
         "scored": _field(record, "scored", int, optional=True),
+        # Records written before parents' netlists were reused lack "decoded".
+        "decoded": _field(record, "decoded", int, optional=True),
         "trajectory": _field(record, "history", list),
     }
     print(json.dumps(report, indent=2))
@@ -285,6 +288,8 @@ def _print_report(record: dict, core: int | None) -> int:
     if report["scored"] is not None:
         print(f"evals: {report['evals']}, scored: {report['scored']} (the rest "
               "were fitness cache hits)")
+    if report["decoded"] is not None:
+        print(f"decoded: {report['decoded']} (the rest reused a parent's netlist)")
     if s < g and core is None:
         print(
             "note: champion uses fewer live gates than the seed's function "

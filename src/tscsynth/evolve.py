@@ -19,10 +19,20 @@ into the current one.  The window
 moves at the start of every ``Island.step``, so the cache is bounded by two
 generations' evaluations, immigrants included.  A cache is valid for one
 ``(target, max_gates, word_mask)`` only, which an island never changes.  A
-hit still decodes, calls ``evaluate_circuit`` and counts toward
-``max_evals``, so the search is the same with or without it;
-``RunResult.scored`` counts the evaluations that ran the fitness
-computation.
+hit still calls ``evaluate_circuit`` and counts toward ``max_evals``, so the
+search is the same with or without it; ``RunResult.scored`` counts the
+evaluations that ran the fitness computation.
+
+Most children differ from their parent only in genes the parent's decode
+never read.  Each ``Individual`` keeps what its decode read (a
+``genome.Reading``: the reached gene slots and the cycle-repair sites), and
+a child that agrees with a parent (either one, for a crossover) on every
+bit that parent read is not decoded: decode would take the parent's walk,
+read the same genes and draw its repairs at the same sites in the same
+order, so ``genome.redraw`` gives the parent's netlist with only those
+sources drawn again from the island's rng.  That is the same circuit and
+the same rng state as decoding, so every search is unchanged;
+``RunResult.decoded`` counts the evaluations that did decode.
 
 ``run`` steps every island in one process.  ``run_distributed`` runs one
 process per island: each steps its island for ``EPOCH_GENERATIONS``
@@ -39,6 +49,7 @@ import math
 import multiprocessing
 import random
 import time
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -51,12 +62,15 @@ from .genome import (
     Genotype,
     GenomeLayout,
     LockMask,
+    Reading,
     crossover_single_point,
     decode,
     encode_seed,
     mutate_bit,
     mutate_routing,
     mutate_translocate,
+    redraw,
+    same_reading,
     seed_lock_mask,
 )
 from .netlist import Circuit
@@ -96,6 +110,7 @@ class Individual:
     genotype: Genotype
     circuit: Circuit
     fitness: FitnessVector
+    reading: Reading  # what the genotype's decode read (see genome.Reading)
 
 
 def _fitness_key(ind: Individual):
@@ -116,9 +131,9 @@ def select_parent(sorted_population: list, rng: random.Random):
         raise ValueError("empty population")
     if n == 1:
         return sorted_population[0]
-    return rng.choices(
-        sorted_population, cum_weights=_rank_cum_weights(n), k=1
-    )[0]
+    # The one draw and the pick of rng.choices(..., cum_weights=cum, k=1).
+    cum = _rank_cum_weights(n)
+    return sorted_population[bisect_right(cum, rng.random() * cum[-1], 0, n - 1)]
 
 
 def spiral_coords(index: int) -> tuple[int, int]:
@@ -219,6 +234,7 @@ class Island:
         self.inbox: deque[Genotype] = deque()
         self.population: list[Individual] = []
         self.cache = FitnessCache()
+        self.decoded = 0
 
     def populate(self) -> None:
         layout = self.config.layout
@@ -229,8 +245,19 @@ class Island:
         individuals.sort(key=_fitness_key, reverse=True)
         self.population = individuals
 
-    def _evaluate(self, genotype: Genotype) -> Individual:
-        circuit = decode(genotype, self.rng)
+    def _evaluate(self, genotype: Genotype, *parents: Individual) -> Individual:
+        """Decode and score genotype, a child of parents.  A child that reads
+        as a parent (genome.same_reading) takes that parent's netlist with
+        its cycle repairs redrawn, which is what decode would return."""
+        for parent in parents:
+            if same_reading(parent.reading, parent.genotype, genotype):
+                reading = parent.reading
+                circuit = redraw(parent.circuit, reading.repairs, self.rng)
+                break
+        else:
+            reading = Reading()
+            circuit = decode(genotype, self.rng, reading)
+            self.decoded += 1
         fv = evaluate_circuit(
             circuit,
             self.target.columns,
@@ -239,7 +266,7 @@ class Island:
             self.cache,
         )
         self.budget.evals += 1
-        return Individual(genotype, circuit, fv)
+        return Individual(genotype, circuit, fv, reading)
 
     def _integrate_immigrants(self) -> None:
         while self.inbox:
@@ -262,19 +289,21 @@ class Island:
             pa = select_parent(pop, rng)
             pb = select_parent(pop, rng)
             child = crossover_single_point(pa.genotype, pb.genotype, rng)
-            offspring.append(self._evaluate(child))
+            offspring.append(self._evaluate(child, pa, pb))
         for _ in range(BIT_MUTANTS):
             parent = select_parent(pop, rng)
-            offspring.append(self._evaluate(mutate_bit(parent.genotype, lock, rng)))
+            offspring.append(
+                self._evaluate(mutate_bit(parent.genotype, lock, rng), parent)
+            )
         for _ in range(TRANSLOCATIONS):
             parent = select_parent(pop, rng)
             offspring.append(
-                self._evaluate(mutate_translocate(parent.genotype, lock, rng))
+                self._evaluate(mutate_translocate(parent.genotype, lock, rng), parent)
             )
         for _ in range(ROUTING_MUTANTS):
             parent = select_parent(pop, rng)
             offspring.append(
-                self._evaluate(mutate_routing(parent.genotype, lock, rng))
+                self._evaluate(mutate_routing(parent.genotype, lock, rng), parent)
             )
         offspring.sort(key=_fitness_key, reverse=True)
         self.population = offspring
@@ -289,6 +318,7 @@ class RunResult:
     history: list[dict]
     evals: int
     scored: int  # evaluations the fitness cache missed, so scored in full
+    decoded: int  # evaluations that decoded, not reusing a parent's netlist
     elapsed: float
     goal_reached: bool
 
@@ -424,6 +454,9 @@ class Engine:
     def scored(self) -> int:
         return sum(island.cache.scored for island in self.islands)
 
+    def decoded(self) -> int:
+        return sum(island.decoded for island in self.islands)
+
     def result(self) -> RunResult:
         assert self.champion is not None
         return RunResult(
@@ -431,6 +464,7 @@ class Engine:
             history=self.history,
             evals=self.budget.evals,
             scored=self.scored(),
+            decoded=self.decoded(),
             elapsed=self.budget.elapsed,
             goal_reached=self.goal_met(),
         )
@@ -472,13 +506,13 @@ def _island_worker(
 ) -> None:
     """Report, then run one epoch per list of immigrants received, forever.
 
-    A report is (evals, scored, champion, migrants for other islands as
-    (island, genotype) pairs).
+    A report is (evals, scored, decoded, champion, migrants for other islands
+    as (island, genotype) pairs).
     """
     engine = Engine(config, target, seed_circuit, island_indices=[index])
     while True:
-        conn.send((engine.budget.evals, engine.scored(), engine.champion,
-                   engine.outbox))
+        conn.send((engine.budget.evals, engine.scored(), engine.decoded(),
+                   engine.champion, engine.outbox))
         engine.outbox = []
         engine.islands[0].inbox.extend(conn.recv())
         for _ in range(EPOCH_GENERATIONS):
@@ -508,7 +542,8 @@ def run_distributed(
     are drawn from each island's own rng as in ``run``, but reach their
     destination at the start of the next epoch.  The driver keeps the
     champion and the history, whose evals count all islands, and writes the
-    checkpoints.  The result's ``scored`` sums the workers' counts.
+    checkpoints.  The result's ``scored`` and ``decoded`` sum the workers'
+    counts.
 
     The eval budget, the time limit and the goal are checked only between
     epochs, so a run overshoots ``max_evals`` by at most one epoch of evals
@@ -545,7 +580,7 @@ def run_distributed(
                     raise _worker_exited(i, worker) from None
             driver.budget.evals = sum(report[0] for report in reports)
             inboxes: list[list[Genotype]] = [[] for _ in workers]
-            for i, (_, _, champion, outbox) in enumerate(reports):
+            for i, (_, _, _, champion, outbox) in enumerate(reports):
                 driver._note_champion(champion, i)
                 for dest, genotype in outbox:
                     inboxes[dest].append(genotype)
@@ -553,7 +588,8 @@ def run_distributed(
                 driver._advance(EPOCH_GENERATIONS)
             if driver.budget.exhausted() or driver.goal_met():
                 return replace(driver.result(),
-                               scored=sum(report[1] for report in reports))
+                               scored=sum(report[1] for report in reports),
+                               decoded=sum(report[2] for report in reports))
             for i, (conn, worker) in enumerate(zip(conns, workers)):
                 try:
                     conn.send(inboxes[i])

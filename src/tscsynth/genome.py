@@ -19,6 +19,16 @@ once both sources are done.  Unreached genes are never read, so every
 emitted gate is live.  decode emits the Circuit's flat arrays directly
 (Circuit.from_arrays) and builds no Gate object; encode_seed reads the same
 arrays back.
+
+The walk depends only on the bits it reads: the m routing fields and the
+genes of the slots it reaches.  A cycle repair reroutes an edge to a primary
+input, whose index is fixed from the start, so which input rng draws never
+steers the walk; it only sets that source.  So the reached slots, the repair
+sites and the order of the repair draws are all fixed by the bits read.
+decode reports them in a Reading when asked.  A genotype that agrees with
+an earlier one on every bit that one's decode read (same_reading) decodes
+to the earlier netlist with each repair site drawn again in order (redraw):
+the same circuit, and the same rng state afterwards, as decoding it.
 """
 
 from __future__ import annotations
@@ -169,7 +179,19 @@ def _unlocked_genes(layout: GenomeLayout, lock: LockMask) -> tuple[int, ...]:
     )
 
 
-def decode(genotype: Genotype, rng: random.Random) -> Circuit:
+@dataclass
+class Reading:
+    """What one decode read: byte k of reached is 1 if the walk reached gene
+    slot k, and repairs lists its cycle repairs as 2*gate + pin (pin 0 for
+    source a, 1 for source b) in the order their inputs were drawn."""
+
+    reached: bytes = b""
+    repairs: tuple[int, ...] = ()
+
+
+def decode(
+    genotype: Genotype, rng: random.Random, reading: Reading | None = None
+) -> Circuit:
     """Decode to a feed-forward circuit in one depth-first pass.
 
     Outputs are routed first (y_0..y_{q-1}, then z_0, z_1).  The
@@ -179,7 +201,7 @@ def decode(genotype: Genotype, rng: random.Random) -> Circuit:
     edge back onto the current search path is rerouted to a primary input
     drawn from rng; repair changes the decoded circuit only, never the
     genotype.  Genes the search never reaches are never read: their gates
-    have no path to an output.
+    have no path to an output.  If reading is given, decode fills it in.
     """
     lay = genotype.layout
     b = lay.b
@@ -199,6 +221,7 @@ def decode(genotype: Genotype, rng: random.Random) -> Circuit:
     tt: list[int] = []
     src_a: list[int] = []
     src_b: list[int] = []
+    repairs: list[int] = []
 
     def reach(slot: int) -> list[int]:
         # Search frame: [slot, truth table, source a, source b, index of the
@@ -228,13 +251,65 @@ def decode(genotype: Genotype, rng: random.Random) -> Circuit:
             if index[addr] is not None:
                 continue
             if on_path[addr]:
-                # Edge back onto the current path: break the loop here.
+                # Edge back onto the current path: break the loop here.  The
+                # site is kept as 2*slot + pin until the slot has its gate.
                 frame[si] = M + rng.randrange(r)
+                repairs.append(2 * frame[0] + si - 2)
             else:
                 stack.append(reach(addr))
 
+    if reading is not None:
+        reading.reached = bytes(on_path)
+        # Converted in place: a generator expression here, one per decode,
+        # raised search-mult2's peak resident memory by about 9%.
+        for i, s in enumerate(repairs):
+            repairs[i] = 2 * (index[s >> 1] - r) + (s & 1)
+        reading.repairs = tuple(repairs)
     outs = [index[a] for a in out_addrs]
     return Circuit.from_arrays(r, tt, src_a, src_b, outs[: lay.q], outs[lay.q :])
+
+
+def same_reading(reading: Reading, parent: Genotype, child: Genotype) -> bool:
+    """True if child agrees with parent on every bit that parent's decode,
+    which gave reading, read: every routing field and every reached gene.
+    Then decode(child) takes parent's walk (see the module docstring)."""
+    lay = child.layout
+    glen = lay.gene_len
+    M = lay.max_gates
+    diff = parent.value ^ child.value
+    if diff >> (M * glen):
+        return False  # the routing fields are the high bits of the value
+    if not diff:
+        return True
+    # Only genes first..last can differ; a reached one among them must not.
+    first = M - 1 - (diff.bit_length() - 1) // glen
+    last = M - 1 - ((diff & -diff).bit_length() - 1) // glen
+    gmask = (1 << glen) - 1
+    reached = reading.reached
+    k = reached.find(1, first, last + 1)
+    while k >= 0:
+        if (diff >> (M - 1 - k) * glen) & gmask:
+            return False
+        k = reached.find(1, k + 1, last + 1)
+    return True
+
+
+def redraw(circuit: Circuit, repairs: tuple[int, ...], rng: random.Random) -> Circuit:
+    """decode's result for a genotype that reads as circuit's did: circuit
+    with the source at each repair site drawn again from rng, in order.
+    Returns circuit itself when no drawn input differs from the old one."""
+    if not repairs:
+        return circuit
+    r = circuit.r
+    draws = [rng.randrange(r) for _ in repairs]
+    old = (circuit.src_a, circuit.src_b)
+    if all(old[s & 1][s >> 1] == j for s, j in zip(repairs, draws)):
+        return circuit
+    src_a, src_b = new = (list(circuit.src_a), list(circuit.src_b))
+    for s, j in zip(repairs, draws):
+        new[s & 1][s >> 1] = j
+    return Circuit.from_arrays(r, circuit.tt, src_a, src_b, circuit.outputs,
+                               circuit.rails)
 
 
 def seed_lock_mask(circuit: Circuit, layout: GenomeLayout) -> LockMask:

@@ -159,21 +159,22 @@ class Circuit:
     rails: tuple[int, int] | None
 
     def __init__(self, r: int, gates, func_outputs, error_rails=None) -> None:
-        def index(ref: SignalRef) -> int:
-            # An input x_j beyond r has no index: ~j is negative, so it never
-            # aliases gate j - r, and _store rejects it by name.
-            if ref.kind == "g":
-                return r + ref.index
-            return ref.index if ref.index < r else ~ref.index
-
+        # Each reference is converted inline.  An input x_j beyond r has no
+        # index: ~j is negative, so it never aliases gate j - r, and _store
+        # rejects it by name.
         gates = tuple(gates)
         tt, src_a, src_b = [], [], []
         for gate in gates:
+            a, b = gate.a, gate.b
             tt.append(gate.tt.value)
-            src_a.append(index(gate.a))
-            src_b.append(index(gate.b))
-        self._store(r, tt, src_a, src_b, map(index, func_outputs),
-                    None if error_rails is None else map(index, error_rails))
+            src_a.append(r + a.index if a.kind == "g" else a.index if a.index < r else ~a.index)
+            src_b.append(r + b.index if b.kind == "g" else b.index if b.index < r else ~b.index)
+        rails = () if error_rails is None else tuple(error_rails)
+        outs = [r + s.index if s.kind == "g" else s.index if s.index < r else ~s.index
+                for s in (*func_outputs, *rails)]
+        q = len(outs) - len(rails)
+        self._store(r, tt, src_a, src_b, outs[:q],
+                    None if error_rails is None else outs[q:])
         self.__dict__["gates"] = gates
 
     @classmethod
@@ -207,11 +208,13 @@ class Circuit:
         for s in outputs + (rails or ()):
             if not 0 <= s < r + n:
                 raise _bad_index(s, r)
-        unread = set(range(r, r + n)).difference(src_a, src_b, outputs, rails or ())
-        if unread:
-            raise ValueError(f"gate read by no later gate, output or rail: g{min(unread) - r}")
-        self.__dict__.update(r=r, tt=tt, src_a=src_a, src_b=src_b,
-                             outputs=outputs, rails=rails)
+        read = {*src_a, *src_b, *outputs, *(rails or ())}
+        if not read.issuperset(range(r, r + n)):
+            unread = min(set(range(r, r + n)) - read)
+            raise ValueError(f"gate read by no later gate, output or rail: g{unread - r}")
+        d = self.__dict__
+        d["r"], d["tt"], d["src_a"], d["src_b"] = r, tt, src_a, src_b
+        d["outputs"], d["rails"] = outputs, rails
 
     @property
     def q(self) -> int:

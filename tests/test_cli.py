@@ -223,6 +223,8 @@ class TestEvolveCommand:
         assert code == 0
         run_record = json.loads((tmp_path / "run" / "run.json").read_text())
         assert run_record["evals"] == 32
+        # The first population has no parents: every one is decoded.
+        assert run_record["decoded"] == 32
         # The bare seed computes c17 without checking it.
         assert run_record["verification"]["is_tsc"] is False
         assert run_record["verification"]["computes_target"] is True
@@ -392,6 +394,7 @@ class TestReport:
         assert "Benchmark" in rest
         assert report["evals"] == 32 and 0 < report["scored"] <= 32
         assert f"evals: 32, scored: {report['scored']}" in rest
+        assert report["decoded"] == 32 and "decoded: 32" in rest
         # ratio only reported for verified-TSC champions
         if report["verdict"] != "TSC":
             assert report["ratio"] is None

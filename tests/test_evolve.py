@@ -178,11 +178,15 @@ class TestEngine:
         )
         assert result.evals == 6011
 
-    def test_each_evaluation_decodes_and_scores_once(self, monkeypatch):
+    def test_each_evaluation_scores_once_and_decodes_unless_reused(self, monkeypatch):
         # The traced benchmark pass (perfbench/workloads.py) wraps
         # evolve.decode and evolve.evaluate_circuit and divides each layer's
-        # time by its call count, so every evaluation must call both names.
-        calls = {"decode": 0, "evaluate_circuit": 0}
+        # time by its call count.  Every evaluation calls evaluate_circuit
+        # once.  A child that reads as a parent takes the parent's netlist
+        # through redraw; every other evaluation calls decode once, and
+        # RunResult.decoded counts those.  The first population always
+        # decodes, so the decode layer is never without samples.
+        calls = {"decode": 0, "redraw": 0, "evaluate_circuit": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(evolve, name)):
                 calls[_name] += 1
@@ -191,7 +195,24 @@ class TestEngine:
             monkeypatch.setattr(evolve, name, counted)
         seed, target, layout = small_setup()
         result = run(small_config(layout, max_evals=500), target, seed)
-        assert calls == {"decode": result.evals, "evaluate_circuit": result.evals}
+        assert calls["evaluate_circuit"] == result.evals
+        assert calls["decode"] == result.decoded
+        assert calls["decode"] + calls["redraw"] == result.evals
+        assert POPULATION_SIZE <= result.decoded < result.evals
+
+    def test_reuse_changes_no_search(self, monkeypatch):
+        # Decoding every child instead gives the same run: champion, history,
+        # evals and fitness cache counts; only the decode count differs.
+        seed, target, layout = small_setup(rails_b=3)
+        config = small_config(layout, n_islands=2, max_evals=2000, migration_rate=0.5)
+        reused = run(config, target, seed)
+        monkeypatch.setattr(evolve, "same_reading", lambda *args: False)
+        decoded = run(config, target, seed)
+        assert reused.champion.genotype == decoded.champion.genotype
+        assert reused.champion.circuit == decoded.champion.circuit
+        assert (reused.history, reused.evals, reused.scored) == (
+            decoded.history, decoded.evals, decoded.scored)
+        assert reused.decoded < decoded.decoded == decoded.evals
 
     def test_different_seeds_differ(self):
         seed, target, layout = small_setup()
@@ -372,10 +393,13 @@ class TestDistributed:
         engine = Engine(config, target, seed)
         serial = engine.run()
         per_island = [island.cache.scored for island in engine.islands]
+        decoded = [island.decoded for island in engine.islands]
         parallel = run_distributed(config, target, seed)
         assert parallel.evals == serial.evals
         assert parallel.scored == serial.scored == sum(per_island)
         assert all(0 < n < parallel.scored for n in per_island)
+        assert parallel.decoded == serial.decoded == sum(decoded)
+        assert all(0 < n < parallel.decoded for n in decoded)
 
     def test_dead_worker_raises(self):
         # In a child interpreter with a timeout, so a driver that blocks on a

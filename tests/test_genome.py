@@ -11,6 +11,7 @@ from tscsynth.genome import (
     GenomeLayout,
     Genotype,
     LockMask,
+    Reading,
     crossover_single_point,
     decode,
     default_address_width,
@@ -18,6 +19,8 @@ from tscsynth.genome import (
     mutate_bit,
     mutate_routing,
     mutate_translocate,
+    redraw,
+    same_reading,
     seed_lock_mask,
 )
 from tscsynth.formats import read_native, write_native
@@ -182,6 +185,108 @@ class TestDecode:
         before = g.value
         decode(g, random.Random(1))
         assert g.value == before
+
+
+class TestReuse:
+    """A child that agrees with its parent on every bit the parent's decode
+    read decodes, under any rng state, to the parent's netlist with its
+    repairs redrawn."""
+
+    # The hand-decoded XOR: routing fields "00" (y0 -> gene 0), "10", "11"
+    # (rails on x0 and x1), gene 0 XOR(x0, x1), gene 1 never read.
+    XOR = "00" + "1011" + "0110" + "10" + "11" + "00000000"
+
+    @staticmethod
+    def check(parent, reading, circuit, child, state):
+        """Assert redraw matches decode whenever same_reading holds; return
+        whether it held."""
+        if not same_reading(reading, parent, child):
+            return False
+        reused, decoded = random.Random(), random.Random()
+        reused.setstate(state)
+        decoded.setstate(state)
+        again = Reading()
+        assert redraw(circuit, reading.repairs, reused) == decode(child, decoded, again)
+        assert reused.getstate() == decoded.getstate()
+        assert (again.reached, again.repairs) == (reading.reached, reading.repairs)
+        return True
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           shape=st.sampled_from([(2, 1, 2), (2, 2, 2), (2, 2, 3), (3, 2, 3), (4, 3, 4)]))
+    def test_redraw_equals_decode(self, data, shape):
+        # Small b: most decodes repair a cycle, and a redraw often picks
+        # another input.  Children come from every operator and crossover.
+        r, q, b = shape
+        lay = GenomeLayout(r=r, q=q, b=b)
+        rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+        parents = []
+        for _ in range(2):
+            g = Genotype(data.draw(st.integers(0, (1 << lay.total_len) - 1)), lay)
+            reading = Reading()
+            parents.append((g, reading, decode(g, rng, reading)))
+        lock = LockMask.empty()
+        for _ in range(20):
+            (pa, ra, ca), (pb, rb, cb) = parents
+            op = rng.randrange(4)
+            if op == 3:
+                child = crossover_single_point(pa, pb, rng)
+            else:
+                child = (mutate_bit, mutate_routing, mutate_translocate)[op](pa, lock, rng)
+            state = rng.getstate()
+            self.check(pa, ra, ca, child, state)
+            if op == 3:
+                self.check(pb, rb, cb, child, state)
+            reading = Reading()
+            parents = [(child, reading, decode(child, rng, reading)), parents[0]]
+
+    def test_redraw_equals_decode_with_repairs(self):
+        # The same over a fixed sample, which must hold children that reuse
+        # with repairs, and redraws that keep and that change a source.
+        lay = GenomeLayout(r=2, q=2, b=3)
+        rng = random.Random(5)
+        lock = LockMask.empty()
+        ops = (mutate_bit, mutate_routing, mutate_translocate)
+        same = changed = 0
+        for _ in range(400):
+            parent = Genotype(rng.getrandbits(lay.total_len), lay)
+            reading = Reading()
+            circuit = decode(parent, rng, reading)
+            child = ops[rng.randrange(3)](parent, lock, rng)
+            state = rng.getstate()
+            if self.check(parent, reading, circuit, child, state) and reading.repairs:
+                probe = random.Random()
+                probe.setstate(state)
+                if redraw(circuit, reading.repairs, probe) is circuit:
+                    same += 1
+                else:
+                    changed += 1
+        assert same > 10 and changed > 10
+
+    def test_reading_of_hand_decoded_xor(self):
+        lay = GenomeLayout(r=2, q=1, b=2)
+        reading = Reading()
+        decode(bits_to_genotype(self.XOR, lay), random.Random(0), reading)
+        assert reading.reached == bytes([1, 0]) and reading.repairs == ()
+        # Gene 0 reading itself as source a: one repair, gate 0 pin 0.
+        loop = self.XOR[:10] + "00" + self.XOR[12:]
+        decode(bits_to_genotype(loop, lay), random.Random(0), reading)
+        assert reading.reached == bytes([1, 0]) and reading.repairs == (0,)
+
+    @pytest.mark.parametrize("pos,reused", [
+        (14, True), (21, True),  # gene 1, never read
+        (6, False), (12, False),  # gene 0: truth table, source b
+        (0, False), (5, False),  # routing: y0, z1
+    ])
+    def test_bit_flip_reuses_only_unread_gene(self, pos, reused):
+        lay = GenomeLayout(r=2, q=1, b=2)
+        parent = bits_to_genotype(self.XOR, lay)
+        reading = Reading()
+        circuit = decode(parent, random.Random(0), reading)
+        child = Genotype(parent.value ^ (1 << (lay.total_len - 1 - pos)), lay)
+        assert same_reading(reading, parent, child) is reused
+        if reused:
+            assert redraw(circuit, reading.repairs, random.Random(1)) is circuit
 
 
 class TestEncodeSeed:
