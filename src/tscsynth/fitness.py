@@ -8,32 +8,35 @@ its Gate view; every gate of a circuit is live.  The fault-free values, f_f,
 the live gate count and the checking counts (u_f, u_i) all come from that
 one form and one fault-free simulation.
 
-Output faults are simulated in parallel (Waicukauski et al., "Fault
+Gate faults are simulated in parallel (Waicukauski et al., "Fault
 simulation for structured VLSI", 1985).  A packed int holds one slot of
-2**r bits per fault: gate k owns slot 2k (its output stuck-at-0) and
-slot 2k + 1 (stuck-at-1), and bit w of a slot is the signal's value at
-input word w under that slot's fault.  Each input is copied across all
-slots by one multiply with the slot-repeat constant, every gate is
-evaluated once over the whole int, and a gate's own two slots are forced to
-their stuck values as soon as it is evaluated, so the fault reaches its
-fan-out.  The rails then give every fault's error mask (applied words where
-z_0 == z_1) in its slot, and u_i is one popcount of the applied words with
-a wrong function output and no error signal.  One packed int is at most
-PASS_BITS wide; a circuit with more faults takes several passes, each over
-the slots of a run of consecutive gates.  A pass copies the fault-free
-values of the gates before its run the same way as the inputs, since none
-of its faults reaches them.
+2**r bits per gate, and bit w of slot k is a signal's value at input word w
+with gate k's output inverted at every word.  Each input is copied across
+all slots by one multiply with the slot-repeat constant, every gate is
+evaluated once over the whole int, and a gate's own slot is inverted as soon
+as it is evaluated, so the flip reaches its fan-out.  The rails then give
+every slot's error mask (applied words where z_0 == z_1), and u_i is one
+popcount of the applied words with a wrong function output and no error
+signal.  One packed int is at most PASS_BITS wide; a circuit with more gates
+takes several passes, each over the slots of a run of consecutive gates.  A
+pass copies the fault-free values of the gates before its run the same way
+as the inputs, since no flip of its run reaches them.
 
-Input faults never get their own simulation.  An input stuck-at either
-leaves the gate output unchanged at a word or flips it, in which case the
-circuit behaves exactly as under the output stuck-at at the flipped value
-at that word.  So an input fault counts as detected when one of its flip
-words is error-signalled in the slot of the matching output fault: its
-stuck-at-0 slot where the fault-free output is 1, its stuck-at-1 slot
-where it is 0.  A gate whose two slots signal no such word leaves all four
-of its input faults undetected at once.  Otherwise each pinned output is
-read off the truth-table bits: with one input stuck, the gate passes,
-inverts or fixes the other input (_pinned_outputs).
+One slot serves both stuck-at faults of the output, because the checking
+counts are taken only when the fault-free rails do not collide on any
+applied word.  At a word where the fault-free output o is 1, stuck-at-0 is
+the flip; where o is 0, it is the fault-free circuit, which signals no error
+there and has no wrong output.  So output stuck-at-0 is detected at the
+flip slot's error words where o is 1, and stuck-at-1 at those where o is 0,
+and the two faults' wrong unsignalled words add up to the flip slot's own,
+which is why u_i is still one popcount.
+
+Input faults never get their own simulation either.  An input stuck-at
+leaves the gate output unchanged at a word or flips it, and at a flipped
+word the circuit behaves as under the flip.  The output flips where it
+follows that input (_follows, read off the truth-table bits) and the input
+differs from the stuck value, so the fault is detected when one of those
+words is in the gate's error mask.
 """
 
 from __future__ import annotations
@@ -48,7 +51,9 @@ from .sim import ResponseMatrix, full_mask, input_patterns
 K_ST = 25
 K_FS = 200
 
-# Width cap, in bits, of one packed int of the output-fault pass.
+# Width cap, in bits, of one packed int of the fault pass: a pass holds
+# PASS_BITS // 2**r gates (at least one), one slot each.  The one-slot pass
+# is exact only where the fault-free rails do not collide on an applied word.
 PASS_BITS = 1 << 16
 
 # Gate evaluators indexed by truth-table value (bit 2*a + b holds the output
@@ -158,19 +163,21 @@ def _response(circuit: Circuit, values: list[int]) -> ResponseMatrix:
                           (values[z0], values[z1]))
 
 
-def _pinned_outputs(t: int, a: int, b: int, full: int) -> tuple[int, int, int, int]:
-    """Output of a gate with table t and packed inputs a, b under input a
-    stuck at 0 and at 1, then input b stuck at 0 and at 1.
+def _follows(t: int, a: int, b: int, full: int) -> tuple[int, int]:
+    """Words at which a gate with table t and packed inputs a, b follows
+    input a (flipping a flips the output), and those at which it follows b.
 
-    With one input pinned the output is a function of the other input x
-    alone: bit 2a + b of t gives its value where x is 0 and where x is 1.
+    Bit 2a + b of t is the output at (a, b), so the output follows a where
+    b = 0 if bits 0 and 2 differ, where b = 1 if bits 1 and 3 differ, and
+    follows b where a = 0 if bits 0 and 1 differ, where a = 1 if bits 2 and 3
+    differ.  Input a stuck at s flips the output exactly at the words where it
+    follows a and a != s; likewise for b.
     """
-    na, nb = a ^ full, b ^ full
+    along_a = t ^ (t >> 2)
+    along_b = t ^ (t >> 1)
     return (
-        (nb if t & 1 else 0) | (b if t & 2 else 0),  # a = 0: t0 where b = 0, t1 where 1
-        (nb if t & 4 else 0) | (b if t & 8 else 0),  # a = 1: t2, t3
-        (na if t & 1 else 0) | (a if t & 4 else 0),  # b = 0: t0 where a = 0, t2 where 1
-        (na if t & 2 else 0) | (a if t & 8 else 0),  # b = 1: t1, t3
+        (b ^ full if along_a & 1 else 0) | (b if along_a & 2 else 0),
+        (a ^ full if along_b & 1 else 0) | (a if along_b & 4 else 0),
     )
 
 
@@ -183,25 +190,20 @@ def _fault_counts(circuit: Circuit, values: list[int], applied: int) -> tuple[in
     tt, src_a, src_b = circuit.tt, circuit.src_a, circuit.src_b
     n = len(tt)
     z0, z1 = circuit.rails
-    per_pass = max(1, PASS_BITS // (2 * width))
+    per_pass = max(1, PASS_BITS // width)
 
-    # errors[2k + d]: applied words signalled under output stuck-at-d of gate k.
-    errors: list[int] = []
+    u_f = 0
     u_i = 0
     for k0 in range(0, n, per_pass):
         k1 = min(n, k0 + per_pass)
-        slots = 2 * (k1 - k0)
-        wide = (1 << (slots * width)) - 1
+        wide = (1 << ((k1 - k0) * width)) - 1
         repeat = wide // full
-        # No fault of this pass reaches the gates before its run.
+        # No flip of this pass reaches the gates before its run.
         v = [x * repeat for x in values[: r + k0]]
-        stuck0 = full
-        stuck_both = (1 << (2 * width)) - 1
+        flip = full
         for k in range(k0, k1):
-            t = (_GATE_EVAL[tt[k]](v[src_a[k]], v[src_b[k]], wide) | stuck_both) ^ stuck0
-            v.append(t)
-            stuck0 <<= 2 * width
-            stuck_both <<= 2 * width
+            v.append(_GATE_EVAL[tt[k]](v[src_a[k]], v[src_b[k]], wide) ^ flip)
+            flip <<= width
         for k in range(k1, n):
             v.append(_GATE_EVAL[tt[k]](v[src_a[k]], v[src_b[k]], wide))
 
@@ -211,22 +213,26 @@ def _fault_counts(circuit: Circuit, values: list[int], applied: int) -> tuple[in
         for i in circuit.outputs:
             wrong |= v[i] ^ values[i] * repeat
         u_i += (wrong & (err ^ applied_all)).bit_count()
-        for _ in range(slots):
-            errors.append(err & full)
-            err >>= width
 
-    u_f = errors.count(0)
-    # Input faults by manifestation: a flip word of an input fault counts
-    # when the output fault it manifests as signals an error there.
-    for k in range(n):
-        o = values[r + k]
-        detectable = ((o ^ full) & errors[2 * k + 1]) | (o & errors[2 * k])
-        if not detectable:
-            u_f += 4  # no flip word of any input fault can be signalled
-            continue
-        for pinned in _pinned_outputs(tt[k], values[src_a[k]], values[src_b[k]], full):
-            if (pinned ^ o) & detectable == 0:
-                u_f += 1
+        for k in range(k0, k1):
+            err_k = err & full
+            err >>= width
+            if not err_k:
+                u_f += 6  # both output faults and all four input faults
+                continue
+            # Signalled words at which a flip of the output, of input a and of
+            # input b flips the output.  Stuck-at-0 of a line acts where the
+            # line is 1, stuck-at-1 where it is 0; a fault acting at none of
+            # its line's words is undetected.
+            a, b = values[src_a[k]], values[src_b[k]]
+            on_a, on_b = _follows(tt[k], a, b, full)
+            on_o = err_k & values[r + k]
+            on_a &= err_k
+            on_b &= err_k
+            at_a1 = on_a & a
+            at_b1 = on_b & b
+            u_f += ((not on_o) + (on_o == err_k) + (not at_a1) + (at_a1 == on_a)
+                    + (not at_b1) + (at_b1 == on_b))
     return u_f, u_i
 
 

@@ -46,6 +46,11 @@ _REV4 = tuple(
     for v in range(16)
 )
 
+# Widest address field a layout may have: 2**b - r gene slots, and decode
+# and its Reading each hold one entry per slot.
+MAX_ADDRESS_BITS = 16
+
+
 @dataclass(frozen=True)
 class GenomeLayout:
     """Genotype geometry for circuits with r inputs and q function outputs.
@@ -67,6 +72,9 @@ class GenomeLayout:
     def __post_init__(self) -> None:
         if self.r < 1 or self.q < 1 or self.b < 1:
             raise ValueError("bad layout dimensions")
+        if self.b > MAX_ADDRESS_BITS:
+            raise ValueError(f"address width b={self.b}; at most "
+                             f"{MAX_ADDRESS_BITS} is supported")
         if (1 << self.b) <= self.r:
             raise ValueError("2**b must exceed r (no gene slot encodable)")
         m = self.q + 2

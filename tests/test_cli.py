@@ -291,6 +291,22 @@ class TestEvolveCommand:
         assert f"--applied-words {mask}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_address_width_above_the_bound_exits_2(self, tmp_path, capsys, how):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("b = 40\n")
+        width = ["--b", "40"] if how == "flag" else ["--config", str(cfg)]
+        code = run_cli(
+            "evolve",
+            "--target", bench("mult2.pla"),
+            "--seed", bench("mult2.blif"),
+            "--islands", "1",
+            "--budget-evals", "0",
+            *width,
+        )
+        assert code == 2
+        assert "b=40; at most 16" in capsys.readouterr().err
+
     def test_seed_target_shape_mismatch_exits_2(self, capsys):
         code = run_cli(
             "evolve",

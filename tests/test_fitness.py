@@ -164,19 +164,23 @@ class TestManifestationPremise:
 
     @pytest.mark.parametrize("value", range(16))
     def test_pinned_outputs_match_truth_table(self, value):
-        # Words 0..3 cover every (a, b) pair; each pinned output is the table
-        # with that input forced, at every word.
+        # Words 0..3 cover every (a, b) pair.  With an input stuck, the gate's
+        # output is its fault-free output flipped where it follows that input
+        # and the input differs from the stuck value; at every word this must
+        # be the table with that input forced.
         full = 0b1111
         a_vec, b_vec = 0b1010, 0b1100
         tt = TruthTable2(value)
-        pinned = fitness._pinned_outputs(value, a_vec, b_vec, full)
-        forced = ((0, None), (1, None), (None, 0), (None, 1))  # a/0, a/1, b/0, b/1
-        for out, (fa, fb) in zip(pinned, forced, strict=True):
+        free = _GATE_EVAL[value](a_vec, b_vec, full)
+        on_a, on_b = fitness._follows(value, a_vec, b_vec, full)
+        for stuck in (0, 1):
+            stuck_vec = full if stuck else 0
+            pinned_a = free ^ (on_a & (a_vec ^ stuck_vec))
+            pinned_b = free ^ (on_b & (b_vec ^ stuck_vec))
             for w in range(4):
                 a, b = (a_vec >> w) & 1, (b_vec >> w) & 1
-                a = a if fa is None else fa
-                b = b if fb is None else fb
-                assert (out >> w) & 1 == tt.eval(a, b)
+                assert (pinned_a >> w) & 1 == tt.eval(stuck, b)
+                assert (pinned_b >> w) & 1 == tt.eval(a, stuck)
 
 
 class TestGateEvaluators:
@@ -435,12 +439,28 @@ class TestDifferentialOracle:
 
     def test_several_passes_give_the_same_counts(self, rng, monkeypatch):
         baseline = benchmark_baselines()["decod"]
-        slots_bits = 2 * len(baseline.gates) << baseline.r
+        slots_bits = len(baseline.gates) << baseline.r
         assert slots_bits <= fitness.PASS_BITS  # one pass at the shipped cap
         masks = (None, rng.getrandbits(1 << baseline.r))
         one_pass = [evaluate_checking(baseline, fault_free_response(baseline), m)
                     for m in masks]
-        monkeypatch.setattr(fitness, "PASS_BITS", 256)  # four gates per pass
+        monkeypatch.setattr(fitness, "PASS_BITS", 128)  # four gates per pass
         for m, expected in zip(masks, one_pass):
             assert evaluate_checking(baseline, fault_free_response(baseline), m) == expected
         assert assert_matches_oracle(baseline, masks[1])
+
+    @pytest.mark.parametrize("gates_per_pass", (1, 3))
+    def test_pass_boundaries_on_random_circuits(self, rng, monkeypatch, gates_per_pass):
+        # One gate per pass comes from a cap of 1 bit, below one gate's
+        # width, so the pass size is clamped; three gates per pass leaves
+        # runs that split at odd gates and a short last pass.
+        checked = 0
+        for _ in range(60):
+            r = rng.randrange(1, 7)
+            c = random_circuit(rng, r=r, n_gates=rng.randrange(4, 25),
+                               q=rng.randrange(1, 4), rails="complement")
+            mask = rng.getrandbits(1 << r)
+            cap = 1 if gates_per_pass == 1 else gates_per_pass << r
+            monkeypatch.setattr(fitness, "PASS_BITS", cap)
+            checked += assert_matches_oracle(c, mask) and len(c.gates) > gates_per_pass
+        assert checked >= 30

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tscsynth.genome import (
+    MAX_ADDRESS_BITS,
     GenomeLayout,
     Genotype,
     LockMask,
@@ -53,6 +54,11 @@ class TestLayout:
     def test_rejects_no_function_outputs(self):
         with pytest.raises(ValueError):
             GenomeLayout(r=2, q=0, b=4)
+
+    def test_address_width_is_bounded(self):
+        assert GenomeLayout(r=2, q=1, b=MAX_ADDRESS_BITS).max_gates == (1 << 16) - 2
+        with pytest.raises(ValueError, match="at most 16"):
+            GenomeLayout(r=2, q=1, b=MAX_ADDRESS_BITS + 1)
 
     def test_sizes_survive_pickle(self):
         # Configs cross to worker processes pickled, and the operator caches
