@@ -270,7 +270,7 @@ def _print_report(record: dict, core: int | None) -> int:
         "verdict": verdict,
         "shrunk_function_logic": s < base,
         "fitness": _field(record, "champion.fitness", list),
-        # Records written before the fitness cache lack "scored".
+        # Records written before scored evaluations were counted lack "scored".
         "evals": _field(record, "evals", int, optional=True),
         "scored": _field(record, "scored", int, optional=True),
         # Records written before parents' netlists were reused lack "decoded".
@@ -287,7 +287,7 @@ def _print_report(record: dict, core: int | None) -> int:
     )
     if report["scored"] is not None:
         print(f"evals: {report['evals']}, scored: {report['scored']} (the rest "
-              "were fitness cache hits)")
+              "reused a parent's fitness)")
     if report["decoded"] is not None:
         print(f"decoded: {report['decoded']} (the rest reused a parent's netlist)")
     if s < g and core is None:

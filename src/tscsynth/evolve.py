@@ -10,19 +10,6 @@ Islands sit on a square grid filled in spiral order and occasionally
 emigrate individuals to islands chosen with probability inverse to grid
 distance.
 
-Each island keeps a ``FitnessCache`` keyed by the decoded ``Circuit`` (its
-stored arrays, see netlist), since many children decode to a netlist the
-island has just scored.  It holds the circuits evaluated in the current
-generation and the previous one; a circuit met again within that window is
-not scored again, and a hit in the previous generation carries the entry
-into the current one.  The window
-moves at the start of every ``Island.step``, so the cache is bounded by two
-generations' evaluations, immigrants included.  A cache is valid for one
-``(target, max_gates, word_mask)`` only, which an island never changes.  A
-hit still calls ``evaluate_circuit`` and counts toward ``max_evals``, so the
-search is the same with or without it; ``RunResult.scored`` counts the
-evaluations that ran the fitness computation.
-
 Most children differ from their parent only in genes the parent's decode
 never read.  Each ``Individual`` keeps what its decode read (a
 ``genome.Reading``: the reached gene slots and the cycle-repair sites), and
@@ -32,7 +19,11 @@ read the same genes and draw its repairs at the same sites in the same
 order, so ``genome.redraw`` gives the parent's netlist with only those
 sources drawn again from the island's rng.  That is the same circuit and
 the same rng state as decoding, so every search is unchanged;
-``RunResult.decoded`` counts the evaluations that did decode.
+``RunResult.decoded`` counts the evaluations that did decode.  When redraw
+returns the parent's own ``Circuit``, the child takes the parent's fitness
+as well, since an island never changes the target, ``max_gates`` or
+``word_mask`` that fix a circuit's fitness; ``RunResult.scored`` counts the
+evaluations that ran ``evaluate_circuit``.
 
 ``run`` steps every island in one process.  ``run_distributed`` runs one
 process per island: each steps its island for ``EPOCH_GENERATIONS``
@@ -56,7 +47,7 @@ from functools import lru_cache
 from itertools import accumulate, count
 from pathlib import Path
 
-from .fitness import FitnessCache, FitnessVector, evaluate_circuit
+from .fitness import FitnessVector, evaluate_circuit
 from .formats import TargetSpec
 from .genome import (
     Genotype,
@@ -72,6 +63,7 @@ from .genome import (
     redraw,
     same_reading,
     seed_lock_mask,
+    unlocked_genes,
 )
 from .netlist import Circuit
 
@@ -233,7 +225,7 @@ class Island:
         self.rng = random.Random(_island_rng_seed(config.rng_seed, index))
         self.inbox: deque[Genotype] = deque()
         self.population: list[Individual] = []
-        self.cache = FitnessCache()
+        self.scored = 0
         self.decoded = 0
 
     def populate(self) -> None:
@@ -248,24 +240,23 @@ class Island:
     def _evaluate(self, genotype: Genotype, *parents: Individual) -> Individual:
         """Decode and score genotype, a child of parents.  A child that reads
         as a parent (genome.same_reading) takes that parent's netlist with
-        its cycle repairs redrawn, which is what decode would return."""
+        its cycle repairs redrawn, which is what decode would return, and
+        the parent's fitness when the redraw leaves the netlist as it was."""
+        self.budget.evals += 1
         for parent in parents:
             if same_reading(parent.reading, parent.genotype, genotype):
                 reading = parent.reading
                 circuit = redraw(parent.circuit, reading.repairs, self.rng)
+                if circuit is parent.circuit:
+                    return Individual(genotype, circuit, parent.fitness, reading)
                 break
         else:
             reading = Reading()
             circuit = decode(genotype, self.rng, reading)
             self.decoded += 1
-        fv = evaluate_circuit(
-            circuit,
-            self.target.columns,
-            self.config.layout.max_gates,
-            self.config.word_mask,
-            self.cache,
-        )
-        self.budget.evals += 1
+        self.scored += 1
+        fv = evaluate_circuit(circuit, self.target.columns,
+                              self.config.layout.max_gates, self.config.word_mask)
         return Individual(genotype, circuit, fv, reading)
 
     def _integrate_immigrants(self) -> None:
@@ -276,9 +267,8 @@ class Island:
             self.population.sort(key=_fitness_key, reverse=True)
 
     def step(self) -> None:
-        """One generation: elites carried with their cached evaluation, every
-        other slot refilled and evaluated."""
-        self.cache.next_generation()
+        """One generation: elites carried with their evaluation, every other
+        slot refilled and evaluated."""
         self._integrate_immigrants()
         pop = self.population
         rng = self.rng
@@ -317,7 +307,7 @@ class RunResult:
     champion: Individual
     history: list[dict]
     evals: int
-    scored: int  # evaluations the fitness cache missed, so scored in full
+    scored: int  # evaluations that ran evaluate_circuit, not reusing a parent's
     decoded: int  # evaluations that decoded, not reusing a parent's netlist
     elapsed: float
     goal_reached: bool
@@ -356,6 +346,15 @@ class Engine:
             if config.mode == "nonintrusive"
             else LockMask.empty()
         )
+        # Translocation copies a gene over another, unlocked one.
+        slots = config.layout.max_gates
+        if slots < 2:
+            raise ValueError(f"the layout has {slots} gene slot, translocation "
+                             "needs 2: raise the address width b")
+        if not unlocked_genes(config.layout, self.lock):
+            raise ValueError(f"the seed's gates fill all {slots} gene slots, which "
+                             "nonintrusive mode locks, so translocation has no gene "
+                             "to write: raise the address width b")
         indices = island_indices if island_indices is not None else list(
             range(config.n_islands)
         )
@@ -386,12 +385,16 @@ class Engine:
             )
 
     def goal_met(self) -> bool:
-        if not self.config.stop_on_goal or self.champion is None:
+        """The champion checks perfectly within ``goal_size`` live gates."""
+        if self.champion is None:
             return False
         fv = self.champion.fitness
         if not fv.perfect_checking:
             return False
         return self.config.goal_size is None or fv.live_gates <= self.config.goal_size
+
+    def _stops_on_goal(self) -> bool:
+        return self.config.stop_on_goal and self.goal_met()
 
     def _emit_migration(self, island: Island) -> None:
         rate = self.config.migration_rate
@@ -417,7 +420,7 @@ class Engine:
             island.step()
             self._note_champion(island.population[0], island.index)
             self._emit_migration(island)
-            if self.goal_met():
+            if self._stops_on_goal():
                 return
         self._advance(1)
 
@@ -452,7 +455,7 @@ class Engine:
             fh.write(json.dumps(record) + "\n")
 
     def scored(self) -> int:
-        return sum(island.cache.scored for island in self.islands)
+        return sum(island.scored for island in self.islands)
 
     def decoded(self) -> int:
         return sum(island.decoded for island in self.islands)
@@ -470,7 +473,7 @@ class Engine:
         )
 
     def run(self) -> RunResult:
-        while not (self.budget.exhausted() or self.goal_met()):
+        while not (self.budget.exhausted() or self._stops_on_goal()):
             self.step_generation()
         return self.result()
 
@@ -517,7 +520,7 @@ def _island_worker(
         engine.islands[0].inbox.extend(conn.recv())
         for _ in range(EPOCH_GENERATIONS):
             engine.step_generation()
-            if engine.goal_met():
+            if engine._stops_on_goal():
                 break
 
 
@@ -586,7 +589,7 @@ def run_distributed(
                     inboxes[dest].append(genotype)
             if epoch:
                 driver._advance(EPOCH_GENERATIONS)
-            if driver.budget.exhausted() or driver.goal_met():
+            if driver.budget.exhausted() or driver._stops_on_goal():
                 return replace(driver.result(),
                                scored=sum(report[1] for report in reports),
                                decoded=sum(report[2] for report in reports))

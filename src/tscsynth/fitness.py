@@ -273,54 +273,16 @@ def _checking(
     return (u_f, u_i, st_score(u_f), fs_score(u_i))
 
 
-class FitnessCache:
-    """Fitness vectors by circuit for the current and the previous
-    generation (see ``evaluate_circuit``); ``scored`` counts the vectors it
-    had to compute."""
-
-    def __init__(self) -> None:
-        self.current: dict[Circuit, FitnessVector] = {}
-        self.previous: dict[Circuit, FitnessVector] = {}
-        self.scored = 0
-
-    def next_generation(self) -> None:
-        self.previous = self.current
-        self.current = {}
-
-
 def evaluate_circuit(
     circuit: Circuit,
     target: Sequence[int],
     max_gates: int,
     word_mask: int | None = None,
-    cache: FitnessCache | None = None,
 ) -> FitnessVector:
     """All four metrics; none is short-circuited when an earlier one is low.
 
     The circuit must carry error rails; one without them raises ValueError.
-
-    With a cache, a circuit equal to one met in the cache's current or
-    previous generation gets the stored vector back, and the entry joins the
-    current generation; any other is scored and stored there.  The circuit
-    fixes every metric once the target, ``max_gates`` and ``word_mask`` are
-    fixed, so a cache is valid for one ``(target, max_gates, word_mask)``
-    only.
     """
-    if cache is None:
-        return _score(circuit, target, max_gates, word_mask)
-    fv = cache.current.get(circuit)
-    if fv is None:
-        fv = cache.previous.pop(circuit, None)
-        if fv is None:
-            fv = _score(circuit, target, max_gates, word_mask)
-            cache.scored += 1
-        cache.current[circuit] = fv
-    return fv
-
-
-def _score(
-    circuit: Circuit, target: Sequence[int], max_gates: int, word_mask: int | None
-) -> FitnessVector:
     values = _simulate(circuit)
     resp = _response(circuit, values)
     ff = f_function(resp, target, word_mask)

@@ -96,11 +96,12 @@ class GenomeLayout:
 def default_address_width(r: int, seed_gates: int, q: int) -> int:
     """Smallest b whose gene space holds a duplication-style circuit.
 
-    That needs the seed, a copy and a checker tree: 2*g + 6*(q - 1) slots.
+    That needs the seed, a copy and a checker tree: 2*g + 6*(q - 1) slots,
+    and translocation needs at least 2.
     """
-    need = max(1, 2 * seed_gates + 6 * max(q - 1, 0))
+    need = max(2, 2 * seed_gates + 6 * max(q - 1, 0))
     b = 1
-    while (1 << b) - r < need or (1 << b) <= r:
+    while (1 << b) - r < need:
         b += 1
     return b
 
@@ -179,7 +180,8 @@ def _unlocked_address_fields(layout: GenomeLayout, lock: LockMask) -> tuple[int,
 
 
 @lru_cache(maxsize=64)
-def _unlocked_genes(layout: GenomeLayout, lock: LockMask) -> tuple[int, ...]:
+def unlocked_genes(layout: GenomeLayout, lock: LockMask) -> tuple[int, ...]:
+    """Gene slots that lock covers no bit of."""
     return tuple(
         k
         for k in range(layout.max_gates)
@@ -397,7 +399,7 @@ def mutate_translocate(g: Genotype, lock: LockMask, rng: random.Random) -> Genot
     lay = g.layout
     if lay.max_gates < 2:
         raise ValueError("need at least two genes to translocate")
-    dests = _unlocked_genes(lay, lock)
+    dests = unlocked_genes(lay, lock)
     if not dests:
         raise ValueError("no unlocked destination gene")
     j = dests[rng.randrange(len(dests))]

@@ -7,8 +7,8 @@ and the error condition is z_0 == z_1.
 
 A Circuit stores one form: flat int arrays over one index space (input x_j
 at j, gate k at r + k).  A gate reads only lower indices, so the list order
-is a topological order.  decode emits these arrays; fitness, its cache and
-the verify oracle's simulator read them.  Gate and SignalRef objects are a
+is a topological order.  decode emits these arrays; fitness and the verify
+oracle's simulator read them.  Gate and SignalRef objects are a
 read-only view of them (Circuit.gates, func_outputs, error_rails), used to
 build circuits by hand and by the text formats and the CLI.
 

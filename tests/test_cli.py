@@ -75,6 +75,41 @@ class TestSeedWithUnusedLogic:
         assert "duplication overhead" not in out
 
 
+# A 3-input seed whose one output is wired to input a: no gate at all.
+WIRE_BLIF = ".model w\n.inputs a b c\n.outputs a\n.end\n"
+WIRE_PLA = ".i 3\n.o 1\n1-- 1\n.e\n"
+HALF_ADDER_BLIF = (
+    ".model ha\n.inputs a b\n.outputs s c\n"
+    ".names a b s\n01 1\n10 1\n.names a b c\n11 1\n.end\n"
+)
+
+
+class TestLayoutWithoutRoomToTranslocate:
+    # Translocation copies a gene over another, unlocked one: a layout needs
+    # two gene slots, and one slot free of the nonintrusive lock.  Both are
+    # refused before the first population is evaluated.
+    def _evolve(self, tmp_path, blif: str, pla: str, *flags: str) -> int:
+        (tmp_path / "seed.blif").write_text(blif)
+        (tmp_path / "target.pla").write_text(pla)
+        return run_cli("evolve", "--seed", str(tmp_path / "seed.blif"),
+                       "--target", str(tmp_path / "target.pla"), "--islands", "1",
+                       "--budget-evals", "100", *flags)
+
+    def test_default_width_leaves_two_slots(self, tmp_path, capsys):
+        assert self._evolve(tmp_path, WIRE_BLIF, WIRE_PLA) == 0
+
+    def test_one_slot_exits_2(self, tmp_path, capsys):
+        assert self._evolve(tmp_path, WIRE_BLIF, WIRE_PLA, "--b", "2") == 2
+        err = capsys.readouterr().err
+        assert "1 gene slot" in err and "raise the address width b" in err
+
+    def test_nonintrusive_seed_filling_every_slot_exits_2(self, tmp_path, capsys):
+        assert self._evolve(tmp_path, HALF_ADDER_BLIF, HALF_ADDER_PLA,
+                            "--b", "2", "--mode", "nonintrusive") == 2
+        err = capsys.readouterr().err
+        assert "nonintrusive" in err and "raise the address width b" in err
+
+
 class TestBaseline:
     def test_b1_prints_dup_overhead_23(self, capsys):
         assert run_cli("baseline", "--seed", bench("b1.blif")) == 0

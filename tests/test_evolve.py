@@ -10,7 +10,6 @@ import pytest
 import tscsynth
 from tscsynth import evolve
 from tscsynth.evolve import (
-    ELITES,
     EPOCH_GENERATIONS,
     POPULATION_SIZE,
     Engine,
@@ -22,7 +21,7 @@ from tscsynth.evolve import (
     select_parent,
     spiral_coords,
 )
-from tscsynth.fitness import FitnessCache, FitnessVector, evaluate_circuit
+from tscsynth.fitness import FitnessVector, evaluate_circuit
 from tscsynth.formats import TargetSpec, parse_blif, parse_pla
 from tscsynth.genome import GenomeLayout, default_address_width, seed_lock_mask
 from tscsynth.netlist import Circuit, Gate, SignalRef, TT_AND, TT_XOR
@@ -181,11 +180,13 @@ class TestEngine:
     def test_each_evaluation_scores_once_and_decodes_unless_reused(self, monkeypatch):
         # The traced benchmark pass (perfbench/workloads.py) wraps
         # evolve.decode and evolve.evaluate_circuit and divides each layer's
-        # time by its call count.  Every evaluation calls evaluate_circuit
-        # once.  A child that reads as a parent takes the parent's netlist
-        # through redraw; every other evaluation calls decode once, and
+        # time by its call count.  A child that reads as a parent takes the
+        # parent's netlist through redraw, and the parent's fitness when
+        # redraw returns the parent's circuit; every other evaluation calls
+        # evaluate_circuit once, and RunResult.scored counts those.  Every
+        # evaluation that does not redraw calls decode once, and
         # RunResult.decoded counts those.  The first population always
-        # decodes, so the decode layer is never without samples.
+        # decodes and scores, so neither layer is ever without samples.
         calls = {"decode": 0, "redraw": 0, "evaluate_circuit": 0}
         for name in calls:
             def counted(*args, _name=name, _original=getattr(evolve, name)):
@@ -195,14 +196,14 @@ class TestEngine:
             monkeypatch.setattr(evolve, name, counted)
         seed, target, layout = small_setup()
         result = run(small_config(layout, max_evals=500), target, seed)
-        assert calls["evaluate_circuit"] == result.evals
+        assert POPULATION_SIZE <= calls["evaluate_circuit"] == result.scored < result.evals
         assert calls["decode"] == result.decoded
         assert calls["decode"] + calls["redraw"] == result.evals
         assert POPULATION_SIZE <= result.decoded < result.evals
 
     def test_reuse_changes_no_search(self, monkeypatch):
-        # Decoding every child instead gives the same run: champion, history,
-        # evals and fitness cache counts; only the decode count differs.
+        # Decoding and scoring every child instead gives the same run:
+        # champion, history and evals; only the decode and score counts differ.
         seed, target, layout = small_setup(rails_b=3)
         config = small_config(layout, n_islands=2, max_evals=2000, migration_rate=0.5)
         reused = run(config, target, seed)
@@ -210,9 +211,9 @@ class TestEngine:
         decoded = run(config, target, seed)
         assert reused.champion.genotype == decoded.champion.genotype
         assert reused.champion.circuit == decoded.champion.circuit
-        assert (reused.history, reused.evals, reused.scored) == (
-            decoded.history, decoded.evals, decoded.scored)
+        assert (reused.history, reused.evals) == (decoded.history, decoded.evals)
         assert reused.decoded < decoded.decoded == decoded.evals
+        assert reused.scored < decoded.scored == decoded.evals
 
     def test_different_seeds_differ(self):
         seed, target, layout = small_setup()
@@ -270,59 +271,28 @@ class TestEngine:
                     "evals", "elapsed_s"} <= set(record)
 
 
-class TestFitnessCache:
+class TestReusedFitness:
     @pytest.mark.parametrize("problem", ["half adder", "mult2"])
-    def test_cached_vectors_equal_fresh_scores(self, monkeypatch, problem):
+    def test_every_fitness_equals_a_fresh_score(self, problem):
+        # A child whose netlist is its parent's circuit object takes the
+        # parent's fitness unscored; it must be the one scoring would give.
         if problem == "half adder":
             seed, target, layout = small_setup()
-            config = small_config(layout, n_islands=4, max_evals=4000,
-                                  migration_rate=0.5)
+            word_mask = None
         else:
             seed = parse_blif((BENCH_DIR / "mult2.blif").read_text())
             target = parse_pla((BENCH_DIR / "mult2.pla").read_text())
             layout = GenomeLayout(r=4, q=4, b=default_address_width(4, len(seed.gates), 4))
-            config = small_config(layout, n_islands=2, max_evals=3000,
-                                  word_mask=0b1011_0111_1110_1101)
-        checked = []
-
-        def checking(circuit, columns, max_gates, word_mask, cache):
-            assert isinstance(cache, FitnessCache)
-            fv = evaluate_circuit(circuit, columns, max_gates, word_mask, cache)
-            assert fv == evaluate_circuit(circuit, columns, max_gates, word_mask)
-            checked.append(fv)
-            return fv
-
-        monkeypatch.setattr(evolve, "evaluate_circuit", checking)
-        result = run(config, target, seed)
-        # Every evaluation, hit or not, is called and counted.
-        assert len(checked) == result.evals
-        assert 0 < result.scored < result.evals
-
-    def test_cache_holds_at_most_two_generations(self, monkeypatch):
-        seed, target, layout = small_setup()
-        config = small_config(layout, n_islands=4, max_evals=None, migration_rate=1.0)
-        evaluated: dict[int, int] = {}
-
-        def counting(circuit, columns, max_gates, word_mask, cache):
-            evaluated[id(cache)] = evaluated.get(id(cache), 0) + 1
-            return evaluate_circuit(circuit, columns, max_gates, word_mask, cache)
-
-        monkeypatch.setattr(evolve, "evaluate_circuit", counting)
+            word_mask = 0b1011_0111_1110_1101
+        config = small_config(layout, n_islands=4, max_evals=3000,
+                              migration_rate=0.5, word_mask=word_mask)
         engine = Engine(config, target, seed)
-        caches = [island.cache for island in engine.islands]
-        # Evaluations per island in the last two generations, populate first.
-        window = {id(cache): (0, evaluated[id(cache)]) for cache in caches}
-        with_immigrants = 0
-        for _ in range(20):
-            before = dict(evaluated)
-            engine.step_generation()
-            for cache in caches:
-                now = evaluated[id(cache)] - before[id(cache)]
-                with_immigrants += now > POPULATION_SIZE - ELITES
-                previous, current = window[id(cache)] = (window[id(cache)][1], now)
-                assert len(cache.current) <= current
-                assert len(cache.previous) <= previous
-        assert with_immigrants > 0
+        result = engine.run()
+        assert 0 < result.scored < result.evals
+        for island in engine.islands:
+            for ind in island.population:
+                assert ind.fitness == evaluate_circuit(
+                    ind.circuit, target.columns, layout.max_gates, word_mask)
 
 
 class TestGoal:
@@ -337,6 +307,15 @@ class TestGoal:
         from tscsynth.verify import verify_tsc
 
         assert verify_tsc(result.champion.circuit).is_tsc
+
+    def test_goal_reached_without_stopping_on_it(self):
+        # Seed 2 meets the goal after 1292 evals when it stops on it.
+        seed, target, layout = small_setup()
+        config = small_config(layout, max_evals=1500, rng_seed=2)
+        result = run(config, target, seed)
+        assert result.evals >= 1500
+        assert result.champion.fitness.perfect_checking
+        assert result.goal_reached
 
 
 _KILL_ISLAND_1 = """
@@ -392,7 +371,7 @@ class TestDistributed:
                               max_evals=2 * (32 + 2 * EPOCH_GENERATIONS * 30))
         engine = Engine(config, target, seed)
         serial = engine.run()
-        per_island = [island.cache.scored for island in engine.islands]
+        per_island = [island.scored for island in engine.islands]
         decoded = [island.decoded for island in engine.islands]
         parallel = run_distributed(config, target, seed)
         assert parallel.evals == serial.evals

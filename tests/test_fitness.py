@@ -8,7 +8,6 @@ import pytest
 from tscsynth import fitness
 from tscsynth.evolve import IslandConfig, run
 from tscsynth.fitness import (
-    FitnessCache,
     FitnessVector,
     K_FS,
     K_ST,
@@ -20,7 +19,7 @@ from tscsynth.fitness import (
     st_score,
     _GATE_EVAL,
 )
-from tscsynth.formats import TargetSpec, parse_blif, parse_pla
+from tscsynth.formats import TargetSpec, parse_blif
 from tscsynth.genome import GenomeLayout, Genotype, LockMask, decode, encode_seed, mutate_bit
 from tscsynth.netlist import (
     Circuit,
@@ -39,9 +38,7 @@ from tscsynth.verify import verify_fs, verify_tsc
 
 from conftest import (
     BENCH_DIR,
-    HALF_ADDER_PLA,
     random_circuit,
-    tsc_half_adder,
     two_rail_checker_circuit,
 )
 
@@ -324,50 +321,6 @@ class TestEvaluateCircuit:
         assert digest.hexdigest() == (
             "a99f894c923b560512c91f061405010d5f0d3b22473e7b448970fa389c9ef669"
         )
-
-
-class TestFitnessCache:
-    def test_netlists_differing_in_one_place_get_their_own_entry(self):
-        base = tsc_half_adder()
-        gates = list(base.gates)
-
-        def with_gate(k: int, gate: Gate) -> Circuit:
-            return Circuit(base.r, gates[:k] + [gate] + gates[k + 1:], base.func_outputs,
-                           base.error_rails)
-
-        z0, z1 = base.error_rails
-        variants = [
-            base,
-            Circuit(base.r, gates, base.func_outputs, (z1, z0)),
-            Circuit(base.r, gates, (G(3), G(1)), base.error_rails),  # g3 also computes the sum
-            with_gate(0, Gate(TT_XNOR, gates[0].a, gates[0].b)),
-            with_gate(2, Gate(gates[2].tt, gates[2].b, gates[2].a)),
-        ]
-        target = parse_pla(HALF_ADDER_PLA).columns
-        fresh = [evaluate_circuit(c, target, 20) for c in variants]
-        assert len(set(fresh)) > 1
-        cache = FitnessCache()
-        for i, c in enumerate(variants):
-            assert evaluate_circuit(c, target, 20, None, cache) == fresh[i]
-            assert cache.scored == i + 1
-        for c, fv in zip(variants, fresh):
-            assert evaluate_circuit(c, target, 20, None, cache) == fv
-        assert cache.scored == len(variants)
-
-    def test_window_keeps_what_the_last_two_generations_met(self):
-        c = tsc_half_adder()
-        target = parse_pla(HALF_ADDER_PLA).columns
-        cache = FitnessCache()
-        evaluate_circuit(c, target, 20, None, cache)
-        for _ in range(3):
-            cache.next_generation()
-            evaluate_circuit(c, target, 20, None, cache)  # moved to current
-        assert cache.scored == 1 and len(cache.current) == 1
-        cache.next_generation()
-        cache.next_generation()
-        assert not cache.current and not cache.previous
-        evaluate_circuit(c, target, 20, None, cache)
-        assert cache.scored == 2
 
 
 def assert_matches_oracle(c: Circuit, mask: int | None = None) -> bool:
