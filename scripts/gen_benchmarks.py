@@ -28,7 +28,6 @@ from tscsynth.netlist import (
     Circuit,
     Gate,
     SignalRef,
-    TruthTable2,
     TT_AND,
     TT_NAND,
     TT_NOR,
@@ -37,8 +36,8 @@ from tscsynth.netlist import (
 )
 from tscsynth.sim import simulate
 
-TT_GT = TruthTable2(4)  # a AND NOT b
-TT_LT = TruthTable2(2)  # NOT a AND b
+TT_GT = 4  # a AND NOT b
+TT_LT = 2  # NOT a AND b
 
 X = SignalRef.x
 G = SignalRef.g
@@ -49,7 +48,7 @@ class Builder:
         self.r = r
         self.gates: list[Gate] = []
 
-    def gate(self, tt: TruthTable2, a: SignalRef, b: SignalRef) -> SignalRef:
+    def gate(self, tt: int, a: SignalRef, b: SignalRef) -> SignalRef:
         self.gates.append(Gate(tt, a, b))
         return G(len(self.gates) - 1)
 
@@ -263,7 +262,7 @@ def main() -> int:
         (out_dir / f"{name}.blif").write_text(
             render_blif(circuit, model=name), encoding="utf-8"
         )
-        print(f"{name}: {circuit.r} in / {circuit.q} out, {len(circuit.gates)} gates")
+        print(f"{name}: {circuit.r} in / {circuit.q} out, {len(circuit.tt)} gates")
     return 0
 
 

@@ -6,7 +6,6 @@ from .netlist import (
     FaultSite,
     Gate,
     SignalRef,
-    TruthTable2,
     build_duplication_baseline,
     duplication_overhead,
 )

@@ -63,13 +63,13 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         )
         return EXIT_USAGE
 
-    g = len(seed.gates)
+    g = len(seed.tt)
     b = args.b
     if b is None:
         b = default_address_width(seed.r, g, seed.q)
     layout = GenomeLayout(r=seed.r, q=seed.q, b=b)
-    if len(seed.gates) > layout.max_gates:
-        print(f"error: seed needs {len(seed.gates)} gene slots, layout has "
+    if g > layout.max_gates:
+        print(f"error: seed needs {g} gene slots, layout has "
               f"{layout.max_gates}; raise --b", file=sys.stderr)
         return EXIT_USAGE
 
@@ -190,12 +190,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     seed = parse_blif(_read(args.seed))
-    g = len(seed.gates)
+    g = len(seed.tt)
     dup = duplication_overhead(g, seed.q)
     baseline = build_duplication_baseline(seed)
     print(f"seed: {g} gates, {seed.q} outputs")
     print(f"duplication overhead: {dup}")
-    print(f"baseline size: {len(baseline.gates)} gates")
+    print(f"baseline size: {len(baseline.tt)} gates")
     report = codespace_report(seed, baseline)
     print(report.summary())
     for fault in report.undetectable_checker_faults[:10]:

@@ -1,11 +1,16 @@
-"""Netlist and target-function text formats: PLA, BLIF, native JSON, DOT."""
+"""Netlist and target-function text formats: PLA, BLIF, native JSON, DOT.
+
+The parsers build a Circuit through Circuit.from_arrays, and the writers read
+its arrays (tt, src_a, src_b, outputs, rails).  In text a signal is named
+"x<j>" (input j) or "g<k>" (gate k), which is index j or r + k.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 
-from .netlist import Circuit, Gate, SignalRef, TruthTable2
+from .netlist import GATE_NAMES, Circuit
 from .sim import MAX_INPUTS, full_mask, input_patterns
 
 
@@ -74,6 +79,8 @@ def parse_pla(text: str) -> TargetSpec:
             if key in ("i", "o"):
                 if len(parts) != 2 or not parts[1].isdecimal():
                     raise ParseError(f"PLA .{key} needs one count: {line!r}")
+                if key in counts:
+                    raise ParseError(f"PLA .{key} is given twice")
                 counts[key] = int(parts[1])
             elif key in ignorable:
                 if key in ("e", "end"):
@@ -235,7 +242,11 @@ def parse_blif(text: str) -> Circuit:
         if name in defined:
             raise ParseError(f"primary input {name!r} redefined by .names")
 
-    input_index = {name: j for j, name in enumerate(inputs)}
+    input_index: dict[str, int] = {}
+    for j, name in enumerate(inputs):
+        if name in input_index:
+            raise ParseError(f"primary input {name!r} is declared twice")
+        input_index[name] = j
 
     # Topological order of blocks by an iterative post-order DFS, which also
     # catches undefined nets and cycles; a chain of gates may be any length.
@@ -297,53 +308,73 @@ def parse_blif(text: str) -> Circuit:
     return Circuit.from_arrays(r, tt, src_a, src_b, [index[name] for name in outputs], None)
 
 
+def _signal_name(s: int, r: int) -> str:
+    return f"x{s}" if s < r else f"g{s - r}"
+
+
 def render_blif(circuit: Circuit, model: str = "circuit") -> str:
     """Two-input .names netlist with minterm covers.
 
     Gates driving a function output take that output's net name directly, so
     parsing the result back yields the same gate count (no buffer blocks).
+    BLIF has no error rails, so a circuit with rails is refused.
     """
-    gate_name = {}
-    for j, ref in enumerate(circuit.func_outputs):
-        if not ref.is_input and ref.index not in gate_name:
-            gate_name[ref.index] = f"y{j}"
-    for i in range(len(circuit.gates)):
-        gate_name.setdefault(i, f"n{i}")
-
-    def name_of(ref: SignalRef) -> str:
-        return f"x{ref.index}" if ref.is_input else gate_name[ref.index]
+    if circuit.rails is not None:
+        raise ValueError("BLIF cannot hold error rails; write the circuit as "
+                         "native JSON (write_native)")
+    r = circuit.r
+    output_name: dict[int, str] = {}
+    for j, s in enumerate(circuit.outputs):
+        if s >= r:
+            output_name.setdefault(s, f"y{j}")
+    names = [f"x{j}" for j in range(r)]
+    names += [output_name.get(r + k, f"n{k}") for k in range(len(circuit.tt))]
 
     lines = [f".model {model}"]
-    lines.append(".inputs " + " ".join(f"x{j}" for j in range(circuit.r)))
-    lines.append(".outputs " + " ".join(name_of(ref) for ref in circuit.func_outputs))
-    for i, gate in enumerate(circuit.gates):
-        lines.append(f".names {name_of(gate.a)} {name_of(gate.b)} {gate_name[i]}")
-        for a in (0, 1):
-            for b in (0, 1):
-                if gate.tt.eval(a, b):
-                    lines.append(f"{a}{b} 1")
+    lines.append(".inputs " + " ".join(names[:r]))
+    lines.append(".outputs " + " ".join(names[s] for s in circuit.outputs))
+    for k, (t, a, b) in enumerate(zip(circuit.tt, circuit.src_a, circuit.src_b)):
+        lines.append(f".names {names[a]} {names[b]} {names[r + k]}")
+        for bit in range(4):
+            if t >> bit & 1:
+                lines.append(f"{bit >> 1}{bit & 1} 1")
     lines.append(".end")
     return "\n".join(lines) + "\n"
 
 
 def circuit_to_json(circuit: Circuit) -> dict:
+    r = circuit.r
     return {
-        "r": circuit.r,
+        "r": r,
         "gates": [
-            {
-                "tt": "".join(str(t) for t in gate.tt.bits),
-                "a": str(gate.a),
-                "b": str(gate.b),
-            }
-            for gate in circuit.gates
+            # The table string lists bit 0 (inputs 0, 0) first.
+            {"tt": f"{t:04b}"[::-1], "a": _signal_name(a, r), "b": _signal_name(b, r)}
+            for t, a, b in zip(circuit.tt, circuit.src_a, circuit.src_b)
         ],
-        "y": [str(ref) for ref in circuit.func_outputs],
-        "z": [str(ref) for ref in circuit.error_rails or ()],
+        "y": [_signal_name(s, r) for s in circuit.outputs],
+        "z": [_signal_name(s, r) for s in circuit.rails or ()],
     }
 
 
 def write_native(circuit: Circuit) -> str:
     return json.dumps(circuit_to_json(circuit), indent=2) + "\n"
+
+
+def _table(text) -> int:
+    """A gate's truth table from its four-bit string, bit 0 first."""
+    if type(text) is not str or len(text) != 4 or not set(text) <= {"0", "1"}:
+        raise ParseError(f"bad truth table {text!r}: want four digits, each 0 or 1")
+    return int(text[::-1], 2)
+
+
+def _signal(text, r: int) -> int:
+    """The index of "x<j>" or "g<k>".  An input beyond r becomes ~j, which
+    Circuit rejects by name."""
+    if type(text) is not str or len(text) < 2 or text[0] not in "xg" \
+            or not text[1:].isdecimal():
+        raise ParseError(f"bad signal reference: {text!r}")
+    k = int(text[1:])
+    return r + k if text[0] == "g" else k if k < r else ~k
 
 
 def read_native(text: str) -> Circuit:
@@ -366,38 +397,34 @@ def read_native(text: str) -> Circuit:
     if len(raw_z) not in (0, 2):
         raise ParseError("error rails come in pairs")
     try:
-        gates = tuple(
-            Gate(
-                TruthTable2.from_bits([int(ch) for ch in g["tt"]]),
-                SignalRef.parse(g["a"]),
-                SignalRef.parse(g["b"]),
-            )
-            for g in raw_gates
-        )
-        func = tuple(SignalRef.parse(s) for s in raw_y)
-        rails = tuple(SignalRef.parse(s) for s in raw_z) if raw_z else None
-    except (ValueError, KeyError, TypeError) as exc:
+        tt = [_table(g["tt"]) for g in raw_gates]
+        src_a = [_signal(g["a"], r) for g in raw_gates]
+        src_b = [_signal(g["b"], r) for g in raw_gates]
+        outputs = [_signal(s, r) for s in raw_y]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad circuit field: {exc}") from exc
+    rails = [_signal(s, r) for s in raw_z] or None
     try:
-        return Circuit(r=r, gates=gates, func_outputs=func, error_rails=rails)
+        return Circuit.from_arrays(r, tt, src_a, src_b, outputs, rails)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def export_dot(circuit: Circuit) -> str:
     """Directed graph with gates labelled by their function name."""
+    r = circuit.r
     lines = ["digraph circuit {", "  rankdir=LR;"]
-    for j in range(circuit.r):
+    for j in range(r):
         lines.append(f'  x{j} [shape=circle];')
-    for i, gate in enumerate(circuit.gates):
-        lines.append(f'  g{i} [shape=box, label="{i}:{gate.tt.name}"];')
-        lines.append(f"  {gate.a} -> g{i} [label=a];")
-        lines.append(f"  {gate.b} -> g{i} [label=b];")
-    for j, ref in enumerate(circuit.func_outputs):
+    for k, (t, a, b) in enumerate(zip(circuit.tt, circuit.src_a, circuit.src_b)):
+        lines.append(f'  g{k} [shape=box, label="{k}:{GATE_NAMES[t]}"];')
+        lines.append(f"  {_signal_name(a, r)} -> g{k} [label=a];")
+        lines.append(f"  {_signal_name(b, r)} -> g{k} [label=b];")
+    for j, s in enumerate(circuit.outputs):
         lines.append(f"  y{j} [shape=plaintext];")
-        lines.append(f"  {ref} -> y{j};")
-    for j, ref in enumerate(circuit.error_rails or ()):
+        lines.append(f"  {_signal_name(s, r)} -> y{j};")
+    for j, s in enumerate(circuit.rails or ()):
         lines.append(f"  z{j} [shape=diamond];")
-        lines.append(f"  {ref} -> z{j};")
+        lines.append(f"  {_signal_name(s, r)} -> z{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

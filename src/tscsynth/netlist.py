@@ -5,12 +5,15 @@ x_0..x_{r-1}.  It exposes q function outputs y_0..y_{q-1} and, optionally,
 a dual-rail error signal (z_0, z_1): normal operation requires z_0 != z_1
 and the error condition is z_0 == z_1.
 
-A Circuit stores one form: flat int arrays over one index space (input x_j
-at j, gate k at r + k).  A gate reads only lower indices, so the list order
-is a topological order.  decode emits these arrays; fitness and the verify
-oracle's simulator read them.  Gate and SignalRef objects are a
-read-only view of them (Circuit.gates, func_outputs, error_rails), used to
-build circuits by hand and by the text formats and the CLI.
+A Circuit is one form: flat int arrays over one index space (input x_j at
+j, gate k at r + k).  A truth table is an int, bit 2*a + b holding the
+output for inputs (a, b), and a signal is an index.  A gate reads only
+lower indices, so the list order is a topological order.  decode, the
+parsers and the duplication baseline build these arrays through
+Circuit.from_arrays; fitness, the verify oracle's simulator and the text
+formats read them.  Gate and SignalRef are only the input of the
+hand-built constructor Circuit(r, gates, func_outputs, error_rails), and
+Circuit.gates gives them back.
 
 Every gate is live: a later gate, a function output or a rail reads it, so
 each has a path to an output.  Simulation, fault enumeration and size
@@ -31,48 +34,17 @@ GATE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class TruthTable2:
-    """Boolean function of two inputs; bit 2*a + b holds the output for (a, b)."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < 16:
-            raise ValueError(f"truth table value out of range: {self.value}")
-
-    @classmethod
-    def from_bits(cls, bits) -> "TruthTable2":
-        t0, t1, t2, t3 = bits
-        if not {t0, t1, t2, t3} <= {0, 1}:
-            raise ValueError(f"truth-table entries must be 0 or 1, got {list(bits)}")
-        return cls(t0 | (t1 << 1) | (t2 << 2) | (t3 << 3))
-
-    @property
-    def bits(self) -> tuple[int, int, int, int]:
-        return tuple((self.value >> k) & 1 for k in range(4))
-
-    @property
-    def name(self) -> str:
-        return GATE_NAMES[self.value]
-
-    def eval(self, a: int, b: int) -> int:
-        return (self.value >> (2 * a + b)) & 1
-
-    def complemented(self) -> "TruthTable2":
-        return TruthTable2(self.value ^ 0b1111)
-
-
-TT_ZERO = TruthTable2(0)
-TT_NOR = TruthTable2(1)
-TT_NOT_A = TruthTable2(3)
-TT_XOR = TruthTable2(6)
-TT_NAND = TruthTable2(7)
-TT_AND = TruthTable2(8)
-TT_XNOR = TruthTable2(9)
-TT_BUF_A = TruthTable2(12)
-TT_OR = TruthTable2(14)
-TT_ONE = TruthTable2(15)
+# The truth tables the constructions below and hand-built circuits use.
+TT_ZERO = 0
+TT_NOR = 1
+TT_NOT_A = 3
+TT_XOR = 6
+TT_NAND = 7
+TT_AND = 8
+TT_XNOR = 9
+TT_BUF_A = 12
+TT_OR = 14
+TT_ONE = 15
 
 
 @dataclass(frozen=True)
@@ -96,23 +68,12 @@ class SignalRef:
     def g(cls, index: int) -> "SignalRef":
         return cls("g", index)
 
-    @classmethod
-    def parse(cls, text: str) -> "SignalRef":
-        if len(text) < 2 or text[0] not in ("x", "g") or not text[1:].isdigit():
-            raise ValueError(f"bad signal reference: {text!r}")
-        return cls(text[0], int(text[1:]))
-
-    @property
-    def is_input(self) -> bool:
-        return self.kind == "x"
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.index}"
-
 
 @dataclass(frozen=True)
 class Gate:
-    tt: TruthTable2
+    """A gate of a hand-built circuit: truth table tt over sources a and b."""
+
+    tt: int
     a: SignalRef
     b: SignalRef
 
@@ -148,8 +109,7 @@ class Circuit:
     outputs holds the index of each function output, rails those of z_0 and
     z_1 (or None).  Equality and hash are over these fields.  The constructor
     converts Gate and SignalRef objects, from_arrays takes the arrays; both
-    go through _store.  The views gates, func_outputs and error_rails are
-    each built at most once."""
+    go through _store.  The gates view is built at most once."""
 
     r: int
     tt: tuple[int, ...]
@@ -166,7 +126,7 @@ class Circuit:
         tt, src_a, src_b = [], [], []
         for gate in gates:
             a, b = gate.a, gate.b
-            tt.append(gate.tt.value)
+            tt.append(gate.tt)
             src_a.append(r + a.index if a.kind == "g" else a.index if a.index < r else ~a.index)
             src_b.append(r + b.index if b.kind == "g" else b.index if b.index < r else ~b.index)
         rails = () if error_rails is None else tuple(error_rails)
@@ -220,22 +180,11 @@ class Circuit:
     def q(self) -> int:
         return len(self.outputs)
 
-    def _ref(self, s: int) -> SignalRef:
-        return SignalRef.x(s) if s < self.r else SignalRef.g(s - self.r)
-
     @cached_property
     def gates(self) -> tuple[Gate, ...]:
-        ref = self._ref
-        return tuple(Gate(TruthTable2(t), ref(a), ref(b))
+        r, x, g = self.r, SignalRef.x, SignalRef.g
+        return tuple(Gate(t, x(a) if a < r else g(a - r), x(b) if b < r else g(b - r))
                      for t, a, b in zip(self.tt, self.src_a, self.src_b))
-
-    @cached_property
-    def func_outputs(self) -> tuple[SignalRef, ...]:
-        return tuple(map(self._ref, self.outputs))
-
-    @cached_property
-    def error_rails(self) -> tuple[SignalRef, SignalRef] | None:
-        return None if self.rails is None else tuple(map(self._ref, self.rails))
 
 
 def _bad_index(s: int, r: int) -> ValueError:
@@ -251,18 +200,20 @@ def duplication_overhead(g: int, q: int) -> int:
     return g + 6 * (q - 1)
 
 
-def _and_tt(invert_a: bool, invert_b: bool) -> TruthTable2:
+def _and_tt(invert_a: bool, invert_b: bool) -> int:
     # AND with either input optionally complemented, a table with one 1 at
     # a = not invert_a, b = not invert_b; absorbing inversions into the
     # table keeps inverted-copy outputs cost-free.
-    return TruthTable2(1 << (2 * (not invert_a) + (not invert_b)))
+    return 1 << (2 * (not invert_a) + (not invert_b))
 
 
-# A dual-rail operand is ((low_ref, low_inverted), (high_ref, high_inverted)):
-# the pair encodes value v as (NOT v, v), with per-wire flags marking sources
-# whose complement should be consumed.
-def _append_two_rail_checker(gates: list[Gate], pair_a, pair_b):
-    """Append the 6-gate two-rail checker merging pair_a and pair_b.
+# A dual-rail operand is ((low, low_inverted), (high, high_inverted)) over
+# signal indices: the pair encodes value v as (NOT v, v), with per-wire flags
+# marking sources whose complement should be consumed.
+def _append_two_rail_checker(r: int, tt: list[int], src_a: list[int],
+                             src_b: list[int], pair_a, pair_b):
+    """Append the 6-gate two-rail checker merging pair_a and pair_b to the
+    gate arrays of a circuit with r inputs.
 
     Output pair (c_0, c_1) with c_1 = (a_1 AND b_1) OR (a_0 AND b_0) and
     c_0 = (a_1 AND b_0) OR (a_0 AND b_1); it is a valid dual-rail word iff
@@ -271,9 +222,11 @@ def _append_two_rail_checker(gates: list[Gate], pair_a, pair_b):
     (a0, ia0), (a1, ia1) = pair_a
     (b0, ib0), (b1, ib1) = pair_b
 
-    def emit(tt: TruthTable2, sa: SignalRef, sb: SignalRef) -> SignalRef:
-        gates.append(Gate(tt, sa, sb))
-        return SignalRef.g(len(gates) - 1)
+    def emit(t: int, a: int, b: int) -> int:
+        tt.append(t)
+        src_a.append(a)
+        src_b.append(b)
+        return r + len(tt) - 1
 
     u = emit(_and_tt(ia1, ib1), a1, b1)
     v = emit(_and_tt(ia0, ib0), a0, b0)
@@ -301,35 +254,34 @@ def build_duplication_baseline(seed: Circuit) -> Circuit:
     if q < 1:
         raise ValueError("seed has no function outputs")
 
-    n = len(seed.gates)
-    gates = list(seed.gates)
+    r, n = seed.r, len(seed.tt)
+    tt, src_a, src_b = list(seed.tt), list(seed.src_a), list(seed.src_b)
 
-    def copy_ref(ref: SignalRef) -> SignalRef:
-        return ref if ref.is_input else SignalRef.g(n + ref.index)
+    def copy(s: int) -> int:
+        # Gate k's copy is gate n + k.
+        return s if s < r else s + n
 
+    if q == 1 and seed.outputs[0] < r:
+        # Wire output: one explicit inverter is the whole "copy".
+        y = seed.outputs[0]
+        return Circuit.from_arrays(r, tt + [TT_NOT_A], src_a + [y], src_b + [y],
+                                   seed.outputs, (r + n, y))
+    tt += seed.tt
+    src_a += map(copy, seed.src_a)
+    src_b += map(copy, seed.src_b)
     if q == 1:
-        driver = seed.func_outputs[0]
-        if driver.is_input:
-            # Wire output: one explicit inverter is the whole "copy".
-            gates.append(Gate(TT_NOT_A, driver, driver))
-            rails = (SignalRef.g(len(gates) - 1), driver)
-        else:
-            for i, gate in enumerate(seed.gates):
-                tt = gate.tt.complemented() if i == driver.index else gate.tt
-                gates.append(Gate(tt, copy_ref(gate.a), copy_ref(gate.b)))
-            rails = (copy_ref(driver), driver)
-        return Circuit(seed.r, tuple(gates), seed.func_outputs, rails)
+        y = seed.outputs[0]
+        tt[copy(y) - r] ^= 0b1111
+        return Circuit.from_arrays(r, tt, src_a, src_b, seed.outputs, (copy(y), y))
 
-    for gate in seed.gates:
-        gates.append(Gate(gate.tt, copy_ref(gate.a), copy_ref(gate.b)))
-
-    pairs = [((copy_ref(drv), True), (drv, False)) for drv in seed.func_outputs]
+    pairs = [((copy(y), True), (y, False)) for y in seed.outputs]
     while len(pairs) > 1:
         merged = []
         for k in range(0, len(pairs) - 1, 2):
-            merged.append(_append_two_rail_checker(gates, pairs[k], pairs[k + 1]))
+            merged.append(_append_two_rail_checker(r, tt, src_a, src_b,
+                                                   pairs[k], pairs[k + 1]))
         if len(pairs) % 2:
             merged.append(pairs[-1])
         pairs = merged
     (z0, _), (z1, _) = pairs[0]
-    return Circuit(seed.r, tuple(gates), seed.func_outputs, (z0, z1))
+    return Circuit.from_arrays(r, tt, src_a, src_b, seed.outputs, (z0, z1))

@@ -14,7 +14,6 @@ from tscsynth.netlist import (
     FaultSite,
     Gate,
     SignalRef,
-    TruthTable2,
     TT_NOT_A,
     _append_two_rail_checker,
 )
@@ -28,35 +27,27 @@ def scalar_simulate(circuit: Circuit, fault: Fault | None = None) -> dict:
     Returns {"outputs": [list of per-word bits], "rails": ... or None},
     packed the same way as the bit-parallel simulator for easy comparison.
     """
+    r = circuit.r
     outputs = [0] * circuit.q
-    rails = [0, 0] if circuit.error_rails is not None else None
-    for w in range(1 << circuit.r):
-        values: list[int] = []
-        for i, gate in enumerate(circuit.gates):
-            def src(ref: SignalRef) -> int:
-                if ref.is_input:
-                    return (w >> ref.index) & 1
-                return values[ref.index]
-
-            a, b = src(gate.a), src(gate.b)
+    rails = [0, 0] if circuit.rails is not None else None
+    for w in range(1 << r):
+        values = [(w >> j) & 1 for j in range(r)]
+        for i, (tt, sa, sb) in enumerate(zip(circuit.tt, circuit.src_a, circuit.src_b)):
+            a, b = values[sa], values[sb]
             if fault is not None and fault.gate == i:
                 if fault.site is FaultSite.INPUT_A:
                     a = fault.stuck
                 elif fault.site is FaultSite.INPUT_B:
                     b = fault.stuck
-            out = gate.tt.eval(a, b)
+            out = (tt >> (2 * a + b)) & 1
             if fault is not None and fault.gate == i and fault.site is FaultSite.OUTPUT:
                 out = fault.stuck
             values.append(out)
-
-        def resolve(ref: SignalRef) -> int:
-            return (w >> ref.index) & 1 if ref.is_input else values[ref.index]
-
-        for j, ref in enumerate(circuit.func_outputs):
-            outputs[j] |= resolve(ref) << w
+        for j, s in enumerate(circuit.outputs):
+            outputs[j] |= values[s] << w
         if rails is not None:
-            rails[0] |= resolve(circuit.error_rails[0]) << w
-            rails[1] |= resolve(circuit.error_rails[1]) << w
+            rails[0] |= values[circuit.rails[0]] << w
+            rails[1] |= values[circuit.rails[1]] << w
     return {
         "outputs": tuple(outputs),
         "rails": tuple(rails) if rails is not None else None,
@@ -83,7 +74,7 @@ def random_circuit(
     gates = []
     for i in range(n_gates):
         gates.append(
-            Gate(TruthTable2(rng.randrange(16)), random_ref(rng, r, i), random_ref(rng, r, i))
+            Gate(rng.randrange(16), random_ref(rng, r, i), random_ref(rng, r, i))
         )
     error_rails = None
     if rails == "random":
@@ -105,18 +96,18 @@ def live_circuit(r: int, gates, func, rails=None) -> Circuit:
     """
     live = [False] * len(gates)
     for ref in func + (rails or ()):
-        if not ref.is_input:
+        if ref.kind == "g":
             live[ref.index] = True
     for i in range(len(gates) - 1, -1, -1):
         if live[i]:
             for ref in (gates[i].a, gates[i].b):
-                if not ref.is_input:
+                if ref.kind == "g":
                     live[ref.index] = True
     keep = [i for i in range(len(gates)) if live[i]]
     new_index = {old: new for new, old in enumerate(keep)}
 
     def move(ref: SignalRef) -> SignalRef:
-        return ref if ref.is_input else SignalRef.g(new_index[ref.index])
+        return ref if ref.kind == "x" else SignalRef.g(new_index[ref.index])
 
     return Circuit(
         r,
@@ -129,12 +120,13 @@ def live_circuit(r: int, gates, func, rails=None) -> Circuit:
 def two_rail_checker_circuit() -> Circuit:
     """Standalone checker cell: inputs (a_0, a_1, b_0, b_1) = x0..x3, no
     function outputs, the cell's output pair as the error rails."""
-    gates: list[Gate] = []
-    x = SignalRef.x
+    tt: list[int] = []
+    src_a: list[int] = []
+    src_b: list[int] = []
     (c0, _), (c1, _) = _append_two_rail_checker(
-        gates, ((x(0), False), (x(1), False)), ((x(2), False), (x(3), False))
+        4, tt, src_a, src_b, ((0, False), (1, False)), ((2, False), (3, False))
     )
-    return Circuit(r=4, gates=tuple(gates), func_outputs=(), error_rails=(c0, c1))
+    return Circuit.from_arrays(4, tt, src_a, src_b, (), (c0, c1))
 
 
 def genotype_bit(g: Genotype, pos: int) -> int:
@@ -153,19 +145,19 @@ def tsc_half_adder(sum_xnor: bool = False) -> Circuit:
     its complement in their tables, so every fault behaves as before: the
     circuit is still TSC, but y_0 is the complement of the sum.
     """
-    x, g, tt = SignalRef.x, SignalRef.g, TruthTable2
-    xor, le, gt = (tt(9), tt(7), tt(1)) if sum_xnor else (tt(6), tt(11), tt(4))
+    x, g = SignalRef.x, SignalRef.g
+    xor, le, gt = (9, 7, 1) if sum_xnor else (6, 11, 4)
     gates = (
         Gate(xor, x(0), x(1)),
-        Gate(tt(8), x(0), x(1)),
+        Gate(8, x(0), x(1)),
         Gate(le, x(1), g(0)),
-        Gate(tt(6), x(0), x(1)),
-        Gate(tt(9), g(2), g(3)),
+        Gate(6, x(0), x(1)),
+        Gate(9, g(2), g(3)),
         Gate(gt, g(0), x(1)),
-        Gate(tt(6), g(4), g(5)),
-        Gate(tt(1), x(0), x(1)),
-        Gate(tt(9), g(1), g(7)),
-        Gate(tt(9), g(8), x(0)),
+        Gate(6, g(4), g(5)),
+        Gate(1, x(0), x(1)),
+        Gate(9, g(1), g(7)),
+        Gate(9, g(8), x(0)),
     )
     return Circuit(2, gates, (g(0), g(1)), (g(6), g(9)))
 

@@ -122,8 +122,8 @@ class TestBaseline:
         assert run_cli("baseline", "--seed", bench("c17.blif"), "--out", str(out_file)) == 0
         circuit = read_native(out_file.read_text())
         seed = parse_blif(Path(bench("c17.blif")).read_text())
-        assert circuit.error_rails is not None
-        assert len(circuit.gates) == len(build_duplication_baseline(seed).gates)
+        assert circuit.rails is not None
+        assert circuit == build_duplication_baseline(seed)
 
 
 class TestVerifyCommand:

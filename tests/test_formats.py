@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,10 +16,10 @@ from tscsynth.formats import (
     render_pla,
     write_native,
 )
-from tscsynth.netlist import Circuit, Gate, SignalRef, TT_XOR
+from tscsynth.netlist import Circuit, Gate, SignalRef, TT_XOR, build_duplication_baseline
 from tscsynth.sim import MAX_INPUTS, simulate
 
-from conftest import random_circuit
+from conftest import BENCH_DIR, random_circuit
 
 X = SignalRef.x
 G = SignalRef.g
@@ -58,6 +59,15 @@ class TestPla:
     ])
     def test_count_directive_needs_one_count(self, text):
         with pytest.raises(ParseError, match="needs one count"):
+            parse_pla(text)
+
+    @pytest.mark.parametrize("text,key", [
+        (".i 3\n.i 2\n.o 1\n11 1\n.e\n", "i"),
+        (".i 2\n.o 1\n.o 1\n11 1\n.e\n", "o"),
+    ])
+    def test_repeated_count_directive_rejected(self, text, key):
+        # The second count used to replace the first without a word.
+        with pytest.raises(ParseError, match=f"^PLA .{key} is given twice$"):
             parse_pla(text)
 
     def test_inconsistent_width_rejected(self):
@@ -102,7 +112,7 @@ class TestBlif:
     def test_unary_not_embeds_as_two_input(self):
         c = parse_blif(".model t\n.inputs a\n.outputs y\n.names a y\n0 1\n.end\n")
         assert len(c.gates) == 1
-        assert c.gates[0].tt.bits == (1, 1, 0, 0)
+        assert c.tt == (0b0011,)
         assert simulate(c).outputs == (0b01,)
 
     def test_more_than_max_inputs_rejected(self):
@@ -156,6 +166,26 @@ class TestBlif:
         with pytest.raises(ParseError, match=f"^net '{net}' feeds no output"):
             parse_blif(text)
 
+    @pytest.mark.parametrize("inputs", [".inputs a a", ".inputs a b\n.inputs a"])
+    def test_repeated_input_rejected(self, inputs):
+        # Otherwise every reader of 'a' reads the last x_j named 'a', and
+        # the first one is left unread.
+        text = f".model t\n{inputs}\n.outputs y\n.names a y\n1 1\n.end\n"
+        with pytest.raises(ParseError, match="^primary input 'a' is declared twice$"):
+            parse_blif(text)
+
+    def test_repeated_output_name_accepted(self):
+        # render_blif names both outputs y0 when they share a driver.
+        c = Circuit(2, (Gate(TT_XOR, X(0), X(1)),), (G(0), G(0)))
+        text = render_blif(c)
+        assert ".outputs y0 y0" in text
+        assert parse_blif(text) == c
+
+    def test_render_refuses_rails(self):
+        c = Circuit(2, (Gate(TT_XOR, X(0), X(1)),), (G(0),), (X(0), G(0)))
+        with pytest.raises(ValueError, match="native JSON"):
+            render_blif(c)
+
     def test_long_chain_listed_last_gate_first(self):
         # 3000 inverters, each block listed before the one it reads.
         n = 3000
@@ -165,10 +195,10 @@ class TestBlif:
              ".names a n0\n0 1", ".end"]
         )
         c = parse_blif(text)
-        assert len(c.gates) == n
-        assert c.gates[0].a == X(0)
-        assert all(c.gates[i].a == G(i - 1) for i in range(1, n))
-        assert c.func_outputs == (G(n - 1),)
+        # With r = 1, x_0 is index 0 and gate i is index i + 1.
+        assert len(c.tt) == n
+        assert c.src_a == tuple(range(n))
+        assert c.outputs == (n,)
         assert simulate(c).outputs == (0b10,)
 
     def test_render_parse_simulates_identically(self, rng):
@@ -226,6 +256,30 @@ class TestNative:
         with pytest.raises(ParseError):
             read_native(text)
 
+    @pytest.mark.parametrize("tt", ["01", "0120", "01100", 6, None])
+    def test_bad_table_rejected(self, tt):
+        text = json.dumps({"r": 2, "gates": [{"tt": tt, "a": "x0", "b": "x1"}],
+                           "y": ["g0"], "z": []})
+        with pytest.raises(ParseError, match="^bad truth table .*: want four digits, each 0 or 1$"):
+            read_native(text)
+
+    @pytest.mark.parametrize("ref", ["y0", "x", "g-1", "x1.0", "", 3, None])
+    def test_bad_signal_reference_rejected(self, ref):
+        text = json.dumps({"r": 2, "gates": [{"tt": "0110", "a": "x0", "b": ref}],
+                           "y": ["g0"], "z": []})
+        with pytest.raises(ParseError, match="^bad signal reference: "):
+            read_native(text)
+
+    @pytest.mark.parametrize("gates,y,z", [
+        ([{"tt": "0110", "a": "x0", "b": "x5"}], ["g0"], []),
+        ([], ["x5"], []),
+        ([], ["x0"], ["x1", "x5"]),
+    ])
+    def test_input_beyond_r_rejected_by_name(self, gates, y, z):
+        text = json.dumps({"r": 2, "gates": gates, "y": y, "z": z})
+        with pytest.raises(ParseError, match="^input reference out of range: x5$"):
+            read_native(text)
+
     def test_forward_ref_rejected(self):
         text = json.dumps(
             {
@@ -269,3 +323,21 @@ class TestDot:
     def test_deterministic(self, rng):
         c = random_circuit(rng, r=3, n_gates=4, q=2, rails="random")
         assert export_dot(c) == export_dot(c)
+
+
+def test_shipped_benchmark_text_pinned():
+    # One sha256 over the native JSON and DOT text of every shipped seed and
+    # of its duplication baseline, and the seed's BLIF, recorded when the
+    # writers and the baseline still went through Gate and SignalRef
+    # objects: the array-based ones must write the same bytes.
+    digest = hashlib.sha256()
+    for path in sorted(BENCH_DIR.glob("*.blif")):
+        seed = parse_blif(path.read_text())
+        baseline = build_duplication_baseline(seed)
+        for circuit in (seed, baseline):
+            assert read_native(write_native(circuit)) == circuit
+        for text in (write_native(seed), export_dot(seed), render_blif(seed, model=path.stem),
+                     write_native(baseline), export_dot(baseline)):
+            digest.update(text.encode())
+    assert digest.hexdigest() == (
+        "ea9a6853f17d7596ff1de836db428ebd0bd3a8a2d8caad6548ae5bfc9be99587")

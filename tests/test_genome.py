@@ -104,19 +104,18 @@ class TestDecode:
         assert lay.max_gates == 2 and lay.gene_len == 8 and lay.total_len == 22
         g = bits_to_genotype("00" + "1011" + "0110" + "10" + "11" + "00000000", lay)
         circuit = decode(g, random.Random(0))
-        assert len(circuit.gates) == 1
-        assert circuit.gates[0].tt.value == 0b0110
+        assert circuit.tt == (0b0110,)
         assert simulate(circuit).outputs[0] == 0b0110
-        assert circuit.error_rails == (X(0), X(1))
+        assert circuit.rails == (0, 1)
 
     def test_self_loop_repaired_to_primary_input(self):
         # Gene 0 sources itself; repair must reroute that edge to an input.
         lay = GenomeLayout(r=2, q=1, b=2)
         g = bits_to_genotype("00" + "1011" + "0110" + "00" + "11" + "00000000", lay)
         circuit = decode(g, random.Random(7))
-        assert len(circuit.gates) == 1
-        assert circuit.gates[0].a.is_input  # rerouted
-        assert circuit.gates[0].b == X(1)
+        assert len(circuit.tt) == 1
+        assert circuit.src_a[0] < circuit.r  # rerouted
+        assert circuit.src_b[0] == 1
 
     def test_every_bit_string_decodes(self, rng):
         lay = GenomeLayout(r=3, q=2, b=3)
@@ -124,7 +123,7 @@ class TestDecode:
             g = Genotype(rng.getrandbits(lay.total_len), lay)
             circuit = decode(g, rng)
             assert circuit.q == 2
-            assert circuit.error_rails is not None
+            assert circuit.rails is not None
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -140,9 +139,8 @@ class TestDecode:
         lay = GenomeLayout(r=r, q=1, b=b)
         value = data.draw(st.integers(0, (1 << lay.total_len) - 1))
         circuit = decode(Genotype(value, lay), random.Random(42))
-        for i, gate in enumerate(circuit.gates):
-            for src in (gate.a, gate.b):
-                assert src.is_input or src.index < i
+        for k, (a, b) in enumerate(zip(circuit.src_a, circuit.src_b)):
+            assert a < r + k and b < r + k
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(),
@@ -156,7 +154,9 @@ class TestDecode:
         lay = GenomeLayout(r=r, q=q, b=b)
         value = data.draw(st.integers(0, (1 << lay.total_len) - 1))
         c = decode(Genotype(value, lay), random.Random(data.draw(st.integers(0, 1 << 32))))
-        for again in (Circuit(c.r, c.gates, c.func_outputs, c.error_rails),
+        refs = [X(j) for j in range(r)] + [G(k) for k in range(len(c.tt))]
+        rails = None if c.rails is None else [refs[s] for s in c.rails]
+        for again in (Circuit(r, c.gates, [refs[s] for s in c.outputs], rails),
                       read_native(write_native(c)), pickle.loads(pickle.dumps(c))):
             assert again == c and hash(again) == hash(c)
 
@@ -524,25 +524,18 @@ def _function_cone(circuit: Circuit) -> tuple[tuple, Counter]:
     Neither depends on gate numbering, so two circuits whose function cones
     differ only in gate order compare equal.
     """
-    forms: list[tuple] = []
-    for gate in circuit.gates:
-        forms.append((gate.tt.value, *(
-            ("x", ref.index) if ref.is_input else forms[ref.index]
-            for ref in (gate.a, gate.b)
-        )))
+    r = circuit.r
+    forms: list[tuple] = [("x", j) for j in range(r)]
+    for t, a, b in zip(circuit.tt, circuit.src_a, circuit.src_b):
+        forms.append((t, forms[a], forms[b]))
     cone: set[int] = set()
-    stack = [ref.index for ref in circuit.func_outputs if not ref.is_input]
+    stack = [s for s in circuit.outputs if s >= r]
     while stack:
-        k = stack.pop()
-        if k not in cone:
-            cone.add(k)
-            gate = circuit.gates[k]
-            stack += [ref.index for ref in (gate.a, gate.b) if not ref.is_input]
-    outputs = tuple(
-        ("x", ref.index) if ref.is_input else forms[ref.index]
-        for ref in circuit.func_outputs
-    )
-    return outputs, Counter(forms[k] for k in cone)
+        s = stack.pop()
+        if s not in cone:
+            cone.add(s)
+            stack += [t for t in (circuit.src_a[s - r], circuit.src_b[s - r]) if t >= r]
+    return tuple(forms[s] for s in circuit.outputs), Counter(forms[s] for s in cone)
 
 
 def test_nonintrusive_champion_contains_seed_verbatim(rng):

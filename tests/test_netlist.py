@@ -7,8 +7,8 @@ from tscsynth.netlist import (
     Circuit,
     Gate,
     SignalRef,
-    TruthTable2,
     TT_AND,
+    TT_BUF_A,
     TT_NOT_A,
     TT_OR,
     TT_XOR,
@@ -29,21 +29,6 @@ X = SignalRef.x
 G = SignalRef.g
 
 
-def test_truth_table_bits_roundtrip():
-    for v in range(16):
-        tt = TruthTable2(v)
-        assert TruthTable2.from_bits(tt.bits).value == v
-        for a in (0, 1):
-            for b in (0, 1):
-                assert tt.eval(a, b) == (v >> (2 * a + b)) & 1
-
-
-@pytest.mark.parametrize("bits", [(0, 9, 2, 0), (0, 1, 1, -1), (2, 0, 0, 0)])
-def test_truth_table_rejects_entries_other_than_0_or_1(bits):
-    with pytest.raises(ValueError, match="0 or 1"):
-        TruthTable2.from_bits(bits)
-
-
 @pytest.mark.parametrize(
     "name,fn",
     [
@@ -58,16 +43,15 @@ def test_truth_table_rejects_entries_other_than_0_or_1(bits):
     ],
 )
 def test_gate_names_match_tables(name, fn):
-    tt = TruthTable2(GATE_NAMES.index(name))
-    assert tt.name == name
+    t = GATE_NAMES.index(name)
     for a in (0, 1):
         for b in (0, 1):
-            assert tt.eval(a, b) == int(fn(a, b))
+            assert t >> (2 * a + b) & 1 == int(fn(a, b))
 
 
 def test_truth_table_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        TruthTable2(16)
+    with pytest.raises(ValueError, match="^truth table value out of range: 16$"):
+        Circuit(1, (Gate(16, X(0), X(0)),), (G(0),))
 
 
 def test_circuit_rejects_forward_reference():
@@ -98,7 +82,7 @@ def arrays(r: int, gates, outputs, rails) -> tuple:
             return r + ref.index
         return ref.index if ref.index < r else ~ref.index
 
-    return (r, [g.tt.value for g in gates], [index(g.a) for g in gates],
+    return (r, [g.tt for g in gates], [index(g.a) for g in gates],
             [index(g.b) for g in gates], [index(ref) for ref in outputs],
             None if rails is None else [index(ref) for ref in rails])
 
@@ -149,7 +133,6 @@ def test_array_form_equals_gate_form():
     assert c == Circuit(2, (_AND01, Gate(TT_OR, G(0), X(0))), (G(1),), (G(0), G(1)))
     assert c.gates == (_AND01, Gate(TT_OR, G(0), X(0)))
     assert c.gates is c.gates  # built once
-    assert (c.func_outputs, c.error_rails) == ((G(1),), (G(0), G(1)))
 
 
 @pytest.mark.parametrize(
@@ -179,7 +162,7 @@ class TestLiveSet:
     def test_unreachable_gate_dropped(self):
         gates = (Gate(TT_AND, X(0), X(1)), Gate(TT_OR, X(0), X(1)), Gate(TT_XOR, X(0), G(1)))
         c = live_circuit(2, gates, (G(0),))
-        assert c.gates == gates[:1] and c.func_outputs == (G(0),)
+        assert c.gates == gates[:1] and c.outputs == (2,)
 
     def test_rail_and_output_both_reachable(self):
         gates = (
@@ -190,7 +173,7 @@ class TestLiveSet:
         )
         c = live_circuit(2, gates, (G(0),), (G(3), G(2)))
         assert c.gates == (gates[0], gates[2], Gate(TT_NOT_A, G(1), G(1)))
-        assert c.error_rails == (G(2), G(1))
+        assert c.rails == (4, 3)
 
     def test_empty_gate_list(self):
         assert live_circuit(2, (), (X(0), X(1))).gates == ()
@@ -199,14 +182,15 @@ class TestLiveSet:
         # Removing gates with no path to an output never changes a response.
         for _ in range(50):
             gates = tuple(
-                Gate(TruthTable2(rng.randrange(16)), random_ref(rng, 3, i),
+                Gate(rng.randrange(16), random_ref(rng, 3, i),
                      random_ref(rng, 3, i))
                 for i in range(8)
             )
             func = (random_ref(rng, 3, 8), random_ref(rng, 3, 8))
             rails = (random_ref(rng, 3, 8), random_ref(rng, 3, 8))
-            netlist = SimpleNamespace(r=3, q=2, gates=gates, func_outputs=func,
-                                      error_rails=rails)
+            r, tt, src_a, src_b, outputs, rails_at = arrays(3, gates, func, rails)
+            netlist = SimpleNamespace(r=r, q=2, tt=tt, src_a=src_a, src_b=src_b,
+                                      outputs=outputs, rails=rails_at)
             packed = simulate(live_circuit(3, gates, func, rails))
             ref = scalar_simulate(netlist)
             assert packed.outputs == ref["outputs"] and packed.rails == ref["rails"]
@@ -268,7 +252,7 @@ def _adder_seed():
 
 
 def _identity_seed():
-    return Circuit(2, (Gate(TruthTable2(12), X(0), X(0)), Gate(TruthTable2(12), X(1), X(1))), (G(0), G(1)))
+    return Circuit(2, (Gate(TT_BUF_A, X(0), X(0)), Gate(TT_BUF_A, X(1), X(1))), (G(0), G(1)))
 
 
 class TestDuplicationBaseline:
@@ -301,8 +285,12 @@ class TestDuplicationBaseline:
         z0, z1 = simulate(baseline).rails
         assert z0 ^ z1 == 0b1111
 
+    def test_single_wire_output_gets_one_inverter(self):
+        baseline = build_duplication_baseline(Circuit(2, (), (X(1),)))
+        assert baseline == Circuit(2, (Gate(TT_NOT_A, X(1), X(1)),), (X(1),), (G(0), X(1)))
+
     def test_rejects_seed_with_rails(self):
         seed = _adder_seed()
-        with_rails = Circuit(seed.r, seed.gates, seed.func_outputs, (G(0), G(1)))
+        with_rails = Circuit(seed.r, seed.gates, (G(0), G(1)), (G(0), G(1)))
         with pytest.raises(ValueError):
             build_duplication_baseline(with_rails)
