@@ -392,8 +392,13 @@ def read_native(text: str) -> Circuit:
     if type(r) is not int:
         raise ParseError(f"input count must be an integer, got {r!r}")
     _check_inputs(r, "circuit")
-    if not isinstance(raw_z, list):
-        raise ParseError(f"error rails must be a list, got {raw_z!r}")
+    for what, value in (("gates", raw_gates), ("function outputs", raw_y),
+                        ("error rails", raw_z)):
+        if not isinstance(value, list):
+            raise ParseError(f"{what} must be a list, got {value!r}")
+    for k, g in enumerate(raw_gates):
+        if not isinstance(g, dict):
+            raise ParseError(f"gate {k} must be an object, got {g!r}")
     if len(raw_z) not in (0, 2):
         raise ParseError("error rails come in pairs")
     try:

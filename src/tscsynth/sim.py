@@ -2,9 +2,16 @@
 
 Signals are packed integers: bit w of a vector is the signal's value under
 input word w, for all 2**r words in ascending numeric order with x_0 as the
-least significant input bit.  Gates are refreshed once, in list order, which
-is sufficient for feed-forward circuits; the simulator reads a Circuit's
-stored arrays, not its Gate view.
+least significant input bit.  The fault-free wave refreshes every gate once,
+in index order, which is sufficient for feed-forward circuits; the simulator
+reads a Circuit's stored arrays, not its Gate view.
+
+A faulty wave starts from the fault-free values and refreshes only the
+faulted gate and its fan-out cone, in index order (the idea of concurrent
+fault simulation: Ulrich & Baker, "Concurrent simulation of nearly identical
+digital networks", 1974).  That is exact: a gate reads only lower indices, so
+a fault can change no index outside its gate's cone, and every gate of the
+cone is refreshed after its sources.
 """
 
 from __future__ import annotations
@@ -61,32 +68,77 @@ def _tt_vector(tt_value: int, a: int, b: int, full: int) -> int:
     return out
 
 
-def simulate(circuit: Circuit, fault: Fault | None = None) -> ResponseMatrix:
-    """Evaluate every gate once per wave across all 2**r words.
+def values(circuit: Circuit) -> list[int]:
+    """Fault-free value of every index: the inputs, then each gate in order."""
+    full = full_mask(circuit.r)
+    v = list(input_patterns(circuit.r))
+    for t, a, b in zip(circuit.tt, circuit.src_a, circuit.src_b):
+        v.append(_tt_vector(t, v[a], v[b], full))
+    return v
 
-    A fault at a gate output forces that gate's vector to the stuck value; a
-    fault at a gate input forces the corresponding source value before the
-    table is applied, for that gate only.
+
+def readers(circuit: Circuit) -> list[list[int]]:
+    """For every index, the indices of the gates that read it, ascending."""
+    r = circuit.r
+    read: list[list[int]] = [[] for _ in range(r + len(circuit.tt))]
+    for i, (a, b) in enumerate(zip(circuit.src_a, circuit.src_b), r):
+        read[a].append(i)
+        if b != a:
+            read[b].append(i)
+    return read
+
+
+def fan_out_cone(read: list[list[int]], index: int) -> list[int]:
+    """index and every gate that reads it through some path, ascending."""
+    cone = {index}
+    stack = [index]
+    while stack:
+        for i in read[stack.pop()]:
+            if i not in cone:
+                cone.add(i)
+                stack.append(i)
+    return sorted(cone)
+
+
+def fault_values(circuit: Circuit, free: list[int], fault: Fault,
+                 cone: list[int]) -> list[int]:
+    """The value of every index under fault, from the fault-free values.
+
+    cone is the faulted gate's index and its fan-out cone, ascending
+    (fan_out_cone).  A fault at a gate output forces that gate's vector to
+    the stuck value; a fault at a gate input forces the corresponding source
+    value before the table is applied, for that gate only.  Then every later
+    gate of the cone is refreshed in index order; every other index keeps its
+    fault-free value, which no fault outside it can change.
     """
     r = circuit.r
+    full = full_mask(r)
+    tt, src_a, src_b = circuit.tt, circuit.src_a, circuit.src_b
+    v = free.copy()
+    g = fault.gate
+    stuck = full if fault.stuck else 0
+    if fault.site is FaultSite.OUTPUT:
+        v[r + g] = stuck
+    elif fault.site is FaultSite.INPUT_A:
+        v[r + g] = _tt_vector(tt[g], stuck, v[src_b[g]], full)
+    else:
+        v[r + g] = _tt_vector(tt[g], v[src_a[g]], stuck, full)
+    for i in cone[1:]:
+        k = i - r
+        v[i] = _tt_vector(tt[k], v[src_a[k]], v[src_b[k]], full)
+    return v
+
+
+def simulate(circuit: Circuit, fault: Fault | None = None) -> ResponseMatrix:
+    """Outputs and rails across all 2**r words, fault-free or under fault."""
     if fault is not None and not 0 <= fault.gate < len(circuit.tt):
         raise ValueError(f"fault on gate {fault.gate} outside the circuit")
-    full = full_mask(r)
-    v = list(input_patterns(r))  # value of every index: inputs, then gates
-    for i, (t, a, b) in enumerate(zip(circuit.tt, circuit.src_a, circuit.src_b)):
-        a, b = v[a], v[b]
-        if fault is not None and fault.gate == i:
-            if fault.site is FaultSite.INPUT_A:
-                a = full if fault.stuck else 0
-            elif fault.site is FaultSite.INPUT_B:
-                b = full if fault.stuck else 0
-        out = _tt_vector(t, a, b, full)
-        if fault is not None and fault.gate == i and fault.site is FaultSite.OUTPUT:
-            out = full if fault.stuck else 0
-        v.append(out)
-
+    v = values(circuit)
+    if fault is not None:
+        cone = fan_out_cone(readers(circuit), circuit.r + fault.gate)
+        v = fault_values(circuit, v, fault, cone)
     rails = None if circuit.rails is None else tuple(v[s] for s in circuit.rails)
-    return ResponseMatrix(1 << r, tuple(v[s] for s in circuit.outputs), rails)
+    return ResponseMatrix(1 << circuit.r, tuple(v[s] for s in circuit.outputs), rails)
 
 
 def enumerate_faults(circuit: Circuit, scope: FaultScope) -> list[Fault]:

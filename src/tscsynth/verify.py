@@ -1,13 +1,17 @@
 """Independent brute-force self-checking verification.
 
 Every fault in the full set (output and both input lines, both polarities,
-per gate) is simulated directly, one full wave each; no manifestation
-shortcut and no code shared with the fitness-side fault evaluation.  Each call
-simulates the fault-free circuit once and each fault of its scope once, and
-reads self-testing, fault-secureness, the fault-free false alarm and, given a
-target, whether the function outputs compute it, from that one pass.  This is
-the oracle the fast fitness path is checked against, and the proof engine for
-candidate circuits.
+per gate) is simulated directly, with no manifestation shortcut and no code
+shared with the fitness-side fault evaluation.  Each call simulates the
+fault-free circuit once, then each fault of its scope once: the fault's
+wave starts from the fault-free values and re-evaluates only the faulted
+gate and its fan-out cone (sim.fault_values), which is exact because no
+other index can differ from its fault-free value.  The cone is built just
+before a gate's faults from reader lists built once per call; nothing is
+kept across calls.  Self-testing, fault-secureness, the fault-free false
+alarm and, given a target, whether the function outputs compute it, are read
+from that one pass.  This is the oracle the fast fitness path is checked
+against, and the proof engine for candidate circuits.
 
 There is one report type, TscReport, and two entry points: verify_tsc over
 the full fault set, optionally checking the function against a target, and
@@ -20,7 +24,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .netlist import Circuit, Fault, build_duplication_baseline
-from .sim import FaultScope, enumerate_faults, full_mask, simulate
+from .sim import (FaultScope, enumerate_faults, fan_out_cone, fault_values, full_mask,
+                  readers, simulate, values)
 
 
 @dataclass
@@ -57,7 +62,8 @@ def _report(
     word_mask: int | None,
     target: Sequence[int] | None = None,
 ) -> TscReport:
-    """Simulate the fault-free circuit once and each fault of scope once.
+    """Simulate the fault-free circuit once and each fault of scope once, over
+    its gate's fan-out cone.
 
     A fault is detected iff some applied word yields z_0 == z_1.  An incorrect
     output on an applied word without that collision is a violation; with a
@@ -73,25 +79,29 @@ def _report(
         )
     full = full_mask(circuit.r)
     applied = full if word_mask is None else word_mask & full
-    free = simulate(circuit)
+    free = values(circuit)
+    outputs, (rail0, rail1) = circuit.outputs, circuit.rails
     computes_target = None
     if target is not None:
         computes_target = all(
-            not (got ^ want) & applied for got, want in zip(free.outputs, target)
+            not (free[s] ^ want) & applied for s, want in zip(outputs, target)
         )
-    z0, z1 = free.rails
-    false_alarm = (z0 ^ z1 ^ full) & applied != 0
+    false_alarm = (free[rail0] ^ free[rail1] ^ full) & applied != 0
+    read = readers(circuit)
     undetected: list[Fault] = []
     violations: list[tuple[Fault, int]] = []
+    cone_gate = None
     for fault in enumerate_faults(circuit, scope):
-        resp = simulate(circuit, fault)
-        z0, z1 = resp.rails
-        signalled = (z0 ^ z1 ^ full) & applied
+        if fault.gate != cone_gate:
+            cone_gate = fault.gate
+            cone = fan_out_cone(read, circuit.r + cone_gate)
+        v = fault_values(circuit, free, fault, cone)
+        signalled = (v[rail0] ^ v[rail1] ^ full) & applied
         if not signalled:
             undetected.append(fault)
         wrong = 0
-        for got, want in zip(resp.outputs, free.outputs):
-            wrong |= got ^ want
+        for s in outputs:
+            wrong |= v[s] ^ free[s]
         w = wrong & applied & ~signalled
         while w:
             low = w & -w

@@ -1,4 +1,5 @@
-"""Shared test helpers: reference simulator and random circuit generators."""
+"""Shared test helpers: reference simulators, a reference oracle and random
+circuit generators."""
 
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ from tscsynth.netlist import (
     TT_NOT_A,
     _append_two_rail_checker,
 )
+from tscsynth.sim import FaultScope, enumerate_faults
+from tscsynth.verify import TscReport
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -52,6 +55,73 @@ def scalar_simulate(circuit: Circuit, fault: Fault | None = None) -> dict:
         "outputs": tuple(outputs),
         "rails": tuple(rails) if rails is not None else None,
     }
+
+
+def full_wave(circuit: Circuit, fault: Fault | None = None) -> list[int]:
+    """Packed value of every index with every gate evaluated, under fault.
+
+    The reference for the oracle's cone wave: no index is taken from the
+    fault-free circuit, and the 4-entry table is applied minterm by minterm.
+    """
+    r = circuit.r
+    full = (1 << (1 << r)) - 1
+    v = [sum(1 << w for w in range(1 << r) if (w >> j) & 1) for j in range(r)]
+    for i, (t, a, b) in enumerate(zip(circuit.tt, circuit.src_a, circuit.src_b)):
+        a, b = v[a], v[b]
+        if fault is not None and fault.gate == i:
+            if fault.site is FaultSite.INPUT_A:
+                a = full if fault.stuck else 0
+            elif fault.site is FaultSite.INPUT_B:
+                b = full if fault.stuck else 0
+        out = 0
+        for k in range(4):
+            if (t >> k) & 1:
+                out |= (a if k & 2 else a ^ full) & (b if k & 1 else b ^ full)
+        if fault is not None and fault.gate == i and fault.site is FaultSite.OUTPUT:
+            out = full if fault.stuck else 0
+        v.append(out)
+    return v
+
+
+def full_wave_report(
+    circuit: Circuit,
+    scope: FaultScope = FaultScope.ALL,
+    word_mask: int | None = None,
+    target=None,
+) -> TscReport:
+    """The oracle's report with one full wave per fault (full_wave).
+
+    Same definitions and list order as verify_tsc and verify_fs: faults in
+    enumerate_faults order, each fault's unsignalled incorrect words
+    ascending, no violations listed under a fault-free false alarm.
+    """
+    full = (1 << (1 << circuit.r)) - 1
+    applied = full if word_mask is None else word_mask & full
+    free = full_wave(circuit)
+    z0, z1 = circuit.rails
+    computes_target = None
+    if target is not None:
+        computes_target = all(
+            not (free[s] ^ want) & applied for s, want in zip(circuit.outputs, target)
+        )
+    false_alarm = (free[z0] ^ free[z1] ^ full) & applied != 0
+    undetected = []
+    violations = []
+    for fault in enumerate_faults(circuit, scope):
+        v = full_wave(circuit, fault)
+        signalled = (v[z0] ^ v[z1] ^ full) & applied
+        if not signalled:
+            undetected.append(fault)
+        for w in range(1 << circuit.r):
+            wrong = any((v[s] ^ free[s]) >> w & 1 for s in circuit.outputs)
+            if wrong and (applied & ~signalled) >> w & 1:
+                violations.append((fault, w))
+    if false_alarm:
+        violations = []
+    is_st = not undetected
+    is_fs = not violations and not false_alarm
+    return TscReport(is_st and is_fs, is_st, is_fs, false_alarm, undetected, violations,
+                     computes_target)
 
 
 def random_ref(rng: random.Random, r: int, n_gates: int) -> SignalRef:

@@ -251,6 +251,20 @@ class TestNative:
         with pytest.raises(ParseError, match="error rails must be a list"):
             read_native(text)
 
+    @pytest.mark.parametrize("gates,y,message", [
+        ({}, ["x0"], "gates must be a list, got {}"),
+        ("g0", ["x0"], "gates must be a list, got 'g0'"),
+        ([], "x0", "function outputs must be a list, got 'x0'"),
+        ([], None, "function outputs must be a list, got None"),
+        (["0110"], ["x0"], "gate 0 must be an object, got '0110'"),
+        ([{"tt": "0110", "a": "x0", "b": "x1"}, [6, "x0", "x1"]], ["g0"],
+         r"gate 1 must be an object, got \[6, 'x0', 'x1'\]"),
+    ])
+    def test_gates_and_outputs_not_lists_rejected(self, gates, y, message):
+        text = json.dumps({"r": 2, "gates": gates, "y": y, "z": []})
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            read_native(text)
+
     def test_dangling_ref_rejected(self):
         text = json.dumps({"r": 2, "gates": [], "y": ["g0"], "z": []})
         with pytest.raises(ParseError):

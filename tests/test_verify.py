@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from tscsynth import verify
+from tscsynth import sim, verify
 from tscsynth.fitness import evaluate_checking, fault_free_response
+from tscsynth.genome import GenomeLayout, Genotype, Reading, decode
 from tscsynth.netlist import (
     Circuit,
     Fault,
@@ -11,19 +14,22 @@ from tscsynth.netlist import (
     TT_AND,
     TT_BUF_A,
     TT_NOT_A,
+    TT_NOR,
     TT_ONE,
+    TT_OR,
     TT_XNOR,
     TT_XOR,
     TT_ZERO,
     build_duplication_baseline,
 )
 from tscsynth.formats import parse_blif, parse_pla
-from tscsynth.sim import FaultScope, simulate
+from tscsynth.sim import FaultScope, enumerate_faults, simulate
 from tscsynth.verify import codespace_report, verify_fs, verify_tsc
 
 from conftest import (
     BENCH_DIR,
     HALF_ADDER_PLA,
+    full_wave_report,
     random_circuit,
     tsc_half_adder,
     two_rail_checker_circuit,
@@ -190,17 +196,43 @@ class TestVerifyTsc:
         assert found > 0
 
 
+def forward_cone(circuit: Circuit, gate: int) -> list[int]:
+    """The gate's index and every later gate a path from it reaches, by one
+    forward scan over the sources."""
+    reached = {circuit.r + gate}
+    for k in range(gate + 1, len(circuit.tt)):
+        if circuit.src_a[k] in reached or circuit.src_b[k] in reached:
+            reached.add(circuit.r + k)
+    return sorted(reached)
+
+
 class TestOnePass:
     @pytest.fixture
     def calls(self, monkeypatch):
+        """Every wave the oracle runs: None for the fault-free one, and for a
+        fault's wave (fault, cone, number of gate evaluations)."""
         counted = []
-        simulate = verify.simulate
+        values, fault_values = verify.values, verify.fault_values
+        evaluations = [0]
+        tt_vector = sim._tt_vector
 
-        def counting(circuit, fault=None):
-            counted.append(fault)
-            return simulate(circuit, fault)
+        def counting_tt_vector(*args):
+            evaluations[0] += 1
+            return tt_vector(*args)
 
-        monkeypatch.setattr(verify, "simulate", counting)
+        def free_wave(circuit):
+            counted.append(None)
+            return values(circuit)
+
+        def fault_wave(circuit, free, fault, cone):
+            evaluations[0] = 0
+            v = fault_values(circuit, free, fault, cone)
+            counted.append((fault, cone, evaluations[0]))
+            return v
+
+        monkeypatch.setattr(sim, "_tt_vector", counting_tt_vector)
+        monkeypatch.setattr(verify, "values", free_wave)
+        monkeypatch.setattr(verify, "fault_values", fault_wave)
         return counted
 
     def test_one_simulation_per_fault(self, calls):
@@ -210,6 +242,12 @@ class TestOnePass:
         assert n == 32
         verify_tsc(baseline)
         assert len(calls) == 6 * n + 1 == 193
+        assert calls[0] is None
+        # A fault's wave evaluates its gate (unless the output is forced) and
+        # the gates of its fan-out cone, and no other gate.
+        for fault, cone, evaluations in calls[1:]:
+            assert cone == forward_cone(baseline, fault.gate)
+            assert evaluations == len(cone) - (fault.site is FaultSite.OUTPUT)
         calls.clear()
         verify_tsc(baseline, None, simulate(seed).outputs)
         assert len(calls) == 6 * n + 1  # the function check reads the same pass
@@ -245,6 +283,73 @@ class TestOnePass:
         fs = verify_fs(c)
         assert (fs.is_fs, fs.violations, fs.false_alarm) == (False, [], True)
         assert fs.undetected == report.undetected
+
+
+def assert_matches_full_wave(circuit: Circuit, rng: random.Random, target=None) -> None:
+    """Every report equals the one-full-wave-per-fault reference field for
+    field, list order included: both scopes, with no mask and with a random
+    word mask, and verify_tsc with a target (random columns by default)."""
+    words = 1 << circuit.r
+    if target is None:
+        target = tuple(rng.getrandbits(words) for _ in range(circuit.q))
+    for mask in (None, rng.getrandbits(words)):
+        for scope in FaultScope:
+            assert verify_fs(circuit, scope, mask) == full_wave_report(circuit, scope, mask)
+        assert verify_tsc(circuit, mask) == full_wave_report(circuit, FaultScope.ALL, mask)
+    assert verify_tsc(circuit, None, target) == full_wave_report(
+        circuit, FaultScope.ALL, None, target)
+
+
+class TestAgainstFullWave:
+    """The cone wave against one full wave per fault (conftest)."""
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_random_circuits(self, rng, r):
+        for i in range(8):
+            c = random_circuit(rng, r=r, n_gates=rng.randrange(0, 14), q=rng.randrange(1, 4),
+                               rails=("random", "complement")[i % 2])
+            assert_matches_full_wave(c, rng)
+
+    def test_decoded_genotypes_with_repairs(self, rng):
+        for lay in (GenomeLayout(r=2, q=2, b=3), GenomeLayout(r=3, q=2, b=4)):
+            found = 0
+            while found < 10:
+                reading = Reading()
+                c = decode(Genotype(rng.getrandbits(lay.total_len), lay), rng, reading)
+                if reading.repairs:
+                    found += 1
+                    assert_matches_full_wave(c, rng)
+
+    @pytest.mark.parametrize(
+        "name", ["b1", "c17", "cm138a", "cm42a", "cm82a", "decod", "mult2", "rd53"])
+    def test_duplication_baselines(self, rng, name):
+        seed = parse_blif((BENCH_DIR / f"{name}.blif").read_text())
+        target = parse_pla((BENCH_DIR / f"{name}.pla").read_text()).columns
+        baseline = build_duplication_baseline(seed)
+        assert verify_tsc(baseline, None, target).computes_target
+        assert_matches_full_wave(baseline, rng, target)
+
+    def test_gates_reaching_one_rail_or_one_output(self, rng):
+        # g0 reaches only y_0, g1 only z_1 and g2 only z_0; the rails are
+        # complementary fault-free.  No fault of g0 reaches a rail, so all
+        # six go undetected, and every word where one flips y_0 is a
+        # violation.
+        c = Circuit(
+            2,
+            (
+                Gate(TT_AND, X(0), X(1)),
+                Gate(TT_OR, X(0), X(1)),
+                Gate(TT_NOR, X(0), X(1)),
+            ),
+            (G(0),),
+            (G(2), G(1)),
+        )
+        read = sim.readers(c)
+        assert [sim.fan_out_cone(read, c.r + g) for g in range(3)] == [[2], [3], [4]]
+        report = verify_tsc(c)
+        assert report.undetected[:6] == enumerate_faults(c, FaultScope.ALL)[:6]
+        assert {fault.gate for fault, _ in report.violations} == {0}
+        assert_matches_full_wave(c, rng)
 
 
 class TestTheorem2:
