@@ -23,7 +23,7 @@ from .genome import (
     mutate_routing,
     mutate_translocate,
 )
-from .verify import codespace_report, verify_fs, verify_tsc
+from .verify import verify_fs, verify_tsc
 from .formats import (
     ParseError,
     TargetSpec,

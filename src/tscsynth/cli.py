@@ -19,7 +19,7 @@ from .formats import (
 )
 from .genome import GenomeLayout, default_address_width
 from .netlist import build_duplication_baseline, duplication_overhead
-from .verify import codespace_report, verify_tsc
+from .verify import TscReport, verify_tsc
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -164,6 +164,14 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _print_verdict(report: TscReport) -> None:
+    print(report.summary())
+    for fault in report.undetected[:10]:
+        print(f"  undetected: {fault}")
+    for fault, word in report.violations[:10]:
+        print(f"  unsignalled incorrect output: fault {fault} at word {word}")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     circuit = read_native(_read(args.circuit))
     word_mask = _word_mask(args.applied_words, circuit.r)
@@ -179,11 +187,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         columns = target.columns
     report = verify_tsc(circuit, word_mask, columns)
-    print(report.summary())
-    for fault in report.undetected[:10]:
-        print(f"  undetected: {fault}")
-    for fault, word in report.violations[:10]:
-        print(f"  unsignalled incorrect output: fault {fault} at word {word}")
+    _print_verdict(report)
     ok = report.is_tsc and report.computes_target is not False
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
@@ -196,10 +200,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     print(f"seed: {g} gates, {seed.q} outputs")
     print(f"duplication overhead: {dup}")
     print(f"baseline size: {len(baseline.tt)} gates")
-    report = codespace_report(seed, baseline)
-    print(report.summary())
-    for fault in report.undetectable_checker_faults[:10]:
-        print(f"  undetectable checker fault: {fault}")
+    _print_verdict(verify_tsc(baseline))
     if args.out:
         Path(args.out).write_text(write_native(baseline), encoding="utf-8")
     return EXIT_OK
@@ -217,7 +218,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not run_path.exists():
         print(f"error: {run_path} not found", file=sys.stderr)
         return EXIT_USAGE
-    record = json.loads(run_path.read_text(encoding="utf-8"))
+    try:
+        record = json.loads(run_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{run_path} is not JSON: {exc}") from None
     try:
         return _print_report(record, args.function_core)
     except ParseError as exc:
@@ -347,11 +351,14 @@ def build_parser(
                     + ", ".join(key.replace("_", "-") for key in unknown))
         # argparse applies each option's type to string defaults, but a flag
         # has none: "false" would be a truthy string.
-        p.set_defaults(**{
-            key: value.lower() in ("1", "true", "yes") if actions[key].nargs == 0
-            else value
-            for key, value in evolve_config.items()
-        })
+        defaults = dict(evolve_config)
+        for key, value in evolve_config.items():
+            if actions[key].nargs == 0:
+                if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                    p.error(f"config key {key.replace('_', '-')}: {value!r} is not "
+                            "a flag value (1/0, true/false, yes/no)")
+                defaults[key] = value.lower() in ("1", "true", "yes")
+        p.set_defaults(**defaults)
 
     p = sub.add_parser("verify", help="prove or refute the TSC property")
     p.add_argument("--circuit", required=True, help="native JSON circuit")

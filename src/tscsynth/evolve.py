@@ -12,7 +12,7 @@ distance.
 
 Most children differ from their parent only in genes the parent's decode
 never read.  Each ``Individual`` keeps what its decode read (a
-``genome.Reading``: the reached gene slots and the cycle-repair sites), and
+``genome.Reading``: a mask of the bits read and the cycle-repair sites), and
 a child that agrees with a parent (either one, for a crossover) on every
 bit that parent read is not decoded: decode would take the parent's walk,
 read the same genes and draw its repairs at the same sites in the same

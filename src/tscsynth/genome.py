@@ -25,10 +25,10 @@ genes of the slots it reaches.  A cycle repair reroutes an edge to a primary
 input, whose index is fixed from the start, so which input rng draws never
 steers the walk; it only sets that source.  So the reached slots, the repair
 sites and the order of the repair draws are all fixed by the bits read.
-decode reports them in a Reading when asked.  A genotype that agrees with
-an earlier one on every bit that one's decode read (same_reading) decodes
-to the earlier netlist with each repair site drawn again in order (redraw):
-the same circuit, and the same rng state afterwards, as decoding it.
+decode reports them in a Reading when asked: the mask of the bits read, and
+the repair sites.  A genotype that agrees with an earlier one on its mask
+(same_reading) decodes to the earlier netlist with each repair site drawn
+again in order (redraw): the same circuit and rng state as decoding it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ _REV4 = tuple(
 )
 
 # Widest address field a layout may have: 2**b - r gene slots, and decode
-# and its Reading each hold one entry per slot.
+# holds one entry per slot.
 MAX_ADDRESS_BITS = 16
 
 
@@ -191,11 +191,12 @@ def unlocked_genes(layout: GenomeLayout, lock: LockMask) -> tuple[int, ...]:
 
 @dataclass
 class Reading:
-    """What one decode read: byte k of reached is 1 if the walk reached gene
-    slot k, and repairs lists its cycle repairs as 2*gate + pin (pin 0 for
-    source a, 1 for source b) in the order their inputs were drawn."""
+    """What one decode read: read masks, in the genotype's value, every bit
+    the walk read (the routing fields and each reached gene), and repairs
+    lists its cycle repairs as 2*gate + pin (pin 0 for source a, 1 for
+    source b) in the order their inputs were drawn."""
 
-    reached: bytes = b""
+    read: int = 0
     repairs: tuple[int, ...] = ()
 
 
@@ -269,7 +270,10 @@ def decode(
                 stack.append(reach(addr))
 
     if reading is not None:
-        reading.reached = bytes(on_path)
+        # One binary digit per genotype bit, in genotype order: the routing
+        # fields, then each gene's glen bits as reached or not.
+        digits = on_path.replace(b"\0", b"0" * glen).replace(b"\1", b"1" * glen)
+        reading.read = int(b"1" * (lay.m * b) + digits, 2)
         # Converted in place: a generator expression here, one per decode,
         # raised search-mult2's peak resident memory by about 9%.
         for i, s in enumerate(repairs):
@@ -281,27 +285,9 @@ def decode(
 
 def same_reading(reading: Reading, parent: Genotype, child: Genotype) -> bool:
     """True if child agrees with parent on every bit that parent's decode,
-    which gave reading, read: every routing field and every reached gene.
-    Then decode(child) takes parent's walk (see the module docstring)."""
-    lay = child.layout
-    glen = lay.gene_len
-    M = lay.max_gates
-    diff = parent.value ^ child.value
-    if diff >> (M * glen):
-        return False  # the routing fields are the high bits of the value
-    if not diff:
-        return True
-    # Only genes first..last can differ; a reached one among them must not.
-    first = M - 1 - (diff.bit_length() - 1) // glen
-    last = M - 1 - ((diff & -diff).bit_length() - 1) // glen
-    gmask = (1 << glen) - 1
-    reached = reading.reached
-    k = reached.find(1, first, last + 1)
-    while k >= 0:
-        if (diff >> (M - 1 - k) * glen) & gmask:
-            return False
-        k = reached.find(1, k + 1, last + 1)
-    return True
+    which gave reading, read.  Then decode(child) takes parent's walk (see
+    the module docstring)."""
+    return not (parent.value ^ child.value) & reading.read
 
 
 def redraw(circuit: Circuit, repairs: tuple[int, ...], rng: random.Random) -> Circuit:

@@ -2,16 +2,16 @@
 
 Signals are packed integers: bit w of a vector is the signal's value under
 input word w, for all 2**r words in ascending numeric order with x_0 as the
-least significant input bit.  The fault-free wave refreshes every gate once,
-in index order, which is sufficient for feed-forward circuits; the simulator
-reads a Circuit's stored arrays, not its Gate view.
+least significant input bit.  The fault-free wave (values, simulate)
+refreshes every gate once, in index order, which suffices for feed-forward
+circuits; the simulator reads a Circuit's stored arrays, not its Gate view.
 
-A faulty wave starts from the fault-free values and refreshes only the
-faulted gate and its fan-out cone, in index order (the idea of concurrent
-fault simulation: Ulrich & Baker, "Concurrent simulation of nearly identical
-digital networks", 1974).  That is exact: a gate reads only lower indices, so
-a fault can change no index outside its gate's cone, and every gate of the
-cone is refreshed after its sources.
+A fault's wave is fault_values alone: from the fault-free values it
+refreshes only the faulted gate and its fan-out cone, in index order (the
+idea of concurrent fault simulation: Ulrich & Baker, "Concurrent simulation
+of nearly identical digital networks", 1974).  That is exact: a gate reads
+only lower indices, so a fault can change no index outside its gate's cone,
+and every gate of the cone is refreshed after its sources.
 """
 
 from __future__ import annotations
@@ -129,14 +129,9 @@ def fault_values(circuit: Circuit, free: list[int], fault: Fault,
     return v
 
 
-def simulate(circuit: Circuit, fault: Fault | None = None) -> ResponseMatrix:
-    """Outputs and rails across all 2**r words, fault-free or under fault."""
-    if fault is not None and not 0 <= fault.gate < len(circuit.tt):
-        raise ValueError(f"fault on gate {fault.gate} outside the circuit")
+def simulate(circuit: Circuit) -> ResponseMatrix:
+    """Fault-free outputs and rails across all 2**r words."""
     v = values(circuit)
-    if fault is not None:
-        cone = fan_out_cone(readers(circuit), circuit.r + fault.gate)
-        v = fault_values(circuit, v, fault, cone)
     rails = None if circuit.rails is None else tuple(v[s] for s in circuit.rails)
     return ResponseMatrix(1 << circuit.r, tuple(v[s] for s in circuit.outputs), rails)
 

@@ -15,7 +15,8 @@ against, and the proof engine for candidate circuits.
 
 There is one report type, TscReport, and two entry points: verify_tsc over
 the full fault set, optionally checking the function against a target, and
-verify_fs over a chosen fault scope.
+verify_fs over a chosen fault scope.  It is the only diagnosis: a checker
+fault that a limited output codespace leaves untestable is undetected.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .netlist import Circuit, Fault, build_duplication_baseline
+from .netlist import Circuit, Fault
 from .sim import (FaultScope, enumerate_faults, fan_out_cone, fault_values, full_mask,
-                  readers, simulate, values)
+                  readers, values)
 
 
 @dataclass
@@ -139,40 +140,3 @@ def verify_tsc(
     rail collision.  With target (one packed column per function output) the
     report also says whether the circuit computes it on the applied words."""
     return _report(circuit, FaultScope.ALL, word_mask, target)
-
-
-@dataclass
-class CodespaceReport:
-    """Why a duplication baseline can fail to be self-testing.
-
-    The checker tree only sees output patterns the seed actually produces;
-    checker faults needing unproduced patterns are undetectable.
-    """
-
-    realized_patterns: int
-    codespace_size: int
-    baseline_is_st: bool
-    undetectable_checker_faults: list[Fault]
-
-    def summary(self) -> str:
-        return (
-            f"output codespace {self.realized_patterns}/{self.codespace_size} patterns, "
-            f"baseline self-testing={self.baseline_is_st}, "
-            f"undetectable checker faults={len(self.undetectable_checker_faults)}"
-        )
-
-
-def codespace_report(seed: Circuit, baseline: Circuit | None = None) -> CodespaceReport:
-    if baseline is None:
-        baseline = build_duplication_baseline(seed)
-    outputs = simulate(seed).outputs
-    patterns = {tuple((vec >> w) & 1 for vec in outputs) for w in range(1 << seed.r)}
-    report = verify_tsc(baseline)
-    # The baseline's checker is every gate after the seed and its copy.
-    checker_faults = [f for f in report.undetected if f.gate >= 2 * len(seed.tt)]
-    return CodespaceReport(
-        realized_patterns=len(patterns),
-        codespace_size=1 << seed.q,
-        baseline_is_st=report.is_st,
-        undetectable_checker_faults=checker_faults,
-    )

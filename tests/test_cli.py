@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from tscsynth.cli import build_parser, main
-from tscsynth.formats import parse_blif, read_native, write_native
+from tscsynth.formats import parse_blif, parse_pla, read_native, write_native
 from tscsynth.netlist import build_duplication_baseline
+from tscsynth.verify import verify_tsc
 
 from conftest import BENCH_DIR, HALF_ADDER_PLA, tsc_half_adder
 
@@ -124,6 +125,30 @@ class TestBaseline:
         seed = parse_blif(Path(bench("c17.blif")).read_text())
         assert circuit.rails is not None
         assert circuit == build_duplication_baseline(seed)
+
+    @pytest.mark.parametrize("name,undetected", [
+        ("c17", 0), ("cm82a", 0), ("rd53", 0),
+        ("b1", 6), ("cm138a", 42), ("cm42a", 54), ("decod", 90), ("mult2", 6),
+    ])
+    def test_prints_the_oracle_verdict(self, tmp_path, capsys, name, undetected):
+        # A seed that leaves part of its output codespace unused leaves
+        # checker faults untestable: every undetected fault sits after the
+        # seed's gates and their copy.  No baseline has any other flaw.
+        out_file = tmp_path / "baseline.json"
+        assert run_cli("baseline", "--seed", bench(f"{name}.blif"),
+                       "--out", str(out_file)) == 0
+        out = capsys.readouterr().out
+        verdict = "TSC" if undetected == 0 else "not TSC"
+        assert (f"\n{verdict}: self-testing={undetected == 0}, fault-secure=True, "
+                f"fault-free false alarm=False, undetected faults={undetected}, "
+                "unsignalled incorrect instances=0\n") in out
+        assert out.count("  undetected: ") == min(undetected, 10)
+        seed = parse_blif(Path(bench(f"{name}.blif")).read_text())
+        target = parse_pla(Path(bench(f"{name}.pla")).read_text())
+        report = verify_tsc(read_native(out_file.read_text()), None, target.columns)
+        assert report.computes_target is True
+        assert len(report.undetected) == undetected
+        assert all(f.gate >= 2 * len(seed.tt) for f in report.undetected)
 
 
 class TestVerifyCommand:
@@ -419,6 +444,21 @@ class TestEvolveCommand:
         assert args.parallel is value
         assert args.no_stop_on_goal is value
 
+    @pytest.mark.parametrize("key", ["parallel", "no-stop-on-goal"])
+    def test_config_file_bad_flag_value_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = ture\n")  # not read as false
+        code = run_cli(
+            "evolve",
+            "--target", bench("c17.pla"),
+            "--seed", bench("c17.blif"),
+            "--config", str(cfg),
+            "--islands", "1",
+            "--budget-evals", "0",
+        )
+        assert code == 2
+        assert f"config key {key}: 'ture' is not a flag value" in capsys.readouterr().err
+
 
 class TestReport:
     def _make_run(self, tmp_path) -> Path:
@@ -501,6 +541,15 @@ class TestReport:
 
     def test_missing_run_dir_exits_2(self, tmp_path):
         assert run_cli("report", "--run", str(tmp_path / "nope")) == 2
+
+    def test_record_not_json_exits_2_naming_the_file(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "run.json").write_text("{truncated")
+        assert run_cli("report", "--run", str(run)) == 2
+        out, err = capsys.readouterr()
+        assert f"error: {run / 'run.json'} is not JSON: " in err
+        assert out == ""
 
     @pytest.mark.parametrize("part,field", [
         (None, "seed_gates"),

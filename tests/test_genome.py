@@ -214,7 +214,7 @@ class TestReuse:
         again = Reading()
         assert redraw(circuit, reading.repairs, reused) == decode(child, decoded, again)
         assert reused.getstate() == decoded.getstate()
-        assert (again.reached, again.repairs) == (reading.reached, reading.repairs)
+        assert (again.read, again.repairs) == (reading.read, reading.repairs)
         return True
 
     @settings(max_examples=150, deadline=None)
@@ -273,11 +273,37 @@ class TestReuse:
         lay = GenomeLayout(r=2, q=1, b=2)
         reading = Reading()
         decode(bits_to_genotype(self.XOR, lay), random.Random(0), reading)
-        assert reading.reached == bytes([1, 0]) and reading.repairs == ()
+        # Bits 0-13: the three routing fields and gene 0; gene 1 is unread.
+        read = int("1" * 14 + "0" * 8, 2)
+        assert reading.read == read and reading.repairs == ()
         # Gene 0 reading itself as source a: one repair, gate 0 pin 0.
         loop = self.XOR[:10] + "00" + self.XOR[12:]
         decode(bits_to_genotype(loop, lay), random.Random(0), reading)
-        assert reading.reached == bytes([1, 0]) and reading.repairs == (0,)
+        assert reading.read == read and reading.repairs == (0,)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(),
+           shape=st.sampled_from([(2, 1, 2), (2, 2, 3), (3, 2, 4), (4, 3, 5)]))
+    def test_read_masks_routing_and_reachable_genes(self, data, shape):
+        # Reference: the genes reachable from the routing fields through
+        # source fields, found without decode; a cycle repair only cuts an
+        # edge to a gene already reached.
+        lay = GenomeLayout(*shape)
+        g = Genotype(data.draw(st.integers(0, (1 << lay.total_len) - 1)), lay)
+        todo = [g.field(i * lay.b, lay.b) for i in range(lay.m)]
+        reached = set()
+        while todo:
+            k = todo.pop()
+            if k < lay.max_gates and k not in reached:
+                reached.add(k)
+                base = lay.gene_offset(k)
+                todo += [g.field(base + 4, lay.b), g.field(base + 4 + lay.b, lay.b)]
+        bits = [*range(lay.m * lay.b),
+                *(p for k in reached
+                  for p in range(lay.gene_offset(k), lay.gene_offset(k + 1)))]
+        reading = Reading()
+        decode(g, random.Random(data.draw(st.integers(0, 99))), reading)
+        assert reading.read == sum(1 << (lay.total_len - 1 - p) for p in bits)
 
     @pytest.mark.parametrize("pos,reused", [
         (14, True), (21, True),  # gene 1, never read

@@ -23,8 +23,8 @@ from tscsynth.netlist import (
     build_duplication_baseline,
 )
 from tscsynth.formats import parse_blif, parse_pla
-from tscsynth.sim import FaultScope, enumerate_faults, simulate
-from tscsynth.verify import codespace_report, verify_fs, verify_tsc
+from tscsynth.sim import FaultScope, enumerate_faults, input_patterns, simulate
+from tscsynth.verify import verify_fs, verify_tsc
 
 from conftest import (
     BENCH_DIR,
@@ -382,11 +382,15 @@ class TestTheorem2:
 
 
 class TestCodespace:
+    """The oracle's undetected list shows which checker faults of a
+    duplication baseline its seed's output codespace leaves untestable: the
+    checker is every gate after the seed and its copy."""
+
     def test_full_codespace_has_no_undetectable_checker_faults(self):
-        report = codespace_report(identity_seed())
-        assert report.realized_patterns == 4
-        assert report.baseline_is_st
-        assert report.undetectable_checker_faults == []
+        seed = identity_seed()
+        report = verify_tsc(build_duplication_baseline(seed))
+        assert simulate(seed).outputs == input_patterns(2)  # all 4 patterns
+        assert report.is_st and report.undetected == []
 
     def test_constant_output_starves_the_tree(self):
         # One output never moves, so checker faults needing its other value
@@ -396,9 +400,9 @@ class TestCodespace:
             (Gate(TT_BUF_A, X(0), X(0)), Gate(TT_ZERO, X(0), X(1))),
             (G(0), G(1)),
         )
-        report = codespace_report(seed)
-        assert not report.baseline_is_st
-        assert report.undetectable_checker_faults
+        report = verify_tsc(build_duplication_baseline(seed))
+        assert not report.is_st
+        assert any(f.gate >= 2 * len(seed.tt) for f in report.undetected)
 
     def test_checker_cell_tsc_over_valid_codespace(self):
         # The 6-gate two-rail checker, fed every valid dual-rail word, is
