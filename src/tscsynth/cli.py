@@ -1,4 +1,9 @@
-"""Command-line interface: evolve, verify, baseline, export, report."""
+"""Command-line interface: evolve, verify, baseline, export, report.
+
+Exit codes: 0 when the command is done; 1 when verify finds the circuit not
+TSC or not computing its target; 2 on any usage, input or file error, which
+main alone turns into an "error:" line.
+"""
 
 from __future__ import annotations
 
@@ -56,12 +61,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     target = parse_pla(_read(args.target))
     seed = parse_blif(_read(args.seed))
     if (seed.r, seed.q) != (target.r, target.q):
-        print(
-            f"error: seed is {seed.r} in/{seed.q} out but target is "
-            f"{target.r} in/{target.q} out",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ParseError(f"seed is {seed.r} in/{seed.q} out but target is "
+                         f"{target.r} in/{target.q} out")
 
     g = len(seed.tt)
     b = args.b
@@ -69,9 +70,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         b = default_address_width(seed.r, g, seed.q)
     layout = GenomeLayout(r=seed.r, q=seed.q, b=b)
     if g > layout.max_gates:
-        print(f"error: seed needs {g} gene slots, layout has "
-              f"{layout.max_gates}; raise --b", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParseError(f"seed needs {g} gene slots, layout has "
+                         f"{layout.max_gates}; raise --b")
 
     dup = duplication_overhead(g, seed.q)
     goal_overhead = args.goal_overhead
@@ -97,6 +97,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     )
 
     out_dir = Path(args.out) if args.out else None
+    if out_dir is not None:
+        # Made before the search, so an unusable path costs no search.
+        out_dir.mkdir(parents=True, exist_ok=True)
     runner = evolve_mod.run_distributed if args.parallel else evolve_mod.run
     result = runner(config, target, seed, out_dir=out_dir)
 
@@ -145,7 +148,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "history": result.history,
     }
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "champion.json").write_text(
             write_native(champion.circuit), encoding="utf-8"
         )
@@ -179,12 +181,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.target is not None:
         target = parse_pla(_read(args.target))
         if (target.r, target.q) != (circuit.r, circuit.q):
-            print(
-                f"error: circuit is {circuit.r} in/{circuit.q} out but target is "
-                f"{target.r} in/{target.q} out",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise ParseError(f"circuit is {circuit.r} in/{circuit.q} out but target "
+                             f"is {target.r} in/{target.q} out")
         columns = target.columns
     report = verify_tsc(circuit, word_mask, columns)
     _print_verdict(report)
@@ -215,9 +213,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     run_path = Path(args.run) / "run.json"
-    if not run_path.exists():
-        print(f"error: {run_path} not found", file=sys.stderr)
-        return EXIT_USAGE
     try:
         record = json.loads(run_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -341,7 +336,8 @@ def build_parser(
                        action="store_true"),
     ]
     p.add_argument("--config", default=None, help="key=value file; CLI flags win")
-    p.add_argument("--out", default=None, help="directory for run artifacts")
+    p.add_argument("--out", default=None,
+                   help="directory for run artifacts, created before the search")
     p.set_defaults(func=_cmd_evolve)
     if evolve_config:
         actions = {action.dest: action for action in configurable}
@@ -393,7 +389,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    # ParseError is a ValueError; OSError covers every file that cannot be
+    # read or written.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

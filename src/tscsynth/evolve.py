@@ -95,6 +95,9 @@ class IslandConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_islands < 1:
             raise ValueError("need at least one island")
+        # Written so that NaN, which compares false, is rejected too.
+        if not 0.0 <= self.migration_rate <= 1.0:
+            raise ValueError(f"migration rate {self.migration_rate!r} is not in [0, 1]")
 
 
 @dataclass

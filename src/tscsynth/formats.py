@@ -137,46 +137,11 @@ def render_pla(target: TargetSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cover_function(rows: list[str], n_in: int, line_ctx: str) -> list[int]:
-    """Evaluate a single-output cover on every input combination."""
-    on_rows: list[str] = []
-    polarity = None
-    for row in rows:
-        fields = row.split()
-        if n_in == 0:
-            if len(fields) != 1 or fields[0] not in ("0", "1"):
-                raise ParseError(f"bad constant cover row {row!r} in {line_ctx}")
-            pattern, bit = "", fields[0]
-        else:
-            if len(fields) != 2 or len(fields[0]) != n_in:
-                raise ParseError(f"bad cover row {row!r} in {line_ctx}")
-            pattern, bit = fields
-        if any(ch not in "01-" for ch in pattern):
-            raise ParseError(f"bad cover pattern {pattern!r} in {line_ctx}")
-        if bit not in ("0", "1"):
-            raise ParseError(f"bad cover output {bit!r} in {line_ctx}")
-        if polarity is None:
-            polarity = bit
-        elif polarity != bit:
-            raise ParseError(f"mixed cover polarity in {line_ctx}")
-        on_rows.append(pattern)
-
-    def matches(values: tuple[int, ...]) -> bool:
-        return any(
-            all(p == "-" or int(p) == v for p, v in zip(pat, values))
-            for pat in on_rows
-        )
-
-    table = []
-    for combo in range(1 << n_in):
-        values = tuple((combo >> j) & 1 for j in range(n_in))
-        hit = matches(values)
-        if polarity == "0":
-            hit = not hit
-        elif polarity is None:
-            hit = False
-        table.append(int(hit))
-    return table
+# The input pairs (a, b) that a .names row's literal admits, as a mask over a
+# gate's table (bit 2a + b): on the first source '1' admits 0b1100, '0'
+# 0b0011 and '-' all four; on the second source 0b1010, 0b0101 and all four.
+_LITERALS = ({"1": 0b1100, "0": 0b0011, "-": 0b1111},
+             {"1": 0b1010, "0": 0b0101, "-": 0b1111})
 
 
 def parse_blif(text: str) -> Circuit:
@@ -190,12 +155,8 @@ def parse_blif(text: str) -> Circuit:
     inputs: list[str] = []
     outputs: list[str] = []
     blocks: list[tuple[list[str], str, list[str]]] = []
-    lines = _logical_lines(text)
-    i = 0
     current: tuple[list[str], str, list[str]] | None = None
-    while i < len(lines):
-        line = lines[i]
-        i += 1
+    for line in _logical_lines(text):
         if line.startswith("."):
             parts = line[1:].split()
             key = parts[0] if parts else ""
@@ -294,14 +255,35 @@ def parse_blif(text: str) -> Circuit:
     tt, src_a, src_b = [], [], []
     for k in order:
         sources, name, rows = blocks[k]
-        table = _cover_function(rows, len(sources), f".names block for {name!r}")
-        # Bit 2a + b of the gate's table is its output for inputs (a, b).
-        # The gate reads the block's sources in order, and x_0 in place of a
-        # missing one, which the block's table (first source in bit 0 of
-        # its index) ignores.
-        used = (1 << len(sources)) - 1
-        tt.append(sum(table[(a | b << 1) & used] << (2 * a + b)
-                      for a in (0, 1) for b in (0, 1)))
+        where = f".names block for {name!r}"
+        # Each row ANDs its literals, the rows are ORed, and an off-set
+        # cover (output 0) is complemented.  The gate reads the block's
+        # sources in order, and x_0 in place of a missing one, which has no
+        # literal and so no say in the table.
+        table, polarity = 0, None
+        for row in rows:
+            fields = row.split()
+            if not sources:
+                if len(fields) != 1 or fields[0] not in ("0", "1"):
+                    raise ParseError(f"bad constant cover row {row!r} in {where}")
+                pattern, bit = "", fields[0]
+            else:
+                if len(fields) != 2 or len(fields[0]) != len(sources):
+                    raise ParseError(f"bad cover row {row!r} in {where}")
+                pattern, bit = fields
+            cube = 0b1111
+            for literals, ch in zip(_LITERALS, pattern):
+                if ch not in literals:
+                    raise ParseError(f"bad cover pattern {pattern!r} in {where}")
+                cube &= literals[ch]
+            if bit not in ("0", "1"):
+                raise ParseError(f"bad cover output {bit!r} in {where}")
+            if polarity is None:
+                polarity = bit
+            elif polarity != bit:
+                raise ParseError(f"mixed cover polarity in {where}")
+            table |= cube
+        tt.append(table ^ 0b1111 if polarity == "0" else table)
         reads = [index[source] for source in sources] + [0, 0]
         src_a.append(reads[0])
         src_b.append(reads[1])

@@ -270,10 +270,12 @@ def decode(
                 stack.append(reach(addr))
 
     if reading is not None:
-        # One binary digit per genotype bit, in genotype order: the routing
-        # fields, then each gene's glen bits as reached or not.
-        digits = on_path.replace(b"\0", b"0" * glen).replace(b"\1", b"1" * glen)
-        reading.read = int(b"1" * (lay.m * b) + digits, 2)
+        # Each gene's glen bits as reached or not, one base-4 digit per two
+        # bits (glen = 4 + 2b is even), under the routing fields' m*b bits,
+        # whose count may be odd.
+        half = glen // 2
+        digits = on_path.replace(b"\0", b"0" * half).replace(b"\1", b"3" * half)
+        reading.read = ((1 << lay.m * b) - 1) << genes_end | int(digits, 4)
         # Converted in place: a generator expression here, one per decode,
         # raised search-mult2's peak resident memory by about 9%.
         for i, s in enumerate(repairs):

@@ -53,6 +53,44 @@ class TestUsage:
         assert "circuit has 40 inputs; at most 16" in capsys.readouterr().err
 
 
+class TestFileErrors:
+    # A path that cannot be read or written exits 2 through main's one error
+    # line, like any other input error; exit 1 is kept for verify's verdict.
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--circuit", "{dir}"],
+        ["evolve", "--target", "{dir}", "--seed", bench("c17.blif"),
+         "--budget-evals", "0"],
+        ["baseline", "--seed", bench("c17.blif"), "--out", "{file}/x.json"],
+        ["export", "--circuit", "{circuit}", "--dot", "{file}/x.dot"],
+    ])
+    def test_unusable_path_exits_2(self, tmp_path, capsys, argv):
+        circuit = tmp_path / "c.json"
+        circuit.write_text(write_native(parse_blif(HALF_ADDER_BLIF)))
+        (tmp_path / "file").write_text("")
+        paths = {"dir": tmp_path, "file": tmp_path / "file", "circuit": circuit}
+        assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unusable_out_exits_2_before_the_search(self, tmp_path, capsys, monkeypatch):
+        def search(*args, **kwargs):
+            pytest.fail("the search ran")
+
+        monkeypatch.setattr("tscsynth.evolve.run", search)
+        (tmp_path / "file").write_text("")
+        code = run_cli(
+            "evolve",
+            "--target", bench("c17.pla"),
+            "--seed", bench("c17.blif"),
+            "--islands", "1",
+            "--budget-evals", "30000",
+            "--checkpoint-every", "0",
+            "--out", str(tmp_path / "file" / "sub"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 # An AND seed with one more .names block that no output reads.
 UNUSED_BLOCK_BLIF = (
     ".model t\n.inputs a b\n.outputs y\n"
@@ -375,6 +413,33 @@ class TestEvolveCommand:
             "--budget-evals", "0",
         )
         assert code == 2
+        assert "error: seed is 3 in/4 out but target is 5 in/2 out" in capsys.readouterr().err
+
+    def test_seed_with_more_gates_than_slots_exits_2(self, capsys):
+        # c17 has 6 gates and 5 inputs; b = 3 leaves 2**3 - 5 = 3 gene slots.
+        code = run_cli(
+            "evolve",
+            "--target", bench("c17.pla"),
+            "--seed", bench("c17.blif"),
+            "--b", "3",
+            "--budget-evals", "0",
+        )
+        assert code == 2
+        assert "error: seed needs 6 gene slots, layout has 3; raise --b" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["nan", "-0.5", "1.5"])
+    def test_migration_rate_outside_unit_interval_exits_2(self, capsys, rate):
+        code = run_cli(
+            "evolve",
+            "--target", bench("c17.pla"),
+            "--seed", bench("c17.blif"),
+            "--budget-evals", "0",
+            "--migration-rate", rate,
+        )
+        assert code == 2
+        assert f"error: migration rate {float(rate)!r} is not in [0, 1]" in \
+            capsys.readouterr().err
 
     def test_config_file_supplies_defaults_cli_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -539,8 +604,9 @@ class TestReport:
         (run / "run.json").write_text(json.dumps(record))
         return run
 
-    def test_missing_run_dir_exits_2(self, tmp_path):
+    def test_missing_run_dir_exits_2(self, tmp_path, capsys):
         assert run_cli("report", "--run", str(tmp_path / "nope")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_record_not_json_exits_2_naming_the_file(self, tmp_path, capsys):
         run = tmp_path / "run"

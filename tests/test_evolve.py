@@ -130,6 +130,12 @@ class TestMigrationTarget:
         with pytest.raises(ValueError):
             pick_migration_target((0, 0), [(0, 0)], random.Random(0))
 
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        layout = small_setup()[2]
+        with pytest.raises(ValueError, match=f"migration rate {rate!r} is not in"):
+            small_config(layout, migration_rate=rate)
+
 
 class TestEngine:
     def test_population_size_constant(self):

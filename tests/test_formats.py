@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,25 @@ class TestBlif:
             ".model t\n.inputs a b\n.outputs y\n.names a b y\n11 0\n.end\n"
         )
         assert simulate(c).outputs == (0b0111,)
+
+    @pytest.mark.parametrize("sources", [["b"], ["b", "a"]])
+    @pytest.mark.parametrize("polarity", ["0", "1"])
+    def test_table_matches_the_cover_row_by_row(self, sources, polarity):
+        # Every pattern over 0, 1 and -, as a cover's one row and with every
+        # pattern as a second row.
+        patterns = ["".join(p) for p in product("01-", repeat=len(sources))]
+        covers = [[p] for p in patterns] + [list(pq) for pq in product(patterns, repeat=2)]
+        for rows in covers:
+            text = (".model t\n.inputs a b\n.outputs y\n"
+                    f".names {' '.join(sources)} y\n"
+                    + "".join(f"{row} {polarity}\n" for row in rows) + ".end\n")
+            (t,) = parse_blif(text).tt
+            for a, b in product((0, 1), repeat=2):
+                # The gate's first source is pin a, its second (or x_0 in
+                # place of a missing one) pin b.
+                hit = any(all(ch == "-" or int(ch) == v for ch, v in zip(row, (a, b)))
+                          for row in rows)
+                assert t >> (2 * a + b) & 1 == (hit == (polarity == "1")), (rows, a, b)
 
     def test_out_of_order_blocks_sorted(self):
         c = parse_blif(
