@@ -147,6 +147,14 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         },
         "history": result.history,
     }
+    # The result is printed first, so a file that cannot be written loses
+    # no search.
+    print(
+        f"{name}: fitness={champion.fitness.key()} live_gates={s} "
+        f"overhead={overhead} (duplication {dup}) evals={result.evals} "
+        f"scored={result.scored} decoded={result.decoded}"
+    )
+    print(f"verification: {report.summary()}")
     if out_dir is not None:
         (out_dir / "champion.json").write_text(
             write_native(champion.circuit), encoding="utf-8"
@@ -157,12 +165,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         (out_dir / "run.json").write_text(
             json.dumps(run_record, indent=2) + "\n", encoding="utf-8"
         )
-    print(
-        f"{name}: fitness={champion.fitness.key()} live_gates={s} "
-        f"overhead={overhead} (duplication {dup}) evals={result.evals} "
-        f"scored={result.scored} decoded={result.decoded}"
-    )
-    print(f"verification: {report.summary()}")
     return EXIT_OK
 
 
@@ -195,12 +197,13 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     g = len(seed.tt)
     dup = duplication_overhead(g, seed.q)
     baseline = build_duplication_baseline(seed)
+    if args.out:
+        # Written first, so an unusable path costs no oracle run.
+        Path(args.out).write_text(write_native(baseline), encoding="utf-8")
     print(f"seed: {g} gates, {seed.q} outputs")
     print(f"duplication overhead: {dup}")
     print(f"baseline size: {len(baseline.tt)} gates")
     _print_verdict(verify_tsc(baseline))
-    if args.out:
-        Path(args.out).write_text(write_native(baseline), encoding="utf-8")
     return EXIT_OK
 
 

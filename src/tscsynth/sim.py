@@ -6,12 +6,19 @@ least significant input bit.  The fault-free wave (values, simulate)
 refreshes every gate once, in index order, which suffices for feed-forward
 circuits; the simulator reads a Circuit's stored arrays, not its Gate view.
 
-A fault's wave is fault_values alone: from the fault-free values it
-refreshes only the faulted gate and its fan-out cone, in index order (the
-idea of concurrent fault simulation: Ulrich & Baker, "Concurrent simulation
-of nearly identical digital networks", 1974).  That is exact: a gate reads
-only lower indices, so a fault can change no index outside its gate's cone,
-and every gate of the cone is refreshed after its sources.
+The faulty circuits come from fault_pass, parallel fault simulation
+(Abramovici, Breuer & Friedman, "Digital Systems Testing and Testable
+Design", 1990, ch. 5): one packed int holds a 2**r-bit slot per fault of a
+run of consecutive gates, and slot i is the whole circuit under the i-th of
+those faults.  Each gate is applied once over the whole int, and right after
+it the gate's own slots are overwritten with the fault explicitly: the stuck
+constant for an output fault, the table over the stuck constant and the
+other source's fault-free value for an input fault.  That is exact: a gate
+reads only lower indices, so in its own slots its sources are fault-free;
+every later gate is applied after its sources; and a table acts bit by bit,
+so no slot reads another.  A gate that reads no index the pass changed (every
+gate before the run, and every gate outside the run's fan-out) is fault-free
+in every slot and is not applied.
 """
 
 from __future__ import annotations
@@ -77,63 +84,18 @@ def values(circuit: Circuit) -> list[int]:
     return v
 
 
-def readers(circuit: Circuit) -> list[list[int]]:
-    """For every index, the indices of the gates that read it, ascending."""
-    r = circuit.r
-    read: list[list[int]] = [[] for _ in range(r + len(circuit.tt))]
-    for i, (a, b) in enumerate(zip(circuit.src_a, circuit.src_b), r):
-        read[a].append(i)
-        if b != a:
-            read[b].append(i)
-    return read
-
-
-def fan_out_cone(read: list[list[int]], index: int) -> list[int]:
-    """index and every gate that reads it through some path, ascending."""
-    cone = {index}
-    stack = [index]
-    while stack:
-        for i in read[stack.pop()]:
-            if i not in cone:
-                cone.add(i)
-                stack.append(i)
-    return sorted(cone)
-
-
-def fault_values(circuit: Circuit, free: list[int], fault: Fault,
-                 cone: list[int]) -> list[int]:
-    """The value of every index under fault, from the fault-free values.
-
-    cone is the faulted gate's index and its fan-out cone, ascending
-    (fan_out_cone).  A fault at a gate output forces that gate's vector to
-    the stuck value; a fault at a gate input forces the corresponding source
-    value before the table is applied, for that gate only.  Then every later
-    gate of the cone is refreshed in index order; every other index keeps its
-    fault-free value, which no fault outside it can change.
-    """
-    r = circuit.r
-    full = full_mask(r)
-    tt, src_a, src_b = circuit.tt, circuit.src_a, circuit.src_b
-    v = free.copy()
-    g = fault.gate
-    stuck = full if fault.stuck else 0
-    if fault.site is FaultSite.OUTPUT:
-        v[r + g] = stuck
-    elif fault.site is FaultSite.INPUT_A:
-        v[r + g] = _tt_vector(tt[g], stuck, v[src_b[g]], full)
-    else:
-        v[r + g] = _tt_vector(tt[g], v[src_a[g]], stuck, full)
-    for i in cone[1:]:
-        k = i - r
-        v[i] = _tt_vector(tt[k], v[src_a[k]], v[src_b[k]], full)
-    return v
-
-
 def simulate(circuit: Circuit) -> ResponseMatrix:
     """Fault-free outputs and rails across all 2**r words."""
     v = values(circuit)
     rails = None if circuit.rails is None else tuple(v[s] for s in circuit.rails)
     return ResponseMatrix(1 << circuit.r, tuple(v[s] for s in circuit.outputs), rails)
+
+
+def fault_sites(scope: FaultScope) -> tuple[FaultSite, ...]:
+    """The lines of a gate that scope faults, in enumerate_faults order."""
+    if scope is FaultScope.OUTPUTS_ONLY:
+        return (FaultSite.OUTPUT,)
+    return (FaultSite.OUTPUT, FaultSite.INPUT_A, FaultSite.INPUT_B)
 
 
 def enumerate_faults(circuit: Circuit, scope: FaultScope) -> list[Fault]:
@@ -142,13 +104,65 @@ def enumerate_faults(circuit: Circuit, scope: FaultScope) -> list[Fault]:
     Order: ascending gate index, site (output, input a, input b), stuck-0
     before stuck-1.  OUTPUTS_ONLY yields 2 faults per gate, ALL yields 6.
     """
-    if scope is FaultScope.OUTPUTS_ONLY:
-        sites = (FaultSite.OUTPUT,)
-    else:
-        sites = (FaultSite.OUTPUT, FaultSite.INPUT_A, FaultSite.INPUT_B)
     return [
         Fault(site, g, stuck)
         for g in range(len(circuit.tt))
-        for site in sites
+        for site in fault_sites(scope)
         for stuck in (0, 1)
     ]
+
+
+def repeat(r: int, slots: int) -> int:
+    """Bit 0 of each of slots consecutive 2**r-bit slots: times a packed
+    vector, that vector once in every slot."""
+    return int(("0" * ((1 << r) - 1) + "1") * slots, 2)
+
+
+def fault_pass(circuit: Circuit, free: list[int], first: int, last: int,
+               scope: FaultScope) -> list[int | None]:
+    """Every index under each fault of scope at gates first..last-1, packed.
+
+    Slot i (2**r bits, from the least significant end) is the circuit under
+    the i-th of those faults in enumerate_faults order.  free is the
+    fault-free value of every index (values).  An entry is None where the
+    pass left the index fault-free in every slot: its packed value is then
+    free[i] * repeat(r, slots).
+    """
+    r = circuit.r
+    full = full_mask(r)
+    width = 1 << r
+    tt, src_a, src_b = circuit.tt, circuit.src_a, circuit.src_b
+    inputs = scope is FaultScope.ALL
+    per_gate = 2 * len(fault_sites(scope))
+    block_width = per_gate * width
+    block = (1 << block_width) - 1
+    rep = repeat(r, (last - first) * per_gate)
+    wide = full * rep
+    v: list[int | None] = [None] * (r + len(tt))
+    for k in range(first, len(tt)):
+        a, b = src_a[k], src_b[k]
+        va, vb = v[a], v[b]
+        if va is not None or vb is not None:
+            out = _tt_vector(tt[k], free[a] * rep if va is None else va,
+                             free[b] * rep if vb is None else vb, wide)
+        elif k < last:
+            out = free[r + k] * rep
+        else:
+            continue
+        if k < last:
+            # The gate's own slots, in fault order: its output stuck-at 0 and
+            # 1, then (ALL) the table over input a stuck-at 0 and 1, then
+            # over input b.  The gate reads only lower indices, so in these
+            # slots its sources hold their fault-free values.
+            t = tt[k]
+            own = full << width
+            if inputs:
+                fa, fb = free[a], free[b]
+                own |= (_tt_vector(t, 0, fb, full) << 2 * width
+                        | _tt_vector(t, full, fb, full) << 3 * width
+                        | _tt_vector(t, fa, 0, full) << 4 * width
+                        | _tt_vector(t, fa, full, full) << 5 * width)
+            shift = (k - first) * block_width
+            out = out & ~(block << shift) | own << shift
+        v[r + k] = out
+    return v

@@ -3,15 +3,14 @@
 Every fault in the full set (output and both input lines, both polarities,
 per gate) is simulated directly, with no manifestation shortcut and no code
 shared with the fitness-side fault evaluation.  Each call simulates the
-fault-free circuit once, then each fault of its scope once: the fault's
-wave starts from the fault-free values and re-evaluates only the faulted
-gate and its fan-out cone (sim.fault_values), which is exact because no
-other index can differ from its fault-free value.  The cone is built just
-before a gate's faults from reader lists built once per call; nothing is
-kept across calls.  Self-testing, fault-secureness, the fault-free false
-alarm and, given a target, whether the function outputs compute it, are read
-from that one pass.  This is the oracle the fast fitness path is checked
-against, and the proof engine for candidate circuits.
+fault-free circuit once, then every fault of its scope once, injected
+explicitly into its own slot of a packed pass (sim.fault_pass).  A pass
+holds the faults of a run of consecutive gates, at most FAULT_PASS_BITS bits
+(and at least one gate); nothing is kept across calls.  Self-testing,
+fault-secureness, the fault-free false alarm and, given a target, whether
+the function outputs compute it, are read from those passes, slot by slot.
+This is the oracle the fast fitness path is checked against, and the proof
+engine for candidate circuits.
 
 There is one report type, TscReport, and two entry points: verify_tsc over
 the full fault set, optionally checking the function against a target, and
@@ -21,12 +20,19 @@ fault that a limited output codespace leaves untestable is undetected.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .netlist import Circuit, Fault
-from .sim import (FaultScope, enumerate_faults, fan_out_cone, fault_values, full_mask,
-                  readers, values)
+from .sim import FaultScope, fault_pass, fault_sites, full_mask, repeat, values
+
+# Most bits one packed fault pass holds: a pass takes the faults of as many
+# consecutive gates as fit, one 2**r-bit slot each, and at least one gate.
+# Of the caps 2**10 to 2**16, 2**12 was the fastest or within noise of it,
+# on decod-sized circuits (r = 5, ~146 gates) and at r = 10 to 12.
+FAULT_PASS_BITS = 1 << 12
+_ONE = re.compile("1")
 
 
 @dataclass
@@ -63,8 +69,8 @@ def _report(
     word_mask: int | None,
     target: Sequence[int] | None = None,
 ) -> TscReport:
-    """Simulate the fault-free circuit once and each fault of scope once, over
-    its gate's fan-out cone.
+    """Simulate the fault-free circuit once and each fault of scope once, in
+    its slot of a packed pass.
 
     A fault is detected iff some applied word yields z_0 == z_1.  An incorrect
     output on an applied word without that collision is a violation; with a
@@ -78,7 +84,8 @@ def _report(
         raise ValueError(
             f"target has {len(target)} columns, circuit has {circuit.q} outputs"
         )
-    full = full_mask(circuit.r)
+    r = circuit.r
+    full = full_mask(r)
     applied = full if word_mask is None else word_mask & full
     free = values(circuit)
     outputs, (rail0, rail1) = circuit.outputs, circuit.rails
@@ -88,28 +95,47 @@ def _report(
             not (free[s] ^ want) & applied for s, want in zip(outputs, target)
         )
     false_alarm = (free[rail0] ^ free[rail1] ^ full) & applied != 0
-    read = readers(circuit)
+    sites = fault_sites(scope)
+    width = 1 << r
+    per_gate = 2 * len(sites)
+    step = max(1, FAULT_PASS_BITS // (per_gate * width))
+    n = len(circuit.tt)
     undetected: list[Fault] = []
     violations: list[tuple[Fault, int]] = []
-    cone_gate = None
-    for fault in enumerate_faults(circuit, scope):
-        if fault.gate != cone_gate:
-            cone_gate = fault.gate
-            cone = fan_out_cone(read, circuit.r + cone_gate)
-        v = fault_values(circuit, free, fault, cone)
-        signalled = (v[rail0] ^ v[rail1] ^ full) & applied
-        if not signalled:
-            undetected.append(fault)
+    reported: dict[int, Fault] = {}
+
+    def fault(i: int) -> Fault:
+        """Fault i of enumerate_faults, built once and only when reported."""
+        if i not in reported:
+            gate, j = divmod(i, per_gate)
+            reported[i] = Fault(sites[j >> 1], gate, j & 1)
+        return reported[i]
+
+    for first in range(0, n, step):
+        last = min(first + step, n)
+        slots = (last - first) * per_gate
+        v = fault_pass(circuit, free, first, last, scope)
+        rep = repeat(r, slots)
+        z0, z1 = (free[s] * rep if v[s] is None else v[s] for s in circuit.rails)
+        applied_wide = applied * rep
+        signalled = (z0 ^ z1 ^ full * rep) & applied_wide
+        for slot in range(slots):
+            if not signalled >> (slot << r) & full:
+                undetected.append(fault(first * per_gate + slot))
+        if false_alarm:
+            continue  # no violations are listed
         wrong = 0
         for s in outputs:
-            wrong |= v[s] ^ free[s]
-        w = wrong & applied & ~signalled
-        while w:
-            low = w & -w
-            violations.append((fault, low.bit_length() - 1))
-            w ^= low
-    if false_alarm:
-        violations = []
+            if v[s] is not None:
+                wrong |= v[s] ^ free[s] * rep
+        # Each set bit of a fault's slot, ascending, is one violation.
+        slot = -1
+        for m in _ONE.finditer(format(wrong & applied_wide & ~signalled, "b")[::-1]):
+            at = m.start()
+            if at >> r != slot:
+                slot = at >> r
+                f = fault(first * per_gate + slot)
+            violations.append((f, at & width - 1))
     is_st = not undetected
     is_fs = not violations and not false_alarm
     return TscReport(is_st and is_fs, is_st, is_fs, false_alarm, undetected, violations,

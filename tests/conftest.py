@@ -60,8 +60,9 @@ def scalar_simulate(circuit: Circuit, fault: Fault | None = None) -> dict:
 def full_wave(circuit: Circuit, fault: Fault | None = None) -> list[int]:
     """Packed value of every index with every gate evaluated, under fault.
 
-    The reference for the oracle's cone wave: no index is taken from the
-    fault-free circuit, and the 4-entry table is applied minterm by minterm.
+    The reference for the oracle's packed fault pass: one fault per wave, no
+    index is taken from the fault-free circuit, and the 4-entry table is
+    applied minterm by minterm.
     """
     r = circuit.r
     full = (1 << (1 << r)) - 1

@@ -90,6 +90,35 @@ class TestFileErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unusable_baseline_out_exits_2_before_the_oracle(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def oracle(*args, **kwargs):
+            pytest.fail("the oracle ran")
+
+        monkeypatch.setattr("tscsynth.cli.verify_tsc", oracle)
+        (tmp_path / "file").write_text("")
+        code = run_cli("baseline", "--seed", bench("c17.blif"),
+                       "--out", str(tmp_path / "file" / "x.json"))
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_run_record_exits_2_after_the_result(self, tmp_path, capsys):
+        (tmp_path / "run.json").mkdir()
+        code = run_cli(
+            "evolve",
+            "--target", bench("c17.pla"),
+            "--seed", bench("c17.blif"),
+            "--islands", "1",
+            "--budget-evals", "0",
+            "--checkpoint-every", "0",
+            "--out", str(tmp_path),
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out.startswith("c17: fitness=") and "\nverification: " in out
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 # An AND seed with one more .names block that no output reads.
 UNUSED_BLOCK_BLIF = (

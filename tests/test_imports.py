@@ -1,5 +1,6 @@
 """Every module-level import in the package, the tests and the scripts is
-used by the module itself."""
+used by the module itself, and the verify oracle imports nothing from the
+fitness path."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,32 @@ def test_finds_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every package module an import anywhere in source names, with relative
+    imports read from inside tscsynth: "from .x import y" and "from . import
+    x" both name tscsynth.x."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ("tscsynth." * (node.level > 0) + (node.module or "")).rstrip(".")
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_finds_imported_modules():
+    source = "from . import fitness\nfrom .sim import x\ndef f():\n    import tscsynth.genome\n"
+    assert {"tscsynth.fitness", "tscsynth.sim", "tscsynth.genome"} <= imported_modules(source)
+
+
+@pytest.mark.parametrize("name", ["verify.py", "sim.py"])
+def test_oracle_independent_of_fitness(name):
+    # The oracle is the deliberately separate duplicate the fitness path is
+    # checked against; sharing its code would check the fitness with itself.
+    source = (Path(tscsynth.__file__).resolve().parent / name).read_text(encoding="utf-8")
+    assert not any(m == "tscsynth.fitness" or m.startswith("tscsynth.fitness.")
+                   for m in imported_modules(source))

@@ -8,19 +8,9 @@ from tscsynth.netlist import (
     TT_OR,
     TT_XOR,
 )
-from tscsynth.sim import (
-    FaultScope,
-    enumerate_faults,
-    fan_out_cone,
-    fault_values,
-    full_mask,
-    input_patterns,
-    readers,
-    simulate,
-    values,
-)
+from tscsynth.sim import FaultScope, enumerate_faults, full_mask, input_patterns, simulate
 
-from conftest import random_circuit, scalar_simulate
+from conftest import full_wave, random_circuit, scalar_simulate
 
 X = SignalRef.x
 G = SignalRef.g
@@ -31,10 +21,9 @@ def _xor_circuit():
 
 
 def faulty(circuit: Circuit, fault: Fault) -> dict:
-    """Outputs and rails under fault through the oracle's cone wave, in the
+    """Outputs and rails under fault through the packed full wave, in the
     form of scalar_simulate."""
-    cone = fan_out_cone(readers(circuit), circuit.r + fault.gate)
-    v = fault_values(circuit, values(circuit), fault, cone)
+    v = full_wave(circuit, fault)
     rails = None if circuit.rails is None else tuple(v[s] for s in circuit.rails)
     return {"outputs": tuple(v[s] for s in circuit.outputs), "rails": rails}
 

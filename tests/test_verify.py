@@ -196,64 +196,79 @@ class TestVerifyTsc:
         assert found > 0
 
 
-def forward_cone(circuit: Circuit, gate: int) -> list[int]:
-    """The gate's index and every later gate a path from it reaches, by one
-    forward scan over the sources."""
-    reached = {circuit.r + gate}
-    for k in range(gate + 1, len(circuit.tt)):
+def duplication_baseline(name: str) -> Circuit:
+    return build_duplication_baseline(parse_blif((BENCH_DIR / f"{name}.blif").read_text()))
+
+
+def changed_reads(circuit: Circuit, first: int, last: int) -> int:
+    """How many gates from first on read an index that a fault of gates
+    first..last-1 can change: a forward scan over the sources."""
+    reached = {circuit.r + g for g in range(first, last)}
+    count = 0
+    for k in range(first, len(circuit.tt)):
         if circuit.src_a[k] in reached or circuit.src_b[k] in reached:
+            count += 1
             reached.add(circuit.r + k)
-    return sorted(reached)
+    return count
 
 
 class TestOnePass:
     @pytest.fixture
     def calls(self, monkeypatch):
         """Every wave the oracle runs: None for the fault-free one, and for a
-        fault's wave (fault, cone, number of gate evaluations)."""
+        packed pass (first, last, wide, narrow): its run of gates, the gate
+        evaluations over the packed int and those over one 2**r-bit slot."""
         counted = []
-        values, fault_values = verify.values, verify.fault_values
-        evaluations = [0]
+        values, fault_pass = verify.values, verify.fault_pass
+        widths = []
         tt_vector = sim._tt_vector
 
-        def counting_tt_vector(*args):
-            evaluations[0] += 1
-            return tt_vector(*args)
+        def counting_tt_vector(t, a, b, full):
+            widths.append(full.bit_length())
+            return tt_vector(t, a, b, full)
 
         def free_wave(circuit):
             counted.append(None)
             return values(circuit)
 
-        def fault_wave(circuit, free, fault, cone):
-            evaluations[0] = 0
-            v = fault_values(circuit, free, fault, cone)
-            counted.append((fault, cone, evaluations[0]))
+        def packed_pass(circuit, free, first, last, scope):
+            widths.clear()
+            v = fault_pass(circuit, free, first, last, scope)
+            narrow = widths.count(1 << circuit.r)
+            counted.append((first, last, len(widths) - narrow, narrow))
             return v
 
         monkeypatch.setattr(sim, "_tt_vector", counting_tt_vector)
         monkeypatch.setattr(verify, "values", free_wave)
-        monkeypatch.setattr(verify, "fault_values", fault_wave)
+        monkeypatch.setattr(verify, "fault_pass", packed_pass)
         return counted
 
     def test_one_simulation_per_fault(self, calls):
-        seed = parse_blif((BENCH_DIR / "mult2.blif").read_text())
-        baseline = build_duplication_baseline(seed)
-        n = len(baseline.gates)
-        assert n == 32
+        baseline = duplication_baseline("decod")
+        n, width = len(baseline.tt), 1 << baseline.r
+        assert n == 146
+        for scope, per_gate, injections in ((FaultScope.ALL, 6, 4),
+                                            (FaultScope.OUTPUTS_ONLY, 2, 0)):
+            calls.clear()
+            verify_fs(baseline, scope)
+            assert calls[0] is None and None not in calls[1:]  # one fault-free wave
+            step = verify.FAULT_PASS_BITS // (per_gate * width)
+            # Consecutive runs of gates, each fault in exactly one slot.
+            assert [c[:2] for c in calls[1:]] == [
+                (first, min(first + step, n)) for first in range(0, n, step)]
+            assert len(calls) > 2
+            for first, last, wide, narrow in calls[1:]:
+                # Each gate at most once over the packed int: those that read
+                # an index the pass changed.  Per faulted gate, the table over
+                # each input stuck-at, in one slot.
+                assert wide == changed_reads(baseline, first, last) <= n - first
+                assert narrow == injections * (last - first)
+        calls.clear()
         verify_tsc(baseline)
-        assert len(calls) == 6 * n + 1 == 193
-        assert calls[0] is None
-        # A fault's wave evaluates its gate (unless the output is forced) and
-        # the gates of its fan-out cone, and no other gate.
-        for fault, cone, evaluations in calls[1:]:
-            assert cone == forward_cone(baseline, fault.gate)
-            assert evaluations == len(cone) - (fault.site is FaultSite.OUTPUT)
+        ours = list(calls)
         calls.clear()
-        verify_tsc(baseline, None, simulate(seed).outputs)
-        assert len(calls) == 6 * n + 1  # the function check reads the same pass
-        calls.clear()
-        verify_fs(baseline, FaultScope.OUTPUTS_ONLY)
-        assert len(calls) == 2 * n + 1 == 65
+        verify_tsc(baseline, None, parse_pla((BENCH_DIR / "decod.pla").read_text()).columns)
+        assert calls == ours  # the function check reads the same passes
 
     @pytest.mark.parametrize("check", [verify_fs, verify_tsc])
     def test_no_rails_rejected_before_simulating(self, calls, check):
@@ -301,10 +316,17 @@ def assert_matches_full_wave(circuit: Circuit, rng: random.Random, target=None) 
 
 
 class TestAgainstFullWave:
-    """The cone wave against one full wave per fault (conftest)."""
+    """The packed fault passes against one full wave per fault (conftest)."""
 
-    @pytest.mark.parametrize("r", range(1, 7))
+    @pytest.mark.parametrize("r", [*range(1, 7), 10])
     def test_random_circuits(self, rng, r):
+        if r == 10:
+            # One gate's six 2**10-bit slots exceed FAULT_PASS_BITS: a pass
+            # per gate.
+            c = random_circuit(rng, r=r, n_gates=20, q=3, rails="complement")
+            assert len(c.tt) == 10
+            assert_matches_full_wave(c, rng)
+            return
         for i in range(8):
             c = random_circuit(rng, r=r, n_gates=rng.randrange(0, 14), q=rng.randrange(1, 4),
                                rails=("random", "complement")[i % 2])
@@ -323,11 +345,32 @@ class TestAgainstFullWave:
     @pytest.mark.parametrize(
         "name", ["b1", "c17", "cm138a", "cm42a", "cm82a", "decod", "mult2", "rd53"])
     def test_duplication_baselines(self, rng, name):
-        seed = parse_blif((BENCH_DIR / f"{name}.blif").read_text())
         target = parse_pla((BENCH_DIR / f"{name}.pla").read_text()).columns
-        baseline = build_duplication_baseline(seed)
+        baseline = duplication_baseline(name)
         assert verify_tsc(baseline, None, target).computes_target
         assert_matches_full_wave(baseline, rng, target)
+
+    @pytest.mark.parametrize("slots", [1, 18])
+    def test_narrow_passes(self, rng, monkeypatch, slots):
+        # A pass cap of one 2**r-bit slot takes one gate per pass in either
+        # scope; 18 slots take three gates under ALL and nine under
+        # OUTPUTS_ONLY.
+        decod = duplication_baseline("decod")
+        wide = random_circuit(rng, r=6, n_gates=30, q=2, rails="complement")
+        assert (len(decod.tt), len(wide.tt)) == (146, 10)
+        runs = {scope: set() for scope in FaultScope}
+        fault_pass = verify.fault_pass
+
+        def recording_pass(circuit, free, first, last, scope):
+            runs[scope].add(last - first)
+            return fault_pass(circuit, free, first, last, scope)
+
+        monkeypatch.setattr(verify, "fault_pass", recording_pass)
+        for c in (decod, wide):
+            monkeypatch.setattr(verify, "FAULT_PASS_BITS", slots << c.r)
+            assert_matches_full_wave(c, rng)
+        assert max(runs[FaultScope.ALL]) == max(1, slots // 6)
+        assert max(runs[FaultScope.OUTPUTS_ONLY]) == max(1, slots // 2)
 
     def test_gates_reaching_one_rail_or_one_output(self, rng):
         # g0 reaches only y_0, g1 only z_1 and g2 only z_0; the rails are
@@ -344,12 +387,34 @@ class TestAgainstFullWave:
             (G(0),),
             (G(2), G(1)),
         )
-        read = sim.readers(c)
-        assert [sim.fan_out_cone(read, c.r + g) for g in range(3)] == [[2], [3], [4]]
         report = verify_tsc(c)
         assert report.undetected[:6] == enumerate_faults(c, FaultScope.ALL)[:6]
         assert {fault.gate for fault, _ in report.violations} == {0}
         assert_matches_full_wave(c, rng)
+
+
+class TestAppliedWords:
+    """Verdicts of the duplication baselines on part of the input words."""
+
+    @pytest.mark.parametrize("name, mask, undetected", [
+        ("c17", 0xFFFF, 16),
+        ("decod", 0xFFFF, 616),
+        ("decod", 0x5A5A5A5A, 186),
+        ("rd53", 0x5A5A5A5A, 8),
+        ("c17", 0xFFFFFFFF, 0),
+        ("rd53", 0xFFFFFFFF, 0),
+    ])
+    def test_undetected_counts_pinned(self, name, mask, undetected):
+        report = verify_tsc(duplication_baseline(name), mask)
+        assert len(report.undetected) == undetected
+        assert report.is_tsc is (undetected == 0)
+        assert (report.is_fs, report.false_alarm) == (True, False)
+
+    def test_output_faults_of_decod(self, rng):
+        baseline = duplication_baseline("decod")
+        for mask in (None, 0x5A5A5A5A):
+            assert (verify_fs(baseline, FaultScope.OUTPUTS_ONLY, mask)
+                    == full_wave_report(baseline, FaultScope.OUTPUTS_ONLY, mask))
 
 
 class TestTheorem2:
