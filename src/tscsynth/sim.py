@@ -67,12 +67,19 @@ class ResponseMatrix:
 
 
 def _tt_vector(tt_value: int, a: int, b: int, full: int) -> int:
-    # Minterm-by-minterm application of the 4-entry table to packed vectors.
-    out = 0
-    for k in range(4):
-        if (tt_value >> k) & 1:
-            out |= (a if k & 2 else a ^ full) & (b if k & 1 else b ^ full)
-    return out
+    # The 4-entry table applied to packed vectors in Shannon form on a:
+    # a & hi | ~a & lo, where lo (entries 0-1, a = 0) and hi (entries 2-3,
+    # a = 1) are each 0, NOT b, b or all-ones as functions of b.  A
+    # complement is computed only where a chosen half or the form needs it.
+    lo, hi = tt_value & 3, tt_value >> 2
+    half = (0, b ^ full if lo == 1 or hi == 1 else 0, b, full)
+    if lo == hi:
+        return half[lo]
+    if not lo:
+        return a & half[hi]
+    if not hi:
+        return (a ^ full) & half[lo]
+    return a & half[hi] | (a ^ full) & half[lo]
 
 
 def values(circuit: Circuit) -> list[int]:
@@ -112,9 +119,13 @@ def enumerate_faults(circuit: Circuit, scope: FaultScope) -> list[Fault]:
     ]
 
 
+@lru_cache(maxsize=64)
 def repeat(r: int, slots: int) -> int:
     """Bit 0 of each of slots consecutive 2**r-bit slots: times a packed
-    vector, that vector once in every slot."""
+    vector, that vector once in every slot.
+
+    Cached, since fault_pass and the oracle's readout each ask for the
+    constant of the same pass; a pass takes one or two sizes per circuit."""
     return int(("0" * ((1 << r) - 1) + "1") * slots, 2)
 
 

@@ -8,9 +8,12 @@ explicitly into its own slot of a packed pass (sim.fault_pass).  A pass
 holds the faults of a run of consecutive gates, at most FAULT_PASS_BITS bits
 (and at least one gate); nothing is kept across calls.  Self-testing,
 fault-secureness, the fault-free false alarm and, given a target, whether
-the function outputs compute it, are read from those passes, slot by slot.
-This is the oracle the fast fitness path is checked against, and the proof
-engine for candidate circuits.
+the function outputs compute it, are read from those passes word-parallel:
+one carry per slot finds the slots with no signalled word (the "find a zero
+field" test of Warren, "Hacker's Delight", 2nd ed., 2012, ch. 6), and each
+violation is a set bit of the pass's unsignalled incorrect words.  This is
+the oracle the fast fitness path is checked against, and the proof engine
+for candidate circuits.
 
 There is one report type, TscReport, and two entry points: verify_tsc over
 the full fault set, optionally checking the function against a target, and
@@ -29,8 +32,13 @@ from .sim import FaultScope, fault_pass, fault_sites, full_mask, repeat, values
 
 # Most bits one packed fault pass holds: a pass takes the faults of as many
 # consecutive gates as fit, one 2**r-bit slot each, and at least one gate.
-# Of the caps 2**10 to 2**16, 2**12 was the fastest or within noise of it,
-# on decod-sized circuits (r = 5, ~146 gates) and at r = 10 to 12.
+# Of the caps 2**10 to 2**14, 2**12 was the fastest or within noise of it
+# (2-vCPU Xeon, Python 3.11; median over 8 circuits of the best of 9 calls):
+# 2**10..2**14 took 1.14/0.90/0.80/0.78/0.77 ms on decod replay circuits
+# (r = 5, ~146 gates; the order of 2**12..2**14 changed between three
+# runs), and 3.50/3.76/3.70/3.73/3.69, 6.92/6.81/6.85/6.75/6.90 and
+# 13.8/13.7/13.9/16.4/14.6 ms on random circuits of 8-13 gates at r = 10,
+# 11 and 12.
 FAULT_PASS_BITS = 1 << 12
 _ONE = re.compile("1")
 
@@ -72,11 +80,13 @@ def _report(
     """Simulate the fault-free circuit once and each fault of scope once, in
     its slot of a packed pass.
 
-    A fault is detected iff some applied word yields z_0 == z_1.  An incorrect
-    output on an applied word without that collision is a violation; with a
-    fault-free false alarm no violations are listed.  With a target, the
-    fault-free outputs are also compared with its columns on the applied
-    words.
+    A fault is detected iff some applied word yields z_0 == z_1.  Per pass,
+    one addition marks every slot with such a word (a carry into the slot's
+    top bit); the unmarked slots, ascending, are the undetected faults.  An
+    incorrect output on an applied word without that collision is a
+    violation; with a fault-free false alarm no violations are listed.  With
+    a target, the fault-free outputs are also compared with its columns on
+    the applied words.
     """
     if circuit.rails is None:
         raise ValueError("circuit has no error rails")
@@ -118,10 +128,17 @@ def _report(
         rep = repeat(r, slots)
         z0, z1 = (free[s] * rep if v[s] is None else v[s] for s in circuit.rails)
         applied_wide = applied * rep
-        signalled = (z0 ^ z1 ^ full * rep) & applied_wide
-        for slot in range(slots):
-            if not signalled >> (slot << r) & full:
-                undetected.append(fault(first * per_gate + slot))
+        wide = full * rep
+        signalled = (z0 ^ z1 ^ wide) & applied_wide
+        # A slot's top bit is set in seen iff the slot has a signalled word:
+        # all-ones added to the slot's low bits carries into its top bit iff
+        # one of them is signalled, and the top bit's own word is or-ed in.
+        # Each slot whose top bit stays clear, ascending, is undetected.
+        top = rep << (width - 1)
+        low = wide ^ top
+        seen = ((signalled & low) + low | signalled) & top
+        for m in _ONE.finditer(format(seen ^ top, "b")[::-1]):
+            undetected.append(fault(first * per_gate + (m.start() >> r)))
         if false_alarm:
             continue  # no violations are listed
         wrong = 0

@@ -1,3 +1,8 @@
+import random
+
+import pytest
+
+from tscsynth import sim
 from tscsynth.netlist import (
     Circuit,
     Fault,
@@ -125,3 +130,21 @@ def test_input_fault_flips_or_leaves_gate_output(rng):
                         as0 = ~(outputs[j] ^ out0[j]) & full
                         as1 = ~(outputs[j] ^ out1[j]) & full
                         assert (same | as0 | as1) == full
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 32, 6 << 12])
+def test_tt_vector_matches_scalar_table(width):
+    # Every table against (t >> (2*a + b)) & 1 at every bit, on operands 0,
+    # all-ones and random: the packed kernel itself, not only through the
+    # reports built on it.
+    full = (1 << width) - 1
+    rng = random.Random(width)
+    operands = (0, full, rng.getrandbits(width), rng.getrandbits(width))
+    for a in operands:
+        for b in operands:
+            # The minterm 2*a + b at each bit, most significant bit first.
+            minterms = "".join(str(2 * int(x) + int(y)) for x, y in
+                               zip(format(a, f"0{width}b"), format(b, f"0{width}b")))
+            for t in range(16):
+                bit = {ord(str(k)): str(t >> k & 1) for k in range(4)}
+                assert sim._tt_vector(t, a, b, full) == int(minterms.translate(bit), 2)

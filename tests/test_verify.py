@@ -393,6 +393,71 @@ class TestAgainstFullWave:
         assert_matches_full_wave(c, rng)
 
 
+def rail_probe(r: int) -> Circuit:
+    """z_1 = x0 and z_0 = XOR(x0, 1), from gate 0 (BUF), gate 1 (ONE) and
+    gate 2 (XOR).  Gate 1 stuck at 0 and gate 2's input b stuck at 0 collide
+    the rails on every word; gate 2's output stuck at 0 and input a stuck at
+    1 where x0 = 0 (word 0, the lowest of a slot), its output stuck at 1 and
+    input a stuck at 0 where x0 = 1 (the highest word).  Every other fault,
+    gate 0's among them, is never signalled."""
+    return Circuit(
+        r,
+        (Gate(TT_BUF_A, X(0), X(0)), Gate(TT_ONE, X(0), X(0)), Gate(TT_XOR, G(0), G(1))),
+        (G(0),),
+        (G(2), G(0)),
+    )
+
+
+class TestUndetectedReadout:
+    """The per-pass readout of undetected faults at the edges of a slot: a
+    fault signalled only at its slot's lowest or highest word, a fault
+    signalled everywhere followed by one never signalled, and passes with
+    every slot or no slot undetected; 2-bit and 32-bit slots, under the
+    default cap and one gate per pass."""
+
+    @pytest.fixture(params=[None, 1], ids=["default-cap", "one-slot-cap"])
+    def cap(self, request, monkeypatch):
+        def set_for(circuit: Circuit) -> None:
+            if request.param is not None:
+                monkeypatch.setattr(verify, "FAULT_PASS_BITS", request.param << circuit.r)
+        return set_for
+
+    @staticmethod
+    def undetected(circuit: Circuit, mask: int | None, detected) -> list[Fault]:
+        report = verify_tsc(circuit, mask)
+        assert report == full_wave_report(circuit, FaultScope.ALL, mask)
+        out = report.undetected
+        assert out == [f for f in enumerate_faults(circuit, FaultScope.ALL)
+                       if (f.site, f.gate, f.stuck) not in detected]
+        return out
+
+    @pytest.mark.parametrize("r", [1, 5])
+    def test_signalled_at_one_end_of_the_slot(self, cap, r):
+        c = rail_probe(r)
+        cap(c)
+        out, a, b = FaultSite.OUTPUT, FaultSite.INPUT_A, FaultSite.INPUT_B
+        everywhere = {(out, 1, 0), (b, 2, 0)}
+        self.undetected(c, 1, everywhere | {(out, 2, 0), (a, 2, 1)})
+        self.undetected(c, 1 << ((1 << r) - 1), everywhere | {(out, 2, 1), (a, 2, 0)})
+        # Gate 1 stuck at 0 fills its slot; the next slot, stuck at 1, is
+        # empty.
+        self.undetected(c, None,
+                        everywhere | {(out, 2, 0), (out, 2, 1), (a, 2, 0), (a, 2, 1)})
+
+    @pytest.mark.parametrize("r", [1, 5])
+    def test_every_slot_or_no_slot_undetected(self, cap, r):
+        c = rail_probe(r)
+        cap(c)
+        assert self.undetected(c, 0, set()) == enumerate_faults(c, FaultScope.ALL)
+        # y = z_1 = x0 and z_0 = NOT x0: every output fault is signalled.
+        pair = Circuit(r, (Gate(TT_BUF_A, X(0), X(0)), Gate(TT_NOT_A, X(0), X(0))),
+                       (G(0),), (G(1), G(0)))
+        cap(pair)
+        report = verify_fs(pair, FaultScope.OUTPUTS_ONLY)
+        assert report.undetected == []
+        assert report == full_wave_report(pair, FaultScope.OUTPUTS_ONLY)
+
+
 class TestAppliedWords:
     """Verdicts of the duplication baselines on part of the input words."""
 
