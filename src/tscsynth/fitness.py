@@ -9,18 +9,20 @@ the live gate count and the checking counts (u_f, u_i) all come from that
 one form and one fault-free simulation.
 
 Gate faults are simulated in parallel (Waicukauski et al., "Fault
-simulation for structured VLSI", 1985).  A packed int holds one slot of
-2**r bits per gate, and bit w of slot k is a signal's value at input word w
-with gate k's output inverted at every word.  Each input is copied across
-all slots by one multiply with the slot-repeat constant, every gate is
-evaluated once over the whole int, and a gate's own slot is inverted as soon
-as it is evaluated, so the flip reaches its fan-out.  The rails then give
-every slot's error mask (applied words where z_0 == z_1), and u_i is one
-popcount of the applied words with a wrong function output and no error
-signal.  One packed int is at most PASS_BITS wide; a circuit with more gates
-takes several passes, each over the slots of a run of consecutive gates.  A
-pass copies the fault-free values of the gates before its run the same way
-as the inputs, since no flip of its run reaches them.
+simulation for structured VLSI", 1985).  A packed int holds one slot per
+gate, of max(8, 2**r) bits, so that every slot is whole bytes, and bit w of
+slot k is a signal's value at input word w with gate k's output inverted at
+every word; bits at or above 2**r (only where r < 3) are padding that the
+applied words never cover.  Each input is copied across all slots by one
+multiply with the slot-repeat constant, every gate is evaluated once over
+the whole int, and a gate's own slot is inverted as soon as it is
+evaluated, so the flip reaches its fan-out.  The rails then give every
+slot's error mask (applied words where z_0 == z_1), and u_i is one popcount
+of the applied words with a wrong function output and no error signal.  One
+packed int is at most PASS_BITS wide; a circuit with more gates takes
+several passes, each over the slots of a run of consecutive gates.  A pass
+copies the fault-free values of the gates before its run the same way as
+the inputs, since no flip of its run reaches them.
 
 One slot serves both stuck-at faults of the output, because the checking
 counts are taken only when the fault-free rails do not collide on any
@@ -37,11 +39,27 @@ word the circuit behaves as under the flip.  The output flips where it
 follows that input (_follows, read off the truth-table bits) and the input
 differs from the stuck value, so the fault is detected when one of those
 words is in the gate's error mask.
+
+u_f is read out pass by pass.  One carry per slot counts the busy slots,
+those with a signalled word (_busy_slots, the "find a zero field" test of
+Warren, "Hacker's Delight", 2nd ed., 2012, ch. 6, which verify uses for its
+undetected faults too); each other slot is idle and leaves all six faults
+of its gate undetected.  The busy slots are read out in one of two ways,
+which give the same counts.  The per-slot readout cuts each slot off the
+error int and tests its six faults with _follows.  The packed readout lays
+the pass's fault-free gate outputs, a and b sources and tables out in the
+same slots (_pack), one int for all four, builds every slot's follow masks
+at once and counts the slots where each of the six faults is detected with
+one carry test each.  Its set-up costs about as much as reading a dozen
+slots one by one, so a pass is read packed only from PACKED_READOUT_SLOTS
+busy slots up.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,9 +70,23 @@ K_ST = 25
 K_FS = 200
 
 # Width cap, in bits, of one packed int of the fault pass: a pass holds
-# PASS_BITS // 2**r gates (at least one), one slot each.  The one-slot pass
-# is exact only where the fault-free rails do not collide on an applied word.
+# PASS_BITS // max(8, 2**r) gates (at least one), one slot each.  The
+# one-slot pass is exact only where the fault-free rails do not collide on
+# an applied word.
 PASS_BITS = 1 << 16
+
+# Fewest busy slots at which a pass is read out packed rather than slot by
+# slot; the two readouts tie at 12-15.  Per call of _fault_counts on checked
+# mult2 search circuits (r = 4, median 19-27 gates; 2-vCPU Xeon, Python
+# 3.11, median of the best of 9 calls, two runs), per-slot against packed:
+# 13.0-14.0 vs 19.7-21.1 us at 0-3 busy slots, 17.9-18.1 vs 20.2-21.0 at
+# 8-11, 23.3-24.7 vs 24.7-24.8 at 12-15 and 22.3-23.0 vs 20.2-20.4 at 16-19.
+# On decod replay circuits (r = 5, 146 gates, every slot busy) packed took
+# 194 us against 356 us per slot.
+PACKED_READOUT_SLOTS = 12
+
+# array typecode of each slot width that has one: 1, 2, 4 and 8 bytes.
+_ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
 
 # Gate evaluators indexed by truth-table value (bit 2*a + b holds the output
 # for inputs (a, b)), over packed vectors whose all-ones value is f.
@@ -172,6 +204,16 @@ def _follows(t: int, a: int, b: int, full: int) -> tuple[int, int]:
     follows b where a = 0 if bits 0 and 1 differ, where a = 1 if bits 2 and 3
     differ.  Input a stuck at s flips the output exactly at the words where it
     follows a and a != s; likewise for b.
+
+    The packed readout of _fault_counts builds these masks for every slot of
+    a pass at once, from its tables laid out one per slot.  Bits 0 and 1 of
+    a slot of t ^ (t >> 2) are that table's along_a bits, and bits 0 and 2
+    of t ^ (t >> 1) its along_b bits: a table is 4 bits and a slot at least
+    8, so the bits a shift carries in from the next slot land in the slot's
+    top two bits, which are never read.  Each such bit, picked out with the
+    slot-repeat constant and multiplied by the all-words mask, becomes a
+    slot of no words or all words, which selects b ^ full and b (a ^ full
+    and a) exactly as the conditionals here do.
     """
     along_a = t ^ (t >> 2)
     along_b = t ^ (t >> 1)
@@ -181,29 +223,50 @@ def _follows(t: int, a: int, b: int, full: int) -> tuple[int, int]:
     )
 
 
+def _pack(items: list[int], size: int) -> int:
+    """One int holding items[i] in its bytes size*i to size*(i+1) - 1; every
+    item is below 2**(8*size)."""
+    code = _ARRAY_CODES.get(size)
+    if code is None:
+        return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in items), "little")
+    packed = array(code, items)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return int.from_bytes(packed, "little")
+
+
+def _busy_slots(x: int, low: int, top: int) -> int:
+    """Number of slots of x with a set bit, given the masks of every slot's
+    low bits and of its top bit: all-ones added to a slot's low bits carries
+    into its top bit iff one of them is set, and the top bit is or-ed in."""
+    return (((x & low) + low | x) & top).bit_count()
+
+
 def _fault_counts(circuit: Circuit, values: list[int], applied: int) -> tuple[int, int]:
     """(u_f, u_i) over the gates of a circuit whose fault-free rails do not
     collide on the applied words."""
     r = circuit.r
     width = 1 << r
+    slot = max(8, width)
     full = (1 << width) - 1
     tt, src_a, src_b = circuit.tt, circuit.src_a, circuit.src_b
     n = len(tt)
     z0, z1 = circuit.rails
-    per_pass = max(1, PASS_BITS // width)
+    per_pass = max(1, PASS_BITS // slot)
 
     u_f = 0
     u_i = 0
     for k0 in range(0, n, per_pass):
         k1 = min(n, k0 + per_pass)
-        wide = (1 << ((k1 - k0) * width)) - 1
-        repeat = wide // full
+        span = (k1 - k0) * slot
+        wide = (1 << span) - 1
+        repeat = wide // ((1 << slot) - 1)
         # No flip of this pass reaches the gates before its run.
         v = [x * repeat for x in values[: r + k0]]
         flip = full
         for k in range(k0, k1):
             v.append(_GATE_EVAL[tt[k]](v[src_a[k]], v[src_b[k]], wide) ^ flip)
-            flip <<= width
+            flip <<= slot
         for k in range(k1, n):
             v.append(_GATE_EVAL[tt[k]](v[src_a[k]], v[src_b[k]], wide))
 
@@ -214,16 +277,44 @@ def _fault_counts(circuit: Circuit, values: list[int], applied: int) -> tuple[in
             wrong |= v[i] ^ values[i] * repeat
         u_i += (wrong & (err ^ applied_all)).bit_count()
 
+        top = repeat << (slot - 1)
+        low = wide ^ top
+        busy = _busy_slots(err, low, top)
+        u_f += 6 * (k1 - k0 - busy)  # both output faults and all four input faults
+        # Signalled words at which a flip of the output, of input a and of
+        # input b flips the output.  Stuck-at-0 of a line acts where the line
+        # is 1, stuck-at-1 where it is 0; a fault acting at none of its
+        # line's words is undetected, and an idle slot has no such word.
+        if busy >= PACKED_READOUT_SLOTS:
+            # Fields, low to high: fault-free outputs, a, b, tables (see
+            # _follows for the follow masks).  Each of the six tests counts
+            # the slots where one fault is detected.
+            packed = _pack([*values[r + k0:r + k1],
+                            *map(values.__getitem__, src_a[k0:k1]),
+                            *map(values.__getitem__, src_b[k0:k1]),
+                            *tt[k0:k1]], slot // 8)
+            a = packed >> span & wide
+            b = packed >> 2 * span & wide
+            t = packed >> 3 * span
+            along_a = t ^ (t >> 2)
+            along_b = t ^ (t >> 1)
+            on_o = err & packed
+            on_a = err & ((b ^ wide) & (along_a & repeat) * full
+                          | b & (along_a >> 1 & repeat) * full)
+            on_b = err & ((a ^ wide) & (along_b & repeat) * full
+                          | a & (along_b >> 2 & repeat) * full)
+            at_a1 = on_a & a
+            at_b1 = on_b & b
+            u_f += 6 * busy - sum(
+                _busy_slots(x, low, top)
+                for x in (on_o, err ^ on_o, at_a1, on_a ^ at_a1, at_b1, on_b ^ at_b1)
+            )
+            continue
         for k in range(k0, k1):
             err_k = err & full
-            err >>= width
+            err >>= slot
             if not err_k:
-                u_f += 6  # both output faults and all four input faults
                 continue
-            # Signalled words at which a flip of the output, of input a and of
-            # input b flips the output.  Stuck-at-0 of a line acts where the
-            # line is 1, stuck-at-1 where it is 0; a fault acting at none of
-            # its line's words is undetected.
             a, b = values[src_a[k]], values[src_b[k]]
             on_a, on_b = _follows(tt[k], a, b, full)
             on_o = err_k & values[r + k]

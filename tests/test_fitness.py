@@ -355,7 +355,7 @@ class TestDifferentialOracle:
             ("checked", "collide", "masked", "input_output", "input_rail"), 0
         )
         for _ in range(160):
-            r = rng.choice((2, 4, 5, 6))
+            r = rng.choice((2, 4, 5, 6, 7))
             c = random_circuit(rng, r=r, n_gates=rng.randrange(0, 41),
                                q=rng.randrange(1, 4),
                                rails=rng.choice(("complement", "random")))
@@ -404,14 +404,53 @@ class TestDifferentialOracle:
     def test_pass_boundaries_on_random_circuits(self, rng, monkeypatch, gates_per_pass):
         # One gate per pass comes from a cap of 1 bit, below one gate's
         # width, so the pass size is clamped; three gates per pass leaves
-        # runs that split at odd gates and a short last pass.
+        # runs that split at odd gates and a short last pass.  A gate's slot
+        # is 2**r bits padded to a byte.
         checked = 0
         for _ in range(60):
-            r = rng.randrange(1, 7)
+            r = rng.randrange(1, 8)
             c = random_circuit(rng, r=r, n_gates=rng.randrange(4, 25),
                                q=rng.randrange(1, 4), rails="complement")
             mask = rng.getrandbits(1 << r)
-            cap = 1 if gates_per_pass == 1 else gates_per_pass << r
+            cap = 1 if gates_per_pass == 1 else gates_per_pass * max(8, 1 << r)
             monkeypatch.setattr(fitness, "PASS_BITS", cap)
             checked += assert_matches_oracle(c, mask) and len(c.gates) > gates_per_pass
         assert checked >= 30
+
+
+@pytest.fixture(params=(0, 1 << 20), ids=("packed", "per_slot"))
+def readout(request, monkeypatch):
+    """Force one readout on every pass: the packed one (threshold 0) or the
+    per-slot one (a threshold above any slot count)."""
+    monkeypatch.setattr(fitness, "PACKED_READOUT_SLOTS", request.param)
+
+
+@pytest.mark.usefixtures("readout")
+class TestEachReadout(TestDifferentialOracle):
+    """The differential oracle tests again, with each readout forced on every
+    pass; at the default threshold a pass takes whichever its busy slots pick."""
+
+    test_matches_brute_force_on_random_circuits = (
+        TestEvaluateChecking.test_matches_brute_force_on_random_circuits
+    )
+
+
+def test_readout_follows_busy_slots(monkeypatch):
+    # At the default threshold the decod baseline (146 gates, every slot
+    # busy) is read packed, in one pass of 4-byte slots, and a half-adder
+    # search champion (a few gates) slot by slot.
+    pack = fitness._pack
+    sizes = []
+    monkeypatch.setattr(fitness, "_pack",
+                        lambda items, size: sizes.append(size) or pack(items, size))
+    decod = benchmark_baselines()["decod"]
+    assert assert_matches_oracle(decod)
+    assert sizes == [4, 4]  # evaluate_checking and evaluate_circuit
+    seed = Circuit(2, (Gate(TT_XOR, X(0), X(1)), Gate(TT_AND, X(0), X(1))), (G(0), G(1)))
+    target = TargetSpec(2, 2, tuple(simulate(seed).outputs))
+    config = IslandConfig(layout=GenomeLayout(r=2, q=2, b=4), rng_seed=1, max_evals=1500,
+                          stop_on_goal=False)
+    champion = run(config, target, seed).champion.circuit
+    assert assert_matches_oracle(champion)
+    assert sizes == [4, 4]
+
