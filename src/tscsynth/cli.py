@@ -1,5 +1,12 @@
 """Command-line interface: evolve, verify, baseline, export, report.
 
+Every flag that reads a circuit (evolve --seed, baseline --seed, verify
+--circuit, export --circuit) takes either format: a native JSON circuit,
+whose first non-blank character is "{", or a BLIF netlist.  evolve takes a
+seed's size to be its function core (netlist.function_core): a seed with
+rails, such as a circuit that baseline --out wrote, counts its checking logic
+as overhead, and nonintrusive mode locks only the core.
+
 Exit codes: 0 when the command is done; 1 when verify finds the circuit not
 TSC or not computing its target; 2 on any usage, input or file error, which
 main alone turns into an "error:" line.
@@ -23,7 +30,7 @@ from .formats import (
     write_native,
 )
 from .genome import GenomeLayout, default_address_width
-from .netlist import build_duplication_baseline, duplication_overhead
+from .netlist import Circuit, build_duplication_baseline, duplication_overhead, function_core
 from .verify import TscReport, verify_tsc
 
 EXIT_OK = 0
@@ -33,6 +40,13 @@ EXIT_USAGE = 2
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _read_circuit(path: str) -> Circuit:
+    """A native JSON circuit if the file's first non-blank character is "{",
+    a BLIF netlist otherwise."""
+    text = _read(path)
+    return read_native(text) if text.lstrip().startswith("{") else parse_blif(text)
 
 
 def _word_mask(text: str | None, r: int) -> int | None:
@@ -59,24 +73,29 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     target = parse_pla(_read(args.target))
-    seed = parse_blif(_read(args.seed))
+    seed = _read_circuit(args.seed)
     if (seed.r, seed.q) != (target.r, target.q):
         raise ParseError(f"seed is {seed.r} in/{seed.q} out but target is "
                          f"{target.r} in/{target.q} out")
 
-    g = len(seed.tt)
+    # The seed takes a gene slot per gate, but its size is its function core:
+    # a checked seed's own checking logic is overhead.
+    n = len(seed.tt)
     b = args.b
     if b is None:
-        b = default_address_width(seed.r, g, seed.q)
+        b = default_address_width(seed.r, n, seed.q)
     layout = GenomeLayout(r=seed.r, q=seed.q, b=b)
-    if g > layout.max_gates:
-        raise ParseError(f"seed needs {g} gene slots, layout has "
+    if n > layout.max_gates:
+        raise ParseError(f"seed needs {n} gene slots, layout has "
                          f"{layout.max_gates}; raise --b")
 
+    g = len(function_core(seed))
     dup = duplication_overhead(g, seed.q)
     goal_overhead = args.goal_overhead
     if goal_overhead is None:
-        goal_overhead = dup - 1
+        # One gate below duplication, or below the seed's own checking logic
+        # if that is cheaper, so a checked seed does not meet it unchanged.
+        goal_overhead = min(dup, n - g) - 1 if seed.rails is not None else dup - 1
     applied = args.applied_words
     word_mask = _word_mask(applied, layout.r)
 
@@ -177,7 +196,7 @@ def _print_verdict(report: TscReport) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    circuit = read_native(_read(args.circuit))
+    circuit = _read_circuit(args.circuit)
     word_mask = _word_mask(args.applied_words, circuit.r)
     columns = None
     if args.target is not None:
@@ -193,7 +212,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    seed = parse_blif(_read(args.seed))
+    seed = _read_circuit(args.seed)
     g = len(seed.tt)
     dup = duplication_overhead(g, seed.q)
     baseline = build_duplication_baseline(seed)
@@ -208,7 +227,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    circuit = read_native(_read(args.circuit))
+    circuit = _read_circuit(args.circuit)
     Path(args.dot).write_text(export_dot(circuit), encoding="utf-8")
     print(f"wrote {args.dot}")
     return EXIT_OK
@@ -221,7 +240,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{run_path} is not JSON: {exc}") from None
     try:
-        return _print_report(record, args.function_core)
+        return _print_report(record)
     except ParseError as exc:
         raise ParseError(f"{run_path} {exc}") from None
 
@@ -247,14 +266,12 @@ def _field(record, path: str, kind: type, optional: bool = False):
     return value
 
 
-def _print_report(record: dict, core: int | None) -> int:
+def _print_report(record: dict) -> int:
     # Every field is read before anything is printed.
     g = _field(record, "seed_gates", int)
     s = _field(record, "champion.live_gates", int)
-    base, dup = g, _field(record, "dup_overhead", int)
-    if core is not None:
-        base, dup = core, duplication_overhead(core, _field(record, "layout.q", int))
-    overhead = s - base
+    dup = _field(record, "dup_overhead", int)
+    overhead = s - g
     is_tsc = _field(record, "verification.is_tsc", bool)
     # Records written before the function check lack its key.
     computes = _field(record, "verification.computes_target", bool, optional=True)
@@ -270,7 +287,7 @@ def _print_report(record: dict, core: int | None) -> int:
         "dup_overhead": dup,
         "ratio": (overhead / dup) if is_tsc and computes and dup > 0 else None,
         "verdict": verdict,
-        "shrunk_function_logic": s < base,
+        "shrunk_function_logic": s < g,
         "fitness": _field(record, "champion.fitness", list),
         # Records written before scored evaluations were counted lack "scored".
         "evals": _field(record, "evals", int, optional=True),
@@ -284,7 +301,7 @@ def _print_report(record: dict, core: int | None) -> int:
     print()
     print(f"{'Benchmark':<12}{'Gates':>7}{'Oh.':>6}{'Dup.':>6}{'Oh./Dup.':>10}  Verdict")
     print(
-        f"{report['benchmark']:<12}{base:>7}{overhead:>6}{dup:>6}{ratio:>10}  "
+        f"{report['benchmark']:<12}{g:>7}{overhead:>6}{dup:>6}{ratio:>10}  "
         f"{report['verdict']}"
     )
     if report["scored"] is not None:
@@ -292,11 +309,6 @@ def _print_report(record: dict, core: int | None) -> int:
               "reused a parent's fitness)")
     if report["decoded"] is not None:
         print(f"decoded: {report['decoded']} (the rest reused a parent's netlist)")
-    if s < g and core is None:
-        print(
-            "note: champion uses fewer live gates than the seed's function "
-            "logic; pass --function-core N to compare against the smaller core"
-        )
     return EXIT_OK
 
 
@@ -313,7 +325,8 @@ def build_parser(
 
     p = sub.add_parser("evolve", help="evolve a self-checking circuit from a seed")
     p.add_argument("--target", required=True, help="PLA file with the output function")
-    p.add_argument("--seed", required=True, help="BLIF seed netlist (two-input gates)")
+    p.add_argument("--seed", required=True,
+                   help="seed circuit, BLIF or native JSON (rails allowed)")
     configurable = [
         p.add_argument("--mode", choices=["unconstrained", "nonintrusive"],
                        default="unconstrained"),
@@ -360,26 +373,25 @@ def build_parser(
         p.set_defaults(**defaults)
 
     p = sub.add_parser("verify", help="prove or refute the TSC property")
-    p.add_argument("--circuit", required=True, help="native JSON circuit")
+    p.add_argument("--circuit", required=True, help="circuit, native JSON or BLIF")
     p.add_argument("--applied-words", dest="applied_words", default=None)
     p.add_argument("--target", default=None,
                    help="PLA file; also require the circuit to compute it")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("baseline", help="build the duplication baseline for a seed")
-    p.add_argument("--seed", required=True, help="BLIF seed netlist")
+    p.add_argument("--seed", required=True,
+                   help="seed circuit without rails, BLIF or native JSON")
     p.add_argument("--out", default=None, help="write the baseline circuit JSON here")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("export", help="render a circuit as graphviz")
-    p.add_argument("--circuit", required=True)
+    p.add_argument("--circuit", required=True, help="circuit, native JSON or BLIF")
     p.add_argument("--dot", required=True)
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("report", help="summarize a finished run directory")
     p.add_argument("--run", required=True)
-    p.add_argument("--function-core", dest="function_core", type=int, default=None,
-                   help="gate count of the function core for overhead comparison")
     p.set_defaults(func=_cmd_report)
     return parser
 

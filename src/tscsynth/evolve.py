@@ -355,9 +355,9 @@ class Engine:
             raise ValueError(f"the layout has {slots} gene slot, translocation "
                              "needs 2: raise the address width b")
         if not unlocked_genes(config.layout, self.lock):
-            raise ValueError(f"the seed's gates fill all {slots} gene slots, which "
-                             "nonintrusive mode locks, so translocation has no gene "
-                             "to write: raise the address width b")
+            raise ValueError(f"the seed's function core fills all {slots} gene "
+                             "slots, which nonintrusive mode locks, so translocation "
+                             "has no gene to write: raise the address width b")
         indices = island_indices if island_indices is not None else list(
             range(config.n_islands)
         )

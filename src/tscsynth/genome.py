@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .netlist import Circuit
+from .netlist import Circuit, function_core
 
 # Reverse the bit order of a 4-bit value: genotype stores t0 first (most
 # significant in the field), a Circuit's truth table stores t0 in bit 0.
@@ -311,11 +311,14 @@ def redraw(circuit: Circuit, repairs: tuple[int, ...], rng: random.Random) -> Ci
 
 
 def seed_lock_mask(circuit: Circuit, layout: GenomeLayout) -> LockMask:
-    """Positions covering the seed's genes and function-output routing fields."""
+    """Positions covering the genes of the seed's function core (gate k in
+    slot k, as encode_seed places it) and the q function-output routing
+    fields.  The rail routing and the seed's checking logic stay unlocked;
+    a seed without rails is all core, so every seed gene is locked."""
     locked: set[int] = set()
     for i in range(circuit.q):
         locked.update(range(i * layout.b, (i + 1) * layout.b))
-    for k in range(len(circuit.tt)):
+    for k in function_core(circuit):
         base = layout.gene_offset(k)
         locked.update(range(base, base + layout.gene_len))
     return LockMask(frozenset(locked))
@@ -332,8 +335,8 @@ def encode_seed(
     Function-output routing is set to the seed's drivers, and so is rail
     routing when the seed carries rails; a seed without rails gets random
     rail routing.  Every remaining bit is drawn uniformly from rng.  With
-    lock_seed=True the returned mask covers the seed genes and the
-    function-output routing fields.
+    lock_seed=True the returned mask is seed_lock_mask's: the function
+    core's genes and the function-output routing fields.
     """
     if len(circuit.tt) > layout.max_gates:
         raise ValueError(

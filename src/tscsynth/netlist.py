@@ -18,6 +18,11 @@ Circuit.gates gives them back.
 Every gate is live: a later gate, a function output or a rail reads it, so
 each has a path to an output.  Simulation, fault enumeration and size
 metrics therefore take all gates, and the gate count is the circuit's size.
+
+A circuit's function core (function_core) is the gates a function output
+reaches: its function logic, as against the checking logic that only the
+rails read.  A circuit without rails is all core.  The core is what
+duplication would copy, so a seed's size is its core's gate count.
 """
 
 from __future__ import annotations
@@ -185,6 +190,20 @@ class Circuit:
         r, x, g = self.r, SignalRef.x, SignalRef.g
         return tuple(Gate(t, x(a) if a < r else g(a - r), x(b) if b < r else g(b - r))
                      for t, a, b in zip(self.tt, self.src_a, self.src_b))
+
+
+def function_core(circuit: Circuit) -> tuple[int, ...]:
+    """The gates a function output reaches, ascending.  A gate reads only
+    lower indices, so one sweep from the last gate down marks each core gate
+    before its sources are reached."""
+    r, n = circuit.r, len(circuit.tt)
+    reached = bytearray(r + n)
+    for s in circuit.outputs:
+        reached[s] = 1
+    for k in range(n - 1, -1, -1):
+        if reached[r + k]:
+            reached[circuit.src_a[k]] = reached[circuit.src_b[k]] = 1
+    return tuple(k for k in range(n) if reached[r + k])
 
 
 def _bad_index(s: int, r: int) -> ValueError:

@@ -129,25 +129,23 @@ def repeat(r: int, slots: int) -> int:
     return int(("0" * ((1 << r) - 1) + "1") * slots, 2)
 
 
-def fault_pass(circuit: Circuit, free: list[int], first: int, last: int,
-               scope: FaultScope) -> list[int | None]:
-    """Every index under each fault of scope at gates first..last-1, packed.
+def fault_pass(circuit: Circuit, free: list[int], first: int,
+               last: int) -> list[int | None]:
+    """Every index under each fault of gates first..last-1, packed.
 
     Slot i (2**r bits, from the least significant end) is the circuit under
-    the i-th of those faults in enumerate_faults order.  free is the
-    fault-free value of every index (values).  An entry is None where the
-    pass left the index fault-free in every slot: its packed value is then
-    free[i] * repeat(r, slots).
+    the i-th of those faults in enumerate_faults(circuit, FaultScope.ALL)
+    order: six slots per gate.  free is the fault-free value of every index
+    (values).  An entry is None where the pass left the index fault-free in
+    every slot: its packed value is then free[i] * repeat(r, slots).
     """
     r = circuit.r
     full = full_mask(r)
     width = 1 << r
     tt, src_a, src_b = circuit.tt, circuit.src_a, circuit.src_b
-    inputs = scope is FaultScope.ALL
-    per_gate = 2 * len(fault_sites(scope))
-    block_width = per_gate * width
+    block_width = 6 * width
     block = (1 << block_width) - 1
-    rep = repeat(r, (last - first) * per_gate)
+    rep = repeat(r, (last - first) * 6)
     wide = full * rep
     v: list[int | None] = [None] * (r + len(tt))
     for k in range(first, len(tt)):
@@ -162,17 +160,16 @@ def fault_pass(circuit: Circuit, free: list[int], first: int, last: int,
             continue
         if k < last:
             # The gate's own slots, in fault order: its output stuck-at 0 and
-            # 1, then (ALL) the table over input a stuck-at 0 and 1, then
-            # over input b.  The gate reads only lower indices, so in these
-            # slots its sources hold their fault-free values.
+            # 1, then the table over input a stuck-at 0 and 1, then over
+            # input b.  The gate reads only lower indices, so in these slots
+            # its sources hold their fault-free values.
             t = tt[k]
-            own = full << width
-            if inputs:
-                fa, fb = free[a], free[b]
-                own |= (_tt_vector(t, 0, fb, full) << 2 * width
-                        | _tt_vector(t, full, fb, full) << 3 * width
-                        | _tt_vector(t, fa, 0, full) << 4 * width
-                        | _tt_vector(t, fa, full, full) << 5 * width)
+            fa, fb = free[a], free[b]
+            own = (full << width
+                   | _tt_vector(t, 0, fb, full) << 2 * width
+                   | _tt_vector(t, full, fb, full) << 3 * width
+                   | _tt_vector(t, fa, 0, full) << 4 * width
+                   | _tt_vector(t, fa, full, full) << 5 * width)
             shift = (k - first) * block_width
             out = out & ~(block << shift) | own << shift
         v[r + k] = out

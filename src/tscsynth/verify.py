@@ -3,7 +3,7 @@
 Every fault in the full set (output and both input lines, both polarities,
 per gate) is simulated directly, with no manifestation shortcut and no code
 shared with the fitness-side fault evaluation.  Each call simulates the
-fault-free circuit once, then every fault of its scope once, injected
+fault-free circuit once, then every fault of the full set once, injected
 explicitly into its own slot of a packed pass (sim.fault_pass).  A pass
 holds the faults of a run of consecutive gates, at most FAULT_PASS_BITS bits
 (and at least one gate); nothing is kept across calls.  Self-testing,
@@ -17,8 +17,9 @@ for candidate circuits.
 
 There is one report type, TscReport, and two entry points: verify_tsc over
 the full fault set, optionally checking the function against a target, and
-verify_fs over a chosen fault scope.  It is the only diagnosis: a checker
-fault that a limited output codespace leaves untestable is undetected.
+verify_fs, the same report cut down to a chosen fault scope.  It is the only
+diagnosis: a checker fault that a limited output codespace leaves untestable
+is undetected.
 """
 
 from __future__ import annotations
@@ -73,12 +74,11 @@ class TscReport:
 
 def _report(
     circuit: Circuit,
-    scope: FaultScope,
     word_mask: int | None,
     target: Sequence[int] | None = None,
 ) -> TscReport:
-    """Simulate the fault-free circuit once and each fault of scope once, in
-    its slot of a packed pass.
+    """Simulate the fault-free circuit once and each fault of the full set
+    once, in its slot of a packed pass.
 
     A fault is detected iff some applied word yields z_0 == z_1.  Per pass,
     one addition marks every slot with such a word (a carry into the slot's
@@ -105,7 +105,7 @@ def _report(
             not (free[s] ^ want) & applied for s, want in zip(outputs, target)
         )
     false_alarm = (free[rail0] ^ free[rail1] ^ full) & applied != 0
-    sites = fault_sites(scope)
+    sites = fault_sites(FaultScope.ALL)
     width = 1 << r
     per_gate = 2 * len(sites)
     step = max(1, FAULT_PASS_BITS // (per_gate * width))
@@ -124,7 +124,7 @@ def _report(
     for first in range(0, n, step):
         last = min(first + step, n)
         slots = (last - first) * per_gate
-        v = fault_pass(circuit, free, first, last, scope)
+        v = fault_pass(circuit, free, first, last)
         rep = repeat(r, slots)
         z0, z1 = (free[s] * rep if v[s] is None else v[s] for s in circuit.rails)
         applied_wide = applied * rep
@@ -167,11 +167,19 @@ def verify_fs(
     """Fault-secureness: no incorrect output without a simultaneous error.
 
     The report covers the faults of scope only, so its is_st, is_tsc and
-    undetected hold for that scope alone.  A circuit whose fault-free rails
-    collide on some applied word is reported not fault-secure with the
-    false_alarm flag set and no violations listed.
+    undetected hold for that scope alone: the full set's report with the
+    other faults left out.  A circuit whose fault-free rails collide on some
+    applied word is reported not fault-secure with the false_alarm flag set
+    and no violations listed.
     """
-    return _report(circuit, scope, word_mask)
+    report = _report(circuit, word_mask)
+    sites = fault_sites(scope)
+    undetected = [f for f in report.undetected if f.site in sites]
+    violations = [(f, w) for f, w in report.violations if f.site in sites]
+    is_st = not undetected
+    is_fs = not violations and not report.false_alarm
+    return TscReport(is_st and is_fs, is_st, is_fs, report.false_alarm, undetected,
+                     violations)
 
 
 def verify_tsc(
@@ -182,4 +190,4 @@ def verify_tsc(
     """TSC iff self-testing, fault-secure over the full set, and no fault-free
     rail collision.  With target (one packed column per function output) the
     report also says whether the circuit computes it on the applied words."""
-    return _report(circuit, FaultScope.ALL, word_mask, target)
+    return _report(circuit, word_mask, target)

@@ -15,7 +15,11 @@ from tscsynth.netlist import (
     FaultSite,
     Gate,
     SignalRef,
+    TT_AND,
     TT_NOT_A,
+    TT_OR,
+    TT_XNOR,
+    TT_XOR,
     _append_two_rail_checker,
 )
 from tscsynth.sim import FaultScope, enumerate_faults
@@ -233,6 +237,23 @@ def tsc_half_adder(sum_xnor: bool = False) -> Circuit:
         Gate(9, g(8), x(0)),
     )
     return Circuit(2, gates, (g(0), g(1)), (g(6), g(9)))
+
+
+def checked_mult2() -> Circuit:
+    """A verified-TSC mult2 seed of 13 gates: mult2.blif's 7 gates (its
+    function core), z_1 = XOR(XOR(y0, y1), XOR(y2, y3)) and
+    z_0 = OR(XNOR(x1, x0), XNOR(x3, x2)).  Overhead 6 against duplication's
+    25."""
+    return Circuit.from_arrays(
+        4,
+        # Table 4 is GT: y2 = n4 AND NOT y0.
+        (TT_AND, TT_AND, TT_AND, TT_XOR, TT_AND, 4, TT_AND,
+         TT_XOR, TT_XOR, TT_XOR, TT_XNOR, TT_XNOR, TT_OR),
+        (0, 1, 0, 5, 1, 8, 4, 4, 9, 11, 1, 3, 14),
+        (2, 2, 3, 6, 3, 4, 8, 7, 10, 12, 0, 2, 15),
+        (4, 7, 9, 10),
+        (16, 13),
+    )
 
 
 @pytest.fixture

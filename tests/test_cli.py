@@ -1,14 +1,17 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from tscsynth.cli import build_parser, main
+from tscsynth.evolve import POPULATION_SIZE
 from tscsynth.formats import parse_blif, parse_pla, read_native, write_native
+from tscsynth.genome import GenomeLayout, Genotype, encode_seed, seed_lock_mask
 from tscsynth.netlist import build_duplication_baseline
 from tscsynth.verify import verify_tsc
 
-from conftest import BENCH_DIR, HALF_ADDER_PLA, tsc_half_adder
+from conftest import BENCH_DIR, HALF_ADDER_PLA, checked_mult2, tsc_half_adder
 
 
 def bench(name: str) -> str:
@@ -336,6 +339,62 @@ class TestExport:
         assert "digraph" in dst.read_text()
 
 
+class TestCircuitFormats:
+    """Every flag that reads a circuit takes native JSON or BLIF."""
+
+    def test_baseline_and_export_read_either_format(self, tmp_path, capsys):
+        json_seed = tmp_path / "c17.json"
+        json_seed.write_text(write_native(parse_blif((BENCH_DIR / "c17.blif").read_text())))
+        printed = []
+        for i, seed in enumerate((bench("c17.blif"), str(json_seed))):
+            dot = tmp_path / f"{i}.dot"
+            assert run_cli("baseline", "--seed", seed) == 0
+            assert run_cli("export", "--circuit", seed, "--dot", str(dot)) == 0
+            printed.append((capsys.readouterr().out.replace(str(dot), "-"), dot.read_text()))
+        assert printed[0] == printed[1]
+
+    def test_verify_reads_blif(self, capsys):
+        # A BLIF netlist carries no rails.
+        assert run_cli("verify", "--circuit", bench("c17.blif")) == 2
+        assert "no error rails" in capsys.readouterr().err
+
+    def test_baseline_of_a_checked_seed_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "mult2.json"
+        path.write_text(write_native(checked_mult2()))
+        assert run_cli("baseline", "--seed", str(path)) == 2
+        assert "already carries error rails" in capsys.readouterr().err
+
+
+class TestCheckedSeed:
+    """evolve seeded by a verified-TSC circuit with rails, read from native
+    JSON.  Its size is its function core, mult2.blif's 7 gates, and the
+    default goal is one gate below its own 6-gate checking logic."""
+
+    @pytest.mark.parametrize("mode", ["unconstrained", "nonintrusive"])
+    def test_searches_from_the_function_core(self, tmp_path, capsys, mode):
+        seed = checked_mult2()
+        path = tmp_path / "mult2.json"
+        path.write_text(write_native(seed))
+        out = tmp_path / "run"
+        assert run_cli("evolve", "--target", bench("mult2.pla"), "--seed", str(path),
+                       "--mode", mode, "--islands", "1", "--budget-evals", "2000",
+                       "--out", str(out)) == 0
+        rec = json.loads((out / "run.json").read_text())
+        assert (rec["seed_gates"], rec["dup_overhead"], rec["goal_size"]) == (7, 25, 12)
+        # Not stopped at generation 0: the seed itself misses the goal.
+        assert rec["evals"] > POPULATION_SIZE
+        target = parse_pla((BENCH_DIR / "mult2.pla").read_text()).columns
+        champion = read_native((out / "champion.json").read_text())
+        assert verify_tsc(champion, None, target).computes_target
+        if mode == "nonintrusive":
+            layout = GenomeLayout(**rec["layout"])
+            genotype = Genotype.from_hex((out / "champion.hex").read_text().strip(), layout)
+            encoded, _ = encode_seed(seed, layout, random.Random(0))
+            locked = seed_lock_mask(seed, layout).locked
+            mask = sum(1 << (layout.total_len - 1 - p) for p in locked)
+            assert locked and not (genotype.value ^ encoded.value) & mask
+
+
 class TestEvolveCommand:
     def test_zero_budget_run_completes(self, tmp_path, capsys):
         code = run_cli(
@@ -584,19 +643,13 @@ class TestReport:
         if report["verdict"] != "TSC":
             assert report["ratio"] is None
 
-    def test_function_core_sets_overhead_and_duplication(self, tmp_path, capsys):
-        # Seed of 12 gates, champion of 10 live gates, function core of 6:
-        # the overhead over the core is 4 and duplicating the core costs 12.
-        record = {**self._record(), "seed_gates": 12, "dup_overhead": 18}
-        run = self._write(tmp_path, record)
-        assert run_cli("report", "--run", str(run), "--function-core", "6") == 0
-        printed = capsys.readouterr().out
-        header, _, rest = printed.partition("\n\n")
-        report = json.loads(header)
-        assert report["overhead"] == 4
-        assert report["dup_overhead"] == 12
-        assert report["ratio"] == pytest.approx(4 / 12)
-        assert "--function-core" not in rest
+    def test_function_core_flag_exits_2(self, tmp_path, capsys):
+        # evolve records the seed's function core as seed_gates, so there is
+        # no core to pass by hand.
+        run = self._write(tmp_path, self._record())
+        assert run_cli("report", "--run", str(run), "--function-core", "6") == 2
+        out, err = capsys.readouterr()
+        assert "--function-core" in err and out == ""
 
     @pytest.mark.parametrize("verification,verdict", [
         ({"is_tsc": True, "computes_target": False}, "TSC, wrong function"),
@@ -620,7 +673,6 @@ class TestReport:
             "benchmark": "demo",
             "seed_gates": 6,
             "dup_overhead": 12,
-            "layout": {"r": 3, "q": 2, "b": 5},
             "champion": {"live_gates": 10, "fitness": []},
             "verification": {"is_tsc": True, "computes_target": True},
             "history": [],

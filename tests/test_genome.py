@@ -28,7 +28,7 @@ from tscsynth.formats import read_native, write_native
 from tscsynth.netlist import Circuit, Gate, SignalRef, TT_AND, TT_XOR
 from tscsynth.sim import simulate
 
-from conftest import genotype_bit, random_circuit
+from conftest import checked_mult2, genotype_bit, random_circuit
 
 X = SignalRef.x
 G = SignalRef.g
@@ -359,6 +359,26 @@ class TestEncodeSeed:
         gene_bits = set(range(lay.gene_offset(0), lay.gene_offset(len(seed.gates))))
         assert gene_bits and gene_bits.issubset(lock.locked)
 
+    def test_lock_of_seed_without_rails_is_every_gene(self, rng):
+        # Every gate of a seed without rails is in its function core: the
+        # lock is the y routing fields and genes 0..n-1, contiguous.
+        for q, n_gates in ((1, 3), (2, 6), (3, 8)):
+            seed = random_circuit(rng, r=3, n_gates=n_gates, q=q, rails="none")
+            lay = GenomeLayout(r=3, q=q, b=5)
+            every_gene = set(range(q * lay.b)) | set(
+                range(lay.gene_offset(0), lay.gene_offset(len(seed.tt))))
+            assert seed_lock_mask(seed, lay).locked == every_gene
+
+    def test_lock_of_checked_seed_is_its_function_core(self, rng):
+        # checked_mult2's core is genes 0-6; its rail routing and its six
+        # checking genes stay free.
+        seed = checked_mult2()
+        lay = GenomeLayout(r=4, q=4, b=6)
+        core = set(range(4 * lay.b)) | set(range(lay.gene_offset(0), lay.gene_offset(7)))
+        assert seed_lock_mask(seed, lay).locked == core
+        _, lock = encode_seed(seed, lay, rng, lock_seed=True)
+        assert lock.locked == core
+
     def test_locked_content_identical_across_individuals(self, rng):
         seed = random_circuit(rng, r=3, n_gates=4, q=2, rails="none")
         lay = GenomeLayout(r=3, q=2, b=4)
@@ -564,14 +584,28 @@ def _function_cone(circuit: Circuit) -> tuple[tuple, Counter]:
     return tuple(forms[s] for s in circuit.outputs), Counter(forms[s] for s in cone)
 
 
-def test_nonintrusive_champion_contains_seed_verbatim(rng):
-    # Locked genes and function routing must decode to the seed's function
-    # cone, gate for gate, whatever the mutations did elsewhere.
-    seed = random_circuit(rng, r=3, n_gates=5, q=2, rails="none")
-    lay = GenomeLayout(r=3, q=2, b=4)
+def _mutated_locked(seed: Circuit, lay: GenomeLayout, rng: random.Random) -> Circuit:
+    """The seed encoded with its lock, after 30 rounds of bit and routing
+    mutation, decoded."""
     genotype, lock = encode_seed(seed, lay, rng, lock_seed=True)
     for _ in range(30):
         genotype = mutate_bit(genotype, lock, rng)
         genotype = mutate_routing(genotype, lock, rng)
-    circuit = decode(genotype, rng)
+    return decode(genotype, rng)
+
+
+def test_nonintrusive_champion_contains_seed_verbatim(rng):
+    # Locked genes and function routing must decode to the seed's function
+    # cone, gate for gate, whatever the mutations did elsewhere.
+    seed = random_circuit(rng, r=3, n_gates=5, q=2, rails="none")
+    circuit = _mutated_locked(seed, GenomeLayout(r=3, q=2, b=4), rng)
     assert _function_cone(circuit) == _function_cone(seed)
+
+
+def test_nonintrusive_checked_seed_keeps_only_its_function_cone(rng):
+    # The checking logic and the rail routing are free to change.
+    seed = checked_mult2()
+    lay = GenomeLayout(r=4, q=4, b=6)
+    circuits = [_mutated_locked(seed, lay, rng) for _ in range(5)]
+    assert all(_function_cone(c) == _function_cone(seed) for c in circuits)
+    assert any(c.rails != seed.rails or c.tt[7:] != seed.tt[7:] for c in circuits)

@@ -11,13 +11,18 @@ from tscsynth.netlist import (
     TT_BUF_A,
     TT_NOT_A,
     TT_OR,
+    TT_XNOR,
     TT_XOR,
     build_duplication_baseline,
     duplication_overhead,
+    function_core,
 )
+from tscsynth.formats import parse_blif
 from tscsynth.sim import simulate
 
 from conftest import (
+    BENCH_DIR,
+    checked_mult2,
     live_circuit,
     random_circuit,
     random_ref,
@@ -294,3 +299,31 @@ class TestDuplicationBaseline:
         with_rails = Circuit(seed.r, seed.gates, (G(0), G(1)), (G(0), G(1)))
         with pytest.raises(ValueError):
             build_duplication_baseline(with_rails)
+
+
+class TestFunctionCore:
+    @pytest.mark.parametrize("name,gates", [
+        ("b1", 5), ("c17", 6), ("cm138a", 16), ("cm42a", 17), ("cm82a", 10),
+        ("decod", 28), ("mult2", 7), ("rd53", 12),
+    ])
+    def test_shipped_seed_and_its_duplication_baseline(self, name, gates):
+        # A seed without rails is all core.  Its baseline puts the seed's
+        # gates first, and only the rails read the copy and the checker.
+        seed = parse_blif((BENCH_DIR / f"{name}.blif").read_text())
+        assert len(seed.tt) == gates and function_core(seed) == tuple(range(gates))
+        assert function_core(build_duplication_baseline(seed)) == tuple(range(gates))
+
+    @pytest.mark.parametrize("circuit,core", [
+        (checked_mult2(), tuple(range(7))),
+        # z_0 is the wire x0; g2 reads the core gate g0, but only z_1 reads
+        # g2, so it is checking logic.
+        (Circuit(
+            2,
+            (Gate(TT_AND, X(0), X(1)), Gate(TT_XOR, G(0), X(0)), Gate(TT_XNOR, G(0), X(1))),
+            (G(1),),
+            (X(0), G(2)),
+        ), (0, 1)),
+        (two_rail_checker_circuit(), ()),
+    ], ids=["checked-mult2", "input-rail", "no-function-outputs"])
+    def test_circuit_with_rails(self, circuit, core):
+        assert function_core(circuit) == core

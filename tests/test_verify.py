@@ -231,9 +231,9 @@ class TestOnePass:
             counted.append(None)
             return values(circuit)
 
-        def packed_pass(circuit, free, first, last, scope):
+        def packed_pass(circuit, free, first, last):
             widths.clear()
-            v = fault_pass(circuit, free, first, last, scope)
+            v = fault_pass(circuit, free, first, last)
             narrow = widths.count(1 << circuit.r)
             counted.append((first, last, len(widths) - narrow, narrow))
             return v
@@ -247,22 +247,20 @@ class TestOnePass:
         baseline = duplication_baseline("decod")
         n, width = len(baseline.tt), 1 << baseline.r
         assert n == 146
-        for scope, per_gate, injections in ((FaultScope.ALL, 6, 4),
-                                            (FaultScope.OUTPUTS_ONLY, 2, 0)):
-            calls.clear()
-            verify_fs(baseline, scope)
-            assert calls[0] is None and None not in calls[1:]  # one fault-free wave
-            step = verify.FAULT_PASS_BITS // (per_gate * width)
-            # Consecutive runs of gates, each fault in exactly one slot.
-            assert [c[:2] for c in calls[1:]] == [
-                (first, min(first + step, n)) for first in range(0, n, step)]
-            assert len(calls) > 2
-            for first, last, wide, narrow in calls[1:]:
-                # Each gate at most once over the packed int: those that read
-                # an index the pass changed.  Per faulted gate, the table over
-                # each input stuck-at, in one slot.
-                assert wide == changed_reads(baseline, first, last) <= n - first
-                assert narrow == injections * (last - first)
+        calls.clear()
+        verify_fs(baseline)
+        assert calls[0] is None and None not in calls[1:]  # one fault-free wave
+        step = verify.FAULT_PASS_BITS // (6 * width)
+        # Consecutive runs of gates, each fault in exactly one slot.
+        assert [c[:2] for c in calls[1:]] == [
+            (first, min(first + step, n)) for first in range(0, n, step)]
+        assert len(calls) > 2
+        for first, last, wide, narrow in calls[1:]:
+            # Each gate at most once over the packed int: those that read
+            # an index the pass changed.  Per faulted gate, the table over
+            # each input stuck-at, in one slot.
+            assert wide == changed_reads(baseline, first, last) <= n - first
+            assert narrow == 4 * (last - first)
         calls.clear()
         verify_tsc(baseline)
         ours = list(calls)
@@ -352,25 +350,23 @@ class TestAgainstFullWave:
 
     @pytest.mark.parametrize("slots", [1, 18])
     def test_narrow_passes(self, rng, monkeypatch, slots):
-        # A pass cap of one 2**r-bit slot takes one gate per pass in either
-        # scope; 18 slots take three gates under ALL and nine under
-        # OUTPUTS_ONLY.
+        # A pass cap of one 2**r-bit slot takes one gate per pass; 18 slots
+        # take three gates.
         decod = duplication_baseline("decod")
         wide = random_circuit(rng, r=6, n_gates=30, q=2, rails="complement")
         assert (len(decod.tt), len(wide.tt)) == (146, 10)
-        runs = {scope: set() for scope in FaultScope}
+        runs = set()
         fault_pass = verify.fault_pass
 
-        def recording_pass(circuit, free, first, last, scope):
-            runs[scope].add(last - first)
-            return fault_pass(circuit, free, first, last, scope)
+        def recording_pass(circuit, free, first, last):
+            runs.add(last - first)
+            return fault_pass(circuit, free, first, last)
 
         monkeypatch.setattr(verify, "fault_pass", recording_pass)
         for c in (decod, wide):
             monkeypatch.setattr(verify, "FAULT_PASS_BITS", slots << c.r)
             assert_matches_full_wave(c, rng)
-        assert max(runs[FaultScope.ALL]) == max(1, slots // 6)
-        assert max(runs[FaultScope.OUTPUTS_ONLY]) == max(1, slots // 2)
+        assert max(runs) == max(1, slots // 6)
 
     def test_gates_reaching_one_rail_or_one_output(self, rng):
         # g0 reaches only y_0, g1 only z_1 and g2 only z_0; the rails are
