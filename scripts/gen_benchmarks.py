@@ -24,46 +24,41 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tscsynth.formats import TargetSpec, render_blif, render_pla
-from tscsynth.netlist import (
-    Circuit,
-    Gate,
-    SignalRef,
-    TT_AND,
-    TT_NAND,
-    TT_NOR,
-    TT_OR,
-    TT_XOR,
-)
+from tscsynth.netlist import Circuit, TT_AND, TT_NAND, TT_NOR, TT_OR, TT_XOR
 from tscsynth.sim import simulate
 
 TT_GT = 4  # a AND NOT b
 TT_LT = 2  # NOT a AND b
 
-X = SignalRef.x
-G = SignalRef.g
-
 
 class Builder:
+    """Gates as flat arrays in one index space: inputs 0..r-1, then gate k
+    at index r + k, as Circuit.from_arrays takes them."""
+
     def __init__(self, r: int):
         self.r = r
-        self.gates: list[Gate] = []
+        self.tt: list[int] = []
+        self.src_a: list[int] = []
+        self.src_b: list[int] = []
 
-    def gate(self, tt: int, a: SignalRef, b: SignalRef) -> SignalRef:
-        self.gates.append(Gate(tt, a, b))
-        return G(len(self.gates) - 1)
+    def gate(self, tt: int, a: int, b: int) -> int:
+        self.tt.append(tt)
+        self.src_a.append(a)
+        self.src_b.append(b)
+        return self.r + len(self.tt) - 1
 
-    def circuit(self, outputs: list[SignalRef]) -> Circuit:
-        return Circuit(self.r, tuple(self.gates), tuple(outputs))
+    def circuit(self, outputs: list[int]) -> Circuit:
+        return Circuit.from_arrays(self.r, self.tt, self.src_a, self.src_b, outputs, None)
 
 
 def mult2() -> tuple[Circuit, TargetSpec]:
     # Inputs a0 a1 b0 b1; outputs p0..p3 = (a1 a0) * (b1 b0).
     bld = Builder(4)
-    p0 = bld.gate(TT_AND, X(0), X(2))
-    t1 = bld.gate(TT_AND, X(1), X(2))
-    t2 = bld.gate(TT_AND, X(0), X(3))
+    p0 = bld.gate(TT_AND, 0, 2)
+    t1 = bld.gate(TT_AND, 1, 2)
+    t2 = bld.gate(TT_AND, 0, 3)
     p1 = bld.gate(TT_XOR, t1, t2)
-    t3 = bld.gate(TT_AND, X(1), X(3))
+    t3 = bld.gate(TT_AND, 1, 3)
     p2 = bld.gate(TT_GT, t3, p0)  # carry into bit 3 equals p0 AND t3
     p3 = bld.gate(TT_AND, p0, t3)
     circuit = bld.circuit([p0, p1, p2, p3])
@@ -82,10 +77,10 @@ def mult2() -> tuple[Circuit, TargetSpec]:
 def b1() -> tuple[Circuit, TargetSpec]:
     # Full adder over (a, b, cin) with the internal a^b and a&b also exposed.
     bld = Builder(3)
-    x = bld.gate(TT_XOR, X(0), X(1))
-    s = bld.gate(TT_XOR, x, X(2))
-    n = bld.gate(TT_AND, X(0), X(1))
-    t = bld.gate(TT_AND, x, X(2))
+    x = bld.gate(TT_XOR, 0, 1)
+    s = bld.gate(TT_XOR, x, 2)
+    n = bld.gate(TT_AND, 0, 1)
+    t = bld.gate(TT_AND, x, 2)
     cy = bld.gate(TT_OR, n, t)
     circuit = bld.circuit([s, cy, x, n])
 
@@ -101,10 +96,10 @@ def b1() -> tuple[Circuit, TargetSpec]:
 
 def c17() -> tuple[Circuit, TargetSpec]:
     bld = Builder(5)
-    g0 = bld.gate(TT_NAND, X(0), X(2))
-    g1 = bld.gate(TT_NAND, X(2), X(3))
-    g2 = bld.gate(TT_NAND, X(1), g1)
-    g3 = bld.gate(TT_NAND, g1, X(4))
+    g0 = bld.gate(TT_NAND, 0, 2)
+    g1 = bld.gate(TT_NAND, 2, 3)
+    g2 = bld.gate(TT_NAND, 1, g1)
+    g3 = bld.gate(TT_NAND, g1, 4)
     o0 = bld.gate(TT_NAND, g0, g2)
     o1 = bld.gate(TT_NAND, g2, g3)
     circuit = bld.circuit([o0, o1])
@@ -115,14 +110,14 @@ def c17() -> tuple[Circuit, TargetSpec]:
 def cm82a() -> tuple[Circuit, TargetSpec]:
     # Inputs cin a1 b1 a2 b2; outputs s1 s2 cout.
     bld = Builder(5)
-    x1 = bld.gate(TT_XOR, X(1), X(2))
-    s1 = bld.gate(TT_XOR, x1, X(0))
-    n1 = bld.gate(TT_AND, X(1), X(2))
-    t1 = bld.gate(TT_AND, x1, X(0))
+    x1 = bld.gate(TT_XOR, 1, 2)
+    s1 = bld.gate(TT_XOR, x1, 0)
+    n1 = bld.gate(TT_AND, 1, 2)
+    t1 = bld.gate(TT_AND, x1, 0)
     c1 = bld.gate(TT_OR, n1, t1)
-    x2 = bld.gate(TT_XOR, X(3), X(4))
+    x2 = bld.gate(TT_XOR, 3, 4)
     s2 = bld.gate(TT_XOR, x2, c1)
-    n2 = bld.gate(TT_AND, X(3), X(4))
+    n2 = bld.gate(TT_AND, 3, 4)
     t2 = bld.gate(TT_AND, x2, c1)
     c2 = bld.gate(TT_OR, n2, t2)
     circuit = bld.circuit([s1, s2, c2])
@@ -139,7 +134,7 @@ def cm82a() -> tuple[Circuit, TargetSpec]:
     return circuit, TargetSpec(5, 3, tuple(cols))
 
 
-def _pair_decoders(bld: Builder, lo: SignalRef, hi: SignalRef) -> list[SignalRef]:
+def _pair_decoders(bld: Builder, lo: int, hi: int) -> list[int]:
     # Minterms of a 2-bit value (lo, hi): 00, 01, 10, 11.
     return [
         bld.gate(TT_NOR, lo, hi),
@@ -153,11 +148,11 @@ def cm42a() -> tuple[Circuit, TargetSpec]:
     # BCD-to-decimal decoder, outputs active low; inputs a b c d (a = LSB).
     # Digits stop at 9, so the (c, d) = (1, 1) minterm is never needed.
     bld = Builder(4)
-    ab = _pair_decoders(bld, X(0), X(1))
+    ab = _pair_decoders(bld, 0, 1)
     cd = [
-        bld.gate(TT_NOR, X(2), X(3)),
-        bld.gate(TT_GT, X(2), X(3)),
-        bld.gate(TT_LT, X(2), X(3)),
+        bld.gate(TT_NOR, 2, 3),
+        bld.gate(TT_GT, 2, 3),
+        bld.gate(TT_LT, 2, 3),
     ]
     outs = [bld.gate(TT_NAND, ab[n & 3], cd[n >> 2]) for n in range(10)]
     circuit = bld.circuit(outs)
@@ -174,11 +169,11 @@ def cm138a() -> tuple[Circuit, TargetSpec]:
     # 3-to-8 decoder with enables g1 (active high), g2a/g2b (active low);
     # inputs a b c g1 g2a g2b, outputs active low.
     bld = Builder(6)
-    e1 = bld.gate(TT_NOR, X(4), X(5))
-    en = bld.gate(TT_AND, X(3), e1)
-    ab = _pair_decoders(bld, X(0), X(1))
-    mc0 = bld.gate(TT_GT, en, X(2))
-    mc1 = bld.gate(TT_AND, en, X(2))
+    e1 = bld.gate(TT_NOR, 4, 5)
+    en = bld.gate(TT_AND, 3, e1)
+    ab = _pair_decoders(bld, 0, 1)
+    mc0 = bld.gate(TT_GT, en, 2)
+    mc1 = bld.gate(TT_AND, en, 2)
     mc = [mc0, mc1]
     outs = [bld.gate(TT_NAND, ab[n & 3], mc[n >> 2]) for n in range(8)]
     circuit = bld.circuit(outs)
@@ -196,9 +191,9 @@ def cm138a() -> tuple[Circuit, TargetSpec]:
 def decod() -> tuple[Circuit, TargetSpec]:
     # 4-to-16 one-hot decoder gated by an enable input (active high outputs).
     bld = Builder(5)
-    ab = _pair_decoders(bld, X(0), X(1))
-    cd = _pair_decoders(bld, X(2), X(3))
-    abe = [bld.gate(TT_AND, t, X(4)) for t in ab]
+    ab = _pair_decoders(bld, 0, 1)
+    cd = _pair_decoders(bld, 2, 3)
+    abe = [bld.gate(TT_AND, t, 4) for t in ab]
     outs = [bld.gate(TT_AND, abe[n & 3], cd[n >> 2]) for n in range(16)]
     circuit = bld.circuit(outs)
 
@@ -223,8 +218,8 @@ def rd53() -> tuple[Circuit, TargetSpec]:
         cy = bld.gate(TT_OR, n, t)
         return s, cy
 
-    s1, c1 = full_adder(X(0), X(1), X(2))
-    s2, c2 = full_adder(s1, X(3), X(4))
+    s1, c1 = full_adder(0, 1, 2)
+    s2, c2 = full_adder(s1, 3, 4)
     y1 = bld.gate(TT_XOR, c1, c2)
     y2 = bld.gate(TT_AND, c1, c2)
     circuit = bld.circuit([s2, y1, y2])

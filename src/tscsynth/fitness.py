@@ -6,7 +6,9 @@ stores (truth table, source a, source b, in one index space that holds the
 r primary inputs first and then the gates in order; see netlist) and never
 its Gate view; every gate of a circuit is live.  The fault-free values, f_f,
 the live gate count and the checking counts (u_f, u_i) all come from that
-one form and one fault-free simulation.
+one form and one fault-free simulation, sim.values.  That wave and the gate
+table kernel (sim.GATE_EVAL) are shared with the verify oracle; the fault
+model below, its one inverted-output slot per gate and its readouts, is not.
 
 Gate faults are simulated in parallel (Waicukauski et al., "Fault
 simulation for structured VLSI", 1985).  A packed int holds one slot per
@@ -63,8 +65,9 @@ from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import sim
 from .netlist import Circuit
-from .sim import ResponseMatrix, full_mask, input_patterns
+from .sim import GATE_EVAL, ResponseMatrix, full_mask
 
 K_ST = 25
 K_FS = 200
@@ -87,28 +90,6 @@ PACKED_READOUT_SLOTS = 12
 
 # array typecode of each slot width that has one: 1, 2, 4 and 8 bytes.
 _ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
-
-# Gate evaluators indexed by truth-table value (bit 2*a + b holds the output
-# for inputs (a, b)), over packed vectors whose all-ones value is f.
-_GATE_EVAL = (
-    lambda a, b, f: 0,                    # ZERO
-    lambda a, b, f: (a | b) ^ f,          # NOR
-    lambda a, b, f: (a ^ f) & b,          # LT: a < b
-    lambda a, b, f: a ^ f,                # NOTA
-    lambda a, b, f: a & (b ^ f),          # GT: a > b
-    lambda a, b, f: b ^ f,                # NOTB
-    lambda a, b, f: a ^ b,                # XOR
-    lambda a, b, f: (a & b) ^ f,          # NAND
-    lambda a, b, f: a & b,                # AND
-    lambda a, b, f: a ^ b ^ f,            # XNOR
-    lambda a, b, f: b,                    # B
-    lambda a, b, f: (a & (b ^ f)) ^ f,    # LE: a <= b
-    lambda a, b, f: a,                    # A
-    lambda a, b, f: ((a ^ f) & b) ^ f,    # GE: a >= b
-    lambda a, b, f: a | b,                # OR
-    lambda a, b, f: f,                    # ONE
-)
-
 
 @dataclass(frozen=True)
 class FitnessVector:
@@ -176,15 +157,6 @@ def f_function(
     for got, want in zip(resp.outputs, target):
         total += _abs_corr(got & mask, want & mask, n)
     return total / len(target)
-
-
-def _simulate(circuit: Circuit) -> list[int]:
-    """Fault-free value of every index over all 2**r words."""
-    full = full_mask(circuit.r)
-    values = list(input_patterns(circuit.r))
-    for t, a, b in zip(circuit.tt, circuit.src_a, circuit.src_b):
-        values.append(_GATE_EVAL[t](values[a], values[b], full))
-    return values
 
 
 def _response(circuit: Circuit, values: list[int]) -> ResponseMatrix:
@@ -265,10 +237,10 @@ def _fault_counts(circuit: Circuit, values: list[int], applied: int) -> tuple[in
         v = [x * repeat for x in values[: r + k0]]
         flip = full
         for k in range(k0, k1):
-            v.append(_GATE_EVAL[tt[k]](v[src_a[k]], v[src_b[k]], wide) ^ flip)
+            v.append(GATE_EVAL[tt[k]](v[src_a[k]], v[src_b[k]], wide) ^ flip)
             flip <<= slot
         for k in range(k1, n):
-            v.append(_GATE_EVAL[tt[k]](v[src_a[k]], v[src_b[k]], wide))
+            v.append(GATE_EVAL[tt[k]](v[src_a[k]], v[src_b[k]], wide))
 
         applied_all = applied * repeat
         err = (v[z0] ^ v[z1] ^ wide) & applied_all
@@ -328,9 +300,8 @@ def _fault_counts(circuit: Circuit, values: list[int], applied: int) -> tuple[in
 
 
 def fault_free_response(circuit: Circuit) -> ResponseMatrix:
-    """Fault-free response of a circuit with error rails, computed by the
-    fitness-side evaluator."""
-    return _response(circuit, _simulate(circuit))
+    """Fault-free response of a circuit with error rails."""
+    return _response(circuit, sim.values(circuit))
 
 
 def evaluate_checking(
@@ -359,7 +330,7 @@ def _checking(
     if (rails[0] ^ rails[1] ^ full) & applied:
         return (None, None, 0.0, 0.0)
     if values is None:
-        values = _simulate(circuit)
+        values = sim.values(circuit)
     u_f, u_i = _fault_counts(circuit, values, applied)
     return (u_f, u_i, st_score(u_f), fs_score(u_i))
 
@@ -374,7 +345,7 @@ def evaluate_circuit(
 
     The circuit must carry error rails; one without them raises ValueError.
     """
-    values = _simulate(circuit)
+    values = sim.values(circuit)
     resp = _response(circuit, values)
     ff = f_function(resp, target, word_mask)
     live_count = len(circuit.tt)

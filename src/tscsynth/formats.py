@@ -62,16 +62,24 @@ def _logical_lines(text: str) -> list[str]:
     return lines
 
 
+# PLA .type values under which a cube's '1' outputs are on-set words.
+_ON_SET_TYPES = ("f", "fd", "fr", "fdr")
+
+
 def parse_pla(text: str) -> TargetSpec:
     """Espresso-style PLA subset: .i/.o, optional .ilb/.ob/.p/.type, cubes, .e.
 
     Output columns OR together the input predicates of every cube asserting
     them with '1'; '0' and '~' leave a cube's contribution out, and words not
-    covered by any cube are 0.  Output don't-cares are rejected.
+    covered by any cube are 0.  Output don't-cares are rejected.  So only the
+    .type values whose '1' outputs are the on-set are read (f, fd, fr, fdr);
+    under r, d and dr they are not, and those are rejected.  Under fr and fdr
+    a word in neither the on-set nor the off-set reads 0, which is one of the
+    functions the file allows.
     """
     counts: dict[str, int] = {}
     cubes: list[tuple[str, str]] = []
-    ignorable = {"p", "ilb", "ob", "type", "e", "end"}
+    ignorable = {"p", "ilb", "ob", "e", "end"}
     for line in _logical_lines(text):
         if line.startswith("."):
             parts = line[1:].split()
@@ -82,6 +90,10 @@ def parse_pla(text: str) -> TargetSpec:
                 if key in counts:
                     raise ParseError(f"PLA .{key} is given twice")
                 counts[key] = int(parts[1])
+            elif key == "type":
+                if len(parts) != 2 or parts[1] not in _ON_SET_TYPES:
+                    raise ParseError(
+                        f"PLA .type must be one of {', '.join(_ON_SET_TYPES)}: {line!r}")
             elif key in ignorable:
                 if key in ("e", "end"):
                     break

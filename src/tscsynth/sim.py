@@ -5,6 +5,10 @@ input word w, for all 2**r words in ascending numeric order with x_0 as the
 least significant input bit.  The fault-free wave (values, simulate)
 refreshes every gate once, in index order, which suffices for feed-forward
 circuits; the simulator reads a Circuit's stored arrays, not its Gate view.
+GATE_EVAL, the table kernel, and values, the fault-free wave, are all of the
+simulation that the verify oracle and fitness share.  Each injects faults and
+reads them out its own way: the oracle through fault_pass below, fitness
+through one inverted-output slot per gate (fitness._fault_counts).
 
 The faulty circuits come from fault_pass, parallel fault simulation
 (Abramovici, Breuer & Friedman, "Digital Systems Testing and Testable
@@ -66,20 +70,27 @@ class ResponseMatrix:
     rails: tuple[int, int] | None
 
 
-def _tt_vector(tt_value: int, a: int, b: int, full: int) -> int:
-    # The 4-entry table applied to packed vectors in Shannon form on a:
-    # a & hi | ~a & lo, where lo (entries 0-1, a = 0) and hi (entries 2-3,
-    # a = 1) are each 0, NOT b, b or all-ones as functions of b.  A
-    # complement is computed only where a chosen half or the form needs it.
-    lo, hi = tt_value & 3, tt_value >> 2
-    half = (0, b ^ full if lo == 1 or hi == 1 else 0, b, full)
-    if lo == hi:
-        return half[lo]
-    if not lo:
-        return a & half[hi]
-    if not hi:
-        return (a ^ full) & half[lo]
-    return a & half[hi] | (a ^ full) & half[lo]
+# Gate evaluators indexed by truth-table value (bit 2a + b holds the output
+# for inputs (a, b), as in netlist), over packed vectors whose all-ones value
+# is f.
+GATE_EVAL = (
+    lambda a, b, f: 0,                    # ZERO
+    lambda a, b, f: (a | b) ^ f,          # NOR
+    lambda a, b, f: (a ^ f) & b,          # LT: a < b
+    lambda a, b, f: a ^ f,                # NOTA
+    lambda a, b, f: a & (b ^ f),          # GT: a > b
+    lambda a, b, f: b ^ f,                # NOTB
+    lambda a, b, f: a ^ b,                # XOR
+    lambda a, b, f: (a & b) ^ f,          # NAND
+    lambda a, b, f: a & b,                # AND
+    lambda a, b, f: a ^ b ^ f,            # XNOR
+    lambda a, b, f: b,                    # B
+    lambda a, b, f: (a & (b ^ f)) ^ f,    # LE: a <= b
+    lambda a, b, f: a,                    # A
+    lambda a, b, f: ((a ^ f) & b) ^ f,    # GE: a >= b
+    lambda a, b, f: a | b,                # OR
+    lambda a, b, f: f,                    # ONE
+)
 
 
 def values(circuit: Circuit) -> list[int]:
@@ -87,7 +98,7 @@ def values(circuit: Circuit) -> list[int]:
     full = full_mask(circuit.r)
     v = list(input_patterns(circuit.r))
     for t, a, b in zip(circuit.tt, circuit.src_a, circuit.src_b):
-        v.append(_tt_vector(t, v[a], v[b], full))
+        v.append(GATE_EVAL[t](v[a], v[b], full))
     return v
 
 
@@ -152,8 +163,8 @@ def fault_pass(circuit: Circuit, free: list[int], first: int,
         a, b = src_a[k], src_b[k]
         va, vb = v[a], v[b]
         if va is not None or vb is not None:
-            out = _tt_vector(tt[k], free[a] * rep if va is None else va,
-                             free[b] * rep if vb is None else vb, wide)
+            out = GATE_EVAL[tt[k]](free[a] * rep if va is None else va,
+                                   free[b] * rep if vb is None else vb, wide)
         elif k < last:
             out = free[r + k] * rep
         else:
@@ -163,13 +174,13 @@ def fault_pass(circuit: Circuit, free: list[int], first: int,
             # 1, then the table over input a stuck-at 0 and 1, then over
             # input b.  The gate reads only lower indices, so in these slots
             # its sources hold their fault-free values.
-            t = tt[k]
+            gate = GATE_EVAL[tt[k]]
             fa, fb = free[a], free[b]
             own = (full << width
-                   | _tt_vector(t, 0, fb, full) << 2 * width
-                   | _tt_vector(t, full, fb, full) << 3 * width
-                   | _tt_vector(t, fa, 0, full) << 4 * width
-                   | _tt_vector(t, fa, full, full) << 5 * width)
+                   | gate(0, fb, full) << 2 * width
+                   | gate(full, fb, full) << 3 * width
+                   | gate(fa, 0, full) << 4 * width
+                   | gate(fa, full, full) << 5 * width)
             shift = (k - first) * block_width
             out = out & ~(block << shift) | own << shift
         v[r + k] = out

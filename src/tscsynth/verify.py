@@ -1,12 +1,14 @@
 """Independent brute-force self-checking verification.
 
 Every fault in the full set (output and both input lines, both polarities,
-per gate) is simulated directly, with no manifestation shortcut and no code
-shared with the fitness-side fault evaluation.  Each call simulates the
-fault-free circuit once, then every fault of the full set once, injected
-explicitly into its own slot of a packed pass (sim.fault_pass).  A pass
-holds the faults of a run of consecutive gates, at most FAULT_PASS_BITS bits
-(and at least one gate); nothing is kept across calls.  Self-testing,
+per gate) is simulated directly, with no manifestation shortcut.  The oracle
+shares the gate table kernel (sim.GATE_EVAL) and the fault-free wave
+(sim.values) with fitness, and nothing of the fault model: its injection and
+readout are its own, not fitness's inverted-output slots.  Each call
+simulates the fault-free circuit once, then every fault of the full set once,
+injected explicitly into its own slot of a packed pass (sim.fault_pass).  A
+pass holds the faults of a run of consecutive gates, at most FAULT_PASS_BITS
+bits (and at least one gate); nothing is kept across calls.  Self-testing,
 fault-secureness, the fault-free false alarm and, given a target, whether
 the function outputs compute it, are read from those passes word-parallel:
 one carry per slot finds the slots with no signalled word (the "find a zero
@@ -72,21 +74,22 @@ class TscReport:
         return ", ".join(parts)
 
 
-def _report(
+def verify_tsc(
     circuit: Circuit,
-    word_mask: int | None,
+    word_mask: int | None = None,
     target: Sequence[int] | None = None,
 ) -> TscReport:
-    """Simulate the fault-free circuit once and each fault of the full set
-    once, in its slot of a packed pass.
+    """TSC iff self-testing, fault-secure over the full set, and no fault-free
+    rail collision.  With target (one packed column per function output) the
+    report also says whether the circuit computes it on the applied words.
 
-    A fault is detected iff some applied word yields z_0 == z_1.  Per pass,
-    one addition marks every slot with such a word (a carry into the slot's
-    top bit); the unmarked slots, ascending, are the undetected faults.  An
-    incorrect output on an applied word without that collision is a
-    violation; with a fault-free false alarm no violations are listed.  With
-    a target, the fault-free outputs are also compared with its columns on
-    the applied words.
+    The fault-free circuit is simulated once and each fault of the full set
+    once, in its slot of a packed pass.  A fault is detected iff some applied
+    word yields z_0 == z_1.  Per pass, one addition marks every slot with
+    such a word (a carry into the slot's top bit); the unmarked slots,
+    ascending, are the undetected faults.  An incorrect output on an applied
+    word without that collision is a violation; with a fault-free false alarm
+    no violations are listed.
     """
     if circuit.rails is None:
         raise ValueError("circuit has no error rails")
@@ -172,7 +175,7 @@ def verify_fs(
     applied word is reported not fault-secure with the false_alarm flag set
     and no violations listed.
     """
-    report = _report(circuit, word_mask)
+    report = verify_tsc(circuit, word_mask)
     sites = fault_sites(scope)
     undetected = [f for f in report.undetected if f.site in sites]
     violations = [(f, w) for f, w in report.violations if f.site in sites]
@@ -181,13 +184,3 @@ def verify_fs(
     return TscReport(is_st and is_fs, is_st, is_fs, report.false_alarm, undetected,
                      violations)
 
-
-def verify_tsc(
-    circuit: Circuit,
-    word_mask: int | None = None,
-    target: Sequence[int] | None = None,
-) -> TscReport:
-    """TSC iff self-testing, fault-secure over the full set, and no fault-free
-    rail collision.  With target (one packed column per function output) the
-    report also says whether the circuit computes it on the applied words."""
-    return _report(circuit, word_mask, target)

@@ -67,8 +67,9 @@ def full_wave(circuit: Circuit, fault: Fault | None = None) -> list[int]:
     The reference for the oracle's packed fault pass: one fault per wave, no
     index is taken from the fault-free circuit, and the 4-entry table is
     applied minterm by minterm.  It is the only minterm-by-minterm table
-    application: the oracle's kernel (sim._tt_vector) uses the Shannon form,
-    so the reference does not share the kernel's form.
+    application: the package's one kernel (sim.GATE_EVAL), which the oracle
+    and fitness share, writes each table as its own bitwise expression, so
+    the reference does not share the kernel's form.
     """
     r = circuit.r
     full = (1 << (1 << r)) - 1

@@ -48,6 +48,16 @@ class TestUsage:
         assert code == 2
         assert "needs one count" in capsys.readouterr().err
 
+    def test_pla_type_without_on_set_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pla"
+        bad.write_text(".i 2\n.o 1\n.type r\n11 1\n.e\n")
+        code = run_cli(
+            "evolve", "--target", str(bad), "--seed", bench("c17.blif"),
+            "--budget-evals", "0",
+        )
+        assert code == 2
+        assert "PLA .type must be one of" in capsys.readouterr().err
+
     def test_circuit_with_too_many_inputs_exits_2(self, tmp_path, capsys):
         # Verifying it would allocate 2**40-bit vectors.
         path = tmp_path / "wide.json"

@@ -83,6 +83,21 @@ class TestPla:
         with pytest.raises(ParseError):
             parse_pla(".i 2\n.o 1\n11 -\n.e\n")
 
+    @pytest.mark.parametrize("line", [
+        ".type r", ".type d", ".type dr", ".type", ".type f r", ".type fx",
+    ])
+    def test_type_without_on_set_cubes_rejected(self, line):
+        # Under r, d and dr a cube's 1 outputs are not the on-set: .type r
+        # with the cube "11 1" specifies the complement of column 0b1000.
+        with pytest.raises(ParseError, match="PLA .type must be one of f, fd, fr, fdr"):
+            parse_pla(f".i 2\n.o 1\n{line}\n11 1\n.e\n")
+
+    @pytest.mark.parametrize("kind", ["f", "fd", "fr", "fdr"])
+    def test_on_set_types_read_as_no_type(self, kind):
+        text = ".i 2\n.o 2\n00 10\n11 01\n1- 0~\n.e\n"
+        typed = text.replace(".o 2\n", f".o 2\n.type {kind}\n")
+        assert parse_pla(typed).columns == parse_pla(text).columns == (0b0001, 0b1000)
+
     @pytest.mark.parametrize("r", [MAX_INPUTS + 1, 40])
     def test_more_than_max_inputs_rejected(self, r):
         # Rejected before any 2**r-word column is built.

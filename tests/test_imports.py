@@ -68,7 +68,10 @@ def test_finds_imported_modules():
 @pytest.mark.parametrize("name", ["verify.py", "sim.py"])
 def test_oracle_independent_of_fitness(name):
     # The oracle is the deliberately separate duplicate the fitness path is
-    # checked against; sharing its code would check the fitness with itself.
+    # checked against: it shares with fitness only what sim holds, the gate
+    # table kernel and the fault-free wave, and never fitness's fault model
+    # (its inverted-output slots and readouts); sharing that would check the
+    # fitness with itself.
     source = (Path(tscsynth.__file__).resolve().parent / name).read_text(encoding="utf-8")
     assert not any(m == "tscsynth.fitness" or m.startswith("tscsynth.fitness.")
                    for m in imported_modules(source))

@@ -135,8 +135,9 @@ def test_input_fault_flips_or_leaves_gate_output(rng):
 @pytest.mark.parametrize("width", [1, 2, 4, 32, 6 << 12])
 def test_tt_vector_matches_scalar_table(width):
     # Every table against (t >> (2*a + b)) & 1 at every bit, on operands 0,
-    # all-ones and random: the packed kernel itself, not only through the
-    # reports built on it.
+    # all-ones and random: the packed kernel that the fault-free wave, the
+    # oracle's fault passes and the fitness checking pass all apply, not only
+    # through the reports built on it.
     full = (1 << width) - 1
     rng = random.Random(width)
     operands = (0, full, rng.getrandbits(width), rng.getrandbits(width))
@@ -147,4 +148,4 @@ def test_tt_vector_matches_scalar_table(width):
                                zip(format(a, f"0{width}b"), format(b, f"0{width}b")))
             for t in range(16):
                 bit = {ord(str(k)): str(t >> k & 1) for k in range(4)}
-                assert sim._tt_vector(t, a, b, full) == int(minterms.translate(bit), 2)
+                assert sim.GATE_EVAL[t](a, b, full) == int(minterms.translate(bit), 2)

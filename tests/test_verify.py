@@ -221,11 +221,12 @@ class TestOnePass:
         counted = []
         values, fault_pass = verify.values, verify.fault_pass
         widths = []
-        tt_vector = sim._tt_vector
 
-        def counting_tt_vector(t, a, b, full):
-            widths.append(full.bit_length())
-            return tt_vector(t, a, b, full)
+        def counting(gate):
+            def evaluate(a, b, full):
+                widths.append(full.bit_length())
+                return gate(a, b, full)
+            return evaluate
 
         def free_wave(circuit):
             counted.append(None)
@@ -238,7 +239,7 @@ class TestOnePass:
             counted.append((first, last, len(widths) - narrow, narrow))
             return v
 
-        monkeypatch.setattr(sim, "_tt_vector", counting_tt_vector)
+        monkeypatch.setattr(sim, "GATE_EVAL", tuple(map(counting, sim.GATE_EVAL)))
         monkeypatch.setattr(verify, "values", free_wave)
         monkeypatch.setattr(verify, "fault_pass", packed_pass)
         return counted
