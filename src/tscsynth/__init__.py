@@ -9,7 +9,7 @@ from .netlist import (
     build_duplication_baseline,
     duplication_overhead,
 )
-from .sim import FaultScope, ResponseMatrix, enumerate_faults, simulate
+from .sim import FaultScope, ResponseMatrix, simulate
 from .fitness import FitnessVector, evaluate_checking, evaluate_circuit, f_function
 from .genome import (
     GenomeLayout,

@@ -11,20 +11,18 @@ table kernel (sim.GATE_EVAL) are shared with the verify oracle; the fault
 model below, its one inverted-output slot per gate and its readouts, is not.
 
 Gate faults are simulated in parallel (Waicukauski et al., "Fault
-simulation for structured VLSI", 1985).  A packed int holds one slot per
-gate, of max(8, 2**r) bits, so that every slot is whole bytes, and bit w of
-slot k is a signal's value at input word w with gate k's output inverted at
-every word; bits at or above 2**r (only where r < 3) are padding that the
-applied words never cover.  Each input is copied across all slots by one
-multiply with the slot-repeat constant, every gate is evaluated once over
-the whole int, and a gate's own slot is inverted as soon as it is
-evaluated, so the flip reaches its fan-out.  The rails then give every
-slot's error mask (applied words where z_0 == z_1), and u_i is one popcount
-of the applied words with a wrong function output and no error signal.  One
-packed int is at most PASS_BITS wide; a circuit with more gates takes
-several passes, each over the slots of a run of consecutive gates.  A pass
-copies the fault-free values of the gates before its run the same way as
-the inputs, since no flip of its run reaches them.
+simulation for structured VLSI", 1985).  A packed int holds one 2**r-bit
+slot per gate, and bit w of slot k is a signal's value at input word w with
+gate k's output inverted at every word.  Each input is copied across all
+slots by one multiply with the slot-repeat constant, every gate is
+evaluated once over the whole int, and a gate's own slot is inverted as
+soon as it is evaluated, so the flip reaches its fan-out.  The rails then
+give every slot's error mask (applied words where z_0 == z_1), and u_i is
+one popcount of the applied words with a wrong function output and no error
+signal.  One packed int is at most PASS_BITS wide; a circuit with more
+gates takes several passes, each over the slots of a run of consecutive
+gates.  A pass copies the fault-free values of the gates before its run the
+same way as the inputs, since no flip of its run reaches them.
 
 One slot serves both stuck-at faults of the output, because the checking
 counts are taken only when the fault-free rails do not collide on any
@@ -54,7 +52,8 @@ same slots (_pack), one int for all four, builds every slot's follow masks
 at once and counts the slots where each of the six faults is detected with
 one carry test each.  Its set-up costs about as much as reading a dozen
 slots one by one, so a pass is read packed only from PACKED_READOUT_SLOTS
-busy slots up.
+busy slots up, and only where a slot is one array item (8 to 64 bits, so
+3 <= r <= 6).
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ K_ST = 25
 K_FS = 200
 
 # Width cap, in bits, of one packed int of the fault pass: a pass holds
-# PASS_BITS // max(8, 2**r) gates (at least one), one slot each.  The
+# PASS_BITS >> r gates (at least one), one 2**r-bit slot each.  The
 # one-slot pass is exact only where the fault-free rails do not collide on
 # an applied word.
 PASS_BITS = 1 << 16
@@ -195,12 +194,9 @@ def _follows(t: int, a: int, b: int, full: int) -> tuple[int, int]:
     )
 
 
-def _pack(items: list[int], size: int) -> int:
-    """One int holding items[i] in its bytes size*i to size*(i+1) - 1; every
-    item is below 2**(8*size)."""
-    code = _ARRAY_CODES.get(size)
-    if code is None:
-        return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in items), "little")
+def _pack(items: list[int], code: str) -> int:
+    """One int holding items[i] in its i-th array item of typecode code, least
+    significant first; every item fits one."""
     packed = array(code, items)
     if sys.byteorder == "big":
         packed.byteswap()
@@ -218,13 +214,13 @@ def _fault_counts(circuit: Circuit, values: list[int], applied: int) -> tuple[in
     """(u_f, u_i) over the gates of a circuit whose fault-free rails do not
     collide on the applied words."""
     r = circuit.r
-    width = 1 << r
-    slot = max(8, width)
-    full = (1 << width) - 1
+    slot = 1 << r
+    full = (1 << slot) - 1
     tt, src_a, src_b = circuit.tt, circuit.src_a, circuit.src_b
     n = len(tt)
     z0, z1 = circuit.rails
-    per_pass = max(1, PASS_BITS // slot)
+    per_pass = max(1, PASS_BITS >> r)
+    code = _ARRAY_CODES.get(slot >> 3)
 
     u_f = 0
     u_i = 0
@@ -232,7 +228,7 @@ def _fault_counts(circuit: Circuit, values: list[int], applied: int) -> tuple[in
         k1 = min(n, k0 + per_pass)
         span = (k1 - k0) * slot
         wide = (1 << span) - 1
-        repeat = wide // ((1 << slot) - 1)
+        repeat = wide // full
         # No flip of this pass reaches the gates before its run.
         v = [x * repeat for x in values[: r + k0]]
         flip = full
@@ -257,14 +253,14 @@ def _fault_counts(circuit: Circuit, values: list[int], applied: int) -> tuple[in
         # input b flips the output.  Stuck-at-0 of a line acts where the line
         # is 1, stuck-at-1 where it is 0; a fault acting at none of its
         # line's words is undetected, and an idle slot has no such word.
-        if busy >= PACKED_READOUT_SLOTS:
+        if code is not None and busy >= PACKED_READOUT_SLOTS:
             # Fields, low to high: fault-free outputs, a, b, tables (see
             # _follows for the follow masks).  Each of the six tests counts
             # the slots where one fault is detected.
             packed = _pack([*values[r + k0:r + k1],
                             *map(values.__getitem__, src_a[k0:k1]),
                             *map(values.__getitem__, src_b[k0:k1]),
-                            *tt[k0:k1]], slot // 8)
+                            *tt[k0:k1]], code)
             a = packed >> span & wide
             b = packed >> 2 * span & wide
             t = packed >> 3 * span

@@ -74,10 +74,12 @@ def parse_pla(text: str) -> TargetSpec:
     covered by any cube are 0.  Output don't-cares are rejected.  So only the
     .type values whose '1' outputs are the on-set are read (f, fd, fr, fdr);
     under r, d and dr they are not, and those are rejected.  Under fr and fdr
-    a word in neither the on-set nor the off-set reads 0, which is one of the
-    functions the file allows.
+    '0' outputs are the off-set: a word in neither set reads 0, which is one
+    of the functions the file allows, and a word in both is rejected, as
+    espresso rejects it.
     """
     counts: dict[str, int] = {}
+    pla_type = "f"
     cubes: list[tuple[str, str]] = []
     ignorable = {"p", "ilb", "ob", "e", "end"}
     for line in _logical_lines(text):
@@ -94,6 +96,7 @@ def parse_pla(text: str) -> TargetSpec:
                 if len(parts) != 2 or parts[1] not in _ON_SET_TYPES:
                     raise ParseError(
                         f"PLA .type must be one of {', '.join(_ON_SET_TYPES)}: {line!r}")
+                pla_type = parts[1]
             elif key in ignorable:
                 if key in ("e", "end"):
                     break
@@ -115,6 +118,7 @@ def parse_pla(text: str) -> TargetSpec:
     xs = input_patterns(r)
     full = full_mask(r)
     columns = [0] * q
+    off_sets = [0] * q
     for in_part, out_part in cubes:
         if len(in_part) != r or len(out_part) != q:
             raise ParseError(f"cube width does not match .i/.o: {in_part} {out_part}")
@@ -129,10 +133,17 @@ def parse_pla(text: str) -> TargetSpec:
         for j, ch in enumerate(out_part):
             if ch == "1":
                 columns[j] |= mask
+            elif ch == "0":
+                off_sets[j] |= mask
             elif ch == "-":
                 raise ParseError("output don't-cares are unsupported")
-            elif ch not in ("0", "~"):
+            elif ch != "~":
                 raise ParseError(f"bad output character {ch!r} in cube")
+    if pla_type in ("fr", "fdr"):
+        for j, (on, off) in enumerate(zip(columns, off_sets)):
+            if on & off:
+                word = format((on & off).bit_length() - 1, f"0{r}b")[::-1]  # x_0 first
+                raise ParseError(f"PLA output {j} has word {word} in both its on-set and off-set")
     return TargetSpec(r=r, q=q, columns=tuple(columns))
 
 

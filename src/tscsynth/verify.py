@@ -1,21 +1,14 @@
 """Independent brute-force self-checking verification.
 
 Every fault in the full set (output and both input lines, both polarities,
-per gate) is simulated directly, with no manifestation shortcut.  The oracle
-shares the gate table kernel (sim.GATE_EVAL) and the fault-free wave
-(sim.values) with fitness, and nothing of the fault model: its injection and
-readout are its own, not fitness's inverted-output slots.  Each call
-simulates the fault-free circuit once, then every fault of the full set once,
-injected explicitly into its own slot of a packed pass (sim.fault_pass).  A
-pass holds the faults of a run of consecutive gates, at most FAULT_PASS_BITS
-bits (and at least one gate); nothing is kept across calls.  Self-testing,
-fault-secureness, the fault-free false alarm and, given a target, whether
-the function outputs compute it, are read from those passes word-parallel:
-one carry per slot finds the slots with no signalled word (the "find a zero
-field" test of Warren, "Hacker's Delight", 2nd ed., 2012, ch. 6), and each
-violation is a set bit of the pass's unsignalled incorrect words.  This is
-the oracle the fast fitness path is checked against, and the proof engine
-for candidate circuits.
+per gate) is simulated directly, with no manifestation shortcut: each call
+runs the fault-free wave once, then every fault once, in its own slot of a
+packed pass (fault_pass); nothing is kept across calls.  The oracle shares
+the gate table kernel (sim.GATE_EVAL) and the fault-free wave (sim.values)
+with fitness, and nothing of the fault model: its injection (fault_pass)
+and readout (verify_tsc) are its own, not fitness's inverted-output slots.
+This is the oracle the fast fitness path is checked against, and the proof
+engine for candidate circuits.
 
 There is one report type, TscReport, and two entry points: verify_tsc over
 the full fault set, optionally checking the function against a target, and
@@ -30,8 +23,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .netlist import Circuit, Fault
-from .sim import FaultScope, fault_pass, fault_sites, full_mask, repeat, values
+from . import sim
+from .netlist import Circuit, Fault, FaultSite
+from .sim import FaultScope, full_mask, values
 
 # Most bits one packed fault pass holds: a pass takes the faults of as many
 # consecutive gates as fit, one 2**r-bit slot each, and at least one gate.
@@ -44,6 +38,18 @@ from .sim import FaultScope, fault_pass, fault_sites, full_mask, repeat, values
 # 11 and 12.
 FAULT_PASS_BITS = 1 << 12
 _ONE = re.compile("1")
+
+# The (site, stuck) of a gate's six faults, in the order of their slots in a
+# pass.
+_SLOT_FAULTS = ((FaultSite.OUTPUT, 0), (FaultSite.OUTPUT, 1), (FaultSite.INPUT_A, 0),
+                (FaultSite.INPUT_A, 1), (FaultSite.INPUT_B, 0), (FaultSite.INPUT_B, 1))
+
+
+def _fault(i: int) -> Fault:
+    """The circuit's fault i in slot order: gate i // 6, _SLOT_FAULTS[i % 6]."""
+    gate, j = divmod(i, 6)
+    site, stuck = _SLOT_FAULTS[j]
+    return Fault(site, gate, stuck)
 
 
 @dataclass
@@ -74,6 +80,64 @@ class TscReport:
         return ", ".join(parts)
 
 
+def fault_pass(circuit: Circuit, free: list[int], first: int,
+               last: int) -> tuple[list[int | None], int]:
+    """Every index under each fault of gates first..last-1, packed, and the
+    pass's slot-repeat constant rep.
+
+    Parallel fault simulation (Abramovici, Breuer & Friedman, "Digital
+    Systems Testing and Testable Design", 1990, ch. 5): slot i (2**r bits,
+    from the least significant end) is the whole circuit under the i-th of
+    those faults, six slots per gate in _SLOT_FAULTS order.  free is the
+    fault-free value of every index (sim.values); rep holds bit 0 of every
+    slot, so free[i] * rep is index i fault-free in every slot.
+
+    Each gate is applied once over the whole int, and right after it the
+    gate's own slots are overwritten with its faults explicitly: the stuck
+    constant for an output fault, the table over the stuck constant and the
+    other source's fault-free value for an input fault.  That is exact: a
+    gate reads only lower indices, so in its own slots its sources are
+    fault-free; every later gate is applied after its sources; and a table
+    acts bit by bit, so no slot reads another.  A gate that reads no index
+    the pass changed (every gate before the run, and every gate outside the
+    run's fan-out) is fault-free in every slot: it is not applied, and its
+    entry is None.
+    """
+    gate_eval = sim.GATE_EVAL
+    r = circuit.r
+    full = full_mask(r)
+    width = 1 << r
+    tt, src_a, src_b = circuit.tt, circuit.src_a, circuit.src_b
+    block_width = 6 * width
+    block = (1 << block_width) - 1
+    wide = (1 << (last - first) * block_width) - 1
+    rep = wide // full
+    v: list[int | None] = [None] * (r + len(tt))
+    for k in range(first, len(tt)):
+        a, b = src_a[k], src_b[k]
+        va, vb = v[a], v[b]
+        if va is not None or vb is not None:
+            out = gate_eval[tt[k]](free[a] * rep if va is None else va,
+                                   free[b] * rep if vb is None else vb, wide)
+        elif k < last:
+            out = free[r + k] * rep
+        else:
+            continue
+        if k < last:
+            # The gate's own slots, in _SLOT_FAULTS order.
+            gate = gate_eval[tt[k]]
+            fa, fb = free[a], free[b]
+            own = (full << width
+                   | gate(0, fb, full) << 2 * width
+                   | gate(full, fb, full) << 3 * width
+                   | gate(fa, 0, full) << 4 * width
+                   | gate(fa, full, full) << 5 * width)
+            shift = (k - first) * block_width
+            out = out & ~(block << shift) | own << shift
+        v[r + k] = out
+    return v, rep
+
+
 def verify_tsc(
     circuit: Circuit,
     word_mask: int | None = None,
@@ -83,13 +147,14 @@ def verify_tsc(
     rail collision.  With target (one packed column per function output) the
     report also says whether the circuit computes it on the applied words.
 
-    The fault-free circuit is simulated once and each fault of the full set
-    once, in its slot of a packed pass.  A fault is detected iff some applied
-    word yields z_0 == z_1.  Per pass, one addition marks every slot with
-    such a word (a carry into the slot's top bit); the unmarked slots,
-    ascending, are the undetected faults.  An incorrect output on an applied
-    word without that collision is a violation; with a fault-free false alarm
-    no violations are listed.
+    A fault is detected iff some applied word yields z_0 == z_1.  Per pass
+    (fault_pass), one addition marks every slot with such a word (a carry
+    into the slot's top bit: the "find a zero field" test of Warren,
+    "Hacker's Delight", 2nd ed., 2012, ch. 6); the unmarked slots, ascending,
+    are the undetected faults.  An incorrect output on an applied word
+    without that collision is a violation, one per set bit of the pass's
+    unsignalled incorrect words; with a fault-free false alarm no violations
+    are listed.
     """
     if circuit.rails is None:
         raise ValueError("circuit has no error rails")
@@ -108,27 +173,13 @@ def verify_tsc(
             not (free[s] ^ want) & applied for s, want in zip(outputs, target)
         )
     false_alarm = (free[rail0] ^ free[rail1] ^ full) & applied != 0
-    sites = fault_sites(FaultScope.ALL)
     width = 1 << r
-    per_gate = 2 * len(sites)
-    step = max(1, FAULT_PASS_BITS // (per_gate * width))
+    step = max(1, FAULT_PASS_BITS // (6 * width))
     n = len(circuit.tt)
     undetected: list[Fault] = []
     violations: list[tuple[Fault, int]] = []
-    reported: dict[int, Fault] = {}
-
-    def fault(i: int) -> Fault:
-        """Fault i of enumerate_faults, built once and only when reported."""
-        if i not in reported:
-            gate, j = divmod(i, per_gate)
-            reported[i] = Fault(sites[j >> 1], gate, j & 1)
-        return reported[i]
-
     for first in range(0, n, step):
-        last = min(first + step, n)
-        slots = (last - first) * per_gate
-        v = fault_pass(circuit, free, first, last)
-        rep = repeat(r, slots)
+        v, rep = fault_pass(circuit, free, first, min(first + step, n))
         z0, z1 = (free[s] * rep if v[s] is None else v[s] for s in circuit.rails)
         applied_wide = applied * rep
         wide = full * rep
@@ -140,8 +191,11 @@ def verify_tsc(
         top = rep << (width - 1)
         low = wide ^ top
         seen = ((signalled & low) + low | signalled) & top
+        lost: dict[int, Fault] = {}  # undetected, by slot; their violations reuse them
         for m in _ONE.finditer(format(seen ^ top, "b")[::-1]):
-            undetected.append(fault(first * per_gate + (m.start() >> r)))
+            slot = m.start() >> r
+            lost[slot] = _fault(6 * first + slot)
+        undetected += lost.values()
         if false_alarm:
             continue  # no violations are listed
         wrong = 0
@@ -154,7 +208,7 @@ def verify_tsc(
             at = m.start()
             if at >> r != slot:
                 slot = at >> r
-                f = fault(first * per_gate + slot)
+                f = lost.get(slot) or _fault(6 * first + slot)
             violations.append((f, at & width - 1))
     is_st = not undetected
     is_fs = not violations and not false_alarm
@@ -176,7 +230,7 @@ def verify_fs(
     and no violations listed.
     """
     report = verify_tsc(circuit, word_mask)
-    sites = fault_sites(scope)
+    sites = (FaultSite.OUTPUT,) if scope is FaultScope.OUTPUTS_ONLY else tuple(FaultSite)
     undetected = [f for f in report.undetected if f.site in sites]
     violations = [(f, w) for f, w in report.violations if f.site in sites]
     is_st = not undetected

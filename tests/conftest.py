@@ -22,7 +22,7 @@ from tscsynth.netlist import (
     TT_XOR,
     _append_two_rail_checker,
 )
-from tscsynth.sim import FaultScope, enumerate_faults
+from tscsynth.sim import FaultScope
 from tscsynth.verify import TscReport
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -89,6 +89,25 @@ def full_wave(circuit: Circuit, fault: Fault | None = None) -> list[int]:
             out = full if fault.stuck else 0
         v.append(out)
     return v
+
+
+def enumerate_faults(circuit: Circuit, scope: FaultScope) -> list[Fault]:
+    """All stuck-at faults of scope, in the order the oracle reports them.
+
+    Order: ascending gate index, site (output, input a, input b), stuck-0
+    before stuck-1.  OUTPUTS_ONLY yields 2 faults per gate, ALL yields 6.
+    Written out here, apart from the oracle's slot order, so that
+    full_wave_report checks that order against an independent listing.
+    """
+    sites = [FaultSite.OUTPUT]
+    if scope is FaultScope.ALL:
+        sites += [FaultSite.INPUT_A, FaultSite.INPUT_B]
+    return [
+        Fault(site, g, stuck)
+        for g in range(len(circuit.tt))
+        for site in sites
+        for stuck in (0, 1)
+    ]
 
 
 def full_wave_report(

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from array import array
 from collections import Counter
 from dataclasses import astuple
 
@@ -393,14 +394,14 @@ class TestDifferentialOracle:
         # One gate per pass comes from a cap of 1 bit, below one gate's
         # width, so the pass size is clamped; three gates per pass leaves
         # runs that split at odd gates and a short last pass.  A gate's slot
-        # is 2**r bits padded to a byte.
+        # is 2**r bits.
         checked = 0
         for _ in range(60):
             r = rng.randrange(1, 8)
             c = random_circuit(rng, r=r, n_gates=rng.randrange(4, 25),
                                q=rng.randrange(1, 4), rails="complement")
             mask = rng.getrandbits(1 << r)
-            cap = 1 if gates_per_pass == 1 else gates_per_pass * max(8, 1 << r)
+            cap = 1 if gates_per_pass == 1 else gates_per_pass << r
             monkeypatch.setattr(fitness, "PASS_BITS", cap)
             checked += assert_matches_oracle(c, mask) and len(c.gates) > gates_per_pass
         assert checked >= 30
@@ -429,8 +430,8 @@ def test_readout_follows_busy_slots(monkeypatch):
     # search champion (a few gates) slot by slot.
     pack = fitness._pack
     sizes = []
-    monkeypatch.setattr(fitness, "_pack",
-                        lambda items, size: sizes.append(size) or pack(items, size))
+    monkeypatch.setattr(fitness, "_pack", lambda items, code: sizes.append(
+        array(code).itemsize) or pack(items, code))
     decod = benchmark_baselines()["decod"]
     assert assert_matches_oracle(decod)
     assert sizes == [4, 4]  # evaluate_checking and evaluate_circuit

@@ -98,6 +98,19 @@ class TestPla:
         typed = text.replace(".o 2\n", f".o 2\n.type {kind}\n")
         assert parse_pla(typed).columns == parse_pla(text).columns == (0b0001, 0b1000)
 
+    @pytest.mark.parametrize("kind", ["fr", "fdr"])
+    def test_word_in_on_set_and_off_set_rejected(self, kind):
+        # Under fr and fdr a '0' output puts the word in the off-set.  The
+        # error names the output and a word in both sets, x_0 first.
+        for head, cubes, where in ((".i 1\n.o 1", "1 1\n1 0", "output 0 has word 1"),
+                                   (".i 2\n.o 2", "10 01\n1- 00", "output 1 has word 10")):
+            with pytest.raises(ParseError, match=f"PLA {where} in both its on-set and off-set"):
+                parse_pla(f"{head}\n.type {kind}\n{cubes}\n.e\n")
+
+    @pytest.mark.parametrize("kind", ["f", "fd"])
+    def test_zero_output_outside_off_set_types_is_not_on_set(self, kind):
+        assert parse_pla(f".i 1\n.o 1\n.type {kind}\n1 1\n1 0\n.e\n").columns == (0b10,)
+
     @pytest.mark.parametrize("r", [MAX_INPUTS + 1, 40])
     def test_more_than_max_inputs_rejected(self, r):
         # Rejected before any 2**r-word column is built.

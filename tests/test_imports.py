@@ -1,6 +1,6 @@
 """Every module-level import in the package, the tests and the scripts is
-used by the module itself, and the verify oracle imports nothing from the
-fitness path."""
+used by the module itself, and the verify oracle and the fitness path import
+nothing from each other."""
 
 import ast
 from pathlib import Path
@@ -74,4 +74,13 @@ def test_oracle_independent_of_fitness(name):
     # fitness with itself.
     source = (Path(tscsynth.__file__).resolve().parent / name).read_text(encoding="utf-8")
     assert not any(m == "tscsynth.fitness" or m.startswith("tscsynth.fitness.")
+                   for m in imported_modules(source))
+
+
+def test_fitness_independent_of_oracle():
+    # The other direction, for the same reason: the fitness path takes
+    # nothing from the oracle (verify.fault_pass, its slot order, its
+    # readout).
+    source = (Path(tscsynth.__file__).resolve().parent / "fitness.py").read_text(encoding="utf-8")
+    assert not any(m == "tscsynth.verify" or m.startswith("tscsynth.verify.")
                    for m in imported_modules(source))

@@ -13,9 +13,9 @@ from tscsynth.netlist import (
     TT_OR,
     TT_XOR,
 )
-from tscsynth.sim import FaultScope, enumerate_faults, full_mask, input_patterns, simulate
+from tscsynth.sim import FaultScope, full_mask, input_patterns, simulate
 
-from conftest import full_wave, random_circuit, scalar_simulate
+from conftest import enumerate_faults, full_wave, random_circuit, scalar_simulate
 
 X = SignalRef.x
 G = SignalRef.g

@@ -23,12 +23,13 @@ from tscsynth.netlist import (
     build_duplication_baseline,
 )
 from tscsynth.formats import parse_blif, parse_pla
-from tscsynth.sim import FaultScope, enumerate_faults, input_patterns, simulate
+from tscsynth.sim import FaultScope, input_patterns, simulate
 from tscsynth.verify import verify_fs, verify_tsc
 
 from conftest import (
     BENCH_DIR,
     HALF_ADDER_PLA,
+    enumerate_faults,
     full_wave_report,
     random_circuit,
     tsc_half_adder,
