@@ -27,8 +27,10 @@ evaluations that ran ``evaluate_circuit``.
 
 ``run`` steps every island in one process.  ``run_distributed`` runs one
 process per island: each steps its island for ``EPOCH_GENERATIONS``
-generations, then the driver routes the migrants bound for other islands
-and starts the next epoch.  Both are deterministic for a fixed
+generations and reports its counts, champion and outgoing migrants, then
+the driver routes the migrants and starts the next epoch.  Each island
+counts its own evaluations, and a run's counts are their sums
+(``Engine.counts``).  Both drivers are deterministic for a fixed
 configuration.
 """
 
@@ -187,47 +189,22 @@ def _island_rng_seed(master_seed: int, island_index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-class Budget:
-    def __init__(self, max_evals: int | None, max_seconds: float | None):
-        self.max_evals = max_evals
-        self.max_seconds = max_seconds
-        self.evals = 0
-        self.started = time.monotonic()
-
-    @property
-    def elapsed(self) -> float:
-        return time.monotonic() - self.started
-
-    def exhausted(self) -> bool:
-        if self.max_evals is not None and self.evals >= self.max_evals:
-            return True
-        if self.max_seconds is not None and self.elapsed >= self.max_seconds:
-            return True
-        return False
-
-
 class Island:
-    """One population plus its private random stream and immigrant inbox."""
+    """One population plus its private random stream, immigrant inbox and
+    counts: evals, and of those the evaluations that scored and decoded."""
 
-    def __init__(
-        self,
-        index: int,
-        config: IslandConfig,
-        target: TargetSpec,
-        seed_circuit: Circuit,
-        lock: LockMask,
-        budget: Budget,
-    ):
+    def __init__(self, index: int, config: IslandConfig, target: TargetSpec,
+                 seed_circuit: Circuit, lock: LockMask):
         self.index = index
         self.coords = spiral_coords(index)
         self.config = config
         self.target = target
         self.seed_circuit = seed_circuit
         self.lock = lock
-        self.budget = budget
         self.rng = random.Random(_island_rng_seed(config.rng_seed, index))
         self.inbox: deque[Genotype] = deque()
         self.population: list[Individual] = []
+        self.evals = 0
         self.scored = 0
         self.decoded = 0
 
@@ -245,7 +222,7 @@ class Island:
         as a parent (genome.same_reading) takes that parent's netlist with
         its cycle repairs redrawn, which is what decode would return, and
         the parent's fitness when the redraw leaves the netlist as it was."""
-        self.budget.evals += 1
+        self.evals += 1
         for parent in parents:
             if same_reading(parent.reading, parent.genotype, genotype):
                 reading = parent.reading
@@ -283,21 +260,14 @@ class Island:
             pb = select_parent(pop, rng)
             child = crossover_single_point(pa.genotype, pb.genotype, rng)
             offspring.append(self._evaluate(child, pa, pb))
-        for _ in range(BIT_MUTANTS):
-            parent = select_parent(pop, rng)
-            offspring.append(
-                self._evaluate(mutate_bit(parent.genotype, lock, rng), parent)
-            )
-        for _ in range(TRANSLOCATIONS):
-            parent = select_parent(pop, rng)
-            offspring.append(
-                self._evaluate(mutate_translocate(parent.genotype, lock, rng), parent)
-            )
-        for _ in range(ROUTING_MUTANTS):
-            parent = select_parent(pop, rng)
-            offspring.append(
-                self._evaluate(mutate_routing(parent.genotype, lock, rng), parent)
-            )
+        # Looked up at each step, so an operator patched into this module is called.
+        for n, operator in ((BIT_MUTANTS, mutate_bit),
+                            (TRANSLOCATIONS, mutate_translocate),
+                            (ROUTING_MUTANTS, mutate_routing)):
+            for _ in range(n):
+                parent = select_parent(pop, rng)
+                offspring.append(
+                    self._evaluate(operator(parent.genotype, lock, rng), parent))
         offspring.sort(key=_fitness_key, reverse=True)
         self.population = offspring
 
@@ -324,7 +294,9 @@ class Engine:
     goes straight into its inbox; one bound for any other island waits in
     ``outbox``.  ``run`` gives an engine every island, and each
     ``run_distributed`` worker one; with no islands an engine only keeps the
-    record: champion, history, budget and checkpoints.
+    record: champion, history, counts and checkpoints.  Counts live on the
+    islands; ``counts`` adds ``reported``, the totals of islands stepped
+    elsewhere (a ``run_distributed`` driver's workers), and the budget reads it.
     """
 
     def __init__(
@@ -343,7 +315,8 @@ class Engine:
         self.target = target
         self.seed_circuit = seed_circuit
         self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.budget = Budget(config.max_evals, config.max_seconds)
+        self.started = time.monotonic()
+        self.reported = (0, 0, 0)
         self.lock = (
             seed_lock_mask(seed_circuit, config.layout)
             if config.mode == "nonintrusive"
@@ -362,8 +335,7 @@ class Engine:
             range(config.n_islands)
         )
         self.islands = [
-            Island(i, config, target, seed_circuit, self.lock, self.budget)
-            for i in indices
+            Island(i, config, target, seed_circuit, self.lock) for i in indices
         ]
         self.grid = [spiral_coords(i) for i in range(config.n_islands)]
         self.outbox: list[tuple[int, Genotype]] = []
@@ -379,7 +351,7 @@ class Engine:
             self.champion = best
             self.history.append(
                 {
-                    "evals": self.budget.evals,
+                    "evals": self.counts()[0],
                     "generation": self.generation,
                     "island": island,
                     "fitness": list(best.fitness.key()),
@@ -389,8 +361,6 @@ class Engine:
 
     def goal_met(self) -> bool:
         """The champion checks perfectly within ``goal_size`` live gates."""
-        if self.champion is None:
-            return False
         fv = self.champion.fitness
         if not fv.perfect_checking:
             return False
@@ -418,7 +388,7 @@ class Engine:
     def step_generation(self) -> None:
         """One global generation across all islands."""
         for island in self.islands:
-            if self.budget.exhausted():
+            if self.exhausted():
                 return
             island.step()
             self._note_champion(island.population[0], island.index)
@@ -441,8 +411,6 @@ class Engine:
             self._write_checkpoint()
 
     def _write_checkpoint(self) -> None:
-        if self.champion is None:
-            return
         self.out_dir.mkdir(parents=True, exist_ok=True)
         layout = self.config.layout
         record = {
@@ -451,32 +419,33 @@ class Engine:
             "source": list(self.grid[self.history[-1]["island"]]),
             "generation": self.generation,
             "layout": {"r": layout.r, "q": layout.q, "b": layout.b},
-            "evals": self.budget.evals,
-            "elapsed_s": round(self.budget.elapsed, 3),
+            "evals": self.counts()[0],
+            "elapsed_s": round(self.elapsed(), 3),
         }
         with (self.out_dir / "checkpoints.ndjson").open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
 
-    def scored(self) -> int:
-        return sum(island.scored for island in self.islands)
+    def counts(self) -> tuple[int, int, int]:
+        """(evals, scored, decoded): the islands' sums plus ``reported``."""
+        per_island = ((i.evals, i.scored, i.decoded) for i in self.islands)
+        return tuple(map(sum, zip(self.reported, *per_island)))
 
-    def decoded(self) -> int:
-        return sum(island.decoded for island in self.islands)
+    def elapsed(self) -> float:
+        return time.monotonic() - self.started
+
+    def exhausted(self) -> bool:
+        evals, seconds = self.config.max_evals, self.config.max_seconds
+        return (evals is not None and self.counts()[0] >= evals
+                or seconds is not None and self.elapsed() >= seconds)
 
     def result(self) -> RunResult:
         assert self.champion is not None
-        return RunResult(
-            champion=self.champion,
-            history=self.history,
-            evals=self.budget.evals,
-            scored=self.scored(),
-            decoded=self.decoded(),
-            elapsed=self.budget.elapsed,
-            goal_reached=self.goal_met(),
-        )
+        evals, scored, decoded = self.counts()
+        return RunResult(self.champion, self.history, evals, scored, decoded,
+                         self.elapsed(), self.goal_met())
 
     def run(self) -> RunResult:
-        while not (self.budget.exhausted() or self._stops_on_goal()):
+        while not (self.exhausted() or self._stops_on_goal()):
             self.step_generation()
         return self.result()
 
@@ -512,13 +481,12 @@ def _island_worker(
 ) -> None:
     """Report, then run one epoch per list of immigrants received, forever.
 
-    A report is (evals, scored, decoded, champion, migrants for other islands
-    as (island, genotype) pairs).
+    A report is (counts, champion, migrants for other islands as (island,
+    genotype) pairs), counts being the island's ``Engine.counts``.
     """
     engine = Engine(config, target, seed_circuit, island_indices=[index])
     while True:
-        conn.send((engine.budget.evals, engine.scored(), engine.decoded(),
-                   engine.champion, engine.outbox))
+        conn.send((engine.counts(), engine.champion, engine.outbox))
         engine.outbox = []
         engine.islands[0].inbox.extend(conn.recv())
         for _ in range(EPOCH_GENERATIONS):
@@ -546,10 +514,12 @@ def run_distributed(
     In each epoch every island runs ``EPOCH_GENERATIONS`` generations of
     ``Engine.step_generation`` (fewer once it reaches the goal).  Migrants
     are drawn from each island's own rng as in ``run``, but reach their
-    destination at the start of the next epoch.  The driver keeps the
-    champion and the history, whose evals count all islands, and writes the
-    checkpoints.  The result's ``scored`` and ``decoded`` sum the workers'
-    counts.
+    destination at the start of the next epoch.  The driver, an island-less
+    ``Engine``, keeps the champion and the history and writes the
+    checkpoints.  Each worker reports its island's counts, champion and
+    outgoing migrants; the driver keeps the sum of the counts as its
+    ``reported``, so its history, checkpoints, budget and result count all
+    islands.
 
     The eval budget, the time limit and the goal are checked only between
     epochs, so a run overshoots ``max_evals`` by at most one epoch of evals
@@ -584,18 +554,16 @@ def run_distributed(
                     reports.append(conn.recv())
                 except EOFError:
                     raise _worker_exited(i, worker) from None
-            driver.budget.evals = sum(report[0] for report in reports)
+            driver.reported = tuple(map(sum, zip(*(report[0] for report in reports))))
             inboxes: list[list[Genotype]] = [[] for _ in workers]
-            for i, (_, _, _, champion, outbox) in enumerate(reports):
+            for i, (_, champion, outbox) in enumerate(reports):
                 driver._note_champion(champion, i)
                 for dest, genotype in outbox:
                     inboxes[dest].append(genotype)
             if epoch:
                 driver._advance(EPOCH_GENERATIONS)
-            if driver.budget.exhausted() or driver._stops_on_goal():
-                return replace(driver.result(),
-                               scored=sum(report[1] for report in reports),
-                               decoded=sum(report[2] for report in reports))
+            if driver.exhausted() or driver._stops_on_goal():
+                return driver.result()
             for i, (conn, worker) in enumerate(zip(conns, workers)):
                 try:
                     conn.send(inboxes[i])

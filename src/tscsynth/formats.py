@@ -79,7 +79,7 @@ def parse_pla(text: str) -> TargetSpec:
     espresso rejects it.
     """
     counts: dict[str, int] = {}
-    pla_type = "f"
+    pla_type = None
     cubes: list[tuple[str, str]] = []
     ignorable = {"p", "ilb", "ob", "e", "end"}
     for line in _logical_lines(text):
@@ -96,6 +96,8 @@ def parse_pla(text: str) -> TargetSpec:
                 if len(parts) != 2 or parts[1] not in _ON_SET_TYPES:
                     raise ParseError(
                         f"PLA .type must be one of {', '.join(_ON_SET_TYPES)}: {line!r}")
+                if pla_type is not None:
+                    raise ParseError("PLA .type is given twice")
                 pla_type = parts[1]
             elif key in ignorable:
                 if key in ("e", "end"):

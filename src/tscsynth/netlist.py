@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 # Function names for the 16 two-input truth tables, indexed by table value.
 # LT/GT/LE/GE read as comparisons of the first input against the second.
@@ -89,17 +90,13 @@ class FaultSite(Enum):
     INPUT_B = "b"
 
 
-@dataclass(frozen=True)
-class Fault:
-    """Stuck-at fault at one gate line: output, first input, or second input."""
+class Fault(NamedTuple):
+    """Stuck-at fault at one gate line (output, first input, or second
+    input); stuck is 0 or 1."""
 
     site: FaultSite
     gate: int
     stuck: int
-
-    def __post_init__(self) -> None:
-        if self.stuck not in (0, 1):
-            raise ValueError(f"stuck value must be 0 or 1, got {self.stuck}")
 
     def __str__(self) -> str:
         return f"{self.site.value}{self.gate}.{self.stuck}"

@@ -191,11 +191,8 @@ def verify_tsc(
         top = rep << (width - 1)
         low = wide ^ top
         seen = ((signalled & low) + low | signalled) & top
-        lost: dict[int, Fault] = {}  # undetected, by slot; their violations reuse them
         for m in _ONE.finditer(format(seen ^ top, "b")[::-1]):
-            slot = m.start() >> r
-            lost[slot] = _fault(6 * first + slot)
-        undetected += lost.values()
+            undetected.append(_fault(6 * first + (m.start() >> r)))
         if false_alarm:
             continue  # no violations are listed
         wrong = 0
@@ -208,7 +205,7 @@ def verify_tsc(
             at = m.start()
             if at >> r != slot:
                 slot = at >> r
-                f = lost.get(slot) or _fault(6 * first + slot)
+                f = _fault(6 * first + slot)
             violations.append((f, at & width - 1))
     is_st = not undetected
     is_fs = not violations and not false_alarm

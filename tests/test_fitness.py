@@ -37,6 +37,7 @@ from tscsynth.verify import verify_fs, verify_tsc
 
 from conftest import (
     BENCH_DIR,
+    checked_mult2,
     random_circuit,
     two_rail_checker_circuit,
 )
@@ -426,8 +427,9 @@ class TestEachReadout(TestDifferentialOracle):
 
 def test_readout_follows_busy_slots(monkeypatch):
     # At the default threshold the decod baseline (146 gates, every slot
-    # busy) is read packed, in one pass of 4-byte slots, and a half-adder
-    # search champion (a few gates) slot by slot.
+    # busy) is read packed, in one pass of 4-byte slots.  The checked mult2
+    # seed (r = 4, 13 gates, every slot busy) is read packed, in 2-byte
+    # slots, from 13 busy slots up, and slot by slot above that.
     pack = fitness._pack
     sizes = []
     monkeypatch.setattr(fitness, "_pack", lambda items, code: sizes.append(
@@ -435,11 +437,11 @@ def test_readout_follows_busy_slots(monkeypatch):
     decod = benchmark_baselines()["decod"]
     assert assert_matches_oracle(decod)
     assert sizes == [4, 4]  # evaluate_checking and evaluate_circuit
-    seed = Circuit(2, (Gate(TT_XOR, X(0), X(1)), Gate(TT_AND, X(0), X(1))), (G(0), G(1)))
-    target = TargetSpec(2, 2, tuple(simulate(seed).outputs))
-    config = IslandConfig(layout=GenomeLayout(r=2, q=2, b=4), rng_seed=1, max_evals=1500,
-                          stop_on_goal=False)
-    champion = run(config, target, seed).champion.circuit
-    assert assert_matches_oracle(champion)
-    assert sizes == [4, 4]
+    mult2 = checked_mult2()
+    monkeypatch.setattr(fitness, "PACKED_READOUT_SLOTS", 13)
+    assert assert_matches_oracle(mult2)
+    assert sizes == [4, 4, 2, 2]
+    monkeypatch.setattr(fitness, "PACKED_READOUT_SLOTS", 14)
+    assert assert_matches_oracle(mult2)
+    assert sizes == [4, 4, 2, 2]
 

@@ -65,9 +65,10 @@ class TestPla:
     @pytest.mark.parametrize("text,key", [
         (".i 3\n.i 2\n.o 1\n11 1\n.e\n", "i"),
         (".i 2\n.o 1\n.o 1\n11 1\n.e\n", "o"),
+        (".i 1\n.o 1\n.type fr\n.type f\n1 1\n1 0\n.e\n", "type"),
     ])
     def test_repeated_count_directive_rejected(self, text, key):
-        # The second count used to replace the first without a word.
+        # The second directive used to replace the first without a word.
         with pytest.raises(ParseError, match=f"^PLA .{key} is given twice$"):
             parse_pla(text)
 
