@@ -7,6 +7,11 @@ seed's size to be its function core (netlist.function_core): a seed with
 rails, such as a circuit that baseline --out wrote, counts its checking logic
 as overhead, and nonintrusive mode locks only the core.
 
+evolve also reads argument files: @path stands for the flags in the file path,
+one or more per line, "#" starting a comment, checked as on the command line;
+a later argument wins.  A path that begins with "@" is given as --seed=@path;
+the other commands take "@" in a path as it is.
+
 Exit codes: 0 when the command is done; 1 when verify finds the circuit not
 TSC or not computing its target; 2 on any usage, input or file error, which
 main alone turns into an "error:" line.
@@ -58,19 +63,6 @@ def _word_mask(text: str | None, r: int) -> int | None:
     return mask
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for raw in _read(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"bad config line (want key=value): {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
 def _cmd_evolve(args: argparse.Namespace) -> int:
     target = parse_pla(_read(args.target))
     seed = _read_circuit(args.seed)
@@ -103,8 +95,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         layout=layout,
         migration_rate=args.migration_rate,
         rng_seed=args.seed_rng,
-        # A config-file mode bypasses argparse's choices check; IslandConfig
-        # rejects an unknown one.
         mode=args.mode,
         n_islands=args.islands,
         max_evals=args.budget_evals,
@@ -312,65 +302,47 @@ def _print_report(record: dict) -> int:
     return EXIT_OK
 
 
-def build_parser(
-    evolve_config: dict[str, str] | None = None,
-) -> argparse.ArgumentParser:
-    """The CLI parser; ``evolve_config`` holds config-file values, which
-    become the ``evolve`` defaults, so flags on the command line still win."""
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        return arg_line.split("#", 1)[0].split()  # "#" starts a comment
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="tscsynth",
         description="Evolve and verify totally self-checking combinational circuits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("evolve", help="evolve a self-checking circuit from a seed")
+    # Without allow_abbrev=False a misspelt flag would read as one it abbreviates.
+    p = sub.add_parser(
+        "evolve", help="evolve a self-checking circuit from a seed",
+        fromfile_prefix_chars="@", allow_abbrev=False,
+        epilog="@path reads flags from path, one or more per line, # starting a comment; "
+        "a later flag wins.  Write a path that begins with @ as --seed=@path.",
+    )
     p.add_argument("--target", required=True, help="PLA file with the output function")
     p.add_argument("--seed", required=True,
                    help="seed circuit, BLIF or native JSON (rails allowed)")
-    configurable = [
-        p.add_argument("--mode", choices=["unconstrained", "nonintrusive"],
-                       default="unconstrained"),
-        p.add_argument("--b", type=int, default=None, help="address width in bits"),
-        p.add_argument("--islands", type=int, default=8),
-        p.add_argument("--budget-evals", dest="budget_evals", type=int,
-                       default=1_000_000),
-        p.add_argument("--budget-seconds", dest="budget_seconds", type=float,
-                       default=None),
-        p.add_argument("--seed-rng", dest="seed_rng", type=int, default=0),
-        p.add_argument("--migration-rate", dest="migration_rate", type=float,
-                       default=0.1),
-        p.add_argument("--goal-overhead", dest="goal_overhead", type=int, default=None),
-        p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int,
-                       default=50),
-        p.add_argument("--applied-words", dest="applied_words", default=None,
-                       help="hex mask of applied input words (default: all)"),
-        p.add_argument("--parallel", action="store_true",
-                       help="one process per island; migrants cross and the "
-                       "budget and goal are checked every "
-                       f"{evolve_mod.EPOCH_GENERATIONS} generations; reproducible"),
-        p.add_argument("--no-stop-on-goal", dest="no_stop_on_goal",
-                       action="store_true"),
-    ]
-    p.add_argument("--config", default=None, help="key=value file; CLI flags win")
+    p.add_argument("--mode", choices=["unconstrained", "nonintrusive"], default="unconstrained")
+    p.add_argument("--b", type=int, default=None, help="address width in bits")
+    p.add_argument("--islands", type=int, default=8)
+    p.add_argument("--budget-evals", dest="budget_evals", type=int, default=1_000_000)
+    p.add_argument("--budget-seconds", dest="budget_seconds", type=float, default=None)
+    p.add_argument("--seed-rng", dest="seed_rng", type=int, default=0)
+    p.add_argument("--migration-rate", dest="migration_rate", type=float, default=0.1)
+    p.add_argument("--goal-overhead", dest="goal_overhead", type=int, default=None)
+    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=50)
+    p.add_argument("--applied-words", dest="applied_words", default=None,
+                   help="hex mask of applied input words (default: all)")
+    p.add_argument("--parallel", action="store_true",
+                   help="one process per island; migrants cross and the budget "
+                   "and goal are checked every "
+                   f"{evolve_mod.EPOCH_GENERATIONS} generations; reproducible")
+    p.add_argument("--no-stop-on-goal", dest="no_stop_on_goal", action="store_true")
     p.add_argument("--out", default=None,
                    help="directory for run artifacts, created before the search")
     p.set_defaults(func=_cmd_evolve)
-    if evolve_config:
-        actions = {action.dest: action for action in configurable}
-        unknown = sorted(set(evolve_config) - set(actions))
-        if unknown:
-            p.error("unknown config key(s): "
-                    + ", ".join(key.replace("_", "-") for key in unknown))
-        # argparse applies each option's type to string defaults, but a flag
-        # has none: "false" would be a truthy string.
-        defaults = dict(evolve_config)
-        for key, value in evolve_config.items():
-            if actions[key].nargs == 0:
-                if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
-                    p.error(f"config key {key.replace('_', '-')}: {value!r} is not "
-                            "a flag value (1/0, true/false, yes/no)")
-                defaults[key] = value.lower() in ("1", "true", "yes")
-        p.set_defaults(**defaults)
 
     p = sub.add_parser("verify", help="prove or refute the TSC property")
     p.add_argument("--circuit", required=True, help="circuit, native JSON or BLIF")
@@ -399,8 +371,6 @@ def build_parser(
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "config", None):
-            args = build_parser(_parse_config_file(args.config)).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0

@@ -156,31 +156,27 @@ def spiral_coords(index: int) -> tuple[int, int]:
     return (x, y)
 
 
-def migration_weights(
-    source: tuple[int, int], islands: list[tuple[int, int]]
-) -> list[float]:
-    """Inverse-Euclidean-distance weight per island; the source gets zero."""
-    weights = []
-    for coords in islands:
-        if coords == source:
-            weights.append(0.0)
-        else:
-            weights.append(
-                1.0 / math.hypot(coords[0] - source[0], coords[1] - source[1])
-            )
-    return weights
+def migration_weights(source: int, n_islands: int) -> list[float]:
+    """Inverse-Euclidean-distance weight of each of n_islands islands from
+    island source, by their grid positions; the source gets zero."""
+    x, y = spiral_coords(source)
+    return [0.0 if i == source else 1.0 / math.hypot(cx - x, cy - y)
+            for i, (cx, cy) in enumerate(map(spiral_coords, range(n_islands)))]
 
 
-def pick_migration_target(
-    source: tuple[int, int],
-    islands: list[tuple[int, int]],
-    rng: random.Random,
-) -> tuple[int, int]:
-    """Destination drawn with probability inverse to distance from the source."""
-    weights = migration_weights(source, islands)
-    if sum(weights) == 0.0:
+@lru_cache(maxsize=None)
+def _migration_cum_weights(source: int, n_islands: int) -> tuple[float, ...]:
+    return tuple(accumulate(migration_weights(source, n_islands)))
+
+
+def pick_migration_target(source: int, n_islands: int, rng: random.Random) -> int:
+    """Index of the destination island, drawn with probability inverse to its
+    grid distance from island source."""
+    cum = _migration_cum_weights(source, n_islands)
+    if cum[-1] == 0.0:
         raise ValueError("no island other than the source to migrate to")
-    return rng.choices(islands, weights=weights, k=1)[0]
+    # The one draw and the pick of rng.choices(range(n_islands), weights, k=1).
+    return bisect_right(cum, rng.random() * cum[-1], 0, n_islands - 1)
 
 
 def _island_rng_seed(master_seed: int, island_index: int) -> int:
@@ -190,19 +186,20 @@ def _island_rng_seed(master_seed: int, island_index: int) -> int:
 
 
 class Island:
-    """One population plus its private random stream, immigrant inbox and
-    counts: evals, and of those the evaluations that scored and decoded."""
+    """One population plus its private random stream, immigrant inbox,
+    emigrant outbox of (island index, genotype) pairs and counts: evals, and
+    of those the evaluations that scored and decoded."""
 
     def __init__(self, index: int, config: IslandConfig, target: TargetSpec,
                  seed_circuit: Circuit, lock: LockMask):
         self.index = index
-        self.coords = spiral_coords(index)
         self.config = config
         self.target = target
         self.seed_circuit = seed_circuit
         self.lock = lock
         self.rng = random.Random(_island_rng_seed(config.rng_seed, index))
         self.inbox: deque[Genotype] = deque()
+        self.outbox: list[tuple[int, Genotype]] = []
         self.population: list[Individual] = []
         self.evals = 0
         self.scored = 0
@@ -274,6 +271,14 @@ class Island:
     def make_migrant(self) -> Genotype:
         return select_parent(self.population, self.rng).genotype
 
+    def emigrate(self) -> None:
+        """With probability migration_rate, put a migrant in the outbox,
+        addressed to an island drawn by pick_migration_target."""
+        rate, n = self.config.migration_rate, self.config.n_islands
+        if rate > 0.0 and n > 1 and self.rng.random() < rate:
+            migrant = self.make_migrant()
+            self.outbox.append((pick_migration_target(self.index, n, self.rng), migrant))
+
 
 @dataclass
 class RunResult:
@@ -289,14 +294,14 @@ class RunResult:
 class Engine:
     """Multi-island driver; deterministic for a fixed configuration.
 
-    Islands are stepped round-robin.  A migrant's destination is drawn over
-    all ``n_islands`` grid positions.  One bound for an island of this engine
-    goes straight into its inbox; one bound for any other island waits in
-    ``outbox``.  ``run`` gives an engine every island, and each
-    ``run_distributed`` worker one; with no islands an engine only keeps the
-    record: champion, history, counts and checkpoints.  Counts live on the
-    islands; ``counts`` adds ``reported``, the totals of islands stepped
-    elsewhere (a ``run_distributed`` driver's workers), and the budget reads it.
+    Islands are stepped round-robin, and each emigrates into its outbox after
+    its step, to any of the ``n_islands`` islands.  ``run`` gives an engine
+    every island, and it delivers each outbox at once; each
+    ``run_distributed`` worker gets one island, whose outbox it sends to the
+    driver.  With no islands an engine only keeps the record: champion,
+    history, counts and checkpoints.  Counts live on the islands; ``counts``
+    adds ``reported``, the totals of islands stepped elsewhere (a
+    ``run_distributed`` driver's workers), and the budget reads it.
     """
 
     def __init__(
@@ -337,8 +342,6 @@ class Engine:
         self.islands = [
             Island(i, config, target, seed_circuit, self.lock) for i in indices
         ]
-        self.grid = [spiral_coords(i) for i in range(config.n_islands)]
-        self.outbox: list[tuple[int, Genotype]] = []
         self.generation = 0
         self.champion: Individual | None = None
         self.history: list[dict] = []
@@ -369,22 +372,6 @@ class Engine:
     def _stops_on_goal(self) -> bool:
         return self.config.stop_on_goal and self.goal_met()
 
-    def _emit_migration(self, island: Island) -> None:
-        rate = self.config.migration_rate
-        if rate <= 0.0 or len(self.grid) < 2:
-            return
-        if island.rng.random() < rate:
-            migrant = island.make_migrant()
-            dest = self.grid.index(
-                pick_migration_target(island.coords, self.grid, island.rng)
-            )
-            for isl in self.islands:
-                if isl.index == dest:
-                    isl.inbox.append(migrant)
-                    break
-            else:
-                self.outbox.append((dest, migrant))
-
     def step_generation(self) -> None:
         """One global generation across all islands."""
         for island in self.islands:
@@ -392,7 +379,13 @@ class Engine:
                 return
             island.step()
             self._note_champion(island.population[0], island.index)
-            self._emit_migration(island)
+            island.emigrate()
+            # With every island here, as in run, migrants arrive at once; a
+            # run_distributed worker's wait in the outbox for the driver.
+            if len(self.islands) == self.config.n_islands:
+                for dest, migrant in island.outbox:
+                    self.islands[dest].inbox.append(migrant)
+                island.outbox.clear()
             if self._stops_on_goal():
                 return
         self._advance(1)
@@ -416,7 +409,7 @@ class Engine:
         record = {
             "genotype": self.champion.genotype.to_hex(),
             "fitness": list(self.champion.fitness.key()),
-            "source": list(self.grid[self.history[-1]["island"]]),
+            "source": list(spiral_coords(self.history[-1]["island"])),
             "generation": self.generation,
             "layout": {"r": layout.r, "q": layout.q, "b": layout.b},
             "evals": self.counts()[0],
@@ -481,14 +474,15 @@ def _island_worker(
 ) -> None:
     """Report, then run one epoch per list of immigrants received, forever.
 
-    A report is (counts, champion, migrants for other islands as (island,
-    genotype) pairs), counts being the island's ``Engine.counts``.
+    A report is (counts, champion, outbox): the island's ``Engine.counts``,
+    champion and emigrants since the last report as (island, genotype) pairs.
     """
     engine = Engine(config, target, seed_circuit, island_indices=[index])
+    island = engine.islands[0]
     while True:
-        conn.send((engine.counts(), engine.champion, engine.outbox))
-        engine.outbox = []
-        engine.islands[0].inbox.extend(conn.recv())
+        conn.send((engine.counts(), engine.champion, island.outbox))
+        island.outbox = []
+        island.inbox.extend(conn.recv())
         for _ in range(EPOCH_GENERATIONS):
             engine.step_generation()
             if engine._stops_on_goal():

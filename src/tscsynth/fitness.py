@@ -97,6 +97,9 @@ class FitnessVector:
 
     u_f and u_i are None when the fault-free rails already collide (the
     checking scores are then zero by definition and no faults are simulated).
+    computes_target says whether every function output equals its target
+    column on the applied words: f_f scores |correlation|, so a complemented
+    output scores as high as the right one.
     """
 
     f_f: float
@@ -106,6 +109,7 @@ class FitnessVector:
     u_f: int | None = None
     u_i: int | None = None
     live_gates: int = 0
+    computes_target: bool = False
 
     def key(self) -> tuple[float, float, float, float]:
         """Dictionary order on (f_f, f_ST, f_FS, f_p); later entries break ties."""
@@ -113,7 +117,8 @@ class FitnessVector:
 
     @property
     def perfect_checking(self) -> bool:
-        return self.f_f == 1.0 and self.f_st == 1.0 and self.f_fs == 1.0
+        return (self.f_f == 1.0 and self.f_st == 1.0 and self.f_fs == 1.0
+                and self.computes_target)
 
 
 def st_score(u_f: int) -> float:
@@ -145,6 +150,13 @@ def f_function(
     resp: ResponseMatrix, target: Sequence[int], word_mask: int | None = None
 ) -> float:
     """Mean |correlation| between each function output and its target column."""
+    return _function_scores(resp, target, word_mask)[0]
+
+
+def _function_scores(
+    resp: ResponseMatrix, target: Sequence[int], word_mask: int | None
+) -> tuple[float, bool]:
+    """f_f, and whether every output equals its target on the applied words."""
     if len(resp.outputs) != len(target):
         raise ValueError("target column count does not match circuit outputs")
     if not target:
@@ -153,9 +165,11 @@ def f_function(
     mask = full if word_mask is None else word_mask & full
     n = mask.bit_count()
     total = 0.0
+    wrong = 0
     for got, want in zip(resp.outputs, target):
         total += _abs_corr(got & mask, want & mask, n)
-    return total / len(target)
+        wrong |= got ^ want
+    return total / len(target), not wrong & mask
 
 
 def _response(circuit: Circuit, values: list[int]) -> ResponseMatrix:
@@ -343,8 +357,8 @@ def evaluate_circuit(
     """
     values = sim.values(circuit)
     resp = _response(circuit, values)
-    ff = f_function(resp, target, word_mask)
+    ff, exact = _function_scores(resp, target, word_mask)
     live_count = len(circuit.tt)
     f_p = (max_gates - live_count) / max_gates
     u_f, u_i, f_st, f_fs = _checking(circuit, resp.rails, word_mask, values)
-    return FitnessVector(ff, f_st, f_fs, f_p, u_f, u_i, live_count)
+    return FitnessVector(ff, f_st, f_fs, f_p, u_f, u_i, live_count, exact)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tscsynth.cli import build_parser, main
+from tscsynth.cli import main
 from tscsynth.evolve import POPULATION_SIZE
 from tscsynth.formats import parse_blif, parse_pla, read_native, write_native
 from tscsynth.genome import GenomeLayout, Genotype, encode_seed, seed_lock_mask
@@ -489,9 +489,9 @@ class TestEvolveCommand:
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_address_width_above_the_bound_exits_2(self, tmp_path, capsys, how):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("b = 40\n")
-        width = ["--b", "40"] if how == "flag" else ["--config", str(cfg)]
+        args = tmp_path / "run.args"
+        args.write_text("--b 40\n")
+        width = ["--b", "40"] if how == "flag" else [f"@{args}"]
         code = run_cli(
             "evolve",
             "--target", bench("mult2.pla"),
@@ -539,88 +539,95 @@ class TestEvolveCommand:
         assert f"error: migration rate {float(rate)!r} is not in [0, 1]" in \
             capsys.readouterr().err
 
+    def _evolve_with_file(self, tmp_path, text: str, *argv: str) -> int:
+        """evolve c17 with text as an argument file, then argv."""
+        args = tmp_path / "run.args"
+        args.write_text(text)
+        return run_cli("evolve", "--target", bench("c17.pla"), "--seed", bench("c17.blif"),
+                       f"@{args}", *argv)
+
     def test_config_file_supplies_defaults_cli_overrides(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("islands = 1\nbudget-evals = 64\nseed-rng = 4\n")
         out = tmp_path / "run"
-        code = run_cli(
-            "evolve",
-            "--target", bench("c17.pla"),
-            "--seed", bench("c17.blif"),
-            "--config", str(cfg),
-            "--budget-evals", "0",  # CLI wins over the file's 64
+        code = self._evolve_with_file(
+            tmp_path,
+            "# one island, a short run\n\n--islands 1\n--budget-evals 64 --seed-rng 4\n",
+            "--budget-evals", "0",  # after the file, so it wins over the file's 64
             "--out", str(out),
         )
         assert code == 0
         record = json.loads((out / "run.json").read_text())
+        assert (record["islands"], record["rng_seed"]) == (1, 4)
         assert record["evals"] == 32
 
-    def test_config_file_nonintrusive_mode_runs(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("mode = nonintrusive\nislands = 1\nbudget-evals = 0\n")
+    @pytest.mark.parametrize("flag_first", [True, False])
+    def test_later_argument_wins(self, tmp_path, flag_first):
+        flag = ["--budget-evals", "0"]
+        args = tmp_path / "run.args"
+        args.write_text("--islands 1 --budget-evals 1 --no-stop-on-goal\n")
         out = tmp_path / "run"
-        code = run_cli(
-            "evolve",
-            "--target", bench("c17.pla"),
-            "--seed", bench("c17.blif"),
-            "--config", str(cfg),
-            "--out", str(out),
-        )
+        code = run_cli("evolve", "--target", bench("c17.pla"), "--seed", bench("c17.blif"),
+                       *(flag if flag_first else []), f"@{args}",
+                       *([] if flag_first else flag), "--out", str(out))
+        assert code == 0
+        record = json.loads((out / "run.json").read_text())
+        assert record["budget_evals"] == (1 if flag_first else 0)
+        # A boolean flag is on when the file names it.
+        assert record["stop_on_goal"] is False
+
+    def test_config_file_nonintrusive_mode_runs(self, tmp_path):
+        out = tmp_path / "run"
+        code = self._evolve_with_file(
+            tmp_path, "--mode nonintrusive\n--islands 1\n--budget-evals 0\n",
+            "--out", str(out))
         assert code == 0
         assert json.loads((out / "run.json").read_text())["mode"] == "nonintrusive"
 
     def test_config_file_unknown_mode_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("mode = bogus\n")  # argparse checks choices on flags only
-        code = run_cli(
-            "evolve",
-            "--target", bench("c17.pla"),
-            "--seed", bench("c17.blif"),
-            "--config", str(cfg),
-            "--islands", "1",
-            "--budget-evals", "0",
-        )
+        # The file is checked like the command line, choices included.
+        code = self._evolve_with_file(tmp_path, "--mode bogus\n",
+                                      "--islands", "1", "--budget-evals", "0")
         assert code == 2
-        assert "unknown mode" in capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("budget-eval = 64\n")  # typo for budget-evals
-        code = run_cli(
-            "evolve",
-            "--target", bench("c17.pla"),
-            "--seed", bench("c17.blif"),
-            "--config", str(cfg),
-            "--islands", "1",
-            "--budget-evals", "0",
-        )
+        # An abbreviation of --budget-evals, not taken for it.
+        code = self._evolve_with_file(tmp_path, "--budget-eval 64\n",
+                                      "--islands", "1", "--budget-evals", "0")
         assert code == 2
-        assert "budget-eval" in capsys.readouterr().err
+        assert "unrecognized arguments: --budget-eval 64" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text,value", [
-        ("false", False), ("no", False), ("0", False),
-        ("true", True), ("Yes", True), ("1", True),
-    ])
-    def test_config_file_flags(self, text, value):
-        parser = build_parser({"parallel": text, "no_stop_on_goal": text})
-        args = parser.parse_args(["evolve", "--target", "t.pla", "--seed", "s.blif"])
-        assert args.parallel is value
-        assert args.no_stop_on_goal is value
+    def test_removed_config_flag_exits_2(self, tmp_path, capsys):
+        code = self._evolve_with_file(tmp_path, "--islands 1\n", "--config", "run.cfg")
+        assert code == 2
+        assert "unrecognized arguments: --config run.cfg" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["parallel", "no-stop-on-goal"])
     def test_config_file_bad_flag_value_exits_2(self, tmp_path, capsys, key):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = ture\n")  # not read as false
-        code = run_cli(
-            "evolve",
-            "--target", bench("c17.pla"),
-            "--seed", bench("c17.blif"),
-            "--config", str(cfg),
-            "--islands", "1",
-            "--budget-evals", "0",
-        )
+        # A boolean flag takes no value: the "true" after it is an extra argument.
+        code = self._evolve_with_file(tmp_path, f"--{key} true\n",
+                                      "--islands", "1", "--budget-evals", "0")
         assert code == 2
-        assert f"config key {key}: 'ture' is not a flag value" in capsys.readouterr().err
+        assert "unrecognized arguments: true" in capsys.readouterr().err
+
+    def test_missing_argument_file_exits_2(self, tmp_path, capsys):
+        code = run_cli("evolve", "--target", bench("c17.pla"), "--seed", bench("c17.blif"),
+                       f"@{tmp_path / 'missing.args'}")
+        assert code == 2
+        assert "No such file or directory" in capsys.readouterr().err
+
+    def test_path_beginning_with_at_sign(self, tmp_path, monkeypatch, capsys):
+        # evolve reads @c17.blif as an argument file unless it is joined to its flag.
+        monkeypatch.chdir(tmp_path)
+        Path("@c17.blif").write_text(Path(bench("c17.blif")).read_text())
+        common = ["evolve", "--target", bench("c17.pla"), "--islands", "1",
+                  "--budget-evals", "0"]
+        assert run_cli(*common, "--seed", "@c17.blif") == 2
+        assert run_cli(*common, "--seed=@c17.blif") == 0
+        # verify reads no argument files: its @ path is a circuit.
+        Path("@ha.json").write_text(write_native(tsc_half_adder()))
+        capsys.readouterr()
+        assert run_cli("verify", "--circuit", "@ha.json") == 0
+        assert capsys.readouterr().out.startswith("TSC")
 
 
 class TestReport:

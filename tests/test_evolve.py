@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -109,26 +111,33 @@ class TestSelection:
 
 class TestMigrationTarget:
     def test_inverse_distance_weights(self):
-        weights = migration_weights((0, 0), [(0, 0), (1, 0), (2, 0)])
-        assert weights == [0.0, 1.0, 0.5]
+        # Islands 0, 1 and 2 sit at (0, 0), (1, 0) and (1, 1).
+        assert migration_weights(0, 3) == [0.0, 1.0, 1 / math.sqrt(2)]
+        assert migration_weights(2, 3) == [1 / math.sqrt(2), 1.0, 0.0]
 
     def test_source_never_selected(self):
         rng = random.Random(1)
-        islands = [(0, 0), (1, 0), (0, 1)]
         for _ in range(200):
-            assert pick_migration_target((0, 0), islands, rng) != (0, 0)
+            assert pick_migration_target(0, 3, rng) in (1, 2)
 
     def test_equidistant_targets_roughly_uniform(self):
+        # Islands 1 and 3, at (1, 0) and (0, 1), are both one step from island 0.
         rng = random.Random(2)
-        islands = [(0, 0), (1, 0), (-1, 0)]
-        counts = {(1, 0): 0, (-1, 0): 0}
-        for _ in range(4000):
-            counts[pick_migration_target((0, 0), islands, rng)] += 1
-        assert abs(counts[(1, 0)] - counts[(-1, 0)]) < 400
+        counts = Counter(pick_migration_target(0, 4, rng) for _ in range(4000))
+        assert abs(counts[1] - counts[3]) < 400
 
     def test_singleton_grid_rejected(self):
         with pytest.raises(ValueError):
-            pick_migration_target((0, 0), [(0, 0)], random.Random(0))
+            pick_migration_target(0, 1, random.Random(0))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
+    def test_same_draw_as_random_choices(self, n):
+        ours, theirs = random.Random(n), random.Random(n)
+        for source in range(n):
+            weights = migration_weights(source, n)
+            for _ in range(50):
+                assert pick_migration_target(source, n, ours) == \
+                    theirs.choices(range(n), weights=weights)[0]
 
     @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan"), float("inf")])
     def test_rate_outside_unit_interval_rejected(self, rate):

@@ -19,7 +19,7 @@ from tscsynth.fitness import (
     fs_score,
     st_score,
 )
-from tscsynth.formats import TargetSpec, parse_blif
+from tscsynth.formats import TargetSpec, parse_blif, parse_pla
 from tscsynth.genome import GenomeLayout, Genotype, LockMask, decode, encode_seed, mutate_bit
 from tscsynth.netlist import (
     Circuit,
@@ -37,8 +37,10 @@ from tscsynth.verify import verify_fs, verify_tsc
 
 from conftest import (
     BENCH_DIR,
+    HALF_ADDER_PLA,
     checked_mult2,
     random_circuit,
+    tsc_half_adder,
     two_rail_checker_circuit,
 )
 
@@ -89,6 +91,16 @@ class TestFFunction:
         resp = fault_free_response(xor_pair_circuit())
         score = f_function(resp, [0b0100])
         assert 0.0 < score < 1.0
+
+    @pytest.mark.parametrize("sum_xnor", [False, True])
+    def test_complemented_output_is_not_perfect_checking(self, sum_xnor):
+        # The XNOR half adder is TSC and scores f_f = 1, but y_0 is the
+        # complement of the sum.
+        target = parse_pla(HALF_ADDER_PLA).columns
+        fv = evaluate_circuit(tsc_half_adder(sum_xnor), target, 60)
+        assert (fv.f_f, fv.f_st, fv.f_fs) == (1.0, 1.0, 1.0)
+        assert fv.computes_target is not sum_xnor
+        assert fv.perfect_checking is not sum_xnor
 
 
 class TestScores:
@@ -277,7 +289,12 @@ class TestEvaluateCircuit:
 
         def score(circuit, target, max_gates, mask):
             fv = evaluate_circuit(circuit, target, max_gates, mask)
-            digest.update(repr(astuple(fv)).encode())
+            # The digest pins the fields from before computes_target, which
+            # the oracle checks instead.
+            *pinned, computes_target = astuple(fv)
+            digest.update(repr(tuple(pinned)).encode())
+            assert computes_target == verify_tsc(circuit, mask, target).computes_target
+            seen["computes"] += computes_target
             seen["checked" if fv.u_f is not None else "unchecked"] += 1
 
         for i, (r, q, b, n) in enumerate(layouts):
@@ -304,8 +321,8 @@ class TestEvaluateCircuit:
             mask = draw.getrandbits(1 << r) if k % 2 else None
             score(c, [draw.getrandbits(1 << r) for _ in range(c.q)], 30, mask)
         # Of the 514 checked, 443 leave a fault undetected and 182 an
-        # incorrect word unsignalled.
-        assert seen == {"checked": 514, "unchecked": 666}
+        # incorrect word unsignalled.  28 of all 1180 compute their target.
+        assert seen == {"checked": 514, "unchecked": 666, "computes": 28}
         assert digest.hexdigest() == (
             "a99f894c923b560512c91f061405010d5f0d3b22473e7b448970fa389c9ef669"
         )
