@@ -10,7 +10,7 @@ from .netlist import (
     duplication_overhead,
 )
 from .sim import FaultScope, ResponseMatrix, simulate
-from .fitness import FitnessVector, evaluate_checking, evaluate_circuit, f_function
+from .fitness import FitnessVector, evaluate_checking, evaluate_circuit
 from .genome import (
     GenomeLayout,
     Genotype,

@@ -332,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-rng", dest="seed_rng", type=int, default=0)
     p.add_argument("--migration-rate", dest="migration_rate", type=float, default=0.1)
     p.add_argument("--goal-overhead", dest="goal_overhead", type=int, default=None)
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=50)
+    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=50,
+                   help="generations between lines of checkpoints.ndjson in --out; "
+                   "0 writes no checkpoints")
     p.add_argument("--applied-words", dest="applied_words", default=None,
                    help="hex mask of applied input words (default: all)")
     p.add_argument("--parallel", action="store_true",

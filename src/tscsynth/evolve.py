@@ -25,13 +25,13 @@ as well, since an island never changes the target, ``max_gates`` or
 ``word_mask`` that fix a circuit's fitness; ``RunResult.scored`` counts the
 evaluations that ran ``evaluate_circuit``.
 
-``run`` steps every island in one process.  ``run_distributed`` runs one
-process per island: each steps its island for ``EPOCH_GENERATIONS``
-generations and reports its counts, champion and outgoing migrants, then
-the driver routes the migrants and starts the next epoch.  Each island
-counts its own evaluations, and a run's counts are their sums
-(``Engine.counts``).  Both drivers are deterministic for a fixed
-configuration.
+``run`` steps every island of one ``Engine`` in one process.
+``run_distributed`` runs one process per ``Island``: each steps its island
+for ``EPOCH_GENERATIONS`` generations and reports its counts, best and
+outgoing migrants, then the driver, an ``Engine`` with no islands, routes
+the migrants and starts the next epoch.  Each island counts its own
+evaluations, and a run's counts are their sums (``Engine.counts``).  Both
+drivers are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import random
 import time
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, count
 from pathlib import Path
@@ -100,6 +100,12 @@ class IslandConfig:
         # Written so that NaN, which compares false, is rejected too.
         if not 0.0 <= self.migration_rate <= 1.0:
             raise ValueError(f"migration rate {self.migration_rate!r} is not in [0, 1]")
+        if self.max_seconds is not None and not self.max_seconds >= 0.0:
+            raise ValueError(f"time budget {self.max_seconds!r} is not >= 0 seconds")
+        if self.max_evals is not None and self.max_evals < 0:
+            raise ValueError(f"eval budget {self.max_evals} is negative")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint interval {self.checkpoint_every} is negative")
 
 
 @dataclass
@@ -280,6 +286,12 @@ class Island:
             self.outbox.append((pick_migration_target(self.index, n, self.rng), migrant))
 
 
+def _goal_met(config: IslandConfig, fitness: FitnessVector) -> bool:
+    """fitness checks perfectly within ``goal_size`` live gates."""
+    return fitness.perfect_checking and (
+        config.goal_size is None or fitness.live_gates <= config.goal_size)
+
+
 @dataclass
 class RunResult:
     champion: Individual
@@ -294,14 +306,13 @@ class RunResult:
 class Engine:
     """Multi-island driver; deterministic for a fixed configuration.
 
-    Islands are stepped round-robin, and each emigrates into its outbox after
-    its step, to any of the ``n_islands`` islands.  ``run`` gives an engine
-    every island, and it delivers each outbox at once; each
-    ``run_distributed`` worker gets one island, whose outbox it sends to the
-    driver.  With no islands an engine only keeps the record: champion,
-    history, counts and checkpoints.  Counts live on the islands; ``counts``
-    adds ``reported``, the totals of islands stepped elsewhere (a
-    ``run_distributed`` driver's workers), and the budget reads it.
+    An engine holds every island of a run, or none with ``with_islands``
+    false.  Islands are stepped round-robin; each emigrates into its outbox
+    after its step, and the engine delivers the outbox at once.  With no
+    islands, as ``run_distributed``'s driver, an engine only keeps the
+    record: champion, history, counts and checkpoints.  ``counts`` adds the
+    islands' counts to ``reported``, the totals of the driver's workers, and
+    the budget reads it.
     """
 
     def __init__(
@@ -310,7 +321,8 @@ class Engine:
         target: TargetSpec,
         seed_circuit: Circuit,
         out_dir: str | Path | None = None,
-        island_indices: list[int] | None = None,
+        *,
+        with_islands: bool = True,
     ):
         if seed_circuit.r != config.layout.r or seed_circuit.q != config.layout.q:
             raise ValueError("seed circuit shape does not match layout")
@@ -336,12 +348,8 @@ class Engine:
             raise ValueError(f"the seed's function core fills all {slots} gene "
                              "slots, which nonintrusive mode locks, so translocation "
                              "has no gene to write: raise the address width b")
-        indices = island_indices if island_indices is not None else list(
-            range(config.n_islands)
-        )
-        self.islands = [
-            Island(i, config, target, seed_circuit, self.lock) for i in indices
-        ]
+        self.islands = [Island(i, config, target, seed_circuit, self.lock)
+                        for i in range(config.n_islands if with_islands else 0)]
         self.generation = 0
         self.champion: Individual | None = None
         self.history: list[dict] = []
@@ -362,15 +370,8 @@ class Engine:
                 }
             )
 
-    def goal_met(self) -> bool:
-        """The champion checks perfectly within ``goal_size`` live gates."""
-        fv = self.champion.fitness
-        if not fv.perfect_checking:
-            return False
-        return self.config.goal_size is None or fv.live_gates <= self.config.goal_size
-
     def _stops_on_goal(self) -> bool:
-        return self.config.stop_on_goal and self.goal_met()
+        return self.config.stop_on_goal and _goal_met(self.config, self.champion.fitness)
 
     def step_generation(self) -> None:
         """One global generation across all islands."""
@@ -380,12 +381,9 @@ class Engine:
             island.step()
             self._note_champion(island.population[0], island.index)
             island.emigrate()
-            # With every island here, as in run, migrants arrive at once; a
-            # run_distributed worker's wait in the outbox for the driver.
-            if len(self.islands) == self.config.n_islands:
-                for dest, migrant in island.outbox:
-                    self.islands[dest].inbox.append(migrant)
-                island.outbox.clear()
+            for dest, migrant in island.outbox:
+                self.islands[dest].inbox.append(migrant)
+            island.outbox.clear()
             if self._stops_on_goal():
                 return
         self._advance(1)
@@ -435,7 +433,7 @@ class Engine:
         assert self.champion is not None
         evals, scored, decoded = self.counts()
         return RunResult(self.champion, self.history, evals, scored, decoded,
-                         self.elapsed(), self.goal_met())
+                         self.elapsed(), _goal_met(self.config, self.champion.fitness))
 
     def run(self) -> RunResult:
         while not (self.exhausted() or self._stops_on_goal()):
@@ -454,12 +452,12 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# Process-per-island mode.  Each worker process owns one island in a one-island
-# Engine and steps it for an epoch of EPOCH_GENERATIONS generations per
-# message from the driver.  The driver, an island-less Engine, collects every
-# worker's report, routes the migrants each one emitted for other islands,
-# and sends them as the next epoch's immigrants.  Messages are pickled over
-# multiprocessing pipes; nothing depends on timing, so the run reproduces.
+# Process-per-island mode.  Each worker process owns one Island and steps it
+# for an epoch of EPOCH_GENERATIONS generations per message from the driver.
+# The driver, an Engine with no islands, collects every worker's report,
+# routes the migrants each one emitted for other islands, and sends them as
+# the next epoch's immigrants.  Messages are pickled over multiprocessing
+# pipes; nothing depends on timing, so the run reproduces.
 # ---------------------------------------------------------------------------
 
 EPOCH_GENERATIONS = 4
@@ -469,23 +467,30 @@ def _island_worker(
     config: IslandConfig,
     target: TargetSpec,
     seed_circuit: Circuit,
+    lock: LockMask,
     index: int,
     conn,
 ) -> None:
-    """Report, then run one epoch per list of immigrants received, forever.
+    """Populate island index with the driver's lock, report, then run one
+    epoch per list of immigrants received, forever.
 
-    A report is (counts, champion, outbox): the island's ``Engine.counts``,
-    champion and emigrants since the last report as (island, genotype) pairs.
+    A report is (counts, best, outbox): the island's (evals, scored,
+    decoded), ``population[0]`` and its emigrants since the last report as
+    (island, genotype) pairs.  Elites lead each generation and the stable
+    sort keeps them ahead of ties, so ``population[0]`` is the best the
+    island has held.
     """
-    engine = Engine(config, target, seed_circuit, island_indices=[index])
-    island = engine.islands[0]
+    island = Island(index, config, target, seed_circuit, lock)
+    island.populate()
     while True:
-        conn.send((engine.counts(), engine.champion, island.outbox))
+        conn.send(((island.evals, island.scored, island.decoded),
+                   island.population[0], island.outbox))
         island.outbox = []
         island.inbox.extend(conn.recv())
         for _ in range(EPOCH_GENERATIONS):
-            engine.step_generation()
-            if engine._stops_on_goal():
+            island.step()
+            island.emigrate()
+            if config.stop_on_goal and _goal_met(config, island.population[0].fitness):
                 break
 
 
@@ -505,12 +510,12 @@ def run_distributed(
     """One process per island, synchronised in epochs; deterministic for a
     fixed configuration.
 
-    In each epoch every island runs ``EPOCH_GENERATIONS`` generations of
-    ``Engine.step_generation`` (fewer once it reaches the goal).  Migrants
-    are drawn from each island's own rng as in ``run``, but reach their
-    destination at the start of the next epoch.  The driver, an island-less
-    ``Engine``, keeps the champion and the history and writes the
-    checkpoints.  Each worker reports its island's counts, champion and
+    Each worker process steps one ``Island`` for ``EPOCH_GENERATIONS``
+    generations an epoch (fewer once it reaches the goal).  Migrants are
+    drawn from each island's own rng as in ``run``, but reach their
+    destination at the start of the next epoch.  The driver, an ``Engine``
+    with no islands, keeps the champion and the history and writes the
+    checkpoints.  Each worker reports its island's counts, best and
     outgoing migrants; the driver keeps the sum of the counts as its
     ``reported``, so its history, checkpoints, budget and result count all
     islands.
@@ -525,8 +530,7 @@ def run_distributed(
     needs the ``if __name__ == "__main__":`` guard.  Raises RuntimeError
     naming the island if a worker process dies.
     """
-    driver = Engine(config, target, seed_circuit, out_dir, island_indices=[])
-    worker_config = replace(config, max_evals=None, max_seconds=None)
+    driver = Engine(config, target, seed_circuit, out_dir, with_islands=False)
     ctx = multiprocessing.get_context("spawn")
     conns, workers = [], []
     try:
@@ -534,7 +538,7 @@ def run_distributed(
             conn, child_conn = ctx.Pipe()
             worker = ctx.Process(
                 target=_island_worker,
-                args=(worker_config, target, seed_circuit, i, child_conn),
+                args=(config, target, seed_circuit, driver.lock, i, child_conn),
                 name=f"tscsynth-island-{i}",
             )
             worker.start()

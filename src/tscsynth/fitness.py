@@ -1,14 +1,16 @@
 """Four-objective fitness (f_f, f_ST, f_FS, f_p) and its lexicographic order.
 
-Only circuits with error rails (z_0, z_1) are scored; one without them
-raises ValueError.  Every evaluation reads the flat int arrays a Circuit
-stores (truth table, source a, source b, in one index space that holds the
-r primary inputs first and then the gates in order; see netlist) and never
-its Gate view; every gate of a circuit is live.  The fault-free values, f_f,
-the live gate count and the checking counts (u_f, u_i) all come from that
-one form and one fault-free simulation, sim.values.  That wave and the gate
-table kernel (sim.GATE_EVAL) are shared with the verify oracle; the fault
-model below, its one inverted-output slot per gate and its readouts, is not.
+evaluate_circuit is the one scoring body.  From one fault-free wave
+(sim.values) of a circuit with error rails (without them it raises
+ValueError) it scores f_f and computes_target over the function outputs,
+tests the fault-free rails for a collision and counts the checking faults
+(u_f, u_i; _fault_counts).  It reads the flat int arrays a Circuit stores
+(see netlist), never its Gate view; every gate is live.  The benchmark
+(perfbench) times the fault-free half and the checking half apart through
+fault_free_response and evaluate_checking, which the search does not call.
+The wave and the gate table kernel (sim.GATE_EVAL) are shared with the
+verify oracle; the fault model below, one inverted-output slot per gate and
+its readouts, is not.
 
 Gate faults are simulated in parallel (Waicukauski et al., "Fault
 simulation for structured VLSI", 1985).  A packed int holds one 2**r-bit
@@ -146,40 +148,6 @@ def _abs_corr(x: int, y: int, n: int) -> float:
     return abs(num) / math.sqrt(den_x * den_y)
 
 
-def f_function(
-    resp: ResponseMatrix, target: Sequence[int], word_mask: int | None = None
-) -> float:
-    """Mean |correlation| between each function output and its target column."""
-    return _function_scores(resp, target, word_mask)[0]
-
-
-def _function_scores(
-    resp: ResponseMatrix, target: Sequence[int], word_mask: int | None
-) -> tuple[float, bool]:
-    """f_f, and whether every output equals its target on the applied words."""
-    if len(resp.outputs) != len(target):
-        raise ValueError("target column count does not match circuit outputs")
-    if not target:
-        raise ValueError("no function outputs to score")
-    full = (1 << resp.n_words) - 1
-    mask = full if word_mask is None else word_mask & full
-    n = mask.bit_count()
-    total = 0.0
-    wrong = 0
-    for got, want in zip(resp.outputs, target):
-        total += _abs_corr(got & mask, want & mask, n)
-        wrong |= got ^ want
-    return total / len(target), not wrong & mask
-
-
-def _response(circuit: Circuit, values: list[int]) -> ResponseMatrix:
-    if circuit.rails is None:
-        raise ValueError("circuit has no error rails")
-    z0, z1 = circuit.rails
-    return ResponseMatrix(1 << circuit.r, tuple(values[i] for i in circuit.outputs),
-                          (values[z0], values[z1]))
-
-
 def _follows(t: int, a: int, b: int, full: int) -> tuple[int, int]:
     """Words at which a gate with table t and packed inputs a, b follows
     input a (flipping a flips the output), and those at which it follows b.
@@ -311,7 +279,9 @@ def _fault_counts(circuit: Circuit, values: list[int], applied: int) -> tuple[in
 
 def fault_free_response(circuit: Circuit) -> ResponseMatrix:
     """Fault-free response of a circuit with error rails."""
-    return _response(circuit, sim.values(circuit))
+    if circuit.rails is None:
+        raise ValueError("circuit has no error rails")
+    return sim.simulate(circuit)
 
 
 def evaluate_checking(
@@ -319,29 +289,17 @@ def evaluate_checking(
     resp_free: ResponseMatrix,
     word_mask: int | None = None,
 ) -> tuple[int | None, int | None, float, float]:
-    """(u_f, u_i, f_ST, f_FS) for a circuit with error rails.
-
-    An error signalled during fault-free operation (z_0 == z_1 at any applied
-    word) zeroes both scores immediately.
-    """
+    """(u_f, u_i, f_ST, f_FS) of a circuit with error rails, given its
+    fault-free response: evaluate_circuit's checking half.  Fault-free rails
+    that collide (z_0 == z_1) on an applied word zero both scores at once."""
     if circuit.rails is None:
         raise ValueError("circuit has no error rails")
-    return _checking(circuit, resp_free.rails, word_mask)
-
-
-def _checking(
-    circuit: Circuit, rails: tuple[int, int], word_mask: int | None,
-    values: list[int] | None = None,
-) -> tuple[int | None, int | None, float, float]:
-    """(u_f, u_i, f_ST, f_FS) given the fault-free rail values; the circuit
-    is simulated only when they do not collide and values is None."""
     full = full_mask(circuit.r)
     applied = full if word_mask is None else word_mask & full
-    if (rails[0] ^ rails[1] ^ full) & applied:
+    z0, z1 = resp_free.rails
+    if (z0 ^ z1 ^ full) & applied:
         return (None, None, 0.0, 0.0)
-    if values is None:
-        values = sim.values(circuit)
-    u_f, u_i = _fault_counts(circuit, values, applied)
+    u_f, u_i = _fault_counts(circuit, sim.values(circuit), applied)
     return (u_f, u_i, st_score(u_f), fs_score(u_i))
 
 
@@ -351,14 +309,32 @@ def evaluate_circuit(
     max_gates: int,
     word_mask: int | None = None,
 ) -> FitnessVector:
-    """All four metrics; none is short-circuited when an earlier one is low.
-
-    The circuit must carry error rails; one without them raises ValueError.
-    """
+    """All four metrics of a circuit with error rails (ValueError without);
+    none is short-circuited when an earlier one is low."""
+    if circuit.rails is None:
+        raise ValueError("circuit has no error rails")
+    if len(circuit.outputs) != len(target):
+        raise ValueError("target column count does not match circuit outputs")
+    if not target:
+        raise ValueError("no function outputs to score")
     values = sim.values(circuit)
-    resp = _response(circuit, values)
-    ff, exact = _function_scores(resp, target, word_mask)
+    full = full_mask(circuit.r)
+    applied = full if word_mask is None else word_mask & full
+    n = applied.bit_count()
+    total = 0.0
+    wrong = 0
+    for i, want in zip(circuit.outputs, target):
+        got = values[i]
+        total += _abs_corr(got & applied, want & applied, n)
+        wrong |= got ^ want
     live_count = len(circuit.tt)
     f_p = (max_gates - live_count) / max_gates
-    u_f, u_i, f_st, f_fs = _checking(circuit, resp.rails, word_mask, values)
-    return FitnessVector(ff, f_st, f_fs, f_p, u_f, u_i, live_count, exact)
+    z0, z1 = circuit.rails
+    if (values[z0] ^ values[z1] ^ full) & applied:
+        u_f = u_i = None
+        f_st = f_fs = 0.0
+    else:
+        u_f, u_i = _fault_counts(circuit, values, applied)
+        f_st, f_fs = st_score(u_f), fs_score(u_i)
+    return FitnessVector(total / len(target), f_st, f_fs, f_p, u_f, u_i, live_count,
+                         not wrong & applied)

@@ -349,9 +349,9 @@ def render_blif(circuit: Circuit, model: str = "circuit") -> str:
     return "\n".join(lines) + "\n"
 
 
-def circuit_to_json(circuit: Circuit) -> dict:
+def write_native(circuit: Circuit) -> str:
     r = circuit.r
-    return {
+    return json.dumps({
         "r": r,
         "gates": [
             # The table string lists bit 0 (inputs 0, 0) first.
@@ -360,11 +360,7 @@ def circuit_to_json(circuit: Circuit) -> dict:
         ],
         "y": [_signal_name(s, r) for s in circuit.outputs],
         "z": [_signal_name(s, r) for s in circuit.rails or ()],
-    }
-
-
-def write_native(circuit: Circuit) -> str:
-    return json.dumps(circuit_to_json(circuit), indent=2) + "\n"
+    }, indent=2) + "\n"
 
 
 def _table(text) -> int:

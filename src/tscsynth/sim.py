@@ -2,14 +2,15 @@
 
 Signals are packed integers: bit w of a vector is the signal's value under
 input word w, for all 2**r words in ascending numeric order with x_0 as the
-least significant input bit.  The fault-free wave (values, simulate)
-refreshes every gate once, in index order, which suffices for feed-forward
-circuits; the simulator reads a Circuit's stored arrays, not its Gate view.
-This is all of the simulation that the verify oracle and fitness share: the
-gate table kernel (GATE_EVAL) and the fault-free wave (values).  Each
-injects faults and reads them out its own way, the oracle through
-verify.fault_pass and fitness through one inverted-output slot per gate
-(fitness._fault_counts).
+least significant input bit.  The fault-free wave (values) refreshes every
+gate once, in index order, which suffices for feed-forward circuits; it
+reads a Circuit's stored arrays, not its Gate view.  The verify oracle and
+fitness share the gate table kernel (GATE_EVAL) and the wave, and inject
+and read out faults each its own way: verify.fault_pass, and one
+inverted-output slot per gate in fitness's one scoring body,
+fitness.evaluate_circuit.  simulate, the wave's outputs and rails, backs
+fitness.fault_free_response, which the benchmark times apart from
+fitness.evaluate_checking.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ def full_mask(r: int) -> int:
 class ResponseMatrix:
     """Per-output (and per-rail) response vectors over all 2**r input words."""
 
-    n_words: int
     outputs: tuple[int, ...]
     rails: tuple[int, int] | None
 
@@ -93,4 +93,4 @@ def simulate(circuit: Circuit) -> ResponseMatrix:
     """Fault-free outputs and rails across all 2**r words."""
     v = values(circuit)
     rails = None if circuit.rails is None else tuple(v[s] for s in circuit.rails)
-    return ResponseMatrix(1 << circuit.r, tuple(v[s] for s in circuit.outputs), rails)
+    return ResponseMatrix(tuple(v[s] for s in circuit.outputs), rails)

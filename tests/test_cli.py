@@ -539,6 +539,27 @@ class TestEvolveCommand:
         assert f"error: migration rate {float(rate)!r} is not in [0, 1]" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--budget-seconds", "nan", "time budget nan is not >= 0 seconds"),
+        ("--budget-seconds", "-1", "time budget -1.0 is not >= 0 seconds"),
+        ("--budget-evals", "-1", "eval budget -1 is negative"),
+        ("--checkpoint-every", "-3", "checkpoint interval -3 is negative"),
+    ])
+    def test_ignored_run_setting_exits_2(self, capsys, tmp_path, flag, value, message):
+        # Each once exited 0: a NaN time budget never ran out, and a
+        # negative budget or checkpoint interval acted as zero.
+        code = run_cli(
+            "evolve",
+            "--target", bench("c17.pla"),
+            "--seed", bench("c17.blif"),
+            "--budget-evals", "300",
+            "--out", str(tmp_path / "run"),
+            flag, value,
+        )
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def _evolve_with_file(self, tmp_path, text: str, *argv: str) -> int:
         """evolve c17 with text as an argument file, then argv."""
         args = tmp_path / "run.args"

@@ -321,7 +321,9 @@ class TestGoal:
         assert fv.perfect_checking
         from tscsynth.verify import verify_tsc
 
-        assert verify_tsc(result.champion.circuit).is_tsc
+        report = verify_tsc(result.champion.circuit, target=target.columns)
+        assert report.is_tsc
+        assert report.computes_target
 
     def test_goal_reached_without_stopping_on_it(self):
         # Seed 2 meets the goal after 1292 evals when it stops on it.

@@ -14,7 +14,6 @@ from tscsynth.fitness import (
     K_ST,
     evaluate_checking,
     evaluate_circuit,
-    f_function,
     fault_free_response,
     fs_score,
     st_score,
@@ -58,14 +57,16 @@ def xor_pair_circuit() -> Circuit:
     )
 
 
+def f_f(circuit: Circuit, target: list[int]) -> float:
+    return evaluate_circuit(circuit, target, 10).f_f
+
+
 class TestFFunction:
     def test_identical_outputs_score_one(self):
-        resp = fault_free_response(xor_pair_circuit())
-        assert f_function(resp, [0b0110]) == 1.0
+        assert f_f(xor_pair_circuit(), [0b0110]) == 1.0
 
     def test_complemented_output_scores_one(self):
-        resp = fault_free_response(xor_pair_circuit())
-        assert f_function(resp, [0b1001]) == 1.0
+        assert f_f(xor_pair_circuit(), [0b1001]) == 1.0
 
     def test_constant_output_scores_zero_term(self):
         # q=2: one output perfect, the other constant 0 against a
@@ -74,23 +75,20 @@ class TestFFunction:
             2,
             (Gate(TT_XOR, X(0), X(0)), Gate(TT_XOR, X(0), X(1))),
             (G(1), G(0)),
+            (G(0), G(1)),
         )
-        resp = simulate(c)
-        assert f_function(resp, [0b0110, 0b0110]) == 0.5
+        assert f_f(c, [0b0110, 0b0110]) == 0.5
 
     def test_mismatched_target_width_rejected(self):
-        resp = fault_free_response(xor_pair_circuit())
-        with pytest.raises(ValueError):
-            f_function(resp, [0b0110, 0b1010])
+        with pytest.raises(ValueError, match="target column count"):
+            f_f(xor_pair_circuit(), [0b0110, 0b1010])
 
     def test_circuit_without_function_outputs_rejected(self):
         with pytest.raises(ValueError, match="no function outputs"):
             evaluate_circuit(two_rail_checker_circuit(), [], 10)
 
     def test_partial_correlation_between_zero_and_one(self):
-        resp = fault_free_response(xor_pair_circuit())
-        score = f_function(resp, [0b0100])
-        assert 0.0 < score < 1.0
+        assert 0.0 < f_f(xor_pair_circuit(), [0b0100]) < 1.0
 
     @pytest.mark.parametrize("sum_xnor", [False, True])
     def test_complemented_output_is_not_perfect_checking(self, sum_xnor):

@@ -43,7 +43,7 @@ def test_input_patterns_bit_convention():
 def test_fault_free_xor():
     resp = simulate(_xor_circuit())
     assert resp.outputs[0] == 0b0110
-    assert resp.n_words == 4
+    assert resp.rails is None
 
 
 def test_output_stuck_at_zero():
