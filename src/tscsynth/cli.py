@@ -86,8 +86,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     goal_overhead = args.goal_overhead
     if goal_overhead is None:
         # One gate below duplication, or below the seed's own checking logic
-        # if that is cheaper, so a checked seed does not meet it unchanged.
-        goal_overhead = min(dup, n - g) - 1 if seed.rails is not None else dup - 1
+        # if that is cheaper, so a checked seed does not meet it unchanged;
+        # never a goal below no gates, which a seed without gates would set.
+        cost = min(dup, n - g) if seed.rails is not None else dup
+        goal_overhead = max(cost - 1, -g)
     applied = args.applied_words
     word_mask = _word_mask(applied, layout.r)
 
@@ -106,9 +108,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     )
 
     out_dir = Path(args.out) if args.out else None
-    if out_dir is not None:
-        # Made before the search, so an unusable path costs no search.
-        out_dir.mkdir(parents=True, exist_ok=True)
     runner = evolve_mod.run_distributed if args.parallel else evolve_mod.run
     result = runner(config, target, seed, out_dir=out_dir)
 
@@ -331,7 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-seconds", dest="budget_seconds", type=float, default=None)
     p.add_argument("--seed-rng", dest="seed_rng", type=int, default=0)
     p.add_argument("--migration-rate", dest="migration_rate", type=float, default=0.1)
-    p.add_argument("--goal-overhead", dest="goal_overhead", type=int, default=None)
+    p.add_argument("--goal-overhead", dest="goal_overhead", type=int, default=None,
+                   help="gates over the seed's function core that a goal circuit may "
+                   "use (default: one below the duplication overhead, or below a "
+                   "checked seed's own checking logic if that is smaller; never "
+                   "a goal below 0 gates)")
     p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=50,
                    help="generations between lines of checkpoints.ndjson in --out; "
                    "0 writes no checkpoints")

@@ -25,13 +25,13 @@ as well, since an island never changes the target, ``max_gates`` or
 ``word_mask`` that fix a circuit's fitness; ``RunResult.scored`` counts the
 evaluations that ran ``evaluate_circuit``.
 
-``run`` steps every island of one ``Engine`` in one process.
-``run_distributed`` runs one process per ``Island``: each steps its island
-for ``EPOCH_GENERATIONS`` generations and reports its counts, best and
-outgoing migrants, then the driver, an ``Engine`` with no islands, routes
-the migrants and starts the next epoch.  Each island counts its own
-evaluations, and a run's counts are their sums (``Engine.counts``).  Both
-drivers are deterministic for a fixed configuration.
+One ``Engine`` drives both schedules: it checks a run's settings and
+populates every island before any island steps, and takes each island's
+counts and best only through ``Engine.note`` (``Island.report``).  ``run``
+steps the islands in turn in one process.  ``run_distributed`` steps each in
+a worker process, ``EPOCH_GENERATIONS`` generations per message, notes every
+island after each epoch and routes the migrants.  Both drivers are
+deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import accumulate
 from pathlib import Path
 
 from .fitness import FitnessVector, evaluate_circuit
@@ -104,6 +104,8 @@ class IslandConfig:
             raise ValueError(f"time budget {self.max_seconds!r} is not >= 0 seconds")
         if self.max_evals is not None and self.max_evals < 0:
             raise ValueError(f"eval budget {self.max_evals} is negative")
+        if self.goal_size is not None and self.goal_size < 0:
+            raise ValueError(f"goal size {self.goal_size} is negative")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint interval {self.checkpoint_every} is negative")
 
@@ -285,6 +287,12 @@ class Island:
             migrant = self.make_migrant()
             self.outbox.append((pick_migration_target(self.index, n, self.rng), migrant))
 
+    def report(self) -> tuple[int, tuple[int, int, int], Individual]:
+        """(index, (evals, scored, decoded), population[0]), for Engine.note.
+        Elites lead each generation and the stable sort keeps them ahead of
+        ties, so population[0] is the best the island has held."""
+        return self.index, (self.evals, self.scored, self.decoded), self.population[0]
+
 
 def _goal_met(config: IslandConfig, fitness: FitnessVector) -> bool:
     """fitness checks perfectly within ``goal_size`` live gates."""
@@ -306,13 +314,14 @@ class RunResult:
 class Engine:
     """Multi-island driver; deterministic for a fixed configuration.
 
-    An engine holds every island of a run, or none with ``with_islands``
-    false.  Islands are stepped round-robin; each emigrates into its outbox
-    after its step, and the engine delivers the outbox at once.  With no
-    islands, as ``run_distributed``'s driver, an engine only keeps the
-    record: champion, history, counts and checkpoints.  ``counts`` adds the
-    islands' counts to ``reported``, the totals of the driver's workers, and
-    the budget reads it.
+    An engine checks the run's settings, makes ``out_dir`` and populates
+    every island, in that order, so a settings error leaves no directory and
+    costs no search.  Islands report only through ``note``, which stores each
+    island's counts: the budget, the history, the checkpoints and ``counts``
+    read those.  ``run`` steps the islands round-robin here and notes each
+    after its step; each emigrates into its outbox after its step, and the
+    engine delivers the outbox at once.  ``run_distributed`` steps the same
+    populated islands in workers and notes them after each epoch.
     """
 
     def __init__(
@@ -321,20 +330,14 @@ class Engine:
         target: TargetSpec,
         seed_circuit: Circuit,
         out_dir: str | Path | None = None,
-        *,
-        with_islands: bool = True,
     ):
         if seed_circuit.r != config.layout.r or seed_circuit.q != config.layout.q:
             raise ValueError("seed circuit shape does not match layout")
         if target.r != config.layout.r or target.q != config.layout.q:
             raise ValueError("target shape does not match layout")
         self.config = config
-        self.target = target
-        self.seed_circuit = seed_circuit
-        self.out_dir = Path(out_dir) if out_dir is not None else None
         self.started = time.monotonic()
-        self.reported = (0, 0, 0)
-        self.lock = (
+        lock = (
             seed_lock_mask(seed_circuit, config.layout)
             if config.mode == "nonintrusive"
             else LockMask.empty()
@@ -344,31 +347,37 @@ class Engine:
         if slots < 2:
             raise ValueError(f"the layout has {slots} gene slot, translocation "
                              "needs 2: raise the address width b")
-        if not unlocked_genes(config.layout, self.lock):
+        if not unlocked_genes(config.layout, lock):
             raise ValueError(f"the seed's function core fills all {slots} gene "
                              "slots, which nonintrusive mode locks, so translocation "
                              "has no gene to write: raise the address width b")
-        self.islands = [Island(i, config, target, seed_circuit, self.lock)
-                        for i in range(config.n_islands if with_islands else 0)]
+        self.out_dir = Path(out_dir) if out_dir is not None else None
+        if self.out_dir is not None:
+            # Made before the search, so an unusable path costs no search.
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.islands = [Island(i, config, target, seed_circuit, lock)
+                        for i in range(config.n_islands)]
+        self.island_counts = [(0, 0, 0)] * config.n_islands
         self.generation = 0
         self.champion: Individual | None = None
         self.history: list[dict] = []
         for island in self.islands:
             island.populate()
-            self._note_champion(island.population[0], island.index)
+            self.note([island.report()])
 
-    def _note_champion(self, best: Individual, island: int) -> None:
-        if self.champion is None or _fitness_key(best) > _fitness_key(self.champion):
-            self.champion = best
-            self.history.append(
-                {
-                    "evals": self.counts()[0],
-                    "generation": self.generation,
-                    "island": island,
-                    "fitness": list(best.fitness.key()),
-                    "live_gates": best.fitness.live_gates,
-                }
-            )
+    def note(self, reports: list[tuple[int, tuple[int, int, int], Individual]]) -> None:
+        """Store the counts of each ``Island.report`` in reports, then note
+        each best in index order: one that beats the champion becomes it and
+        adds a history entry."""
+        for index, counts, _ in reports:
+            self.island_counts[index] = counts
+        for index, _, best in reports:
+            if self.champion is None or _fitness_key(best) > _fitness_key(self.champion):
+                self.champion = best
+                self.history.append({
+                    "evals": self.counts()[0], "generation": self.generation,
+                    "island": index, "fitness": list(best.fitness.key()),
+                    "live_gates": best.fitness.live_gates})
 
     def _stops_on_goal(self) -> bool:
         return self.config.stop_on_goal and _goal_met(self.config, self.champion.fitness)
@@ -379,16 +388,16 @@ class Engine:
             if self.exhausted():
                 return
             island.step()
-            self._note_champion(island.population[0], island.index)
+            self.note([island.report()])
             island.emigrate()
             for dest, migrant in island.outbox:
                 self.islands[dest].inbox.append(migrant)
             island.outbox.clear()
             if self._stops_on_goal():
                 return
-        self._advance(1)
+        self.advance(1)
 
-    def _advance(self, generations: int) -> None:
+    def advance(self, generations: int) -> None:
         """Count generations finished on every island; checkpoint each time
         the count passes a multiple of ``checkpoint_every``."""
         every = self.config.checkpoint_every
@@ -402,7 +411,6 @@ class Engine:
             self._write_checkpoint()
 
     def _write_checkpoint(self) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         layout = self.config.layout
         record = {
             "genotype": self.champion.genotype.to_hex(),
@@ -417,9 +425,8 @@ class Engine:
             fh.write(json.dumps(record) + "\n")
 
     def counts(self) -> tuple[int, int, int]:
-        """(evals, scored, decoded): the islands' sums plus ``reported``."""
-        per_island = ((i.evals, i.scored, i.decoded) for i in self.islands)
-        return tuple(map(sum, zip(self.reported, *per_island)))
+        """(evals, scored, decoded): the sums of the noted island counts."""
+        return tuple(map(sum, zip(*self.island_counts)))
 
     def elapsed(self) -> float:
         return time.monotonic() - self.started
@@ -429,6 +436,10 @@ class Engine:
         return (evals is not None and self.counts()[0] >= evals
                 or seconds is not None and self.elapsed() >= seconds)
 
+    def done(self) -> bool:
+        """The budget is spent, or the champion meets a goal the run stops on."""
+        return self.exhausted() or self._stops_on_goal()
+
     def result(self) -> RunResult:
         assert self.champion is not None
         evals, scored, decoded = self.counts()
@@ -436,7 +447,7 @@ class Engine:
                          self.elapsed(), _goal_met(self.config, self.champion.fitness))
 
     def run(self) -> RunResult:
-        while not (self.exhausted() or self._stops_on_goal()):
+        while not self.done():
             self.step_generation()
         return self.result()
 
@@ -452,46 +463,29 @@ def run(
 
 
 # ---------------------------------------------------------------------------
-# Process-per-island mode.  Each worker process owns one Island and steps it
-# for an epoch of EPOCH_GENERATIONS generations per message from the driver.
-# The driver, an Engine with no islands, collects every worker's report,
-# routes the migrants each one emitted for other islands, and sends them as
-# the next epoch's immigrants.  Messages are pickled over multiprocessing
-# pipes; nothing depends on timing, so the run reproduces.
+# Process-per-island mode.  Messages are pickled over multiprocessing pipes;
+# nothing depends on timing, so a run reproduces.
 # ---------------------------------------------------------------------------
 
 EPOCH_GENERATIONS = 4
 
 
-def _island_worker(
-    config: IslandConfig,
-    target: TargetSpec,
-    seed_circuit: Circuit,
-    lock: LockMask,
-    index: int,
-    conn,
-) -> None:
-    """Populate island index with the driver's lock, report, then run one
-    epoch per list of immigrants received, forever.
-
-    A report is (counts, best, outbox): the island's (evals, scored,
-    decoded), ``population[0]`` and its emigrants since the last report as
-    (island, genotype) pairs.  Elites lead each generation and the stable
-    sort keeps them ahead of ties, so ``population[0]`` is the best the
-    island has held.
-    """
-    island = Island(index, config, target, seed_circuit, lock)
-    island.populate()
+def _island_worker(island: Island, conn) -> None:
+    """Step a populated island one epoch per list of immigrants received,
+    forever, and after each epoch send (island.report(), outbox): the
+    island's report for Engine.note and its emigrants of the epoch as
+    (island, genotype) pairs.  The island's counts stay on the island; the
+    driver keeps only what the reports say."""
+    config = island.config
     while True:
-        conn.send(((island.evals, island.scored, island.decoded),
-                   island.population[0], island.outbox))
-        island.outbox = []
         island.inbox.extend(conn.recv())
         for _ in range(EPOCH_GENERATIONS):
             island.step()
             island.emigrate()
             if config.stop_on_goal and _goal_met(config, island.population[0].fitness):
                 break
+        conn.send((island.report(), island.outbox))
+        island.outbox = []
 
 
 def _worker_exited(island: int, worker) -> RuntimeError:
@@ -510,15 +504,14 @@ def run_distributed(
     """One process per island, synchronised in epochs; deterministic for a
     fixed configuration.
 
-    Each worker process steps one ``Island`` for ``EPOCH_GENERATIONS``
-    generations an epoch (fewer once it reaches the goal).  Migrants are
-    drawn from each island's own rng as in ``run``, but reach their
-    destination at the start of the next epoch.  The driver, an ``Engine``
-    with no islands, keeps the champion and the history and writes the
-    checkpoints.  Each worker reports its island's counts, best and
-    outgoing migrants; the driver keeps the sum of the counts as its
-    ``reported``, so its history, checkpoints, budget and result count all
-    islands.
+    The driver builds ``run``'s ``Engine``, which checks the settings and
+    populates every island here: a settings error comes before any worker
+    starts, and a run that populating ends starts none.  Each worker steps
+    one populated ``Island`` for ``EPOCH_GENERATIONS`` generations an epoch
+    (fewer once it meets the goal), and the driver notes every island's
+    report after each epoch; its own islands stay as populated.  Migrants
+    are drawn from each island's own rng as in ``run``, but reach their
+    destination at the next epoch.
 
     The eval budget, the time limit and the goal are checked only between
     epochs, so a run overshoots ``max_evals`` by at most one epoch of evals
@@ -530,43 +523,41 @@ def run_distributed(
     needs the ``if __name__ == "__main__":`` guard.  Raises RuntimeError
     naming the island if a worker process dies.
     """
-    driver = Engine(config, target, seed_circuit, out_dir, with_islands=False)
+    engine = Engine(config, target, seed_circuit, out_dir)
+    if engine.done():
+        return engine.result()
     ctx = multiprocessing.get_context("spawn")
     conns, workers = [], []
     try:
-        for i in range(config.n_islands):
+        for island in engine.islands:
             conn, child_conn = ctx.Pipe()
-            worker = ctx.Process(
-                target=_island_worker,
-                args=(config, target, seed_circuit, driver.lock, i, child_conn),
-                name=f"tscsynth-island-{i}",
-            )
+            worker = ctx.Process(target=_island_worker, args=(island, child_conn),
+                                 name=f"tscsynth-island-{island.index}")
             worker.start()
             workers.append(worker)
             conns.append(conn)
             child_conn.close()  # the worker's death now reads as end of file
-        for epoch in count():
-            reports = []
-            for i, (conn, worker) in enumerate(zip(conns, workers)):
-                try:
-                    reports.append(conn.recv())
-                except EOFError:
-                    raise _worker_exited(i, worker) from None
-            driver.reported = tuple(map(sum, zip(*(report[0] for report in reports))))
-            inboxes: list[list[Genotype]] = [[] for _ in workers]
-            for i, (_, champion, outbox) in enumerate(reports):
-                driver._note_champion(champion, i)
-                for dest, genotype in outbox:
-                    inboxes[dest].append(genotype)
-            if epoch:
-                driver._advance(EPOCH_GENERATIONS)
-            if driver.exhausted() or driver._stops_on_goal():
-                return driver.result()
+        inboxes: list[list[Genotype]] = [[] for _ in workers]
+        while not engine.done():
             for i, (conn, worker) in enumerate(zip(conns, workers)):
                 try:
                     conn.send(inboxes[i])
                 except (BrokenPipeError, ConnectionResetError):
                     raise _worker_exited(i, worker) from None
+            reports = []
+            inboxes = [[] for _ in workers]
+            for i, (conn, worker) in enumerate(zip(conns, workers)):
+                try:
+                    report, outbox = conn.recv()
+                except (EOFError, ConnectionResetError):
+                    # A worker killed with immigrants unread resets the pipe.
+                    raise _worker_exited(i, worker) from None
+                reports.append(report)
+                for dest, genotype in outbox:
+                    inboxes[dest].append(genotype)
+            engine.note(reports)
+            engine.advance(EPOCH_GENERATIONS)
+        return engine.result()
     finally:
         for worker in workers:
             worker.terminate()  # idle in recv, or abandoned after a failure

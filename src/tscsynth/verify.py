@@ -54,17 +54,28 @@ def _fault(i: int) -> Fault:
 
 @dataclass
 class TscReport:
-    """is_tsc is the self-checking property alone.  computes_target says
-    whether every function output equals its target column on the applied
-    words; it is None when no target was given."""
+    """is_tsc is the self-checking property alone: self-testing (is_st, no
+    undetected fault) and fault-secure (is_fs, no violation and no fault-free
+    false alarm).  computes_target says whether every function output equals
+    its target column on the applied words; it is None when no target was
+    given."""
 
-    is_tsc: bool
-    is_st: bool
-    is_fs: bool
     false_alarm: bool
     undetected: list[Fault] = field(default_factory=list)
     violations: list[tuple[Fault, int]] = field(default_factory=list)
     computes_target: bool | None = None
+
+    @property
+    def is_st(self) -> bool:
+        return not self.undetected
+
+    @property
+    def is_fs(self) -> bool:
+        return not self.violations and not self.false_alarm
+
+    @property
+    def is_tsc(self) -> bool:
+        return self.is_st and self.is_fs
 
     def summary(self) -> str:
         verdict = "TSC" if self.is_tsc else "not TSC"
@@ -207,10 +218,7 @@ def verify_tsc(
                 slot = at >> r
                 f = _fault(6 * first + slot)
             violations.append((f, at & width - 1))
-    is_st = not undetected
-    is_fs = not violations and not false_alarm
-    return TscReport(is_st and is_fs, is_st, is_fs, false_alarm, undetected, violations,
-                     computes_target)
+    return TscReport(false_alarm, undetected, violations, computes_target)
 
 
 def verify_fs(
@@ -230,8 +238,5 @@ def verify_fs(
     sites = (FaultSite.OUTPUT,) if scope is FaultScope.OUTPUTS_ONLY else tuple(FaultSite)
     undetected = [f for f in report.undetected if f.site in sites]
     violations = [(f, w) for f, w in report.violations if f.site in sites]
-    is_st = not undetected
-    is_fs = not violations and not report.false_alarm
-    return TscReport(is_st and is_fs, is_st, is_fs, report.false_alarm, undetected,
-                     violations)
+    return TscReport(report.false_alarm, undetected, violations)
 

@@ -145,10 +145,7 @@ def full_wave_report(
                 violations.append((fault, w))
     if false_alarm:
         violations = []
-    is_st = not undetected
-    is_fs = not violations and not false_alarm
-    return TscReport(is_st and is_fs, is_st, is_fs, false_alarm, undetected, violations,
-                     computes_target)
+    return TscReport(false_alarm, undetected, violations, computes_target)
 
 
 def random_ref(rng: random.Random, r: int, n_gates: int) -> SignalRef:

@@ -89,7 +89,8 @@ class TestFileErrors:
         def search(*args, **kwargs):
             pytest.fail("the search ran")
 
-        monkeypatch.setattr("tscsynth.evolve.run", search)
+        # The engine makes --out before it populates the first island.
+        monkeypatch.setattr("tscsynth.evolve.Island.populate", search)
         (tmp_path / "file").write_text("")
         code = run_cli(
             "evolve",
@@ -168,7 +169,8 @@ HALF_ADDER_BLIF = (
 class TestLayoutWithoutRoomToTranslocate:
     # Translocation copies a gene over another, unlocked one: a layout needs
     # two gene slots, and one slot free of the nonintrusive lock.  Both are
-    # refused before the first population is evaluated.
+    # refused before the first population is evaluated and before the --out
+    # directory is made.
     def _evolve(self, tmp_path, blif: str, pla: str, *flags: str) -> int:
         (tmp_path / "seed.blif").write_text(blif)
         (tmp_path / "target.pla").write_text(pla)
@@ -177,18 +179,27 @@ class TestLayoutWithoutRoomToTranslocate:
                        "--budget-evals", "100", *flags)
 
     def test_default_width_leaves_two_slots(self, tmp_path, capsys):
-        assert self._evolve(tmp_path, WIRE_BLIF, WIRE_PLA) == 0
+        out = tmp_path / "run"
+        assert self._evolve(tmp_path, WIRE_BLIF, WIRE_PLA, "--out", str(out)) == 0
+        # The default goal of this seed without gates is 0 gates, not one
+        # below its duplication overhead of 0.
+        assert json.loads((out / "run.json").read_text())["goal_size"] == 0
 
     def test_one_slot_exits_2(self, tmp_path, capsys):
-        assert self._evolve(tmp_path, WIRE_BLIF, WIRE_PLA, "--b", "2") == 2
+        out = tmp_path / "run"
+        assert self._evolve(tmp_path, WIRE_BLIF, WIRE_PLA, "--b", "2",
+                            "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "1 gene slot" in err and "raise the address width b" in err
+        assert not out.exists()
 
     def test_nonintrusive_seed_filling_every_slot_exits_2(self, tmp_path, capsys):
-        assert self._evolve(tmp_path, HALF_ADDER_BLIF, HALF_ADDER_PLA,
-                            "--b", "2", "--mode", "nonintrusive") == 2
+        out = tmp_path / "run"
+        assert self._evolve(tmp_path, HALF_ADDER_BLIF, HALF_ADDER_PLA, "--b", "2",
+                            "--mode", "nonintrusive", "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "nonintrusive" in err and "raise the address width b" in err
+        assert not out.exists()
 
 
 class TestBaseline:
@@ -544,10 +555,13 @@ class TestEvolveCommand:
         ("--budget-seconds", "-1", "time budget -1.0 is not >= 0 seconds"),
         ("--budget-evals", "-1", "eval budget -1 is negative"),
         ("--checkpoint-every", "-3", "checkpoint interval -3 is negative"),
+        # c17's function core has 6 gates.
+        ("--goal-overhead", "-100", "goal size -94 is negative"),
     ])
     def test_ignored_run_setting_exits_2(self, capsys, tmp_path, flag, value, message):
-        # Each once exited 0: a NaN time budget never ran out, and a
-        # negative budget or checkpoint interval acted as zero.
+        # Each once exited 0: a NaN time budget never ran out, a negative
+        # budget or checkpoint interval acted as zero, and a negative goal
+        # size spent the whole budget on a goal no circuit meets.
         code = run_cli(
             "evolve",
             "--target", bench("c17.pla"),

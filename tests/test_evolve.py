@@ -335,6 +335,35 @@ class TestGoal:
         assert result.goal_reached
 
 
+class TestDistributedDriver:
+    # run_distributed builds run's Engine, which checks the settings and
+    # populates every island before any worker process could start.
+    @pytest.fixture
+    def no_workers(self, monkeypatch):
+        def get_context(*args):
+            pytest.fail("a worker process was started")
+
+        monkeypatch.setattr(evolve.multiprocessing, "get_context", get_context)
+
+    def test_budget_spent_on_populating_starts_no_worker(self, no_workers):
+        seed, target, layout = small_setup()
+        config = small_config(layout, n_islands=3, max_evals=0)
+        parallel = run_distributed(config, target, seed)
+        serial = run(config, target, seed)
+        assert parallel.champion.genotype == serial.champion.genotype
+        assert parallel.evals == 3 * POPULATION_SIZE
+        assert ((parallel.evals, parallel.scored, parallel.decoded, parallel.history)
+                == (serial.evals, serial.scored, serial.decoded, serial.history))
+
+    @pytest.mark.parametrize("runner", [run, run_distributed])
+    def test_seed_too_large_for_layout_raises(self, no_workers, runner):
+        seed = parse_blif((BENCH_DIR / "mult2.blif").read_text())
+        target = parse_pla((BENCH_DIR / "mult2.pla").read_text())
+        config = small_config(GenomeLayout(r=4, q=4, b=3))
+        with pytest.raises(ValueError, match="seed has 7 gates, layout holds 4"):
+            runner(config, target, seed)
+
+
 _KILL_ISLAND_1 = """
 import multiprocessing, os, signal, threading, time
 from test_evolve import small_config, small_setup
