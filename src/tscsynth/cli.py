@@ -66,23 +66,16 @@ def _word_mask(text: str | None, r: int) -> int | None:
 def _cmd_evolve(args: argparse.Namespace) -> int:
     target = parse_pla(_read(args.target))
     seed = _read_circuit(args.seed)
-    if (seed.r, seed.q) != (target.r, target.q):
-        raise ParseError(f"seed is {seed.r} in/{seed.q} out but target is "
-                         f"{target.r} in/{target.q} out")
-
     # The seed takes a gene slot per gate, but its size is its function core:
-    # a checked seed's own checking logic is overhead.
+    # a checked seed's own checking logic is overhead.  The layout has the
+    # target's shape; the engine checks that the seed has it and fits.
     n = len(seed.tt)
     b = args.b
     if b is None:
-        b = default_address_width(seed.r, n, seed.q)
-    layout = GenomeLayout(r=seed.r, q=seed.q, b=b)
-    if n > layout.max_gates:
-        raise ParseError(f"seed needs {n} gene slots, layout has "
-                         f"{layout.max_gates}; raise --b")
-
+        b = default_address_width(target.r, n, target.q)
+    layout = GenomeLayout(r=target.r, q=target.q, b=b)
     g = len(function_core(seed))
-    dup = duplication_overhead(g, seed.q)
+    dup = duplication_overhead(g, target.q)
     goal_overhead = args.goal_overhead
     if goal_overhead is None:
         # One gate below duplication, or below the seed's own checking logic
@@ -202,9 +195,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     seed = _read_circuit(args.seed)
+    # First, so that a seed with rails or without outputs is named as such.
+    baseline = build_duplication_baseline(seed)
     g = len(seed.tt)
     dup = duplication_overhead(g, seed.q)
-    baseline = build_duplication_baseline(seed)
     if args.out:
         # Written first, so an unusable path costs no oracle run.
         Path(args.out).write_text(write_native(baseline), encoding="utf-8")
@@ -238,18 +232,17 @@ _JSON_KINDS = {type(None): "null", dict: "an object", list: "a list", str: "a st
                int: "an integer", float: "a number", bool: "a boolean"}
 
 
-def _field(record, path: str, kind: type, optional: bool = False):
-    """The value at a dotted path of a run record, checked to be of kind; an
-    optional field may be missing or null, and then reads as None."""
+def _field(record, path: str, kind: type):
+    """The value at a dotted path of a run record, checked to be of kind."""
     value, keys = record, path.split(".")
     for i, key in enumerate(keys):
         if type(value) is not dict:
             where = f"field {'.'.join(keys[:i])!r}" if i else "record"
             raise ParseError(f"{where} is {_JSON_KINDS[type(value)]}, not an object")
-        if key not in value and not optional:
+        if key not in value:
             raise ParseError(f"has no field {key!r}")
-        value = value.get(key)
-    if type(value) is not kind and not (optional and value is None):
+        value = value[key]
+    if type(value) is not kind:
         raise ParseError(f"field {path!r} is {_JSON_KINDS[type(value)]}, "
                          f"not {_JSON_KINDS[kind]}")
     return value
@@ -262,11 +255,8 @@ def _print_report(record: dict) -> int:
     dup = _field(record, "dup_overhead", int)
     overhead = s - g
     is_tsc = _field(record, "verification.is_tsc", bool)
-    # Records written before the function check lack its key.
-    computes = _field(record, "verification.computes_target", bool, optional=True)
-    verdict = ("not TSC" if not is_tsc else "TSC" if computes
-               else "TSC, wrong function" if computes is False
-               else "TSC, function unchecked")
+    computes = _field(record, "verification.computes_target", bool)
+    verdict = "not TSC" if not is_tsc else "TSC" if computes else "TSC, wrong function"
     # Champion summary in the style of an overhead-comparison table row.
     report = {
         "benchmark": _field(record, "benchmark", str),
@@ -278,11 +268,9 @@ def _print_report(record: dict) -> int:
         "verdict": verdict,
         "shrunk_function_logic": s < g,
         "fitness": _field(record, "champion.fitness", list),
-        # Records written before scored evaluations were counted lack "scored".
-        "evals": _field(record, "evals", int, optional=True),
-        "scored": _field(record, "scored", int, optional=True),
-        # Records written before parents' netlists were reused lack "decoded".
-        "decoded": _field(record, "decoded", int, optional=True),
+        "evals": _field(record, "evals", int),
+        "scored": _field(record, "scored", int),
+        "decoded": _field(record, "decoded", int),
         "trajectory": _field(record, "history", list),
     }
     print(json.dumps(report, indent=2))
@@ -293,11 +281,9 @@ def _print_report(record: dict) -> int:
         f"{report['benchmark']:<12}{g:>7}{overhead:>6}{dup:>6}{ratio:>10}  "
         f"{report['verdict']}"
     )
-    if report["scored"] is not None:
-        print(f"evals: {report['evals']}, scored: {report['scored']} (the rest "
-              "reused a parent's fitness)")
-    if report["decoded"] is not None:
-        print(f"decoded: {report['decoded']} (the rest reused a parent's netlist)")
+    print(f"evals: {report['evals']}, scored: {report['scored']} (the rest "
+          "reused a parent's fitness)")
+    print(f"decoded: {report['decoded']} (the rest reused a parent's netlist)")
     return EXIT_OK
 
 

@@ -134,8 +134,6 @@ def select_parent(sorted_population: list, rng: random.Random):
     n = len(sorted_population)
     if n == 0:
         raise ValueError("empty population")
-    if n == 1:
-        return sorted_population[0]
     # The one draw and the pick of rng.choices(..., cum_weights=cum, k=1).
     cum = _rank_cum_weights(n)
     return sorted_population[bisect_right(cum, rng.random() * cum[-1], 0, n - 1)]
@@ -314,14 +312,16 @@ class RunResult:
 class Engine:
     """Multi-island driver; deterministic for a fixed configuration.
 
-    An engine checks the run's settings, makes ``out_dir`` and populates
-    every island, in that order, so a settings error leaves no directory and
-    costs no search.  Islands report only through ``note``, which stores each
-    island's counts: the budget, the history, the checkpoints and ``counts``
-    read those.  ``run`` steps the islands round-robin here and notes each
-    after its step; each emigrates into its outbox after its step, and the
-    engine delivers the outbox at once.  ``run_distributed`` steps the same
-    populated islands in workers and notes them after each epoch.
+    An engine checks the run's settings, the seed's and the target's shape
+    and the seed's size among them; then makes ``out_dir``, deleting an
+    earlier run's ``checkpoints.ndjson`` there; then populates every island.
+    So a settings error leaves no directory and costs no search.  Islands
+    report only through ``note``, which stores each island's counts: the
+    budget, the history, the checkpoints and ``counts`` read those.  ``run``
+    steps the islands round-robin here and notes each after its step; each
+    emigrates into its outbox after its step, and the engine delivers the
+    outbox at once.  ``run_distributed`` steps the same populated islands in
+    workers and notes them after each epoch.
     """
 
     def __init__(
@@ -331,31 +331,40 @@ class Engine:
         seed_circuit: Circuit,
         out_dir: str | Path | None = None,
     ):
-        if seed_circuit.r != config.layout.r or seed_circuit.q != config.layout.q:
-            raise ValueError("seed circuit shape does not match layout")
-        if target.r != config.layout.r or target.q != config.layout.q:
-            raise ValueError("target shape does not match layout")
+        layout, seed = config.layout, seed_circuit
+        if (seed.r, seed.q) != (target.r, target.q):
+            raise ValueError(f"seed is {seed.r} in/{seed.q} out but target is "
+                             f"{target.r} in/{target.q} out")
+        if (target.r, target.q) != (layout.r, layout.q):
+            raise ValueError(f"target is {target.r} in/{target.q} out but layout is "
+                             f"{layout.r} in/{layout.q} out")
+        # The seed takes a gene slot per gate.
+        slots = layout.max_gates
+        if len(seed.tt) > slots:
+            raise ValueError(f"seed has {len(seed.tt)} gates, layout holds {slots}: "
+                             "raise the address width b")
         self.config = config
         self.started = time.monotonic()
         lock = (
-            seed_lock_mask(seed_circuit, config.layout)
+            seed_lock_mask(seed, layout)
             if config.mode == "nonintrusive"
             else LockMask.empty()
         )
         # Translocation copies a gene over another, unlocked one.
-        slots = config.layout.max_gates
         if slots < 2:
             raise ValueError(f"the layout has {slots} gene slot, translocation "
                              "needs 2: raise the address width b")
-        if not unlocked_genes(config.layout, lock):
+        if not unlocked_genes(layout, lock):
             raise ValueError(f"the seed's function core fills all {slots} gene "
                              "slots, which nonintrusive mode locks, so translocation "
                              "has no gene to write: raise the address width b")
         self.out_dir = Path(out_dir) if out_dir is not None else None
         if self.out_dir is not None:
-            # Made before the search, so an unusable path costs no search.
+            # Made before the search, so an unusable path costs no search;
+            # an earlier run's checkpoints are not this run's.
             self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.islands = [Island(i, config, target, seed_circuit, lock)
+            (self.out_dir / "checkpoints.ndjson").unlink(missing_ok=True)
+        self.islands = [Island(i, config, target, seed, lock)
                         for i in range(config.n_islands)]
         self.island_counts = [(0, 0, 0)] * config.n_islands
         self.generation = 0

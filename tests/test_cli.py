@@ -240,6 +240,20 @@ class TestBaseline:
         assert report.computes_target is True
         assert len(report.undetected) == undetected
         assert all(f.gate >= 2 * len(seed.tt) for f in report.undetected)
+        # verify exits 1 on exactly the baselines that are not TSC, and
+        # export draws the rails.
+        assert run_cli("verify", "--circuit", str(out_file),
+                       "--target", bench(f"{name}.pla")) == (0 if undetected == 0 else 1)
+        dot = tmp_path / "baseline.dot"
+        assert run_cli("export", "--circuit", str(out_file), "--dot", str(dot)) == 0
+        assert "z1 [shape=diamond]" in dot.read_text()
+
+    def test_seed_without_outputs_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps({"r": 2, "gates": [], "y": [], "z": []}))
+        assert run_cli("baseline", "--seed", str(path)) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: seed has no function outputs\n")
 
 
 class TestVerifyCommand:
@@ -338,6 +352,37 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert run_cli("verify", "--circuit", circuit, "--applied-words", mask) == 2
         assert f"--applied-words {mask}" in capsys.readouterr().err
+
+    @staticmethod
+    def _baseline_file(tmp_path, name: str) -> str:
+        path = tmp_path / f"{name}.json"
+        path.write_text(write_native(build_duplication_baseline(
+            parse_blif(Path(bench(f"{name}.blif")).read_text()))))
+        return str(path)
+
+    @pytest.mark.parametrize("mask,code", [("ffff", 1), ("ffffffff", 0)])
+    def test_applied_words_decide_the_verdict(self, tmp_path, capsys, mask, code):
+        # The first half of c17's 32 words leaves faults of its duplication
+        # baseline undetected; all of them prove it TSC.
+        circuit = self._baseline_file(tmp_path, "c17")
+        assert run_cli("verify", "--circuit", circuit, "--target", bench("c17.pla"),
+                       "--applied-words", mask) == code
+        assert capsys.readouterr().out.startswith("TSC" if code == 0 else "not TSC")
+
+    @pytest.mark.parametrize("text,message", [
+        # Word 111 in both the on-set and the off-set of output 0: read as
+        # .type f, it would verify against a function the file does not give.
+        (".i 3\n.o 4\n.type fr\n111 1000\n111 0000\n.e\n",
+         "PLA output 0 has word 111 in both its on-set and off-set"),
+        (".i 3\n.o 4\n.type fr\n.type f\n111 1000\n111 0000\n.e\n",
+         "PLA .type is given twice"),
+    ])
+    def test_target_the_reader_rejects_exits_2(self, tmp_path, capsys, text, message):
+        circuit = self._baseline_file(tmp_path, "b1")
+        (tmp_path / "t.pla").write_text(text)
+        assert run_cli("verify", "--circuit", circuit, "--target", str(tmp_path / "t.pla")) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
 
     def test_target_shape_mismatch_exits_2(self, tmp_path, capsys):
         circuit, _ = self._half_adder_files(tmp_path, sum_xnor=False)
@@ -482,6 +527,32 @@ class TestEvolveCommand:
         assert again["evals"] == rec["evals"]
         assert again["verification"] == rec["verification"]
 
+    def test_rerun_into_the_same_out_starts_fresh_checkpoints(self, tmp_path):
+        # 1000 evals of one island are 33 generations: checkpoints at 10, 20
+        # and 30, once, however often the run is repeated into --out.
+        out = tmp_path / "run"
+        argv = ["evolve", "--target", bench("c17.pla"), "--seed", bench("c17.blif"),
+                "--islands", "1", "--budget-evals", "1000", "--out", str(out)]
+        for _ in range(2):
+            assert run_cli(*argv, "--checkpoint-every", "10") == 0
+        lines = (out / "checkpoints.ndjson").read_text().splitlines()
+        assert [json.loads(line)["generation"] for line in lines] == [10, 20, 30]
+        assert run_cli(*argv, "--checkpoint-every", "0") == 0
+        assert not (out / "checkpoints.ndjson").exists()
+
+    def test_parallel_budget_spent_on_populating_starts_no_worker(self, tmp_path,
+                                                                  monkeypatch):
+        def get_context(*args):
+            pytest.fail("a worker process was started")
+
+        monkeypatch.setattr("tscsynth.evolve.multiprocessing.get_context", get_context)
+        out = tmp_path / "run"
+        assert run_cli("evolve", "--target", bench("mult2.pla"), "--seed", bench("mult2.blif"),
+                       "--parallel", "--islands", "2", "--budget-evals", "0",
+                       "--out", str(out)) == 0
+        record = json.loads((out / "run.json").read_text())
+        assert (record["parallel"], record["evals"]) == (True, 2 * POPULATION_SIZE)
+
     @pytest.mark.parametrize("mask", ["-1", "0", "100000000"])
     def test_applied_words_outside_the_words_exit_2(self, tmp_path, capsys, mask):
         # c17 has 5 inputs, so a mask names words 0..31.
@@ -534,7 +605,7 @@ class TestEvolveCommand:
             "--budget-evals", "0",
         )
         assert code == 2
-        assert "error: seed needs 6 gene slots, layout has 3; raise --b" in \
+        assert "error: seed has 6 gates, layout holds 3: raise the address width b" in \
             capsys.readouterr().err
 
     @pytest.mark.parametrize("rate", ["nan", "-0.5", "1.5"])
@@ -705,7 +776,7 @@ class TestReport:
 
     @pytest.mark.parametrize("verification,verdict", [
         ({"is_tsc": True, "computes_target": False}, "TSC, wrong function"),
-        ({"is_tsc": True}, "TSC, function unchecked"),  # recorded before the check
+        ({"is_tsc": False, "computes_target": False}, "not TSC"),
         ({"is_tsc": False, "computes_target": True}, "not TSC"),
         ({"is_tsc": True, "computes_target": True}, "TSC"),
     ])
@@ -717,7 +788,8 @@ class TestReport:
         report = json.loads(header)
         assert report["verdict"] == verdict
         assert report["ratio"] == (pytest.approx(4 / 12) if verdict == "TSC" else None)
-        assert rest.rstrip().endswith(verdict)
+        # The table row, after its header line.
+        assert rest.splitlines()[1].endswith(f"  {verdict}")
 
     @staticmethod
     def _record() -> dict:
@@ -727,6 +799,9 @@ class TestReport:
             "dup_overhead": 12,
             "champion": {"live_gates": 10, "fitness": []},
             "verification": {"is_tsc": True, "computes_target": True},
+            "evals": 64,
+            "scored": 40,
+            "decoded": 32,
             "history": [],
         }
 
@@ -755,6 +830,10 @@ class TestReport:
         (None, "history"),
         ("champion", "live_gates"),
         ("verification", "is_tsc"),
+        ("verification", "computes_target"),
+        (None, "evals"),
+        (None, "scored"),
+        (None, "decoded"),
     ])
     def test_record_without_a_field_exits_2(self, tmp_path, capsys, part, field):
         # Exit 1 would read as "verification failed".

@@ -100,9 +100,11 @@ class TestSelection:
         assert 0 in picks
 
     def test_two_individuals_always_best(self):
-        pop = self._pop(2)
-        rng = random.Random(0)
-        assert all(select_parent(pop, rng).rank == 0 for _ in range(50))
+        # The worst rank weighs nothing, so with one individual too.
+        for n in (1, 2):
+            pop = self._pop(n)
+            rng = random.Random(0)
+            assert all(select_parent(pop, rng).rank == 0 for _ in range(50))
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
@@ -356,12 +358,31 @@ class TestDistributedDriver:
                 == (serial.evals, serial.scored, serial.decoded, serial.history))
 
     @pytest.mark.parametrize("runner", [run, run_distributed])
-    def test_seed_too_large_for_layout_raises(self, no_workers, runner):
+    def test_seed_too_large_for_layout_raises(self, no_workers, tmp_path, runner):
         seed = parse_blif((BENCH_DIR / "mult2.blif").read_text())
         target = parse_pla((BENCH_DIR / "mult2.pla").read_text())
         config = small_config(GenomeLayout(r=4, q=4, b=3))
-        with pytest.raises(ValueError, match="seed has 7 gates, layout holds 4"):
-            runner(config, target, seed)
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="^seed has 7 gates, layout holds 4: "
+                           "raise the address width b$"):
+            runner(config, target, seed, out_dir=out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("runner", [run, run_distributed])
+    @pytest.mark.parametrize("mismatch,message", [
+        ("target", "seed is 2 in/2 out but target is 4 in/4 out"),
+        ("layout", "target is 2 in/2 out but layout is 4 in/4 out"),
+    ])
+    def test_shape_mismatch_raises(self, no_workers, tmp_path, runner, mismatch, message):
+        seed, target, layout = small_setup()
+        if mismatch == "target":
+            target = parse_pla((BENCH_DIR / "mult2.pla").read_text())
+        else:
+            layout = GenomeLayout(r=4, q=4, b=5)
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            runner(small_config(layout), target, seed, out_dir=out)
+        assert not out.exists()
 
 
 _KILL_ISLAND_1 = """

@@ -26,6 +26,16 @@ X = SignalRef.x
 G = SignalRef.g
 
 
+@pytest.mark.parametrize("q,columns,message", [
+    (2, (0b0110,), "column count does not match q"),
+    (1, (0b10000,), r"target column does not fit 2\*\*r words"),
+    (1, (-1,), r"target column does not fit 2\*\*r words"),
+])
+def test_target_spec_rejects_bad_columns(q, columns, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TargetSpec(2, q, columns)
+
+
 class TestPla:
     def test_single_and_cube(self):
         target = parse_pla(".i 2\n.o 1\n11 1\n.e\n")
@@ -111,6 +121,22 @@ class TestPla:
     @pytest.mark.parametrize("kind", ["f", "fd"])
     def test_zero_output_outside_off_set_types_is_not_on_set(self, kind):
         assert parse_pla(f".i 1\n.o 1\n.type {kind}\n1 1\n1 0\n.e\n").columns == (0b10,)
+
+    @pytest.mark.parametrize("text,message", [
+        (".i 1\n.o 1\n.kiss\n1 1\n.e\n", "unsupported PLA directive: .kiss"),
+        (".i 1\n.o 1\n1 1 1\n.e\n", "bad cube line: '1 1 1'"),
+        (".i 0\n.o 1\n.e\n", "PLA needs at least one input and one output"),
+        (".i 1\n.o 0\n.e\n", "PLA needs at least one input and one output"),
+        (".i 1\n.o 1\n1 2\n.e\n", "bad output character '2' in cube"),
+    ])
+    def test_malformed_text_rejected(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_pla(text)
+
+    def test_backslash_continues_a_line(self):
+        # The continued line is joined with a space: "11 \\" and "1" read
+        # as the cube "11 1", and "# ..." after it is a comment.
+        assert parse_pla(".i 2\n.o 1\n11 \\\n1  # and\n.e\n").columns == (0b1000,)
 
     @pytest.mark.parametrize("r", [MAX_INPUTS + 1, 40])
     def test_more_than_max_inputs_rejected(self, r):
@@ -215,6 +241,39 @@ class TestBlif:
         with pytest.raises(ParseError, match=f"^net '{net}' feeds no output"):
             parse_blif(text)
 
+    @pytest.mark.parametrize("text,message", [
+        (".inputs a\n.outputs a\n.names\n", "empty .names line"),
+        (".inputs a\n.outputs a\n.latch a b\n", "unsupported BLIF directive: .latch"),
+        (".inputs a\n.outputs a\n11 1\n", "cover row outside a .names block: '11 1'"),
+        (".outputs y\n.names y\n1\n", "BLIF has no .inputs"),
+        (".inputs a\n", "BLIF has no .outputs"),
+        (".inputs a b\n.outputs y\n.names a b y\n11 1\n.names a b y\n10 1\n",
+         "a net is defined by more than one .names block"),
+        (".inputs a b\n.outputs a\n.names b a\n1 1\n",
+         "primary input 'a' redefined by .names"),
+        (".inputs a\n.outputs z\n", "undefined output net 'z'"),
+        (".inputs a\n.outputs y\n.names y\n2\n",
+         "bad constant cover row '2' in .names block for 'y'"),
+        (".inputs a b\n.outputs y\n.names a b y\n1 1\n",
+         "bad cover row '1 1' in .names block for 'y'"),
+        (".inputs a b\n.outputs y\n.names a b y\n1x 1\n",
+         "bad cover pattern '1x' in .names block for 'y'"),
+        (".inputs a b\n.outputs y\n.names a b y\n11 2\n",
+         "bad cover output '2' in .names block for 'y'"),
+        (".inputs a b\n.outputs y\n.names a b y\n11 1\n00 0\n",
+         "mixed cover polarity in .names block for 'y'"),
+    ])
+    def test_malformed_text_rejected(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_blif(f".model t\n{text}.end\n")
+
+    def test_end_and_model_optional(self):
+        # The last block ends with the text; a long .inputs line may be
+        # continued with a backslash.
+        c = parse_blif(".inputs a \\\n b\n.outputs y\n.names a b y\n11 1\n")
+        assert c == parse_blif(".model t\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n")
+        assert simulate(c).outputs == (0b1000,)
+
     @pytest.mark.parametrize("inputs", [".inputs a a", ".inputs a b\n.inputs a"])
     def test_repeated_input_rejected(self, inputs):
         # Otherwise every reader of 'a' reads the last x_j named 'a', and
@@ -312,6 +371,17 @@ class TestNative:
     def test_gates_and_outputs_not_lists_rejected(self, gates, y, message):
         text = json.dumps({"r": 2, "gates": gates, "y": y, "z": []})
         with pytest.raises(ParseError, match=f"^{message}$"):
+            read_native(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"r": 2,', "bad JSON: "),
+        ('{"r": 2, "gates": []}', "missing circuit field: 'y'"),
+        ("[2]", "missing circuit field: "),
+        ('{"r": 2, "gates": [{"tt": "0110", "a": "x0"}], "y": ["g0"]}',
+         "bad circuit field: 'b'"),
+    ])
+    def test_malformed_text_rejected(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}"):
             read_native(text)
 
     def test_dangling_ref_rejected(self):

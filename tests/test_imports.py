@@ -1,6 +1,6 @@
 """Every module-level import in the package, the tests and the scripts is
-used by the module itself, and the verify oracle and the fitness path import
-nothing from each other."""
+used by the module itself, the package root imports nothing, and the verify
+oracle and the fitness path import nothing from each other."""
 
 import ast
 from pathlib import Path
@@ -10,15 +10,11 @@ import pytest
 import tscsynth
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    path
-    for path in (
-        *Path(tscsynth.__file__).resolve().parent.glob("*.py"),
-        *(ROOT / "tests").glob("*.py"),
-        *(ROOT / "scripts").glob("*.py"),
-    )
-    if path.name != "__init__.py"  # re-exports its imports
-)
+MODULES = sorted((
+    *Path(tscsynth.__file__).resolve().parent.glob("*.py"),
+    *(ROOT / "tests").glob("*.py"),
+    *(ROOT / "scripts").glob("*.py"),
+))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -58,6 +54,13 @@ def imported_modules(source: str) -> set[str]:
             names.add(module)
             names.update(f"{module}.{alias.name}" for alias in node.names)
     return names
+
+
+def test_package_root_imports_nothing():
+    # Each name has one import path, its module: "from tscsynth.genome import
+    # decode", never "from tscsynth import decode".
+    source = Path(tscsynth.__file__).read_text(encoding="utf-8")
+    assert imported_modules(source) == set()
 
 
 def test_finds_imported_modules():
