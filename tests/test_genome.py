@@ -185,6 +185,26 @@ class TestDecode:
             "6527cc35578a39814b3929985c0b2d1e521e7f48338253dcafc56b07a371cb50"
         )
 
+    def test_reading_pinned(self):
+        # One sha256 over each decode's Reading on test_decode_pinned's
+        # genotypes and rng states: the read mask decides which children
+        # reuse their parent's netlist, and the repair sites which inputs
+        # redraw sets, so a change to either changes later searches.
+        layouts = ((2, 1, 2, 300), (2, 2, 2, 300), (3, 2, 3, 300),
+                   (4, 3, 5, 300), (5, 4, 6, 200), (5, 16, 8, 40))
+        digest = hashlib.sha256()
+        for i, (r, q, b, n) in enumerate(layouts):
+            lay = GenomeLayout(r=r, q=q, b=b)
+            genotypes = random.Random(i)
+            rng = random.Random(100 + i)
+            for _ in range(n):
+                reading = Reading()
+                decode(Genotype(genotypes.getrandbits(lay.total_len), lay), rng, reading)
+                digest.update(f"{reading.read:x} {reading.repairs}\n".encode())
+        assert digest.hexdigest() == (
+            "6651dc5ce98eac50c95b2a8d55a2d359222524eec96a2b84d08699772bdc536e"
+        )
+
     def test_decode_repair_changes_phenotype_only(self):
         lay = GenomeLayout(r=2, q=1, b=2)
         g = bits_to_genotype("00" + "1011" + "0110" + "00" + "11" + "00000000", lay)
