@@ -20,6 +20,13 @@ emitted gate is live.  decode emits the Circuit's flat arrays directly
 (Circuit.from_arrays) and builds no Gate object; encode_seed reads the same
 arrays back.
 
+The walk is one loop with no call per slot.  The slot being walked (its
+table, sources and next pin) lives in locals, and one list tells every
+address apart as unreached, on the search path or done, so each source
+costs one lookup.  A gate whose sources are both done is emitted in the
+loop turn that reads its gene; the walk pushes a frame only when it
+descends into a source, and pops it when that source's gate is emitted.
+
 The walk depends only on the bits it reads: the m routing fields and the
 genes of the slots it reaches.  A cycle repair reroutes an edge to a primary
 input, whose index is fixed from the start, so which input rng draws never
@@ -213,6 +220,13 @@ def decode(
     drawn from rng; repair changes the decoded circuit only, never the
     genotype.  Genes the search never reaches are never read: their gates
     have no path to an output.  If reading is given, decode fills it in.
+
+    The search is iterative, so path depth is bounded by the slot count, not
+    the interpreter's recursion limit.  Each turn of its loop reads one gene
+    and goes on with the slot's sources: an unreached source is descended
+    into, with the slot kept as a frame on the stack; a source on the path
+    is repaired; a done source is taken.  Once both are done the gate is
+    emitted, and so is every waiting frame whose other source is done too.
     """
     lay = genotype.layout
     b = lay.b
@@ -220,12 +234,16 @@ def decode(
     L = lay.total_len
     v = genotype.value
     bmask = (1 << b) - 1
+    b2 = 2 * b
     glen = lay.gene_len
     gmask = (1 << glen) - 1
     genes_end = L - lay.m * b
+    top = genes_end - glen  # shift of gene 0
 
-    # index[address] is the circuit index of the address once it is done:
-    # inputs from the start, a gene slot when its gate is emitted.
+    # index[address] is None until the walk reaches the slot, -1 while the
+    # slot is on the search path, then its circuit index: inputs from the
+    # start, a gene slot once its gate is emitted.  on_path marks every
+    # slot ever reached, for the Reading only.
     r = lay.r
     index: list[int | None] = [None] * M + list(range(r))
     on_path = bytearray(M)
@@ -233,41 +251,67 @@ def decode(
     src_a: list[int] = []
     src_b: list[int] = []
     repairs: list[int] = []
-
-    def reach(slot: int) -> list[int]:
-        # Search frame: [slot, truth table, source a, source b, index of the
-        # next source to visit].  on_path stays set after the gate is
-        # emitted, but index is checked first.
-        on_path[slot] = 1
-        gene = (v >> (genes_end - (slot + 1) * glen)) & gmask
-        return [slot, _REV4[gene >> 2 * b], (gene >> b) & bmask, gene & bmask, 2]
+    # A frame (slot, table, x, pin) waits for the source on pin (0 for
+    # source a, 1 for b) that the walk descended into: with pin 0, x is
+    # source b's address; with pin 1, x is source a's circuit index.  That
+    # source's gate is the last its subtree emits, so on return its circuit
+    # index is n - 1.  The slot being walked is not on the stack.
+    stack: list[tuple[int, int, int, int]] = []
+    n = r  # circuit index of the next gate
 
     out_addrs = [(v >> (L - (i + 1) * b)) & bmask for i in range(lay.m)]
     for root in out_addrs:
         if index[root] is not None:
             continue
-        stack = [reach(root)]
-        while stack:
-            frame = stack[-1]
-            si = frame[4]
-            if si == 4:
-                index[frame[0]] = r + len(tt)
-                tt.append(frame[1])
-                src_a.append(index[frame[2]])
-                src_b.append(index[frame[3]])
-                stack.pop()
+        slot = root
+        while True:
+            # slot was just reached: read its gene and look at its sources.
+            # An edge back onto the search path is rerouted to an input; the
+            # site is kept as 2*slot + pin until the slot has its gate.
+            index[slot] = -1
+            on_path[slot] = 1
+            gene = (v >> (top - slot * glen)) & gmask
+            t = _REV4[gene >> b2]
+            sa = (gene >> b) & bmask
+            sb = gene & bmask
+            ia = index[sa]
+            if ia is None:
+                stack.append((slot, t, sb, 0))
+                slot = sa
                 continue
-            frame[4] = si + 1
-            addr = frame[si]
-            if index[addr] is not None:
+            if ia < 0:
+                ia = rng.randrange(r)
+                repairs.append(2 * slot)
+            ib = index[sb]
+            if ib is None:
+                stack.append((slot, t, ia, 1))
+                slot = sb
                 continue
-            if on_path[addr]:
-                # Edge back onto the current path: break the loop here.  The
-                # site is kept as 2*slot + pin until the slot has its gate.
-                frame[si] = M + rng.randrange(r)
-                repairs.append(2 * frame[0] + si - 2)
-            else:
-                stack.append(reach(addr))
+            while True:
+                if ib < 0:
+                    ib = rng.randrange(r)
+                    repairs.append(2 * slot + 1)
+                # Both sources are done: emit the gate, then return to the
+                # frame that waits for it.
+                index[slot] = n
+                tt.append(t)
+                src_a.append(ia)
+                src_b.append(ib)
+                n += 1
+                if not stack:
+                    break
+                slot, t, x, pin = stack.pop()
+                if pin:
+                    ia, ib = x, n - 1
+                    continue
+                ia, sb = n - 1, x
+                ib = index[sb]
+                if ib is None:
+                    stack.append((slot, t, ia, 1))
+                    slot = sb
+                    break
+            if not stack:  # root's gate was emitted
+                break
 
     if reading is not None:
         # Each gene's glen bits as reached or not, one base-4 digit per two
