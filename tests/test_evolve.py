@@ -149,6 +149,17 @@ class TestMigrationTarget:
 
 
 class TestEngine:
+    @pytest.mark.parametrize("mask", [0, 1 << 4, 0x11])
+    def test_word_mask_outside_the_words_rejected(self, mask):
+        # The half adder has 2**2 = 4 input words: 0 applies none, 1 << 4
+        # only a word beyond them, 0x11 word 0 and one beyond.  Such a mask
+        # once ran, scoring every circuit at f_f = 0.
+        layout = small_setup()[2]
+        with pytest.raises(ValueError, match=f"^word mask {mask:#x} must apply at least "
+                           "one word and only words below 2\\*\\*2$"):
+            small_config(layout, word_mask=mask)
+        assert small_config(layout, word_mask=0xF).word_mask == 0xF
+
     def test_population_size_constant(self):
         seed, target, layout = small_setup()
         engine = Engine(small_config(layout, n_islands=2, max_evals=4000), target, seed)
