@@ -212,6 +212,31 @@ class TestDecode:
         decode(g, random.Random(1))
         assert g.value == before
 
+    def test_deep_path_decodes_iteratively(self):
+        # y_0 -> slot 0, slot k reads slot k + 1 on source a and x_1 on
+        # source b, the last slot reads x_0: one path through all 4094
+        # slots, far deeper than the interpreter's recursion limit.  The
+        # rails read x_0 and x_1.
+        lay = GenomeLayout(r=2, q=1, b=12)
+        M = lay.max_gates
+        assert M == 4094
+        x0, x1 = M, M + 1
+        value = 0
+        fields = [(0, lay.b), (x0, lay.b), (x1, lay.b)]
+        for k in range(M):
+            fields += [(0b0110, 4), (k + 1 if k < M - 1 else x0, lay.b), (x1, lay.b)]
+        for field_value, width in fields:
+            value = value << width | field_value
+        reading = Reading()
+        circuit = decode(Genotype(value, lay), random.Random(0), reading)
+        # Post-order: the last slot's gate comes first, slot 0's last.
+        assert circuit.tt == (TT_XOR,) * M
+        assert circuit.src_a == (0,) + tuple(range(2, M + 1))
+        assert circuit.src_b == (1,) * M
+        assert circuit.outputs == (M + 1,) and circuit.rails == (0, 1)
+        assert reading.read == (1 << lay.total_len) - 1
+        assert reading.repairs == ()
+
 
 class TestReuse:
     """A child that agrees with its parent on every bit the parent's decode
