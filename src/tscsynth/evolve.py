@@ -108,8 +108,8 @@ class IslandConfig:
             raise ValueError(f"goal size {self.goal_size} is negative")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint interval {self.checkpoint_every} is negative")
-        # A mask that applies no word of the 2**r scores every circuit at
-        # f_f = 0; the CLI's --applied-words rule, for library callers.
+        # A mask that applies none of the 2**r input words scores every
+        # circuit at f_f = 0.  The rule is the CLI's for --applied-words.
         r = self.layout.r
         if self.word_mask is not None and (self.word_mask <= 0 or self.word_mask >> (1 << r)):
             raise ValueError(f"word mask {self.word_mask:#x} must apply at least one word "

@@ -152,8 +152,8 @@ class TestEngine:
     @pytest.mark.parametrize("mask", [0, 1 << 4, 0x11])
     def test_word_mask_outside_the_words_rejected(self, mask):
         # The half adder has 2**2 = 4 input words: 0 applies none, 1 << 4
-        # only a word beyond them, 0x11 word 0 and one beyond.  Such a mask
-        # once ran, scoring every circuit at f_f = 0.
+        # only a word beyond them, 0x11 word 0 and one beyond.  A mask that
+        # applies no word would score every circuit at f_f = 0.
         layout = small_setup()[2]
         with pytest.raises(ValueError, match=f"^word mask {mask:#x} must apply at least "
                            "one word and only words below 2\\*\\*2$"):
