@@ -1,3 +1,5 @@
+import hashlib
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -293,6 +295,33 @@ class TestDuplicationBaseline:
     def test_single_wire_output_gets_one_inverter(self):
         baseline = build_duplication_baseline(Circuit(2, (), (X(1),)))
         assert baseline == Circuit(2, (Gate(TT_NOT_A, X(1), X(1)),), (X(1),), (G(0), X(1)))
+
+    def test_baseline_pinned(self):
+        # One sha256 over the arrays of every baseline, recorded before the
+        # hand-made netlists shared one gate builder: the gate order is the
+        # seed a search starts from, and the tests above check only the gate
+        # count and the function.  The random seeds cover single-output gate
+        # and wire seeds, q = 2, 3 and 5, outputs sharing a gate, and input
+        # outputs with q > 1.
+        seeds = [parse_blif(p.read_text()) for p in sorted(BENCH_DIR.glob("*.blif"))]
+        draw = random.Random(31)
+        for i in range(200):
+            seeds.append(random_circuit(draw, r=draw.randrange(1, 5),
+                                        n_gates=draw.randrange(7), q=(1, 2, 3, 5)[i % 4]))
+        digest = hashlib.sha256()
+        kinds = [0, 0, 0, 0]  # single gate, single wire, shared gate, input with q > 1
+        for seed in seeds:
+            b = build_duplication_baseline(seed)
+            digest.update(repr((b.r, b.tt, b.src_a, b.src_b, b.outputs, b.rails)).encode())
+            gate_outputs = [s for s in seed.outputs if s >= seed.r]
+            kinds[0] += seed.q == 1 and bool(gate_outputs)
+            kinds[1] += seed.q == 1 and not gate_outputs
+            kinds[2] += len(set(gate_outputs)) < len(gate_outputs)
+            kinds[3] += seed.q > 1 and len(gate_outputs) < seed.q
+        assert kinds == [24, 26, 37, 121]
+        assert digest.hexdigest() == (
+            "8fe9fb022989773d933fb79f9fe6d6ba5a6f1bd4d2a5b8c08bb0370db50199df"
+        )
 
     def test_rejects_seed_with_rails(self):
         seed = _adder_seed()
