@@ -2,9 +2,9 @@
 """Generate the small benchmark targets (PLA) and seed netlists (BLIF).
 
 Each benchmark is a classic small combinational function; the seed netlist
-is a hand-derived two-input-gate implementation.  The script simulates every
-seed against its target table before writing anything, so the files in
-benchmarks/ are consistent by construction.
+is a hand-derived two-input-gate implementation built through
+tscsynth.netlist.Builder.  Every seed is simulated against its target table
+before anything is written, so benchmarks/ is consistent by construction.
 
   mult2    2-bit multiplier, 4 in / 4 out, 7 gates
   b1       full adder with its internal xor/and tapped out, 3 in / 4 out, 5 gates
@@ -24,31 +24,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tscsynth.formats import TargetSpec, render_blif, render_pla
-from tscsynth.netlist import Circuit, TT_AND, TT_NAND, TT_NOR, TT_OR, TT_XOR
+from tscsynth.netlist import Builder, Circuit, TT_AND, TT_NAND, TT_NOR, TT_OR, TT_XOR
 from tscsynth.sim import simulate
 
 TT_GT = 4  # a AND NOT b
 TT_LT = 2  # NOT a AND b
-
-
-class Builder:
-    """Gates as flat arrays in one index space: inputs 0..r-1, then gate k
-    at index r + k, as Circuit.from_arrays takes them."""
-
-    def __init__(self, r: int):
-        self.r = r
-        self.tt: list[int] = []
-        self.src_a: list[int] = []
-        self.src_b: list[int] = []
-
-    def gate(self, tt: int, a: int, b: int) -> int:
-        self.tt.append(tt)
-        self.src_a.append(a)
-        self.src_b.append(b)
-        return self.r + len(self.tt) - 1
-
-    def circuit(self, outputs: list[int]) -> Circuit:
-        return Circuit.from_arrays(self.r, self.tt, self.src_a, self.src_b, outputs, None)
 
 
 def mult2() -> tuple[Circuit, TargetSpec]:

@@ -36,6 +36,7 @@ from .formats import (
 )
 from .genome import GenomeLayout, default_address_width
 from .netlist import Circuit, build_duplication_baseline, duplication_overhead, function_core
+from .sim import check_word_mask
 from .verify import TscReport, verify_tsc
 
 EXIT_OK = 0
@@ -54,13 +55,9 @@ def _read_circuit(path: str) -> Circuit:
     return read_native(text) if text.lstrip().startswith("{") else parse_blif(text)
 
 
-def _word_mask(text: str | None, r: int) -> int | None:
-    """The --applied-words mask over the 2**r input words; None applies all."""
-    mask = None if text is None else int(text, 16)
-    if mask is not None and (mask <= 0 or mask >> (1 << r)):
-        raise ValueError(f"--applied-words {text} must apply at least one word "
-                         f"and only words below 2**{r}")
-    return mask
+def _word_mask(text: str | None) -> int | None:
+    """The --applied-words hex mask; None applies all words."""
+    return None if text is None else int(text, 16)
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
@@ -83,8 +80,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         # never a goal below no gates, which a seed without gates would set.
         cost = min(dup, n - g) if seed.rails is not None else dup
         goal_overhead = max(cost - 1, -g)
-    applied = args.applied_words
-    word_mask = _word_mask(applied, layout.r)
+    word_mask = _word_mask(args.applied_words)
 
     config = IslandConfig(
         layout=layout,
@@ -122,7 +118,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "budget_seconds": config.max_seconds,
         "goal_size": config.goal_size,
         "stop_on_goal": config.stop_on_goal,
-        "applied_words": applied,
+        "applied_words": args.applied_words,
         "layout": {"r": layout.r, "q": layout.q, "b": layout.b},
         "seed_gates": g,
         "dup_overhead": dup,
@@ -179,7 +175,8 @@ def _print_verdict(report: TscReport) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     circuit = _read_circuit(args.circuit)
-    word_mask = _word_mask(args.applied_words, circuit.r)
+    word_mask = _word_mask(args.applied_words)
+    check_word_mask(word_mask, circuit.r)
     columns = None
     if args.target is not None:
         target = parse_pla(_read(args.target))

@@ -1,8 +1,8 @@
 """Netlist and target-function text formats: PLA, BLIF, native JSON, DOT.
 
-The parsers build a Circuit through Circuit.from_arrays, and the writers read
-its arrays (tt, src_a, src_b, outputs, rails).  In text a signal is named
-"x<j>" (input j) or "g<k>" (gate k), which is index j or r + k.
+parse_blif builds a Circuit through netlist.Builder, read_native through
+Circuit.from_arrays; the writers read its arrays (tt, src_a, src_b, outputs,
+rails).  A signal is "x<j>" (input j) or "g<k>" (gate k): index j or r + k.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .netlist import GATE_NAMES, Circuit
+from .netlist import GATE_NAMES, Builder, Circuit
 from .sim import MAX_INPUTS, full_mask, input_patterns
 
 
@@ -277,7 +277,7 @@ def parse_blif(text: str) -> Circuit:
     # Circuit index of every net: inputs first, then the blocks in order.
     r = len(inputs)
     index = {**input_index, **{blocks[k][1]: r + i for i, k in enumerate(order)}}
-    tt, src_a, src_b = [], [], []
+    bld = Builder(r)
     for k in order:
         sources, name, rows = blocks[k]
         where = f".names block for {name!r}"
@@ -308,11 +308,9 @@ def parse_blif(text: str) -> Circuit:
             elif polarity != bit:
                 raise ParseError(f"mixed cover polarity in {where}")
             table |= cube
-        tt.append(table ^ 0b1111 if polarity == "0" else table)
         reads = [index[source] for source in sources] + [0, 0]
-        src_a.append(reads[0])
-        src_b.append(reads[1])
-    return Circuit.from_arrays(r, tt, src_a, src_b, [index[name] for name in outputs], None)
+        bld.gate(table ^ 0b1111 if polarity == "0" else table, reads[0], reads[1])
+    return bld.circuit([index[name] for name in outputs])
 
 
 def _signal_name(s: int, r: int) -> str:
@@ -402,8 +400,6 @@ def read_native(text: str) -> Circuit:
     for k, g in enumerate(raw_gates):
         if not isinstance(g, dict):
             raise ParseError(f"gate {k} must be an object, got {g!r}")
-    if len(raw_z) not in (0, 2):
-        raise ParseError("error rails come in pairs")
     try:
         tt = [_table(g["tt"]) for g in raw_gates]
         src_a = [_signal(g["a"], r) for g in raw_gates]

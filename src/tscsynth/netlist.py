@@ -8,12 +8,12 @@ and the error condition is z_0 == z_1.
 A Circuit is one form: flat int arrays over one index space (input x_j at
 j, gate k at r + k).  A truth table is an int, bit 2*a + b holding the
 output for inputs (a, b), and a signal is an index.  A gate reads only
-lower indices, so the list order is a topological order.  decode, the
-parsers and the duplication baseline build these arrays through
-Circuit.from_arrays; fitness, the verify oracle's simulator and the text
-formats read them.  Gate and SignalRef are only the input of the
-hand-built constructor Circuit(r, gates, func_outputs, error_rails), and
-Circuit.gates gives them back.
+lower indices, so the list order is a topological order.  decode and
+read_native build these arrays through Circuit.from_arrays; parse_blif, the
+duplication baseline and the benchmark seeds through a Builder, gate by gate.
+Fitness, the verify oracle's simulator and the text formats read them.  Gate
+and SignalRef are only the input of the Gate-form constructor Circuit(r,
+gates, func_outputs, error_rails), and Circuit.gates gives them back.
 
 Every gate is live: a later gate, a function output or a rail reads it, so
 each has a path to an output.  Simulation, fault enumeration and size
@@ -216,6 +216,26 @@ def duplication_overhead(g: int, q: int) -> int:
     return g + 6 * (q - 1)
 
 
+class Builder:
+    """A netlist over r inputs made gate by gate: gate(tt, a, b) appends gate
+    k at index r + k and returns it, circuit() calls Circuit.from_arrays."""
+
+    def __init__(self, r: int) -> None:
+        self.r = r
+        self.tt: list[int] = []
+        self.src_a: list[int] = []
+        self.src_b: list[int] = []
+
+    def gate(self, tt: int, a: int, b: int) -> int:
+        self.tt.append(tt)
+        self.src_a.append(a)
+        self.src_b.append(b)
+        return self.r + len(self.tt) - 1
+
+    def circuit(self, outputs, rails=None) -> Circuit:
+        return Circuit.from_arrays(self.r, self.tt, self.src_a, self.src_b, outputs, rails)
+
+
 def _and_tt(invert_a: bool, invert_b: bool) -> int:
     # AND with either input optionally complemented, a table with one 1 at
     # a = not invert_a, b = not invert_b; absorbing inversions into the
@@ -226,10 +246,8 @@ def _and_tt(invert_a: bool, invert_b: bool) -> int:
 # A dual-rail operand is ((low, low_inverted), (high, high_inverted)) over
 # signal indices: the pair encodes value v as (NOT v, v), with per-wire flags
 # marking sources whose complement should be consumed.
-def _append_two_rail_checker(r: int, tt: list[int], src_a: list[int],
-                             src_b: list[int], pair_a, pair_b):
-    """Append the 6-gate two-rail checker merging pair_a and pair_b to the
-    gate arrays of a circuit with r inputs.
+def _append_two_rail_checker(bld: Builder, pair_a, pair_b):
+    """Append to bld the 6-gate two-rail checker merging pair_a and pair_b.
 
     Output pair (c_0, c_1) with c_1 = (a_1 AND b_1) OR (a_0 AND b_0) and
     c_0 = (a_1 AND b_0) OR (a_0 AND b_1); it is a valid dual-rail word iff
@@ -237,67 +255,51 @@ def _append_two_rail_checker(r: int, tt: list[int], src_a: list[int],
     """
     (a0, ia0), (a1, ia1) = pair_a
     (b0, ib0), (b1, ib1) = pair_b
-
-    def emit(t: int, a: int, b: int) -> int:
-        tt.append(t)
-        src_a.append(a)
-        src_b.append(b)
-        return r + len(tt) - 1
-
-    u = emit(_and_tt(ia1, ib1), a1, b1)
-    v = emit(_and_tt(ia0, ib0), a0, b0)
-    c1 = emit(TT_OR, u, v)
-    p = emit(_and_tt(ia1, ib0), a1, b0)
-    t = emit(_and_tt(ia0, ib1), a0, b1)
-    c0 = emit(TT_OR, p, t)
+    u = bld.gate(_and_tt(ia1, ib1), a1, b1)
+    v = bld.gate(_and_tt(ia0, ib0), a0, b0)
+    c1 = bld.gate(TT_OR, u, v)
+    p = bld.gate(_and_tt(ia1, ib0), a1, b0)
+    t = bld.gate(_and_tt(ia0, ib1), a0, b1)
+    c0 = bld.gate(TT_OR, p, t)
     return ((c0, False), (c1, False))
 
 
 def build_duplication_baseline(seed: Circuit) -> Circuit:
     """Seed plus an inverted functional copy and a two-rail checker tree.
 
-    The seed's n gates come first, then the copy's, then the checker tree's:
-    the checker is every gate from index 2n on.  The copy's output
-    inversions are absorbed into the consuming gates' truth tables, so the
-    added gate count is gates(seed) + 6*(q - 1).  The checker tree is
-    balanced, merging output pairs in index order.  For a single-output seed
-    the copy itself is built inverted and the pair (NOT y_0, y_0) is used as
-    the error rails directly.
+    The seed's n gates come first, then the copy's, then the checker tree's.
+    Output y gives the pair (NOT copy(y), y), the NOT absorbed into the
+    tables of the checker gates that read it; a balanced tree merges the
+    pairs in index order.  A lone pair is the rails, its NOT folded into the
+    copy's output gate, whose table is complemented, or for a bare-wire
+    output into one NOT gate.  So the added gate count is n + 6*(q - 1), as
+    duplication_overhead counts it, but one, the NOT, for a bare-wire output.
     """
     if seed.rails is not None:
         raise ValueError("seed already carries error rails")
-    q = seed.q
-    if q < 1:
+    if seed.q < 1:
         raise ValueError("seed has no function outputs")
 
     r, n = seed.r, len(seed.tt)
-    tt, src_a, src_b = list(seed.tt), list(seed.src_a), list(seed.src_b)
 
     def copy(s: int) -> int:
         # Gate k's copy is gate n + k.
         return s if s < r else s + n
 
-    if q == 1 and seed.outputs[0] < r:
-        # Wire output: one explicit inverter is the whole "copy".
-        y = seed.outputs[0]
-        return Circuit.from_arrays(r, tt + [TT_NOT_A], src_a + [y], src_b + [y],
-                                   seed.outputs, (r + n, y))
-    tt += seed.tt
-    src_a += map(copy, seed.src_a)
-    src_b += map(copy, seed.src_b)
-    if q == 1:
-        y = seed.outputs[0]
-        tt[copy(y) - r] ^= 0b1111
-        return Circuit.from_arrays(r, tt, src_a, src_b, seed.outputs, (copy(y), y))
-
+    bld = Builder(r)
+    bld.tt += seed.tt + seed.tt
+    bld.src_a += (*seed.src_a, *map(copy, seed.src_a))
+    bld.src_b += (*seed.src_b, *map(copy, seed.src_b))
     pairs = [((copy(y), True), (y, False)) for y in seed.outputs]
     while len(pairs) > 1:
-        merged = []
-        for k in range(0, len(pairs) - 1, 2):
-            merged.append(_append_two_rail_checker(r, tt, src_a, src_b,
-                                                   pairs[k], pairs[k + 1]))
+        merged = [_append_two_rail_checker(bld, pairs[k], pairs[k + 1])
+                  for k in range(0, len(pairs) - 1, 2)]
         if len(pairs) % 2:
             merged.append(pairs[-1])
         pairs = merged
-    (z0, _), (z1, _) = pairs[0]
-    return Circuit.from_arrays(r, tt, src_a, src_b, seed.outputs, (z0, z1))
+    (z0, inverted), (z1, _) = pairs[0]
+    if inverted and z0 < r:
+        z0 = bld.gate(TT_NOT_A, z0, z0)
+    elif inverted:
+        bld.tt[z0 - r] ^= 0b1111
+    return bld.circuit(seed.outputs, (z0, z1))

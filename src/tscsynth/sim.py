@@ -49,6 +49,14 @@ def full_mask(r: int) -> int:
     return (1 << (1 << r)) - 1
 
 
+def check_word_mask(mask: int | None, r: int) -> None:
+    """Reject a mask that applies none of the 2**r input words, which would
+    score every circuit at f_f = 0, or a word beyond them; None applies all."""
+    if mask is not None and (mask <= 0 or mask >> (1 << r)):
+        raise ValueError(f"word mask {mask:#x} must apply at least one word "
+                         f"and only words below 2**{r}")
+
+
 @dataclass(frozen=True)
 class ResponseMatrix:
     """Per-output (and per-rail) response vectors over all 2**r input words."""

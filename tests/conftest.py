@@ -10,6 +10,7 @@ import pytest
 
 from tscsynth.genome import Genotype
 from tscsynth.netlist import (
+    Builder,
     Circuit,
     Fault,
     FaultSite,
@@ -214,13 +215,10 @@ def live_circuit(r: int, gates, func, rails=None) -> Circuit:
 def two_rail_checker_circuit() -> Circuit:
     """Standalone checker cell: inputs (a_0, a_1, b_0, b_1) = x0..x3, no
     function outputs, the cell's output pair as the error rails."""
-    tt: list[int] = []
-    src_a: list[int] = []
-    src_b: list[int] = []
-    (c0, _), (c1, _) = _append_two_rail_checker(
-        4, tt, src_a, src_b, ((0, False), (1, False)), ((2, False), (3, False))
-    )
-    return Circuit.from_arrays(4, tt, src_a, src_b, (), (c0, c1))
+    bld = Builder(4)
+    (c0, _), (c1, _) = _append_two_rail_checker(bld, ((0, False), (1, False)),
+                                                ((2, False), (3, False)))
+    return bld.circuit((), (c0, c1))
 
 
 def genotype_bit(g: Genotype, pos: int) -> int:

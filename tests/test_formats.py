@@ -350,7 +350,7 @@ class TestNative:
         text = json.dumps(
             {"r": 2, "gates": [{"tt": "0110", "a": "x0", "b": "x1"}], "y": ["g0"], "z": ["g0"]}
         )
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^error rails come in pairs$"):
             read_native(text)
 
     @pytest.mark.parametrize("rails", [None, 3, "g0"])
