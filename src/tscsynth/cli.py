@@ -324,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--applied-words", dest="applied_words", default=None,
                    help="hex mask of applied input words (default: all)")
     p.add_argument("--parallel", action="store_true",
-                   help="one process per island; migrants cross and the budget "
-                   "and goal are checked every "
-                   f"{evolve_mod.EPOCH_GENERATIONS} generations; reproducible")
+                   help="one process per island, each running epochs of "
+                   f"{evolve_mod.EPOCH_GENERATIONS} generations; migrants cross and "
+                   "the budget and goal are checked between epochs; reproducible")
     p.add_argument("--no-stop-on-goal", dest="no_stop_on_goal", action="store_true")
     p.add_argument("--out", default=None,
                    help="directory for run artifacts, created before the search")

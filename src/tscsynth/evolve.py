@@ -27,11 +27,11 @@ evaluations that ran ``evaluate_circuit``.
 
 One ``Engine`` drives both schedules: it checks a run's settings and
 populates every island before any island steps, and takes each island's
-counts and best only through ``Engine.note`` (``Island.report``).  ``run``
-steps the islands in turn in one process.  ``run_distributed`` steps each in
-a worker process, ``EPOCH_GENERATIONS`` generations per message, notes every
-island after each epoch and routes the migrants.  Both drivers are
-deterministic for a fixed configuration.
+counts and best only through ``Engine.note`` (``Island.report``).  Islands
+step only through ``Island.epoch``, immigrants in and emigrants out, and the
+engine's inboxes hold the migrants between epochs.  ``run`` runs
+one-generation epochs in turn in one process, ``run_distributed`` longer
+ones in worker processes; both are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import multiprocessing
 import random
 import time
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -194,9 +193,9 @@ def _island_rng_seed(master_seed: int, island_index: int) -> int:
 
 
 class Island:
-    """One population plus its private random stream, immigrant inbox,
-    emigrant outbox of (island index, genotype) pairs and counts: evals, and
-    of those the evaluations that scored and decoded."""
+    """One population plus its private random stream and counts: evals, and
+    of those the evaluations that scored and decoded.  Both drivers step an
+    island only through ``epoch``; its migrants travel through the Engine."""
 
     def __init__(self, index: int, config: IslandConfig, target: TargetSpec,
                  seed_circuit: Circuit, lock: LockMask):
@@ -206,8 +205,6 @@ class Island:
         self.seed_circuit = seed_circuit
         self.lock = lock
         self.rng = random.Random(_island_rng_seed(config.rng_seed, index))
-        self.inbox: deque[Genotype] = deque()
-        self.outbox: list[tuple[int, Genotype]] = []
         self.population: list[Individual] = []
         self.evals = 0
         self.scored = 0
@@ -244,17 +241,9 @@ class Island:
                               self.config.layout.max_gates, self.config.word_mask)
         return Individual(genotype, circuit, fv, reading)
 
-    def _integrate_immigrants(self) -> None:
-        while self.inbox:
-            # Immigrants are re-evaluated locally and replace the current
-            # worst individual (always non-elite for populations above two).
-            self.population[-1] = self._evaluate(self.inbox.popleft())
-            self.population.sort(key=_fitness_key, reverse=True)
-
     def step(self) -> None:
         """One generation: elites carried with their evaluation, every other
         slot refilled and evaluated."""
-        self._integrate_immigrants()
         pop = self.population
         rng = self.rng
         lock = self.lock
@@ -279,13 +268,25 @@ class Island:
     def make_migrant(self) -> Genotype:
         return select_parent(self.population, self.rng).genotype
 
-    def emigrate(self) -> None:
-        """With probability migration_rate, put a migrant in the outbox,
-        addressed to an island drawn by pick_migration_target."""
-        rate, n = self.config.migration_rate, self.config.n_islands
-        if rate > 0.0 and n > 1 and self.rng.random() < rate:
-            migrant = self.make_migrant()
-            self.outbox.append((pick_migration_target(self.index, n, self.rng), migrant))
+    def epoch(self, generations: int, immigrants: list[Genotype]):
+        """Evaluate each immigrant into the worst slot (never an elite's), then
+        step up to generations generations, each followed, with probability
+        migration_rate, by a migrant addressed by pick_migration_target; end
+        early on a goal the run stops on.  Returns (report(), emigrants)."""
+        for genotype in immigrants:
+            self.population[-1] = self._evaluate(genotype)
+            self.population.sort(key=_fitness_key, reverse=True)
+        config = self.config
+        rate, n = config.migration_rate, config.n_islands
+        emigrants: list[tuple[int, Genotype]] = []
+        for _ in range(generations):
+            self.step()
+            if rate > 0.0 and n > 1 and self.rng.random() < rate:
+                migrant = self.make_migrant()
+                emigrants.append((pick_migration_target(self.index, n, self.rng), migrant))
+            if config.stop_on_goal and _goal_met(config, self.population[0].fitness):
+                break
+        return self.report(), emigrants
 
     def report(self) -> tuple[int, tuple[int, int, int], Individual]:
         """(index, (evals, scored, decoded), population[0]), for Engine.note.
@@ -320,10 +321,11 @@ class Engine:
     So a settings error leaves no directory and costs no search.  Islands
     report only through ``note``, which stores each island's counts: the
     budget, the history, the checkpoints and ``counts`` read those.  ``run``
-    steps the islands round-robin here and notes each after its step; each
-    emigrates into its outbox after its step, and the engine delivers the
-    outbox at once.  ``run_distributed`` steps the same populated islands in
-    workers and notes them after each epoch.
+    steps the islands round-robin here, an ``Island.epoch`` of one generation
+    each, noting each and ``deliver``-ing its emigrants at once to the
+    engine's inboxes, the only ones; ``take`` empties one for an epoch.
+    ``run_distributed`` runs the same populated islands' epochs in workers
+    and notes and delivers after each round of epochs.
     """
 
     def __init__(
@@ -369,6 +371,7 @@ class Engine:
         self.islands = [Island(i, config, target, seed, lock)
                         for i in range(config.n_islands)]
         self.island_counts = [(0, 0, 0)] * config.n_islands
+        self.inboxes: list[list[Genotype]] = [[] for _ in range(config.n_islands)]
         self.generation = 0
         self.champion: Individual | None = None
         self.history: list[dict] = []
@@ -390,6 +393,16 @@ class Engine:
                     "island": index, "fitness": list(best.fitness.key()),
                     "live_gates": best.fitness.live_gates})
 
+    def deliver(self, emigrants: list[tuple[int, Genotype]]) -> None:
+        """File each (island index, genotype) pair in that island's inbox."""
+        for dest, genotype in emigrants:
+            self.inboxes[dest].append(genotype)
+
+    def take(self, index: int) -> list[Genotype]:
+        """Empty island index's inbox and return what it held."""
+        immigrants, self.inboxes[index] = self.inboxes[index], []
+        return immigrants
+
     def _stops_on_goal(self) -> bool:
         return self.config.stop_on_goal and _goal_met(self.config, self.champion.fitness)
 
@@ -398,12 +411,9 @@ class Engine:
         for island in self.islands:
             if self.exhausted():
                 return
-            island.step()
-            self.note([island.report()])
-            island.emigrate()
-            for dest, migrant in island.outbox:
-                self.islands[dest].inbox.append(migrant)
-            island.outbox.clear()
+            report, emigrants = island.epoch(1, self.take(island.index))
+            self.note([report])
+            self.deliver(emigrants)
             if self._stops_on_goal():
                 return
         self.advance(1)
@@ -482,21 +492,13 @@ EPOCH_GENERATIONS = 4
 
 
 def _island_worker(island: Island, conn) -> None:
-    """Step a populated island one epoch per list of immigrants received,
-    forever, and after each epoch send (island.report(), outbox): the
-    island's report for Engine.note and its emigrants of the epoch as
-    (island, genotype) pairs.  The island's counts stay on the island; the
-    driver keeps only what the reports say."""
-    config = island.config
+    """For each list of immigrants received, forever, run a populated
+    island's ``Island.epoch`` of ``EPOCH_GENERATIONS`` generations and send
+    what it returns: the report for Engine.note and the emigrants for
+    Engine.deliver.  The island's counts stay on the island; the driver
+    keeps only what the reports say."""
     while True:
-        island.inbox.extend(conn.recv())
-        for _ in range(EPOCH_GENERATIONS):
-            island.step()
-            island.emigrate()
-            if config.stop_on_goal and _goal_met(config, island.population[0].fitness):
-                break
-        conn.send((island.report(), island.outbox))
-        island.outbox = []
+        conn.send(island.epoch(EPOCH_GENERATIONS, conn.recv()))
 
 
 def _worker_exited(island: int, worker) -> RuntimeError:
@@ -517,12 +519,12 @@ def run_distributed(
 
     The driver builds ``run``'s ``Engine``, which checks the settings and
     populates every island here: a settings error comes before any worker
-    starts, and a run that populating ends starts none.  Each worker steps
-    one populated ``Island`` for ``EPOCH_GENERATIONS`` generations an epoch
-    (fewer once it meets the goal), and the driver notes every island's
-    report after each epoch; its own islands stay as populated.  Migrants
-    are drawn from each island's own rng as in ``run``, but reach their
-    destination at the next epoch.
+    starts, and a run that populating ends starts none.  Each worker runs a
+    populated ``Island``'s epochs of ``EPOCH_GENERATIONS`` generations on
+    what the driver takes from the engine's inboxes, and the driver notes
+    the reports and delivers the emigrants after each round of epochs; its
+    own islands stay as populated.  Migrants are drawn from each island's
+    own rng as in ``run``, but reach their destination at the next epoch.
 
     The eval budget, the time limit and the goal are checked only between
     epochs, so a run overshoots ``max_evals`` by at most one epoch of evals
@@ -548,24 +550,21 @@ def run_distributed(
             workers.append(worker)
             conns.append(conn)
             child_conn.close()  # the worker's death now reads as end of file
-        inboxes: list[list[Genotype]] = [[] for _ in workers]
         while not engine.done():
             for i, (conn, worker) in enumerate(zip(conns, workers)):
                 try:
-                    conn.send(inboxes[i])
+                    conn.send(engine.take(i))
                 except (BrokenPipeError, ConnectionResetError):
                     raise _worker_exited(i, worker) from None
             reports = []
-            inboxes = [[] for _ in workers]
             for i, (conn, worker) in enumerate(zip(conns, workers)):
                 try:
-                    report, outbox = conn.recv()
+                    report, emigrants = conn.recv()
                 except (EOFError, ConnectionResetError):
                     # A worker killed with immigrants unread resets the pipe.
                     raise _worker_exited(i, worker) from None
                 reports.append(report)
-                for dest, genotype in outbox:
-                    inboxes[dest].append(genotype)
+                engine.deliver(emigrants)
             engine.note(reports)
             engine.advance(EPOCH_GENERATIONS)
         return engine.result()

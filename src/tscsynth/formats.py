@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .netlist import GATE_NAMES, Builder, Circuit
+from .netlist import GATE_NAMES, Builder, Circuit, signal_index
 from .sim import MAX_INPUTS, full_mask, input_patterns
 
 
@@ -369,13 +369,12 @@ def _table(text) -> int:
 
 
 def _signal(text, r: int) -> int:
-    """The index of "x<j>" or "g<k>".  An input beyond r becomes ~j, which
-    Circuit rejects by name."""
+    """The index of "x<j>" or "g<k>", by netlist.signal_index."""
     if type(text) is not str or len(text) < 2 or text[0] not in "xg" \
             or not text[1:].isdecimal():
         raise ParseError(f"bad signal reference: {text!r}")
     k = int(text[1:])
-    return r + k if text[0] == "g" else k if k < r else ~k
+    return signal_index(r, text[0] == "g", k)
 
 
 def read_native(text: str) -> Circuit:

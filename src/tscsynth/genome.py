@@ -372,15 +372,14 @@ def encode_seed(
     circuit: Circuit,
     layout: GenomeLayout,
     rng: random.Random,
-    lock_seed: bool = False,
 ) -> tuple[Genotype, LockMask]:
     """Embed a circuit into gene slots 0..gates-1 and randomize the rest.
 
     Function-output routing is set to the seed's drivers, and so is rail
     routing when the seed carries rails; a seed without rails gets random
-    rail routing.  Every remaining bit is drawn uniformly from rng.  With
-    lock_seed=True the returned mask is seed_lock_mask's: the function
-    core's genes and the function-output routing fields.
+    rail routing.  Every remaining bit is drawn uniformly from rng.  Returns
+    (genotype, LockMask.empty()); the pair stays because perfbench's
+    workloads take its [0].  Nonintrusive mode's mask is seed_lock_mask's.
     """
     if len(circuit.tt) > layout.max_gates:
         raise ValueError(
@@ -399,8 +398,7 @@ def encode_seed(
         g = g.with_field(base + 4, layout.b, layout.address(a))
         g = g.with_field(base + 4 + layout.b, layout.b, layout.address(b))
 
-    lock = seed_lock_mask(circuit, layout) if lock_seed else LockMask.empty()
-    return g, lock
+    return g, LockMask.empty()
 
 
 def mutate_bit(g: Genotype, lock: LockMask, rng: random.Random) -> Genotype:

@@ -105,6 +105,13 @@ class Fault(NamedTuple):
 _TABLE_VALUES = frozenset(range(16))
 
 
+def signal_index(r: int, gate: bool, k: int) -> int:
+    """The index of gate k, or of input k.  An input beyond r becomes ~k,
+    which is negative, so it never aliases a gate, and Circuit rejects it
+    by name."""
+    return r + k if gate else k if k < r else ~k
+
+
 @dataclass(frozen=True, init=False)
 class Circuit:
     """Gate k has truth table tt[k] and reads indices src_a[k] and src_b[k];
@@ -121,19 +128,15 @@ class Circuit:
     rails: tuple[int, int] | None
 
     def __init__(self, r: int, gates, func_outputs, error_rails=None) -> None:
-        # Each reference is converted inline.  An input x_j beyond r has no
-        # index: ~j is negative, so it never aliases gate j - r, and _store
-        # rejects it by name.
+        def index(s: SignalRef) -> int:
+            return signal_index(r, s.kind == "g", s.index)
+
         gates = tuple(gates)
-        tt, src_a, src_b = [], [], []
-        for gate in gates:
-            a, b = gate.a, gate.b
-            tt.append(gate.tt)
-            src_a.append(r + a.index if a.kind == "g" else a.index if a.index < r else ~a.index)
-            src_b.append(r + b.index if b.kind == "g" else b.index if b.index < r else ~b.index)
+        tt = [gate.tt for gate in gates]
+        src_a = [index(gate.a) for gate in gates]
+        src_b = [index(gate.b) for gate in gates]
         rails = () if error_rails is None else tuple(error_rails)
-        outs = [r + s.index if s.kind == "g" else s.index if s.index < r else ~s.index
-                for s in (*func_outputs, *rails)]
+        outs = [index(s) for s in (*func_outputs, *rails)]
         q = len(outs) - len(rails)
         self._store(r, tt, src_a, src_b, outs[:q],
                     None if error_rails is None else outs[q:])
@@ -274,6 +277,11 @@ def build_duplication_baseline(seed: Circuit) -> Circuit:
     copy's output gate, whose table is complemented, or for a bare-wire
     output into one NOT gate.  So the added gate count is n + 6*(q - 1), as
     duplication_overhead counts it, but one, the NOT, for a bare-wire output.
+
+    That one-output bare-wire baseline is not TSC: its NOT gate reads the
+    wire on both pins and never depends on pin b, so b stuck-at-0 and
+    stuck-at-1 go undetected.  No two-input gate over a single wire computes
+    the wire's complement with both pins testable.
     """
     if seed.rails is not None:
         raise ValueError("seed already carries error rails")

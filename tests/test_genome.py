@@ -395,8 +395,9 @@ class TestEncodeSeed:
     def test_lock_covers_genes_and_output_routing(self, rng):
         seed = random_circuit(rng, r=3, n_gates=4, q=2, rails="none")
         lay = GenomeLayout(r=3, q=2, b=4)
-        _, lock = encode_seed(seed, lay, rng, lock_seed=True)
-        assert lock.locked == seed_lock_mask(seed, lay).locked
+        # encode_seed locks nothing; nonintrusive mode locks seed_lock_mask.
+        assert encode_seed(seed, lay, rng)[1] == LockMask.empty()
+        lock = seed_lock_mask(seed, lay)
         assert set(range(2 * lay.b)).issubset(lock.locked)  # y routing
         # z routing fields stay free
         z_bits = set(range(2 * lay.b, 4 * lay.b))
@@ -421,15 +422,13 @@ class TestEncodeSeed:
         lay = GenomeLayout(r=4, q=4, b=6)
         core = set(range(4 * lay.b)) | set(range(lay.gene_offset(0), lay.gene_offset(7)))
         assert seed_lock_mask(seed, lay).locked == core
-        _, lock = encode_seed(seed, lay, rng, lock_seed=True)
-        assert lock.locked == core
 
     def test_locked_content_identical_across_individuals(self, rng):
         seed = random_circuit(rng, r=3, n_gates=4, q=2, rails="none")
         lay = GenomeLayout(r=3, q=2, b=4)
-        a, lock = encode_seed(seed, lay, rng, lock_seed=True)
-        b, _ = encode_seed(seed, lay, rng, lock_seed=True)
-        for pos in lock.locked:
+        a, _ = encode_seed(seed, lay, rng)
+        b, _ = encode_seed(seed, lay, rng)
+        for pos in seed_lock_mask(seed, lay).locked:
             assert genotype_bit(a, pos) == genotype_bit(b, pos)
 
 
@@ -632,7 +631,8 @@ def _function_cone(circuit: Circuit) -> tuple[tuple, Counter]:
 def _mutated_locked(seed: Circuit, lay: GenomeLayout, rng: random.Random) -> Circuit:
     """The seed encoded with its lock, after 30 rounds of bit and routing
     mutation, decoded."""
-    genotype, lock = encode_seed(seed, lay, rng, lock_seed=True)
+    genotype, _ = encode_seed(seed, lay, rng)
+    lock = seed_lock_mask(seed, lay)
     for _ in range(30):
         genotype = mutate_bit(genotype, lock, rng)
         genotype = mutate_routing(genotype, lock, rng)

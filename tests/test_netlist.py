@@ -21,6 +21,7 @@ from tscsynth.netlist import (
 )
 from tscsynth.formats import parse_blif
 from tscsynth.sim import simulate
+from tscsynth.verify import verify_tsc
 
 from conftest import (
     BENCH_DIR,
@@ -295,6 +296,13 @@ class TestDuplicationBaseline:
     def test_single_wire_output_gets_one_inverter(self):
         baseline = build_duplication_baseline(Circuit(2, (), (X(1),)))
         assert baseline == Circuit(2, (Gate(TT_NOT_A, X(1), X(1)),), (X(1),), (G(0), X(1)))
+
+    def test_single_wire_baseline_is_not_tsc(self):
+        # The NOT gate reads the wire on both pins and ignores pin b, so the
+        # oracle finds exactly pin b's two stuck-at faults undetected.
+        report = verify_tsc(build_duplication_baseline(Circuit(2, (), (X(1),))))
+        assert [str(f) for f in report.undetected] == ["b0.0", "b0.1"]
+        assert not report.violations and not report.false_alarm
 
     def test_baseline_pinned(self):
         # One sha256 over the arrays of every baseline, recorded before the
