@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Generate the small benchmark targets (PLA) and seed netlists (BLIF).
 
-Each benchmark is a classic small combinational function; the seed netlist
-is a hand-derived two-input-gate implementation built through
+Each benchmark is a classic small combinational function, stated as one
+expression of the input word apart from its seed; the seed netlist is a
+hand-derived two-input-gate implementation built through
 tscsynth.netlist.Builder.  Every seed is simulated against its target table
 before anything is written, so benchmarks/ is consistent by construction.
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import Callable
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -29,6 +31,15 @@ from tscsynth.sim import simulate
 
 TT_GT = 4  # a AND NOT b
 TT_LT = 2  # NOT a AND b
+
+
+def _target(r: int, q: int, outputs: Callable[[int], int]) -> TargetSpec:
+    """The target over r inputs whose output j is bit j of outputs(w) at each
+    input word w (x_0 is bit 0 of w)."""
+    words = [outputs(w) for w in range(1 << r)]
+    return TargetSpec(r, q, tuple(
+        sum((y >> j & 1) << w for w, y in enumerate(words)) for j in range(q)
+    ))
 
 
 def mult2() -> tuple[Circuit, TargetSpec]:
@@ -42,16 +53,7 @@ def mult2() -> tuple[Circuit, TargetSpec]:
     p2 = bld.gate(TT_GT, t3, p0)  # carry into bit 3 equals p0 AND t3
     p3 = bld.gate(TT_AND, p0, t3)
     circuit = bld.circuit([p0, p1, p2, p3])
-
-    cols = [0, 0, 0, 0]
-    for w in range(16):
-        a = (w & 1) | ((w >> 1) & 1) << 1
-        b = ((w >> 2) & 1) | ((w >> 3) & 1) << 1
-        prod = a * b
-        for j in range(4):
-            if (prod >> j) & 1:
-                cols[j] |= 1 << w
-    return circuit, TargetSpec(4, 4, tuple(cols))
+    return circuit, _target(4, 4, lambda w: (w & 3) * (w >> 2))
 
 
 def b1() -> tuple[Circuit, TargetSpec]:
@@ -63,15 +65,10 @@ def b1() -> tuple[Circuit, TargetSpec]:
     t = bld.gate(TT_AND, x, 2)
     cy = bld.gate(TT_OR, n, t)
     circuit = bld.circuit([s, cy, x, n])
-
-    cols = [0, 0, 0, 0]
-    for w in range(8):
-        a, b_, cin = w & 1, (w >> 1) & 1, (w >> 2) & 1
-        vals = (a ^ b_ ^ cin, int(a + b_ + cin >= 2), a ^ b_, a & b_)
-        for j, v in enumerate(vals):
-            if v:
-                cols[j] |= 1 << w
-    return circuit, TargetSpec(3, 4, tuple(cols))
+    # The ones count of (a, b, cin) is cy s; then a ^ b and a & b.
+    return circuit, _target(
+        3, 4, lambda w: bin(w).count("1") | ((w ^ w >> 1) & 1) << 2 | (w & w >> 1 & 1) << 3
+    )
 
 
 def c17() -> tuple[Circuit, TargetSpec]:
@@ -83,8 +80,13 @@ def c17() -> tuple[Circuit, TargetSpec]:
     o0 = bld.gate(TT_NAND, g0, g2)
     o1 = bld.gate(TT_NAND, g2, g3)
     circuit = bld.circuit([o0, o1])
-    resp = simulate(circuit)
-    return circuit, TargetSpec(5, 2, tuple(resp.outputs))
+
+    def outputs(w: int) -> int:
+        x0, x1, x2, x3, x4 = (w >> j & 1 for j in range(5))
+        n23 = 1 ^ (x2 & x3)
+        return x0 & x2 | x1 & n23 | (n23 & (x1 | x4)) << 1
+
+    return circuit, _target(5, 2, outputs)
 
 
 def cm82a() -> tuple[Circuit, TargetSpec]:
@@ -101,17 +103,8 @@ def cm82a() -> tuple[Circuit, TargetSpec]:
     t2 = bld.gate(TT_AND, x2, c1)
     c2 = bld.gate(TT_OR, n2, t2)
     circuit = bld.circuit([s1, s2, c2])
-
-    cols = [0, 0, 0]
-    for w in range(32):
-        cin = w & 1
-        a = ((w >> 1) & 1) | ((w >> 3) & 1) << 1
-        b = ((w >> 2) & 1) | ((w >> 4) & 1) << 1
-        total = a + b + cin
-        for j, v in enumerate(((total >> 0) & 1, (total >> 1) & 1, (total >> 2) & 1)):
-            if v:
-                cols[j] |= 1 << w
-    return circuit, TargetSpec(5, 3, tuple(cols))
+    # cin + a + b, with a = (a2 a1) and b = (b2 b1).
+    return circuit, _target(5, 3, lambda w: bin(w & 7).count("1") + 2 * bin(w >> 3).count("1"))
 
 
 def _pair_decoders(bld: Builder, lo: int, hi: int) -> list[int]:
@@ -136,13 +129,8 @@ def cm42a() -> tuple[Circuit, TargetSpec]:
     ]
     outs = [bld.gate(TT_NAND, ab[n & 3], cd[n >> 2]) for n in range(10)]
     circuit = bld.circuit(outs)
-
-    cols = [0] * 10
-    for w in range(16):
-        for n in range(10):
-            if not (w == n):
-                cols[n] |= 1 << w
-    return circuit, TargetSpec(4, 10, tuple(cols))
+    # Output n is low at word n only.
+    return circuit, _target(4, 10, lambda w: 0x3FF & ~(1 << w))
 
 
 def cm138a() -> tuple[Circuit, TargetSpec]:
@@ -157,15 +145,8 @@ def cm138a() -> tuple[Circuit, TargetSpec]:
     mc = [mc0, mc1]
     outs = [bld.gate(TT_NAND, ab[n & 3], mc[n >> 2]) for n in range(8)]
     circuit = bld.circuit(outs)
-
-    cols = [0] * 8
-    for w in range(64):
-        addr = w & 7
-        enabled = ((w >> 3) & 1) and not ((w >> 4) & 1) and not ((w >> 5) & 1)
-        for n in range(8):
-            if not (enabled and addr == n):
-                cols[n] |= 1 << w
-    return circuit, TargetSpec(6, 8, tuple(cols))
+    # Enabled when (g1 g2a g2b) = (1 0 0); then output (c b a) is low.
+    return circuit, _target(6, 8, lambda w: 0xFF ^ (w >> 3 == 1) << (w & 7))
 
 
 def decod() -> tuple[Circuit, TargetSpec]:
@@ -176,13 +157,8 @@ def decod() -> tuple[Circuit, TargetSpec]:
     abe = [bld.gate(TT_AND, t, 4) for t in ab]
     outs = [bld.gate(TT_AND, abe[n & 3], cd[n >> 2]) for n in range(16)]
     circuit = bld.circuit(outs)
-
-    cols = [0] * 16
-    for w in range(32):
-        addr = w & 15
-        if (w >> 4) & 1:
-            cols[addr] |= 1 << w
-    return circuit, TargetSpec(5, 16, tuple(cols))
+    # Output (d c b a) is high when the enable is.
+    return circuit, _target(5, 16, lambda w: (w >> 4) << (w & 15))
 
 
 def rd53() -> tuple[Circuit, TargetSpec]:
@@ -203,14 +179,7 @@ def rd53() -> tuple[Circuit, TargetSpec]:
     y1 = bld.gate(TT_XOR, c1, c2)
     y2 = bld.gate(TT_AND, c1, c2)
     circuit = bld.circuit([s2, y1, y2])
-
-    cols = [0, 0, 0]
-    for w in range(32):
-        count = bin(w).count("1")
-        for j in range(3):
-            if (count >> j) & 1:
-                cols[j] |= 1 << w
-    return circuit, TargetSpec(5, 3, tuple(cols))
+    return circuit, _target(5, 3, lambda w: bin(w).count("1"))
 
 
 BENCHMARKS = {

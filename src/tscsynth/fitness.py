@@ -2,12 +2,15 @@
 
 evaluate_circuit is the one scoring body.  From one fault-free wave
 (sim.values) of a circuit with error rails (without them it raises
-ValueError) it scores f_f and computes_target over the function outputs,
-tests the fault-free rails for a collision and counts the checking faults
-(u_f, u_i; _fault_counts).  It reads the flat int arrays a Circuit stores
-(see netlist), never its Gate view; every gate is live.  The benchmark
-(perfbench) times the fault-free half and the checking half apart through
-fault_free_response and evaluate_checking, which the search does not call.
+ValueError) it scores f_f and computes_target over the function outputs
+and hands the wave to the checking half, _fault_counts, which tests the
+fault-free rails for a collision, counts the checking faults (u_f, u_i)
+and maps them to f_ST and f_FS.  Both read the flat int arrays a Circuit
+stores (see netlist), never its Gate view; every gate is live.  The
+benchmark (perfbench) times the fault-free half and the checking half
+apart through fault_free_response and evaluate_checking, which the search
+does not call; evaluate_checking runs the same _fault_counts on a wave of
+its own.
 The wave and the gate table kernel (sim.GATE_EVAL) are shared with the
 verify oracle; the fault model below, one inverted-output slot per gate and
 its readouts, is not.
@@ -192,15 +195,20 @@ def _busy_slots(x: int, low: int, top: int) -> int:
     return (((x & low) + low | x) & top).bit_count()
 
 
-def _fault_counts(circuit: Circuit, values: list[int], applied: int) -> tuple[int, int]:
-    """(u_f, u_i) over the gates of a circuit whose fault-free rails do not
-    collide on the applied words."""
+def _fault_counts(circuit: Circuit, values: list[int],
+                  applied: int) -> tuple[int | None, int | None, float, float]:
+    """(u_f, u_i, f_ST, f_FS): the checking faults over the gates of a circuit
+    with error rails, given its fault-free wave, and their scores.  Fault-free
+    rails that collide (z_0 == z_1) on an applied word give (None, None, 0.0,
+    0.0) without simulating a fault."""
     r = circuit.r
     slot = 1 << r
     full = (1 << slot) - 1
+    z0, z1 = circuit.rails
+    if (values[z0] ^ values[z1] ^ full) & applied:
+        return None, None, 0.0, 0.0
     tt, src_a, src_b = circuit.tt, circuit.src_a, circuit.src_b
     n = len(tt)
-    z0, z1 = circuit.rails
     per_pass = max(1, PASS_BITS >> r)
     code = _ARRAY_CODES.get(slot >> 3)
 
@@ -274,7 +282,7 @@ def _fault_counts(circuit: Circuit, values: list[int], applied: int) -> tuple[in
             at_b1 = on_b & b
             u_f += ((not on_o) + (on_o == err_k) + (not at_a1) + (at_a1 == on_a)
                     + (not at_b1) + (at_b1 == on_b))
-    return u_f, u_i
+    return u_f, u_i, st_score(u_f), fs_score(u_i)
 
 
 def fault_free_response(circuit: Circuit) -> ResponseMatrix:
@@ -289,18 +297,15 @@ def evaluate_checking(
     resp_free: ResponseMatrix,
     word_mask: int | None = None,
 ) -> tuple[int | None, int | None, float, float]:
-    """(u_f, u_i, f_ST, f_FS) of a circuit with error rails, given its
-    fault-free response: evaluate_circuit's checking half.  Fault-free rails
-    that collide (z_0 == z_1) on an applied word zero both scores at once."""
+    """(u_f, u_i, f_ST, f_FS) of a circuit with error rails: evaluate_circuit's
+    checking half (_fault_counts).  The benchmark times it apart from
+    fault_free_response, whose resp_free it is handed; the counts come from
+    the circuit's own wave, so resp_free is not read."""
     if circuit.rails is None:
         raise ValueError("circuit has no error rails")
     full = full_mask(circuit.r)
     applied = full if word_mask is None else word_mask & full
-    z0, z1 = resp_free.rails
-    if (z0 ^ z1 ^ full) & applied:
-        return (None, None, 0.0, 0.0)
-    u_f, u_i = _fault_counts(circuit, sim.values(circuit), applied)
-    return (u_f, u_i, st_score(u_f), fs_score(u_i))
+    return _fault_counts(circuit, sim.values(circuit), applied)
 
 
 def evaluate_circuit(
@@ -329,12 +334,6 @@ def evaluate_circuit(
         wrong |= got ^ want
     live_count = len(circuit.tt)
     f_p = (max_gates - live_count) / max_gates
-    z0, z1 = circuit.rails
-    if (values[z0] ^ values[z1] ^ full) & applied:
-        u_f = u_i = None
-        f_st = f_fs = 0.0
-    else:
-        u_f, u_i = _fault_counts(circuit, values, applied)
-        f_st, f_fs = st_score(u_f), fs_score(u_i)
+    u_f, u_i, f_st, f_fs = _fault_counts(circuit, values, applied)
     return FitnessVector(total / len(target), f_st, f_fs, f_p, u_f, u_i, live_count,
                          not wrong & applied)

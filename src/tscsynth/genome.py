@@ -44,7 +44,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .netlist import Circuit, function_core
+from .netlist import Circuit, duplication_overhead, function_core
 
 # Reverse the bit order of a 4-bit value: genotype stores t0 first (most
 # significant in the field), a Circuit's truth table stores t0 in bit 0.
@@ -103,10 +103,10 @@ class GenomeLayout:
 def default_address_width(r: int, seed_gates: int, q: int) -> int:
     """Smallest b whose gene space holds a duplication-style circuit.
 
-    That needs the seed, a copy and a checker tree: 2*g + 6*(q - 1) slots,
-    and translocation needs at least 2.
+    That needs the seed's g gates and duplication's overhead on them, and
+    translocation needs at least 2 slots.
     """
-    need = max(2, 2 * seed_gates + 6 * max(q - 1, 0))
+    need = max(2, seed_gates + duplication_overhead(seed_gates, q))
     b = 1
     while (1 << b) - r < need:
         b += 1

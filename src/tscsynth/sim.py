@@ -2,12 +2,13 @@
 
 Signals are packed integers: bit w of a vector is the signal's value under
 input word w, for all 2**r words in ascending numeric order with x_0 as the
-least significant input bit.  The fault-free wave (values) refreshes every
-gate once, in index order, which suffices for feed-forward circuits; it
-reads a Circuit's stored arrays, not its Gate view.  The verify oracle and
-fitness share the gate table kernel (GATE_EVAL) and the wave, and inject
-and read out faults each its own way: verify.fault_pass, and one
-inverted-output slot per gate in fitness's one scoring body,
+least significant input bit, so input j's vector (input_patterns) has bit w
+set iff bit j of w is.  The fault-free wave (values) starts from those and
+refreshes every gate once, in index order, which suffices for feed-forward
+circuits; it reads a Circuit's stored arrays, not its Gate view.  The
+verify oracle and fitness share the gate table kernel (GATE_EVAL) and the
+wave, and inject and read out faults each its own way: verify.fault_pass,
+and one inverted-output slot per gate in fitness's one scoring body,
 fitness.evaluate_circuit.  simulate, the wave's outputs and rails, backs
 fitness.fault_free_response, which the benchmark times apart from
 fitness.evaluate_checking.
@@ -34,15 +35,11 @@ class FaultScope(Enum):
 
 @lru_cache(maxsize=None)
 def input_patterns(r: int) -> tuple[int, ...]:
-    """Packed value of each primary input across all 2**r words."""
-    patterns = []
-    for j in range(r):
-        v = 0
-        for w in range(1 << r):
-            if (w >> j) & 1:
-                v |= 1 << w
-        patterns.append(v)
-    return tuple(patterns)
+    """Packed value of each primary input across all 2**r words: from word 0
+    up, input j repeats 2**j zeros then 2**j ones, and all-ones divided by
+    2**(2**j) + 1 repeats 2**j ones then 2**j zeros."""
+    full = full_mask(r)
+    return tuple(full // ((1 << (1 << j)) + 1) << (1 << j) for j in range(r))
 
 
 def full_mask(r: int) -> int:

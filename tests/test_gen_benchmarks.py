@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from tscsynth.formats import render_blif, render_pla
+from tscsynth.sim import simulate
 
 from conftest import BENCH_DIR
 
@@ -25,6 +26,12 @@ BENCHMARKS = load_script().BENCHMARKS
 def test_every_shipped_benchmark_has_a_builder():
     assert sorted(BENCHMARKS) == sorted(p.stem for p in BENCH_DIR.glob("*.blif"))
     assert sorted(BENCHMARKS) == sorted(p.stem for p in BENCH_DIR.glob("*.pla"))
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_builder_seed_computes_its_target(name):
+    circuit, target = BENCHMARKS[name]()
+    assert simulate(circuit).outputs == target.columns
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))

@@ -89,10 +89,14 @@ class TestLayout:
                 Genotype(value, lay)
 
     def test_default_address_width_fits_duplication(self):
-        # Needs seed + copy + checker tree slots.
-        b = default_address_width(r=4, seed_gates=7, q=4)
-        assert (1 << b) - 4 >= 2 * 7 + 6 * 3
-        assert (1 << (b - 1)) - 4 < 2 * 7 + 6 * 3
+        # The smallest b whose 2**b - r gene slots hold the seed, its copy
+        # and a checker tree of 6 gates per extra output, and at least 2.
+        for r in (1, 2, 3, 4, 5, 6, 16):
+            for g in range(64):
+                for q in (1, 2, 3, 4, 16):
+                    need = max(2, 2 * g + 6 * (q - 1))
+                    b = next(b for b in range(1, 32) if (1 << b) - r >= need)
+                    assert default_address_width(r, g, q) == b, (r, g, q)
 
 
 class TestDecode:

@@ -40,6 +40,18 @@ def test_input_patterns_bit_convention():
     assert x1 == 0b1100
 
 
+def test_input_patterns_match_per_word_definition(rng):
+    # Bit w of input j's vector is bit j of w: every word up to r = 12, and
+    # sampled words, with the first and last, at the r = 16 cap.
+    for r in range(13):
+        assert input_patterns(r) == tuple(
+            sum(1 << w for w in range(1 << r) if (w >> j) & 1) for j in range(r)
+        )
+    patterns = input_patterns(16)
+    for w in [0, (1 << 16) - 1, *rng.sample(range(1 << 16), 500)]:
+        assert [(x >> w) & 1 for x in patterns] == [(w >> j) & 1 for j in range(16)]
+
+
 def test_fault_free_xor():
     resp = simulate(_xor_circuit())
     assert resp.outputs[0] == 0b0110
