@@ -3,6 +3,9 @@
 parse_blif builds a Circuit through netlist.Builder, read_native through
 Circuit.from_arrays; the writers read its arrays (tt, src_a, src_b, outputs,
 rails).  A signal is "x<j>" (input j) or "g<k>" (gate k): index j or r + k.
+A BLIF file may list its .names blocks in any order: parse_blif numbers the
+gates in post-order from the blocks in file order, and of several faults in
+one file reports the first its walk meets.
 """
 
 from __future__ import annotations
@@ -174,46 +177,49 @@ def parse_blif(text: str) -> Circuit:
 
     Each .names block becomes one two-input gate; one-input and constant
     blocks embed as degenerate two-input gates with unused sources tied to
-    x_0.  Fan-in above two, undefined nets, redefinitions, cyclic
-    definitions and blocks no output depends on are errors.
+    x_0.  Blocks may come in any order; gates are numbered in post-order of
+    a walk from each block in file order, so a file in topological order
+    keeps its order.  Fan-in above two, undefined nets, redefinitions, cyclic
+    definitions and blocks no output depends on are errors.  Of several
+    faults the first met is reported: a bad cover row when the walk finishes
+    its block, so before an undefined output or an unused block.
     """
     inputs: list[str] = []
     outputs: list[str] = []
-    blocks: list[tuple[list[str], str, list[str]]] = []
-    current: tuple[list[str], str, list[str]] | None = None
+    blocks: dict[str, tuple[list[str], list[str]]] = {}  # net: (sources, rows)
+    rows: list[str] | None = None  # the cover rows of the open .names block
     for line in _logical_lines(text):
-        if line.startswith("."):
-            parts = line[1:].split()
-            key = parts[0] if parts else ""
-            if current is not None and key != "":
-                blocks.append(current)
-                current = None
-            if key == "model":
-                continue
-            if key == "inputs":
-                inputs.extend(parts[1:])
-            elif key == "outputs":
-                outputs.extend(parts[1:])
-            elif key == "names":
-                if len(parts) < 2:
-                    raise ParseError("empty .names line")
-                sources = parts[1:-1]
-                if len(sources) > 2:
-                    raise ParseError(
-                        f"gate {parts[-1]!r} has fan-in {len(sources)}; "
-                        "seed must be in two-input form"
-                    )
-                current = (sources, parts[-1], [])
-            elif key == "end":
-                break
-            else:
-                raise ParseError(f"unsupported BLIF directive: .{key}")
-        else:
-            if current is None:
+        if not line.startswith("."):
+            if rows is None:
                 raise ParseError(f"cover row outside a .names block: {line!r}")
-            current[2].append(line)
-    if current is not None:
-        blocks.append(current)
+            rows.append(line)
+            continue
+        parts = line[1:].split()
+        key = parts[0] if parts else ""
+        rows = None
+        if key == "model":
+            continue
+        if key == "inputs":
+            inputs.extend(parts[1:])
+        elif key == "outputs":
+            outputs.extend(parts[1:])
+        elif key == "names":
+            if len(parts) < 2:
+                raise ParseError("empty .names line")
+            sources, name = parts[1:-1], parts[-1]
+            if len(sources) > 2:
+                raise ParseError(
+                    f"gate {name!r} has fan-in {len(sources)}; "
+                    "seed must be in two-input form"
+                )
+            if name in blocks:
+                raise ParseError("a net is defined by more than one .names block")
+            rows = []
+            blocks[name] = (sources, rows)
+        elif key == "end":
+            break
+        else:
+            raise ParseError(f"unsupported BLIF directive: .{key}")
 
     if not inputs:
         raise ParseError("BLIF has no .inputs")
@@ -221,96 +227,86 @@ def parse_blif(text: str) -> Circuit:
     if not outputs:
         raise ParseError("BLIF has no .outputs")
 
-    defined = {name: k for k, (_, name, _) in enumerate(blocks)}
-    if len(defined) != len(blocks):
-        raise ParseError("a net is defined by more than one .names block")
-    for name in inputs:
-        if name in defined:
-            raise ParseError(f"primary input {name!r} redefined by .names")
-
-    input_index: dict[str, int] = {}
+    # Circuit index of every net: inputs first, then each block's gate.
+    index: dict[str, int] = {}
     for j, name in enumerate(inputs):
-        if name in input_index:
+        if name in blocks:
+            raise ParseError(f"primary input {name!r} redefined by .names")
+        if name in index:
             raise ParseError(f"primary input {name!r} is declared twice")
-        input_index[name] = j
+        index[name] = j
 
-    # Topological order of blocks by an iterative post-order DFS, which also
-    # catches undefined nets and cycles; a chain of gates may be any length.
-    order: list[int] = []
-    state = [0] * len(blocks)  # 0 new, 1 visiting, 2 done
-    for root in range(len(blocks)):
-        if state[root] == 2:
+    # An iterative post-order walk, so a chain of gates may be any length.
+    # path holds the nets being walked: a source on it closes a cycle.
+    bld = Builder(len(inputs))
+    for root in blocks:
+        if root in index:
             continue
-        state[root] = 1
-        stack = [[root, 0]]  # block, index of its next source
+        path = {root}
+        stack = [(root, iter(blocks[root][0]))]
         while stack:
-            top = stack[-1]
-            k, si = top
-            sources = blocks[k][0]
-            if si == len(sources):
-                state[k] = 2
-                order.append(k)
+            name, pending = stack[-1]
+            for src in pending:
+                if src not in index:
+                    break
+            else:
                 stack.pop()
+                path.discard(name)
+                sources, rows = blocks[name]
+                reads = [index[s] for s in sources] + [0, 0]
+                index[name] = bld.gate(_cover_table(sources, rows, name), reads[0], reads[1])
                 continue
-            top[1] = si + 1
-            src = sources[si]
-            if src in input_index:
-                continue
-            if src not in defined:
+            if src in path:
+                raise ParseError(f"cyclic definition through net {src!r}")
+            if src not in blocks:
                 raise ParseError(f"undefined net {src!r}")
-            j = defined[src]
-            if state[j] == 1:
-                raise ParseError(f"cyclic definition through net {blocks[j][1]!r}")
-            if state[j] == 0:
-                state[j] = 1
-                stack.append([j, 0])
+            path.add(src)
+            stack.append((src, iter(blocks[src][0])))
     for name in outputs:
-        if name not in input_index and name not in defined:
+        if name not in index:
             raise ParseError(f"undefined output net {name!r}")
     # The blocks form no cycle, so a block reaches an output iff an output or
     # another block reads its net.
-    read = set(outputs).union(*(sources for sources, _, _ in blocks))
-    for _, name, _ in blocks:
+    read = set(outputs).union(*(sources for sources, _ in blocks.values()))
+    for name in blocks:
         if name not in read:
             raise ParseError(f"net {name!r} feeds no output (unused .names block)")
-
-    # Circuit index of every net: inputs first, then the blocks in order.
-    r = len(inputs)
-    index = {**input_index, **{blocks[k][1]: r + i for i, k in enumerate(order)}}
-    bld = Builder(r)
-    for k in order:
-        sources, name, rows = blocks[k]
-        where = f".names block for {name!r}"
-        # Each row ANDs its literals, the rows are ORed, and an off-set
-        # cover (output 0) is complemented.  The gate reads the block's
-        # sources in order, and x_0 in place of a missing one, which has no
-        # literal and so no say in the table.
-        table, polarity = 0, None
-        for row in rows:
-            fields = row.split()
-            if not sources:
-                if len(fields) != 1 or fields[0] not in ("0", "1"):
-                    raise ParseError(f"bad constant cover row {row!r} in {where}")
-                pattern, bit = "", fields[0]
-            else:
-                if len(fields) != 2 or len(fields[0]) != len(sources):
-                    raise ParseError(f"bad cover row {row!r} in {where}")
-                pattern, bit = fields
-            cube = 0b1111
-            for literals, ch in zip(_LITERALS, pattern):
-                if ch not in literals:
-                    raise ParseError(f"bad cover pattern {pattern!r} in {where}")
-                cube &= literals[ch]
-            if bit not in ("0", "1"):
-                raise ParseError(f"bad cover output {bit!r} in {where}")
-            if polarity is None:
-                polarity = bit
-            elif polarity != bit:
-                raise ParseError(f"mixed cover polarity in {where}")
-            table |= cube
-        reads = [index[source] for source in sources] + [0, 0]
-        bld.gate(table ^ 0b1111 if polarity == "0" else table, reads[0], reads[1])
     return bld.circuit([index[name] for name in outputs])
+
+
+def _cover_table(sources: list[str], rows: list[str], name: str) -> int:
+    """The truth table of the .names block for net name.
+
+    Each row ANDs its literals, the rows are ORed, and an off-set cover
+    (output 0) is complemented.  The gate reads the block's sources in
+    order, and x_0 in place of a missing one, which has no literal and so
+    no say in the table.
+    """
+    where = f".names block for {name!r}"
+    table, polarity = 0, None
+    for row in rows:
+        fields = row.split()
+        if not sources:
+            if len(fields) != 1 or fields[0] not in ("0", "1"):
+                raise ParseError(f"bad constant cover row {row!r} in {where}")
+            pattern, bit = "", fields[0]
+        else:
+            if len(fields) != 2 or len(fields[0]) != len(sources):
+                raise ParseError(f"bad cover row {row!r} in {where}")
+            pattern, bit = fields
+        cube = 0b1111
+        for literals, ch in zip(_LITERALS, pattern):
+            if ch not in literals:
+                raise ParseError(f"bad cover pattern {pattern!r} in {where}")
+            cube &= literals[ch]
+        if bit not in ("0", "1"):
+            raise ParseError(f"bad cover output {bit!r} in {where}")
+        if polarity is None:
+            polarity = bit
+        elif polarity != bit:
+            raise ParseError(f"mixed cover polarity in {where}")
+        table |= cube
+    return table ^ 0b1111 if polarity == "0" else table
 
 
 def _signal_name(s: int, r: int) -> str:

@@ -135,11 +135,9 @@ class Circuit:
         tt = [gate.tt for gate in gates]
         src_a = [index(gate.a) for gate in gates]
         src_b = [index(gate.b) for gate in gates]
-        rails = () if error_rails is None else tuple(error_rails)
-        outs = [index(s) for s in (*func_outputs, *rails)]
-        q = len(outs) - len(rails)
-        self._store(r, tt, src_a, src_b, outs[:q],
-                    None if error_rails is None else outs[q:])
+        outputs = [index(s) for s in func_outputs]
+        rails = None if error_rails is None else [index(s) for s in error_rails]
+        self._store(r, tt, src_a, src_b, outputs, rails)
         self.__dict__["gates"] = gates
 
     @classmethod

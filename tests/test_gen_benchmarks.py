@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tscsynth.formats import render_blif, render_pla
+from tscsynth.formats import parse_blif, render_blif, render_pla
 from tscsynth.sim import simulate
 
 from conftest import BENCH_DIR
@@ -38,7 +38,7 @@ def test_builder_seed_computes_its_target(name):
 def test_builder_renders_the_shipped_files(name):
     # Building the seed also checks that every gate is live.
     circuit, target = BENCHMARKS[name]()
-    assert (BENCH_DIR / f"{name}.blif").read_text(encoding="utf-8") == render_blif(
-        circuit, model=name
-    )
+    text = render_blif(circuit, model=name)
+    assert (BENCH_DIR / f"{name}.blif").read_text(encoding="utf-8") == text
+    assert parse_blif(text) == circuit
     assert (BENCH_DIR / f"{name}.pla").read_text(encoding="utf-8") == render_pla(target)
