@@ -26,11 +26,10 @@ from typing import Callable
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tscsynth.formats import TargetSpec, render_blif, render_pla
-from tscsynth.netlist import Builder, Circuit, TT_AND, TT_NAND, TT_NOR, TT_OR, TT_XOR
+from tscsynth.netlist import (
+    Builder, Circuit, TT_AND, TT_GT, TT_LT, TT_NAND, TT_NOR, TT_OR, TT_XOR,
+)
 from tscsynth.sim import simulate
-
-TT_GT = 4  # a AND NOT b
-TT_LT = 2  # NOT a AND b
 
 
 def _target(r: int, q: int, outputs: Callable[[int], int]) -> TargetSpec:

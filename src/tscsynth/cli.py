@@ -320,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "a goal below 0 gates)")
     p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=50,
                    help="generations between lines of checkpoints.ndjson in --out; "
-                   "0 writes no checkpoints")
+                   "--parallel checks only between its "
+                   f"{evolve_mod.EPOCH_GENERATIONS}-generation epochs, so it writes "
+                   "at most one line per epoch; 0 writes no checkpoints")
     p.add_argument("--applied-words", dest="applied_words", default=None,
                    help="hex mask of applied input words (default: all)")
     p.add_argument("--parallel", action="store_true",

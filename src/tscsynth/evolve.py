@@ -419,8 +419,12 @@ class Engine:
         self.advance(1)
 
     def advance(self, generations: int) -> None:
-        """Count generations finished on every island; checkpoint each time
-        the count passes a multiple of ``checkpoint_every``."""
+        """Count generations finished on every island; checkpoint once
+        whenever the count passes a multiple of ``checkpoint_every``.  ``run``
+        advances one generation at a time, ``run_distributed`` one epoch of
+        ``EPOCH_GENERATIONS``, so it writes at most one checkpoint per epoch:
+        with ``checkpoint_every`` 2, at generations 4, 8, ... where ``run``
+        writes at 2, 4, 6, ...."""
         every = self.config.checkpoint_every
         before = self.generation
         self.generation += generations

@@ -29,21 +29,17 @@ gates takes several passes, each over the slots of a run of consecutive
 gates.  A pass copies the fault-free values of the gates before its run the
 same way as the inputs, since no flip of its run reaches them.
 
-One slot serves both stuck-at faults of the output, because the checking
+One slot serves all six stuck-at faults of its gate, because the checking
 counts are taken only when the fault-free rails do not collide on any
-applied word.  At a word where the fault-free output o is 1, stuck-at-0 is
-the flip; where o is 0, it is the fault-free circuit, which signals no error
-there and has no wrong output.  So output stuck-at-0 is detected at the
-flip slot's error words where o is 1, and stuck-at-1 at those where o is 0,
-and the two faults' wrong unsignalled words add up to the flip slot's own,
-which is why u_i is still one popcount.
-
-Input faults never get their own simulation either.  An input stuck-at
-leaves the gate output unchanged at a word or flips it, and at a flipped
-word the circuit behaves as under the flip.  The output flips where it
-follows that input (_follows, read off the truth-table bits) and the input
-differs from the stuck value, so the fault is detected when one of those
-words is in the gate's error mask.
+applied word.  At each word a fault either leaves the gate output as it is,
+and the circuit is fault-free there (no error signal, no wrong output), or
+flips it, and the circuit behaves as the slot.  Output stuck-at-0 flips the
+output where the fault-free output is 1, stuck-at-1 where it is 0.  Input a
+stuck at s flips it where the gate follows a (flipping a flips the output,
+as the truth table says) and a != s; likewise b.  A fault is detected when
+a word it flips is signalled in its gate's slot; _detections gives those
+words for all six faults.  The two output faults' wrong unsignalled words
+add up to the slot's own, which is why u_i is one popcount.
 
 u_f is read out pass by pass.  One carry per slot counts the busy slots,
 those with a signalled word (_busy_slots, the "find a zero field" test of
@@ -51,14 +47,13 @@ Warren, "Hacker's Delight", 2nd ed., 2012, ch. 6, which verify uses for its
 undetected faults too); each other slot is idle and leaves all six faults
 of its gate undetected.  The busy slots are read out in one of two ways,
 which give the same counts.  The per-slot readout cuts each slot off the
-error int and tests its six faults with _follows.  The packed readout lays
+error int and counts its empty _detections masks.  The packed readout lays
 the pass's fault-free gate outputs, a and b sources and tables out in the
-same slots (_pack), one int for all four, builds every slot's follow masks
-at once and counts the slots where each of the six faults is detected with
-one carry test each.  Its set-up costs about as much as reading a dozen
-slots one by one, so a pass is read packed only from PACKED_READOUT_SLOTS
-busy slots up, and only where a slot is one array item (8 to 64 bits, so
-3 <= r <= 6).
+same slots (_pack), one int for all four, takes every slot's masks from one
+_detections call and counts each mask's busy slots.  Its set-up costs about
+as much as reading a dozen slots one by one, so a pass is read packed only
+from PACKED_READOUT_SLOTS busy slots up, and only where a slot is one array
+item (8 to 64 bits, so 3 <= r <= 6).
 """
 
 from __future__ import annotations
@@ -83,13 +78,14 @@ K_FS = 200
 PASS_BITS = 1 << 16
 
 # Fewest busy slots at which a pass is read out packed rather than slot by
-# slot; the two readouts tie at 12-15.  Per call of _fault_counts on checked
-# mult2 search circuits (r = 4, median 19-27 gates; 2-vCPU Xeon, Python
-# 3.11, median of the best of 9 calls, two runs), per-slot against packed:
-# 13.0-14.0 vs 19.7-21.1 us at 0-3 busy slots, 17.9-18.1 vs 20.2-21.0 at
-# 8-11, 23.3-24.7 vs 24.7-24.8 at 12-15 and 22.3-23.0 vs 20.2-20.4 at 16-19.
-# On decod replay circuits (r = 5, 146 gates, every slot busy) packed took
-# 194 us against 356 us per slot.
+# slot; the two readouts tie between 8-11 and 12-15.  Per call of
+# _fault_counts on checked mult2 search circuits (4 islands, 5k evals, rng
+# seeds 0-2; r = 4, median 23-40 gates; 2-vCPU Xeon, Python 3.11; per
+# circuit the best of 9 calls of each readout in turn, median over up to 150
+# circuits, two runs), packed minus per-slot: +7.1 to +7.3 us at 0-3 busy
+# slots, +2.5 to +2.6 at 8-11, -2.0 to -2.6 at 12-15 and -3.5 to -7.0 at
+# 16-19.  On the decod duplication baseline (r = 5, 146 gates, every slot
+# busy) packed took 102 us against 228 us per slot.
 PACKED_READOUT_SLOTS = 12
 
 # array typecode of each slot width that has one: 1, 2, 4 and 8 bytes.
@@ -151,32 +147,33 @@ def _abs_corr(x: int, y: int, n: int) -> float:
     return abs(num) / math.sqrt(den_x * den_y)
 
 
-def _follows(t: int, a: int, b: int, full: int) -> tuple[int, int]:
-    """Words at which a gate with table t and packed inputs a, b follows
-    input a (flipping a flips the output), and those at which it follows b.
+def _detections(err: int, o: int, a: int, b: int, t: int, full: int,
+                repeat: int) -> tuple[int, int, int, int, int, int]:
+    """Each slot's signalled words at which each of its gate's six faults
+    flips the output: output stuck-at-0 and -1, then input a's, then b's.
+    err, o, a, b and t hold per slot the signalled words, the fault-free
+    output and inputs and the table; full is one slot's all-words mask and
+    repeat the slot-repeat constant, 1 for a single slot.
 
-    Bit 2a + b of t is the output at (a, b), so the output follows a where
-    b = 0 if bits 0 and 2 differ, where b = 1 if bits 1 and 3 differ, and
-    follows b where a = 0 if bits 0 and 1 differ, where a = 1 if bits 2 and 3
-    differ.  Input a stuck at s flips the output exactly at the words where it
-    follows a and a != s; likewise for b.
-
-    The packed readout of _fault_counts builds these masks for every slot of
-    a pass at once, from its tables laid out one per slot.  Bits 0 and 1 of
-    a slot of t ^ (t >> 2) are that table's along_a bits, and bits 0 and 2
-    of t ^ (t >> 1) its along_b bits: a table is 4 bits and a slot at least
-    8, so the bits a shift carries in from the next slot land in the slot's
-    top two bits, which are never read.  Each such bit, picked out with the
-    slot-repeat constant and multiplied by the all-words mask, becomes a
-    slot of no words or all words, which selects b ^ full and b (a ^ full
-    and a) exactly as the conditionals here do.
+    Bit 2a + b of a table is the output at (a, b), so the output follows a
+    where b = 0 if bits 0 and 2 differ, where b = 1 if bits 1 and 3 differ:
+    bits 0 and 1 of t ^ t >> 2.  Bits 0 and 2 of t ^ t >> 1 say the same of b
+    where a = 0 and where a = 1.  Each such bit, picked out with repeat and
+    multiplied by full, becomes a slot of no words or all words, and
+    x ^ (x ^ y) & b takes x's words where b = 0 and y's where b = 1.  A
+    table is 4 bits and a packed slot at least 8, so the bits a shift carries
+    in from the next slot land in the slot's top two bits, never read.
     """
-    along_a = t ^ (t >> 2)
-    along_b = t ^ (t >> 1)
-    return (
-        (b ^ full if along_a & 1 else 0) | (b if along_a & 2 else 0),
-        (a ^ full if along_b & 1 else 0) | (a if along_b & 4 else 0),
-    )
+    along_a = t ^ t >> 2
+    along_b = t ^ t >> 1
+    b0 = (along_a & repeat) * full
+    a0 = (along_b & repeat) * full
+    on_o = err & o
+    on_a = err & (b0 ^ (b0 ^ (along_a >> 1 & repeat) * full) & b)
+    on_b = err & (a0 ^ (a0 ^ (along_b >> 2 & repeat) * full) & a)
+    at_a1 = on_a & a
+    at_b1 = on_b & b
+    return on_o, err ^ on_o, at_a1, on_a ^ at_a1, at_b1, on_b ^ at_b1
 
 
 def _pack(items: list[int], code: str) -> int:
@@ -239,49 +236,23 @@ def _fault_counts(circuit: Circuit, values: list[int],
         low = wide ^ top
         busy = _busy_slots(err, low, top)
         u_f += 6 * (k1 - k0 - busy)  # both output faults and all four input faults
-        # Signalled words at which a flip of the output, of input a and of
-        # input b flips the output.  Stuck-at-0 of a line acts where the line
-        # is 1, stuck-at-1 where it is 0; a fault acting at none of its
-        # line's words is undetected, and an idle slot has no such word.
         if code is not None and busy >= PACKED_READOUT_SLOTS:
-            # Fields, low to high: fault-free outputs, a, b, tables (see
-            # _follows for the follow masks).  Each of the six tests counts
-            # the slots where one fault is detected.
+            # Fields, low to high: fault-free outputs, a, b, tables.
             packed = _pack([*values[r + k0:r + k1],
                             *map(values.__getitem__, src_a[k0:k1]),
                             *map(values.__getitem__, src_b[k0:k1]),
                             *tt[k0:k1]], code)
-            a = packed >> span & wide
-            b = packed >> 2 * span & wide
-            t = packed >> 3 * span
-            along_a = t ^ (t >> 2)
-            along_b = t ^ (t >> 1)
-            on_o = err & packed
-            on_a = err & ((b ^ wide) & (along_a & repeat) * full
-                          | b & (along_a >> 1 & repeat) * full)
-            on_b = err & ((a ^ wide) & (along_b & repeat) * full
-                          | a & (along_b >> 2 & repeat) * full)
-            at_a1 = on_a & a
-            at_b1 = on_b & b
-            u_f += 6 * busy - sum(
-                _busy_slots(x, low, top)
-                for x in (on_o, err ^ on_o, at_a1, on_a ^ at_a1, at_b1, on_b ^ at_b1)
-            )
+            detected = _detections(err, packed & wide, packed >> span & wide,
+                                   packed >> 2 * span & wide, packed >> 3 * span,
+                                   full, repeat)
+            u_f += 6 * busy - sum(_busy_slots(x, low, top) for x in detected)
             continue
         for k in range(k0, k1):
             err_k = err & full
             err >>= slot
-            if not err_k:
-                continue
-            a, b = values[src_a[k]], values[src_b[k]]
-            on_a, on_b = _follows(tt[k], a, b, full)
-            on_o = err_k & values[r + k]
-            on_a &= err_k
-            on_b &= err_k
-            at_a1 = on_a & a
-            at_b1 = on_b & b
-            u_f += ((not on_o) + (on_o == err_k) + (not at_a1) + (at_a1 == on_a)
-                    + (not at_b1) + (at_b1 == on_b))
+            if err_k:
+                u_f += _detections(err_k, values[r + k], values[src_a[k]],
+                                   values[src_b[k]], tt[k], full, 1).count(0)
     return u_f, u_i, st_score(u_f), fs_score(u_i)
 
 

@@ -43,7 +43,9 @@ GATE_NAMES = (
 # The truth tables the constructions below and hand-built circuits use.
 TT_ZERO = 0
 TT_NOR = 1
+TT_LT = 2
 TT_NOT_A = 3
+TT_GT = 4
 TT_XOR = 6
 TT_NAND = 7
 TT_AND = 8
@@ -55,7 +57,10 @@ TT_ONE = 15
 
 @dataclass(frozen=True)
 class SignalRef:
-    """Reference to a primary input ("x") or to a gate output ("g")."""
+    """Reference to a primary input ("x") or to a gate output ("g").
+
+    perfbench calls it, so it stays here until the benchmark is re-founded;
+    then it moves to the tests."""
 
     kind: str
     index: int
@@ -77,7 +82,10 @@ class SignalRef:
 
 @dataclass(frozen=True)
 class Gate:
-    """A gate of a hand-built circuit: truth table tt over sources a and b."""
+    """A gate of a hand-built circuit: truth table tt over sources a and b.
+
+    perfbench calls it, so it stays here until the benchmark is re-founded;
+    then it moves to the tests."""
 
     tt: int
     a: SignalRef
@@ -128,6 +136,9 @@ class Circuit:
     rails: tuple[int, int] | None
 
     def __init__(self, r: int, gates, func_outputs, error_rails=None) -> None:
+        """The Gate form: perfbench calls it, so it stays here until the
+        benchmark is re-founded; then it moves to the tests."""
+
         def index(s: SignalRef) -> int:
             return signal_index(r, s.kind == "g", s.index)
 
@@ -185,6 +196,8 @@ class Circuit:
 
     @cached_property
     def gates(self) -> tuple[Gate, ...]:
+        """The gates as Gate objects.  perfbench reads it, so it stays here
+        until the benchmark is re-founded; then it moves to the tests."""
         r, x, g = self.r, SignalRef.x, SignalRef.g
         return tuple(Gate(t, x(a) if a < r else g(a - r), x(b) if b < r else g(b - r))
                      for t, a, b in zip(self.tt, self.src_a, self.src_b))

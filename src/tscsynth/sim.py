@@ -29,6 +29,10 @@ MAX_INPUTS = 16
 
 
 class FaultScope(Enum):
+    """The faults verify_fs reports on: those of gate outputs, or all.
+    perfbench calls it, so it stays here until the benchmark is re-founded;
+    then it moves to the tests."""
+
     OUTPUTS_ONLY = "outputs"
     ALL = "all"
 

@@ -233,6 +233,9 @@ def verify_fs(
     other faults left out.  A circuit whose fault-free rails collide on some
     applied word is reported not fault-secure with the false_alarm flag set
     and no violations listed.
+
+    perfbench calls it, so it stays here until the benchmark is re-founded;
+    then it moves to the tests.
     """
     report = verify_tsc(circuit, word_mask)
     sites = (FaultSite.OUTPUT,) if scope is FaultScope.OUTPUTS_ONLY else tuple(FaultSite)

@@ -17,6 +17,7 @@ from tscsynth.netlist import (
     Gate,
     SignalRef,
     TT_AND,
+    TT_GT,
     TT_NOT_A,
     TT_OR,
     TT_XNOR,
@@ -261,8 +262,7 @@ def checked_mult2() -> Circuit:
     25."""
     return Circuit.from_arrays(
         4,
-        # Table 4 is GT: y2 = n4 AND NOT y0.
-        (TT_AND, TT_AND, TT_AND, TT_XOR, TT_AND, 4, TT_AND,
+        (TT_AND, TT_AND, TT_AND, TT_XOR, TT_AND, TT_GT, TT_AND,
          TT_XOR, TT_XOR, TT_XOR, TT_XNOR, TT_XNOR, TT_OR),
         (0, 1, 0, 5, 1, 8, 4, 4, 9, 11, 1, 3, 14),
         (2, 2, 3, 6, 3, 4, 8, 7, 10, 12, 0, 2, 15),

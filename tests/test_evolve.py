@@ -440,6 +440,21 @@ class TestDistributed:
         # one immigrant per island and generation over it.
         assert 4000 <= result.evals < 4000 + 4 * EPOCH_GENERATIONS * (30 + 1)
 
+    def test_parallel_checkpoints_once_per_epoch(self, tmp_path):
+        # The generation count advances one epoch at a time, so a checkpoint
+        # interval below EPOCH_GENERATIONS still writes one line per epoch,
+        # at its end; the serial run of the same config writes every 2.
+        seed, target, layout = small_setup()
+        config = small_config(layout, n_islands=2, max_evals=1500, checkpoint_every=2)
+        written = {}
+        for runner in (run, run_distributed):
+            out = tmp_path / runner.__name__
+            runner(config, target, seed, out_dir=out)
+            lines = (out / "checkpoints.ndjson").read_text().splitlines()
+            written[runner] = [json.loads(line)["generation"] for line in lines]
+        assert written[run] == list(range(2, 25, 2))
+        assert written[run_distributed] == list(range(EPOCH_GENERATIONS, 25, EPOCH_GENERATIONS))
+
     def test_one_island_matches_serial(self):
         seed, target, layout = small_setup()
         # 25 epochs' worth, so the serial run also stops on an epoch boundary.

@@ -43,6 +43,10 @@ from conftest import (
     two_rail_checker_circuit,
 )
 
+# The order in which fitness._detections gives a gate's six faults: (line,
+# stuck value) with line the output "o" or input "a" or "b".
+DETECTION_ORDER = (("o", 0), ("o", 1), ("a", 0), ("a", 1), ("b", 0), ("b", 1))
+
 X = SignalRef.x
 G = SignalRef.g
 
@@ -171,22 +175,40 @@ class TestManifestationPremise:
 
     @pytest.mark.parametrize("value", range(16))
     def test_pinned_outputs_match_truth_table(self, value):
-        # Words 0..3 cover every (a, b) pair.  With an input stuck, the gate's
-        # output is its fault-free output flipped where it follows that input
-        # and the input differs from the stuck value; at every word this must
-        # be the table with that input forced.
+        # Words 0..3 cover every (a, b) pair and every word is signalled, so
+        # each detection mask must be the words where its fault changes the
+        # gate's output: the table with the faulty line forced, against the
+        # fault-free output.
         full = 0b1111
         a_vec, b_vec = 0b1010, 0b1100
-        free = GATE_EVAL[value](a_vec, b_vec, full)
-        on_a, on_b = fitness._follows(value, a_vec, b_vec, full)
-        for stuck in (0, 1):
-            stuck_vec = full if stuck else 0
-            pinned_a = free ^ (on_a & (a_vec ^ stuck_vec))
-            pinned_b = free ^ (on_b & (b_vec ^ stuck_vec))
-            for w in range(4):
-                a, b = (a_vec >> w) & 1, (b_vec >> w) & 1
-                assert (pinned_a >> w) & 1 == value >> (2 * stuck + b) & 1
-                assert (pinned_b >> w) & 1 == value >> (2 * a + stuck) & 1
+        gate = GATE_EVAL[value]
+        free = gate(a_vec, b_vec, full)
+        masks = fitness._detections(full, free, a_vec, b_vec, value, full, 1)
+        for (line, stuck), mask in zip(DETECTION_ORDER, masks):
+            forced = full if stuck else 0
+            faulty = {"o": forced,
+                      "a": gate(forced, b_vec, full),
+                      "b": gate(a_vec, forced, full)}[line]
+            assert mask == faulty ^ free, (line, stuck)
+
+    @pytest.mark.parametrize("r", range(3, 7))
+    def test_packed_detections_match_one_slot(self, rng, r):
+        # The packed readout's one call over every slot of a pass gives each
+        # slot's one-slot masks, shifted into that slot: no bit leaks from a
+        # neighbouring slot's table or operands.
+        slot = 1 << r
+        full = (1 << slot) - 1
+        code = fitness._ARRAY_CODES[slot >> 3]
+        n = 40
+        tables = [rng.randrange(16) for _ in range(n)]
+        err, o, a, b = ([rng.getrandbits(slot) for _ in range(n)] for _ in range(4))
+        repeat = ((1 << n * slot) - 1) // full
+        packed = fitness._detections(*(fitness._pack(x, code) for x in (err, o, a, b, tables)),
+                                     full, repeat)
+        one_slot = [fitness._detections(*fields, full, 1)
+                    for fields in zip(err, o, a, b, tables)]
+        for i, mask in enumerate(packed):
+            assert mask == sum(masks[i] << k * slot for k, masks in enumerate(one_slot))
 
 
 class TestEvaluateChecking:

@@ -1,8 +1,10 @@
 """Every module-level import in the package, the tests and the scripts is
-used by the module itself, the package root imports nothing, and the verify
-oracle and the fitness path import nothing from each other."""
+used by the module itself, the package root imports nothing, the verify
+oracle and the fitness path import nothing from each other, and every
+package name the benchmark (perfbench/) uses exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,70 @@ def test_fitness_independent_of_oracle():
     source = (Path(tscsynth.__file__).resolve().parent / "fitness.py").read_text(encoding="utf-8")
     assert not any(m == "tscsynth.verify" or m.startswith("tscsynth.verify.")
                    for m in imported_modules(source))
+
+
+BENCHMARK_SOURCES = sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def resolve(path: str):
+    """The module or object a dotted tscsynth path names, or None."""
+    try:
+        return importlib.import_module(path)
+    except ModuleNotFoundError:
+        module, _, name = path.rpartition(".")
+        return getattr(resolve(module), name, None) if module else None
+
+
+def missing_package_names(source: str) -> list[str]:
+    """The tscsynth names a source uses that do not exist: each name it
+    imports from the package, each attribute it reads on an imported module
+    or name, and the attribute of each (owner, "attr", ...) tuple, the form
+    of the benchmark tracer's table of functions to wrap.  The source is
+    parsed, never run."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # "import tscsynth.x" binds tscsynth, "import tscsynth.x as y" x.
+            bound.update((alias.asname, alias.name) if alias.asname else ("tscsynth",) * 2
+                         for alias in node.names if alias.name.split(".")[0] == "tscsynth")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "tscsynth"):
+            bound.update((alias.asname or alias.name, f"{node.module}.{alias.name}")
+                         for alias in node.names)
+    missing = [path for path in bound.values() if resolve(path) is None]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner, attr = node.value, node.attr
+        elif (isinstance(node, ast.Tuple) and len(node.elts) >= 3
+              and isinstance(node.elts[1], ast.Constant)
+              and isinstance(node.elts[1].value, str)):
+            owner, attr = node.elts[0], node.elts[1].value
+        else:
+            continue
+        if isinstance(owner, ast.Name) and owner.id in bound:
+            path = bound[owner.id]
+            found = resolve(path)
+            if found is not None and not hasattr(found, attr):
+                missing.append(f"{path}.{attr}")
+    return missing
+
+
+def test_finds_missing_package_names():
+    source = ("from tscsynth import evolve, nomodule\nfrom tscsynth.fitness import nope\n"
+              "from tscsynth.evolve import Island\nevolve.run, evolve.gone, Island.nothing\n"
+              "TABLE = [(evolve, 'decode', 'x'), (Island, 'missing', 'y')]\n"
+              "import tscsynth.sim as s, tscsynth.verify\ns.values, s.lost, tscsynth.gone\n")
+    assert sorted(missing_package_names(source)) == [
+        "tscsynth.evolve.Island.missing", "tscsynth.evolve.Island.nothing",
+        "tscsynth.evolve.gone", "tscsynth.fitness.nope", "tscsynth.gone",
+        "tscsynth.nomodule", "tscsynth.sim.lost",
+    ]
+
+
+@pytest.mark.parametrize("path", BENCHMARK_SOURCES, ids=lambda path: path.name)
+def test_benchmark_names_exist(path):
+    # The benchmark (perfbench/) is run against each commit's sources but is
+    # not changed with them: a source change that removes or renames a name
+    # it uses must fail here, not only in a benchmark run.
+    assert missing_package_names(path.read_text(encoding="utf-8")) == []
