@@ -3,9 +3,13 @@
 Every flag that reads a circuit (evolve --seed, baseline --seed, verify
 --circuit, export --circuit) takes either format: a native JSON circuit,
 whose first non-blank character is "{", or a BLIF netlist.  evolve takes a
-seed's size to be its function core (netlist.function_core): a seed with
-rails, such as a circuit that baseline --out wrote, counts its checking logic
-as overhead, and nonintrusive mode locks only the core.
+seed's size to be its function size (netlist.function_size: the gates a
+function output reaches, structurally identical ones counted once), so a
+seed with rails, such as a circuit that baseline --out wrote or one whose
+outputs have private copies of shared logic, counts its checking logic and
+those copies as overhead; nonintrusive mode locks the whole function core.
+evolve deletes an earlier run's run.json, champion.json and champion.hex
+from --out before the search, so an interrupted rerun leaves none of them.
 
 evolve also reads argument files: @path stands for the flags in the file path,
 one or more per line, "#" starting a comment, checked as on the command line;
@@ -35,7 +39,7 @@ from .formats import (
     write_native,
 )
 from .genome import GenomeLayout, default_address_width
-from .netlist import Circuit, build_duplication_baseline, duplication_overhead, function_core
+from .netlist import Circuit, build_duplication_baseline, duplication_overhead, function_size
 from .sim import check_word_mask
 from .verify import TscReport, verify_tsc
 
@@ -63,15 +67,16 @@ def _word_mask(text: str | None) -> int | None:
 def _cmd_evolve(args: argparse.Namespace) -> int:
     target = parse_pla(_read(args.target))
     seed = _read_circuit(args.seed)
-    # The seed takes a gene slot per gate, but its size is its function core:
-    # a checked seed's own checking logic is overhead.  The layout has the
-    # target's shape; the engine checks that the seed has it and fits.
+    # The seed takes a gene slot per gate, but its size is its function size:
+    # a checked seed's checking logic and private copies are overhead.  The
+    # layout has the target's shape; the engine checks that the seed has it
+    # and fits.
     n = len(seed.tt)
     b = args.b
     if b is None:
         b = default_address_width(target.r, n, target.q)
     layout = GenomeLayout(r=target.r, q=target.q, b=b)
-    g = len(function_core(seed))
+    g = function_size(seed)
     dup = duplication_overhead(g, target.q)
     goal_overhead = args.goal_overhead
     if goal_overhead is None:
@@ -97,6 +102,13 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     )
 
     out_dir = Path(args.out) if args.out else None
+    if out_dir is not None:
+        # An earlier run's record is not this run's, even if this one stops
+        # early; the engine deletes its checkpoints and makes out_dir.
+        for path in (out_dir / "run.json", out_dir / "champion.json",
+                     out_dir / "champion.hex"):
+            if path.is_file():
+                path.unlink()
     runner = evolve_mod.run_distributed if args.parallel else evolve_mod.run
     result = runner(config, target, seed, out_dir=out_dir)
 
@@ -314,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-rng", dest="seed_rng", type=int, default=0)
     p.add_argument("--migration-rate", dest="migration_rate", type=float, default=0.1)
     p.add_argument("--goal-overhead", dest="goal_overhead", type=int, default=None,
-                   help="gates over the seed's function core that a goal circuit may "
+                   help="gates over the seed's function size that a goal circuit may "
                    "use (default: one below the duplication overhead, or below a "
                    "checked seed's own checking logic if that is smaller; never "
                    "a goal below 0 gates)")
@@ -331,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "the budget and goal are checked between epochs; reproducible")
     p.add_argument("--no-stop-on-goal", dest="no_stop_on_goal", action="store_true")
     p.add_argument("--out", default=None,
-                   help="directory for run artifacts, created before the search")
+                   help="directory for run artifacts, created before the search; "
+                   "an earlier run's artifacts there are deleted")
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("verify", help="prove or refute the TSC property")

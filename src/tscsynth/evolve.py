@@ -64,7 +64,6 @@ from .genome import (
     redraw,
     same_reading,
     seed_lock_mask,
-    unlocked_genes,
 )
 from .netlist import Circuit
 from .sim import check_word_mask
@@ -315,10 +314,12 @@ class RunResult:
 class Engine:
     """Multi-island driver; deterministic for a fixed configuration.
 
-    An engine checks the run's settings, the seed's and the target's shape
-    and the seed's size among them; then makes ``out_dir``, deleting an
-    earlier run's ``checkpoints.ndjson`` there; then populates every island.
-    So a settings error leaves no directory and costs no search.  Islands
+    An engine checks what needs the seed, the target and the layout together
+    (the three shapes agree, the seed fits the gene slots; the layout and
+    ``genome.seed_lock_mask`` refuse the rest); then makes ``out_dir``,
+    deleting an earlier run's ``checkpoints.ndjson`` there; then populates
+    every island.  So a settings error leaves no directory and costs no
+    search.  Islands
     report only through ``note``, which stores each island's counts: the
     budget, the history, the checkpoints and ``counts`` read those.  ``run``
     steps the islands round-robin here, an ``Island.epoch`` of one generation
@@ -343,25 +344,13 @@ class Engine:
             raise ValueError(f"target is {target.r} in/{target.q} out but layout is "
                              f"{layout.r} in/{layout.q} out")
         # The seed takes a gene slot per gate.
-        slots = layout.max_gates
-        if len(seed.tt) > slots:
-            raise ValueError(f"seed has {len(seed.tt)} gates, layout holds {slots}: "
-                             "raise the address width b")
+        if len(seed.tt) > layout.max_gates:
+            raise ValueError(f"seed has {len(seed.tt)} gates, layout holds "
+                             f"{layout.max_gates}: raise the address width b")
         self.config = config
         self.started = time.monotonic()
-        lock = (
-            seed_lock_mask(seed, layout)
-            if config.mode == "nonintrusive"
-            else LockMask.empty()
-        )
-        # Translocation copies a gene over another, unlocked one.
-        if slots < 2:
-            raise ValueError(f"the layout has {slots} gene slot, translocation "
-                             "needs 2: raise the address width b")
-        if not unlocked_genes(layout, lock):
-            raise ValueError(f"the seed's function core fills all {slots} gene "
-                             "slots, which nonintrusive mode locks, so translocation "
-                             "has no gene to write: raise the address width b")
+        lock = (seed_lock_mask(seed, layout) if config.mode == "nonintrusive"
+                else LockMask.empty())
         self.out_dir = Path(out_dir) if out_dir is not None else None
         if self.out_dir is not None:
             # Made before the search, so an unusable path costs no search;

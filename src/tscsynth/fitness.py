@@ -100,7 +100,8 @@ class FitnessVector:
     checking scores are then zero by definition and no faults are simulated).
     computes_target says whether every function output equals its target
     column on the applied words: f_f scores |correlation|, so a complemented
-    output scores as high as the right one.
+    output scores as high as the right one.  An output that equals its
+    column scores 1, so computes_target implies f_f == 1.
     """
 
     f_f: float
@@ -118,8 +119,7 @@ class FitnessVector:
 
     @property
     def perfect_checking(self) -> bool:
-        return (self.f_f == 1.0 and self.f_st == 1.0 and self.f_fs == 1.0
-                and self.computes_target)
+        return self.computes_target and self.f_st == 1.0 and self.f_fs == 1.0
 
 
 def st_score(u_f: int) -> float:
@@ -131,16 +131,20 @@ def fs_score(u_i: int) -> float:
 
 
 def _abs_corr(x: int, y: int, n: int) -> float:
-    """|Pearson correlation| of two packed binary sequences of length n.
+    """|Pearson correlation| of an output x and its target column y, two
+    packed binary sequences of length n.
 
-    Zero-variance sequences carry no function information and score 0.
+    Where either is constant the correlation is undefined: a constant
+    output scores 1 against a constant column, which it equals or
+    complements, and 0 against any other, as does any output against a
+    constant column.
     """
     n1x = x.bit_count()
     n1y = y.bit_count()
     den_x = n1x * (n - n1x)
     den_y = n1y * (n - n1y)
     if den_x == 0 or den_y == 0:
-        return 0.0
+        return float(den_x == den_y)
     num = n * (x & y).bit_count() - n1x * n1y
     if num * num == den_x * den_y:
         return 1.0

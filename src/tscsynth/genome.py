@@ -56,6 +56,8 @@ _REV4 = tuple(
 # Widest address field a layout may have: 2**b - r gene slots, and decode
 # holds one entry per slot.
 MAX_ADDRESS_BITS = 16
+# Fewest gene slots a layout may have: translocation copies one gene over another.
+MIN_GENE_SLOTS = 2
 
 
 @dataclass(frozen=True)
@@ -82,10 +84,12 @@ class GenomeLayout:
         if self.b > MAX_ADDRESS_BITS:
             raise ValueError(f"address width b={self.b}; at most "
                              f"{MAX_ADDRESS_BITS} is supported")
-        if (1 << self.b) <= self.r:
-            raise ValueError("2**b must exceed r (no gene slot encodable)")
+        max_gates = max((1 << self.b) - self.r, 0)
+        if max_gates < MIN_GENE_SLOTS:
+            raise ValueError(f"the layout has {max_gates} gene slot"
+                             f"{'s' * (max_gates != 1)}, translocation needs "
+                             f"{MIN_GENE_SLOTS}: raise the address width b")
         m = self.q + 2
-        max_gates = (1 << self.b) - self.r
         gene_len = 4 + 2 * self.b
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "max_gates", max_gates)
@@ -104,9 +108,9 @@ def default_address_width(r: int, seed_gates: int, q: int) -> int:
     """Smallest b whose gene space holds a duplication-style circuit.
 
     That needs the seed's g gates and duplication's overhead on them, and
-    translocation needs at least 2 slots.
+    at least the MIN_GENE_SLOTS that GenomeLayout needs.
     """
-    need = max(2, seed_gates + duplication_overhead(seed_gates, q))
+    need = max(MIN_GENE_SLOTS, seed_gates + duplication_overhead(seed_gates, q))
     b = 1
     while (1 << b) - r < need:
         b += 1
@@ -159,7 +163,8 @@ class Genotype:
 
 @dataclass(frozen=True)
 class LockMask:
-    """Genotype positions no genetic operator may write."""
+    """Genotype positions no genetic operator may write.  The operators take
+    a mask that leaves a gene free, as seed_lock_mask's does."""
 
     locked: frozenset[int]
 
@@ -358,11 +363,17 @@ def seed_lock_mask(circuit: Circuit, layout: GenomeLayout) -> LockMask:
     """Positions covering the genes of the seed's function core (gate k in
     slot k, as encode_seed places it) and the q function-output routing
     fields.  The rail routing and the seed's checking logic stay unlocked;
-    a seed without rails is all core, so every seed gene is locked."""
+    a seed without rails is all core, so every seed gene is locked.  A core
+    that fills every gene slot is refused, so the mask leaves a gene free."""
+    core = function_core(circuit)
+    if len(core) >= layout.max_gates:
+        raise ValueError(f"the seed's function core fills all {layout.max_gates} gene "
+                         "slots, which nonintrusive mode locks, so translocation "
+                         "has no gene to write: raise the address width b")
     locked: set[int] = set()
     for i in range(circuit.q):
         locked.update(range(i * layout.b, (i + 1) * layout.b))
-    for k in function_core(circuit):
+    for k in core:
         base = layout.gene_offset(k)
         locked.update(range(base, base + layout.gene_len))
     return LockMask(frozenset(locked))
@@ -373,7 +384,8 @@ def encode_seed(
     layout: GenomeLayout,
     rng: random.Random,
 ) -> tuple[Genotype, LockMask]:
-    """Embed a circuit into gene slots 0..gates-1 and randomize the rest.
+    """Embed a circuit of the layout's shape into gene slots 0..gates-1,
+    which it fits (the Engine checks both), and randomize the rest.
 
     Function-output routing is set to the seed's drivers, and so is rail
     routing when the seed carries rails; a seed without rails gets random
@@ -381,13 +393,6 @@ def encode_seed(
     (genotype, LockMask.empty()); the pair stays because perfbench's
     workloads take its [0].  Nonintrusive mode's mask is seed_lock_mask's.
     """
-    if len(circuit.tt) > layout.max_gates:
-        raise ValueError(
-            f"seed has {len(circuit.tt)} gates, layout holds {layout.max_gates}"
-        )
-    if circuit.r != layout.r or circuit.q != layout.q:
-        raise ValueError("seed shape does not match layout")
-
     g = Genotype(rng.getrandbits(layout.total_len), layout)
     # The rails' routing fields follow the function outputs' fields.
     for i, s in enumerate(circuit.outputs + (circuit.rails or ())):
@@ -404,8 +409,6 @@ def encode_seed(
 def mutate_bit(g: Genotype, lock: LockMask, rng: random.Random) -> Genotype:
     """Flip exactly one uniformly chosen unlocked bit."""
     positions = _unlocked_positions(g.layout, lock)
-    if not positions:
-        raise ValueError("every genotype position is locked")
     pos = positions[rng.randrange(len(positions))]
     return Genotype(g.value ^ (1 << (g.layout.total_len - 1 - pos)), g.layout)
 
@@ -417,8 +420,6 @@ def mutate_routing(g: Genotype, lock: LockMask, rng: random.Random) -> Genotype:
     value may equal the old one.
     """
     fields = _unlocked_address_fields(g.layout, lock)
-    if not fields:
-        raise ValueError("no unlocked address field")
     offset = fields[rng.randrange(len(fields))]
     return g.with_field(offset, g.layout.b, rng.getrandbits(g.layout.b))
 
@@ -430,11 +431,7 @@ def mutate_translocate(g: Genotype, lock: LockMask, rng: random.Random) -> Genot
     then the source i uniformly from all other genes.
     """
     lay = g.layout
-    if lay.max_gates < 2:
-        raise ValueError("need at least two genes to translocate")
     dests = unlocked_genes(lay, lock)
-    if not dests:
-        raise ValueError("no unlocked destination gene")
     j = dests[rng.randrange(len(dests))]
     i = rng.randrange(lay.max_gates - 1)
     if i >= j:

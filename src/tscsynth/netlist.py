@@ -21,8 +21,10 @@ metrics therefore take all gates, and the gate count is the circuit's size.
 
 A circuit's function core (function_core) is the gates a function output
 reaches: its function logic, as against the checking logic that only the
-rails read.  A circuit without rails is all core.  The core is what
-duplication would copy, so a seed's size is its core's gate count.
+rails read.  A circuit without rails is all core.  A seed's size is its
+function_size: the core's gates with structurally identical ones counted
+once, so that private copies of shared logic, which some checked seeds make
+for their outputs, count as the logic they copy.
 """
 
 from __future__ import annotations
@@ -215,6 +217,21 @@ def function_core(circuit: Circuit) -> tuple[int, ...]:
         if reached[r + k]:
             reached[circuit.src_a[k]] = reached[circuit.src_b[k]] = 1
     return tuple(k for k in range(n) if reached[r + k])
+
+
+def function_size(circuit: Circuit) -> int:
+    """The function core's gate count, with structurally identical gates
+    counted once: two core gates are one if they have the same table and
+    the same sources once identical gates are merged.  A checked seed whose
+    function outputs have private copies of shared logic counts that logic
+    once, as the circuit it checks has it."""
+    merged: dict[int, int] = {}  # core gate index -> first identical gate's
+    first: dict[tuple[int, int, int], int] = {}
+    for k in function_core(circuit):
+        a, b = circuit.src_a[k], circuit.src_b[k]
+        key = (circuit.tt[k], merged.get(a, a), merged.get(b, b))
+        merged[circuit.r + k] = first.setdefault(key, circuit.r + k)
+    return len(first)
 
 
 def _bad_index(s: int, r: int) -> ValueError:

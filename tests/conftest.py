@@ -271,6 +271,24 @@ def checked_mult2() -> Circuit:
     )
 
 
+def checked_c17() -> Circuit:
+    """A verified-TSC c17 seed of 15 gates, overhead 9 against c17's 6 gates
+    and duplication's 12.  Each output's cone is copied privately (g0-g3
+    drive y_0 = g3, g4-g7 drive y_1 = g7), z_1 = g8 = XOR(y_0, y_1), and
+    z_0 = g14 is a 6-gate predictor of NOT z_1 over the inputs, found by a
+    (1+4) CGP search over 6-gate predictors (no predictor of 4 gates or
+    fewer exists).  Its function core is those 8 gates; merged where two
+    copies are identical, they are c17's 6."""
+    return Circuit.from_arrays(
+        5,
+        (7, 7, 7, 7, 7, 7, 7, 7, 6, 8, 7, 2, 11, 9, 14),
+        (0, 2, 1, 5, 2, 1, 9, 10, 8, 3, 0, 14, 4, 17, 16),
+        (2, 3, 6, 7, 3, 9, 4, 11, 12, 2, 2, 1, 14, 15, 18),
+        (8, 12),
+        (19, 13),
+    )
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

@@ -11,7 +11,7 @@ from tscsynth.genome import GenomeLayout, Genotype, encode_seed, seed_lock_mask
 from tscsynth.netlist import build_duplication_baseline
 from tscsynth.verify import verify_tsc
 
-from conftest import BENCH_DIR, HALF_ADDER_PLA, checked_mult2, tsc_half_adder
+from conftest import BENCH_DIR, HALF_ADDER_PLA, checked_c17, checked_mult2, tsc_half_adder
 
 
 def bench(name: str) -> str:
@@ -434,8 +434,9 @@ class TestCircuitFormats:
 
 class TestCheckedSeed:
     """evolve seeded by a verified-TSC circuit with rails, read from native
-    JSON.  Its size is its function core, mult2.blif's 7 gates, and the
-    default goal is one gate below its own 6-gate checking logic."""
+    JSON.  Its size is its function size (netlist.function_size), the
+    benchmark's gate count, and the default goal is one gate below its own
+    checking logic."""
 
     @pytest.mark.parametrize("mode", ["unconstrained", "nonintrusive"])
     def test_searches_from_the_function_core(self, tmp_path, capsys, mode):
@@ -460,6 +461,22 @@ class TestCheckedSeed:
             locked = seed_lock_mask(seed, layout).locked
             mask = sum(1 << (layout.total_len - 1 - p) for p in locked)
             assert locked and not (genotype.value ^ encoded.value) & mask
+
+    def test_private_cones_measured_against_the_benchmark(self, tmp_path, capsys):
+        # The c17 witness has 15 gates and an 8-gate function core, whose
+        # private copies merge into c17's 6: overhead 9 of duplication's 12.
+        path = tmp_path / "c17.json"
+        path.write_text(write_native(checked_c17()))
+        out = tmp_path / "run"
+        assert run_cli("evolve", "--target", bench("c17.pla"), "--seed", str(path),
+                       "--islands", "1", "--budget-evals", "0", "--out", str(out)) == 0
+        rec = json.loads((out / "run.json").read_text())
+        assert (rec["seed_gates"], rec["dup_overhead"], rec["goal_size"]) == (6, 12, 14)
+        assert (rec["champion"]["live_gates"], rec["champion"]["overhead"]) == (15, 9)
+        capsys.readouterr()
+        assert run_cli("report", "--run", str(out)) == 0
+        row = capsys.readouterr().out.split("\n\n")[1].splitlines()[1]
+        assert row.split() == ["c17", "6", "9", "12", "0.75", "TSC"]
 
 
 class TestEvolveCommand:
@@ -540,6 +557,28 @@ class TestEvolveCommand:
         assert [json.loads(line)["generation"] for line in lines] == [10, 20, 30]
         assert run_cli(*argv, "--checkpoint-every", "0") == 0
         assert not (out / "checkpoints.ndjson").exists()
+
+    def test_interrupted_rerun_leaves_no_earlier_record(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # A rerun that stops before it writes its own record must not leave
+        # the earlier run's for report to summarise as its own.
+        out = tmp_path / "run"
+        argv = ["evolve", "--target", bench("c17.pla"), "--seed", bench("c17.blif"),
+                "--islands", "1", "--budget-evals", "0", "--out", str(out)]
+        assert run_cli(*argv) == 0
+        artifacts = ("run.json", "champion.json", "champion.hex")
+        assert all((out / name).exists() for name in artifacts)
+
+        def interrupted(self):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr("tscsynth.evolve.Island.populate", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_cli(*argv)
+        assert not any((out / name).exists() for name in artifacts)
+        capsys.readouterr()
+        assert run_cli("report", "--run", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_parallel_budget_spent_on_populating_starts_no_worker(self, tmp_path,
                                                                   monkeypatch):
@@ -769,8 +808,8 @@ class TestReport:
             assert report["ratio"] is None
 
     def test_function_core_flag_exits_2(self, tmp_path, capsys):
-        # evolve records the seed's function core as seed_gates, so there is
-        # no core to pass by hand.
+        # evolve records the seed's function size as seed_gates, so there is
+        # no size to pass by hand.
         run = self._write(tmp_path, self._record())
         assert run_cli("report", "--run", str(run), "--function-core", "6") == 2
         out, err = capsys.readouterr()

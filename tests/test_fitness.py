@@ -37,6 +37,7 @@ from tscsynth.verify import verify_fs, verify_tsc
 from conftest import (
     BENCH_DIR,
     HALF_ADDER_PLA,
+    checked_c17,
     checked_mult2,
     random_circuit,
     tsc_half_adder,
@@ -82,6 +83,25 @@ class TestFFunction:
             (G(0), G(1)),
         )
         assert f_f(c, [0b0110, 0b0110]) == 0.5
+
+    @pytest.mark.parametrize("x, y, score", [
+        (0b000, 0b000, 1.0),  # a constant output equal to a constant column
+        (0b111, 0b000, 1.0),  # or its complement
+        (0b011, 0b000, 0.0),  # a varying output against a constant column
+        (0b000, 0b011, 0.0),  # a constant output against a varying column
+    ])
+    def test_constant_sequences(self, x, y, score):
+        assert fitness._abs_corr(x, y, 3) == score
+
+    def test_masked_circuit_computing_a_constant_column_scores_one(self):
+        # On words 0-2 the carry column is constant 0.  The half adder
+        # computes it, so it scores f_f = 1, and only its checking, which
+        # leaves 8 faults undetected on those words, decides the goal.
+        c = tsc_half_adder()
+        fv = evaluate_circuit(c, simulate(c).outputs, 20, 0b0111)
+        assert (fv.f_f, fv.computes_target) == (1.0, True)
+        assert fv.u_f == len(verify_tsc(c, 0b0111).undetected) == 8
+        assert not fv.perfect_checking
 
     def test_mismatched_target_width_rejected(self):
         with pytest.raises(ValueError, match="target column count"):
@@ -344,7 +364,7 @@ class TestEvaluateCircuit:
         # incorrect word unsignalled.  28 of all 1180 compute their target.
         assert seen == {"checked": 514, "unchecked": 666, "computes": 28}
         assert digest.hexdigest() == (
-            "a99f894c923b560512c91f061405010d5f0d3b22473e7b448970fa389c9ef669"
+            "8bee460aee9893c6e5ee454493f30e5b86106daee9b4b3380647d8f2d0969cbf"
         )
 
 
@@ -376,6 +396,20 @@ def benchmark_baselines() -> dict[str, Circuit]:
 class TestDifferentialOracle:
     """Fast-path counts against verify_tsc and verify_fs(OUTPUTS_ONLY) on wider,
     masked, degenerate, benchmark and evolved circuits."""
+
+    def test_checked_c17_scores_as_the_oracle_finds_it(self, rng):
+        # A constructed r = 5 circuit the oracle proves TSC and computing
+        # c17: fitness finds no fault undetected and no word unsignalled,
+        # and agrees with the oracle's counts under random masks too.
+        c = checked_c17()
+        target = parse_pla((BENCH_DIR / "c17.pla").read_text()).columns
+        report = verify_tsc(c, None, target)
+        assert report.is_tsc and report.computes_target
+        fv = evaluate_circuit(c, target, 32)
+        assert fv.key() == (1.0, 1.0, 1.0, 0.53125)
+        assert (fv.u_f, fv.u_i, fv.perfect_checking) == (0, 0, True)
+        for _ in range(20):
+            assert assert_matches_oracle(c, rng.getrandbits(32) | 1)
 
     def test_random_circuits_with_masks(self, rng):
         seen = dict.fromkeys(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tscsynth.genome import (
     MAX_ADDRESS_BITS,
+    MIN_GENE_SLOTS,
     GenomeLayout,
     Genotype,
     LockMask,
@@ -23,6 +24,7 @@ from tscsynth.genome import (
     redraw,
     same_reading,
     seed_lock_mask,
+    unlocked_genes,
 )
 from tscsynth.formats import read_native, write_native
 from tscsynth.netlist import Circuit, Gate, SignalRef, TT_AND, TT_XOR
@@ -50,6 +52,16 @@ class TestLayout:
     def test_rejects_too_narrow_addresses(self):
         with pytest.raises(ValueError):
             GenomeLayout(r=4, q=1, b=2)
+
+    @pytest.mark.parametrize("r, b, slots", [(4, 2, 0), (5, 2, 0), (3, 2, 1), (1, 1, 1)])
+    def test_rejects_fewer_than_two_gene_slots(self, r, b, slots):
+        # Translocation copies one gene over another, so every operator
+        # relies on two slots; the layout is the one place that says so.
+        message = (f"^the layout has {slots} gene slots?, translocation needs 2: "
+                   "raise the address width b$")
+        with pytest.raises(ValueError, match=message):
+            GenomeLayout(r=r, q=1, b=b)
+        assert GenomeLayout(r=r, q=1, b=b + 1).max_gates >= MIN_GENE_SLOTS == 2
 
     def test_rejects_no_function_outputs(self):
         with pytest.raises(ValueError):
@@ -138,7 +150,7 @@ class TestDecode:
     def test_decode_never_cyclic(self, data, r, b):
         # Circuit construction itself enforces topological validity, so a
         # successful decode proves the repaired graph is feed-forward.
-        if (1 << b) <= r:
+        if (1 << b) - r < MIN_GENE_SLOTS:
             return
         lay = GenomeLayout(r=r, q=1, b=b)
         value = data.draw(st.integers(0, (1 << lay.total_len) - 1))
@@ -379,16 +391,6 @@ class TestEncodeSeed:
             decoded = decode(genotype, rng)
             assert simulate(decoded).outputs == simulate(seed).outputs
 
-    def test_seed_too_large_rejected(self, rng):
-        seed = Circuit(
-            2,
-            (Gate(TT_AND, X(0), X(1)), Gate(TT_XOR, G(0), X(0)), Gate(TT_XOR, G(1), G(0))),
-            (G(2),),
-        )
-        lay = GenomeLayout(r=2, q=1, b=2)  # max_gates == 2
-        with pytest.raises(ValueError):
-            encode_seed(seed, lay, rng)
-
     def test_boundary_seed_fills_all_genes(self, rng):
         seed = Circuit(2, (Gate(TT_AND, X(0), X(1)), Gate(TT_XOR, G(0), X(0))), (G(1),))
         lay = GenomeLayout(r=2, q=1, b=2)
@@ -427,6 +429,19 @@ class TestEncodeSeed:
         core = set(range(4 * lay.b)) | set(range(lay.gene_offset(0), lay.gene_offset(7)))
         assert seed_lock_mask(seed, lay).locked == core
 
+    def test_lock_refuses_a_core_that_fills_every_slot(self, rng):
+        # The half adder's two gates are its core: two slots leave no gene
+        # to write; with more, the lock leaves every other slot free.
+        seed = Circuit(2, (Gate(TT_XOR, X(0), X(1)), Gate(TT_AND, X(0), X(1))),
+                       (G(0), G(1)))
+        with pytest.raises(ValueError, match="^the seed's function core fills all 2 gene "
+                           "slots, which nonintrusive mode locks, so translocation has "
+                           "no gene to write: raise the address width b$"):
+            seed_lock_mask(seed, GenomeLayout(r=2, q=2, b=2))
+        for b in (3, 4):
+            lay = GenomeLayout(r=2, q=2, b=b)
+            assert unlocked_genes(lay, seed_lock_mask(seed, lay)) == tuple(range(2, lay.max_gates))
+
     def test_locked_content_identical_across_individuals(self, rng):
         seed = random_circuit(rng, r=3, n_gates=4, q=2, rails="none")
         lay = GenomeLayout(r=3, q=2, b=4)
@@ -452,12 +467,6 @@ class TestOperators:
         lock = LockMask(frozenset(range(1, lay.total_len)))
         child = mutate_bit(g, lock, rng)
         assert g.value ^ child.value == 1 << (lay.total_len - 1)  # only bit 0
-
-    def test_bit_mutation_all_locked_errors(self, rng):
-        lay = self._layout()
-        g = Genotype(0, lay)
-        with pytest.raises(ValueError):
-            mutate_bit(g, LockMask(frozenset(range(lay.total_len))), rng)
 
     def test_bit_mutation_reproducible(self):
         lay = self._layout()

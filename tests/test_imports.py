@@ -1,10 +1,12 @@
 """Every module-level import in the package, the tests and the scripts is
 used by the module itself, the package root imports nothing, the verify
-oracle and the fitness path import nothing from each other, and every
-package name the benchmark (perfbench/) uses exists."""
+oracle and the fitness path import nothing from each other, every package
+name the benchmark (perfbench/) uses exists, and each of its direct calls
+of one fits the name's signature."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -103,13 +105,9 @@ def resolve(path: str):
         return getattr(resolve(module), name, None) if module else None
 
 
-def missing_package_names(source: str) -> list[str]:
-    """The tscsynth names a source uses that do not exist: each name it
-    imports from the package, each attribute it reads on an imported module
-    or name, and the attribute of each (owner, "attr", ...) tuple, the form
-    of the benchmark tracer's table of functions to wrap.  The source is
-    parsed, never run."""
-    tree = ast.parse(source)
+def package_bindings(tree: ast.Module) -> dict[str, str]:
+    """Each name an import in tree binds to a tscsynth module or name, with
+    the dotted path it names."""
     bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -120,6 +118,17 @@ def missing_package_names(source: str) -> list[str]:
               and node.module.split(".")[0] == "tscsynth"):
             bound.update((alias.asname or alias.name, f"{node.module}.{alias.name}")
                          for alias in node.names)
+    return bound
+
+
+def missing_package_names(source: str) -> list[str]:
+    """The tscsynth names a source uses that do not exist: each name it
+    imports from the package, each attribute it reads on an imported module
+    or name, and the attribute of each (owner, "attr", ...) tuple, the form
+    of the benchmark tracer's table of functions to wrap.  The source is
+    parsed, never run."""
+    tree = ast.parse(source)
+    bound = package_bindings(tree)
     missing = [path for path in bound.values() if resolve(path) is None]
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
@@ -156,3 +165,55 @@ def test_benchmark_names_exist(path):
     # not changed with them: a source change that removes or renames a name
     # it uses must fail here, not only in a benchmark run.
     assert missing_package_names(path.read_text(encoding="utf-8")) == []
+
+
+def unbound_calls(source: str) -> list[str]:
+    """Each direct call in source of an existing tscsynth name, f(...) or
+    module.f(...), whose positional count and keyword names the name's
+    signature does not accept, as "path at line n: why".  Calls that spread
+    * or ** arguments are skipped, and so are names that do not exist,
+    which missing_package_names reports."""
+    tree = ast.parse(source)
+    bound = package_bindings(tree)
+    unbound = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in bound:
+            path = bound[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in bound):
+            path = f"{bound[func.value.id]}.{func.attr}"
+        else:
+            continue
+        if (any(isinstance(arg, ast.Starred) for arg in node.args)
+                or any(kw.arg is None for kw in node.keywords)):
+            continue
+        found = resolve(path)
+        if not callable(found):
+            continue
+        try:
+            inspect.signature(found).bind(*node.args, **{kw.arg: None for kw in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"{path} at line {node.lineno}: {exc}")
+    return unbound
+
+
+def test_finds_unbound_calls():
+    source = ("from tscsynth import genome\nfrom tscsynth.genome import decode as d, Genotype\n"
+              "d(g, rng)\nd(g)\nd(g, rng, None, 1)\ngenome.decode(g, rng=r)\n"
+              "genome.decode(g, seed=r)\nGenotype(1, lay)\nGenotype(value=1)\n"
+              "d(*args)\ngenome.decode(g, **kw)\ngenome.gone(1)\nlen(d)\n")
+    assert [line.split(":")[0] for line in unbound_calls(source)] == [
+        "tscsynth.genome.decode at line 4", "tscsynth.genome.decode at line 5",
+        "tscsynth.genome.decode at line 7", "tscsynth.genome.Genotype at line 9",
+    ]
+
+
+@pytest.mark.parametrize("path", BENCHMARK_SOURCES, ids=lambda path: path.name)
+def test_benchmark_calls_bind(path):
+    # A source change that renames a parameter a call names, such as
+    # IslandConfig's stop_on_goal, or that changes how many positional
+    # arguments a name takes, must fail here too, not only in a benchmark run.
+    assert unbound_calls(path.read_text(encoding="utf-8")) == []

@@ -18,6 +18,7 @@ from tscsynth.netlist import (
     build_duplication_baseline,
     duplication_overhead,
     function_core,
+    function_size,
 )
 from tscsynth.formats import parse_blif
 from tscsynth.sim import simulate
@@ -25,6 +26,7 @@ from tscsynth.verify import verify_tsc
 
 from conftest import (
     BENCH_DIR,
+    checked_c17,
     checked_mult2,
     live_circuit,
     random_circuit,
@@ -364,3 +366,28 @@ class TestFunctionCore:
     ], ids=["checked-mult2", "input-rail", "no-function-outputs"])
     def test_circuit_with_rails(self, circuit, core):
         assert function_core(circuit) == core
+
+
+class TestFunctionSize:
+    @pytest.mark.parametrize("name", ["b1", "c17", "cm138a", "cm42a", "cm82a", "decod",
+                                      "mult2", "rd53"])
+    def test_shipped_seed_is_its_gate_count(self, name):
+        seed = parse_blif((BENCH_DIR / f"{name}.blif").read_text())
+        assert function_size(seed) == len(seed.tt)
+        assert function_size(build_duplication_baseline(seed)) == len(seed.tt)
+
+    def test_private_copies_count_once(self):
+        # The c17 witness copies g1 = NAND(x2, x3) and g2 = NAND(x1, g1) into
+        # y_1's cone as g4 and g5: 8 core gates, c17's 6 once merged.
+        c = checked_c17()
+        assert function_core(c) == tuple(range(8))
+        assert function_size(c) == 6
+        assert function_size(checked_mult2()) == 7
+
+    def test_merging_follows_sources(self):
+        # g0 and g1 are the same AND, so g2 = XOR(g0, x0) and g3 = XOR(g1, x0)
+        # are the same gate too.  g4 = XOR(x0, g1) reads them swapped and
+        # stays apart.
+        c = Circuit.from_arrays(2, [TT_AND, TT_AND, TT_XOR, TT_XOR, TT_XOR],
+                                [0, 0, 2, 3, 0], [1, 1, 0, 0, 3], (4, 5, 6), None)
+        assert function_size(c) == 3
