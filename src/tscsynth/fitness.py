@@ -222,10 +222,11 @@ def _fault_counts(circuit: Circuit, values: list[int],
         repeat = wide // full
         # No flip of this pass reaches the gates before its run.
         v = [x * repeat for x in values[: r + k0]]
-        flip = full
+        # Gate k's flip is shifted into its slot afresh: the shift zero-fills,
+        # where shifting one running mask along copies it whole each time.
         for k in range(k0, k1):
-            v.append(GATE_EVAL[tt[k]](v[src_a[k]], v[src_b[k]], wide) ^ flip)
-            flip <<= slot
+            v.append(GATE_EVAL[tt[k]](v[src_a[k]], v[src_b[k]], wide)
+                     ^ full << (k - k0) * slot)
         for k in range(k1, n):
             v.append(GATE_EVAL[tt[k]](v[src_a[k]], v[src_b[k]], wide))
 

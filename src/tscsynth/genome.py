@@ -99,10 +99,6 @@ class GenomeLayout:
     def gene_offset(self, k: int) -> int:
         return self.m * self.b + k * self.gene_len
 
-    def address(self, s: int) -> int:
-        """Address of index s of a Circuit's index space (inputs first)."""
-        return self.max_gates + s if s < self.r else s - self.r
-
 
 def default_address_width(r: int, seed_gates: int, q: int) -> int:
     """Smallest b whose gene space holds a duplication-style circuit.
@@ -392,18 +388,30 @@ def encode_seed(
     rail routing.  Every remaining bit is drawn uniformly from rng.  Returns
     (genotype, LockMask.empty()); the pair stays because perfbench's
     workloads take its [0].  Nonintrusive mode's mask is seed_lock_mask's.
-    """
-    g = Genotype(rng.getrandbits(layout.total_len), layout)
-    # The rails' routing fields follow the function outputs' fields.
-    for i, s in enumerate(circuit.outputs + (circuit.rails or ())):
-        g = g.with_field(i * layout.b, layout.b, layout.address(s))
-    for k, (t, a, b) in enumerate(zip(circuit.tt, circuit.src_a, circuit.src_b)):
-        base = layout.gene_offset(k)
-        g = g.with_field(base, 4, _REV4[t])
-        g = g.with_field(base + 4, layout.b, layout.address(a))
-        g = g.with_field(base + 4 + layout.b, layout.b, layout.address(b))
 
-    return g, LockMask.empty()
+    All L bits come from one draw, rng.getrandbits(L).  The routing fields
+    set (the outputs', then the rails' when the seed has them) are
+    contiguous, and so are the seed's genes: each is assembled as one run of
+    fields and spliced into the draw under one mask, so the L-bit draw is
+    rebuilt twice in all, not once per field: O(L) work on it.
+    """
+    b = layout.b
+    L = layout.total_len
+    value = rng.getrandbits(L)
+    # address[s] is index s's address: inputs after the M gene slots.
+    address = [*range(layout.max_gates, layout.max_gates + circuit.r), *range(len(circuit.tt))]
+    routed = circuit.outputs + (circuit.rails or ())
+    routing = 0
+    for s in routed:
+        routing = routing << b | address[s]
+    genes = 0
+    for t, a, c in zip(circuit.tt, circuit.src_a, circuit.src_b):
+        genes = ((genes << 4 | _REV4[t]) << b | address[a]) << b | address[c]
+    for offset, width, run in ((0, len(routed) * b, routing),
+                               (layout.gene_offset(0), len(circuit.tt) * layout.gene_len, genes)):
+        shift = L - offset - width
+        value = value & ~(((1 << width) - 1) << shift) | run << shift
+    return Genotype(value, layout), LockMask.empty()
 
 
 def mutate_bit(g: Genotype, lock: LockMask, rng: random.Random) -> Genotype:

@@ -26,11 +26,13 @@ from tscsynth.genome import (
     seed_lock_mask,
     unlocked_genes,
 )
-from tscsynth.formats import read_native, write_native
-from tscsynth.netlist import Circuit, Gate, SignalRef, TT_AND, TT_XOR
+from tscsynth.formats import parse_blif, read_native, write_native
+from tscsynth.netlist import (
+    Circuit, Gate, SignalRef, TT_AND, TT_XOR, build_duplication_baseline,
+)
 from tscsynth.sim import simulate
 
-from conftest import checked_mult2, genotype_bit, random_circuit
+from conftest import BENCH_DIR, checked_c17, checked_mult2, genotype_bit, random_circuit
 
 X = SignalRef.x
 G = SignalRef.g
@@ -442,6 +444,29 @@ class TestEncodeSeed:
             lay = GenomeLayout(r=2, q=2, b=b)
             assert unlocked_genes(lay, seed_lock_mask(seed, lay)) == tuple(range(2, lay.max_gates))
 
+    def test_encode_seed_pinned(self):
+        # One sha256 over five encodings each of every shipped seed, of its
+        # duplication baseline and of checked_c17, in the layout sized for
+        # the seed and in one a bit wider, recorded while encode_seed still
+        # wrote one field at a time: the seed's encodings start every
+        # island's population, so a change to them changes every search.
+        pairs = []
+        for path in sorted(BENCH_DIR.glob("*.blif")):
+            seed = parse_blif(path.read_text())
+            pairs += [(seed, len(seed.tt)), (build_duplication_baseline(seed), len(seed.tt))]
+        pairs.append((checked_c17(), 6))
+        digest = hashlib.sha256()
+        for i, (circuit, seed_gates) in enumerate(pairs):
+            b = default_address_width(circuit.r, seed_gates, circuit.q)
+            for lay in (GenomeLayout(circuit.r, circuit.q, b),
+                        GenomeLayout(circuit.r, circuit.q, b + 1)):
+                rng = random.Random(i)
+                for _ in range(5):
+                    digest.update(encode_seed(circuit, lay, rng)[0].to_hex().encode())
+        assert digest.hexdigest() == (
+            "4d57162f9b9026d20f9a1a4e273d62c2a92cb0ae51530d5bca67a7b07a29f201"
+        )
+
     def test_locked_content_identical_across_individuals(self, rng):
         seed = random_circuit(rng, r=3, n_gates=4, q=2, rails="none")
         lay = GenomeLayout(r=3, q=2, b=4)
@@ -556,13 +581,11 @@ class TestOperators:
         lay = GenomeLayout(r=2, q=2, b=3)
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         seed_value = data.draw(st.integers(0, (1 << lay.total_len) - 1))
-        lock = LockMask(
-            frozenset(
-                data.draw(
-                    st.sets(st.integers(0, lay.total_len - 1), max_size=lay.total_len // 2)
-                )
-            )
-        )
+        # The operators take a lock that leaves a whole gene free, as
+        # seed_lock_mask's does; any other bit may be locked.
+        free = lay.gene_offset(data.draw(st.integers(0, lay.max_gates - 1)))
+        lockable = [p for p in range(lay.total_len) if not free <= p < free + lay.gene_len]
+        lock = LockMask(frozenset(data.draw(st.sets(st.sampled_from(lockable)))))
         g = Genotype(seed_value, lay)
         current = g
         ops = [mutate_bit, mutate_routing, mutate_translocate]
@@ -579,10 +602,7 @@ class TestOperators:
                     )
                 current = crossover_single_point(current, other, rng)
             else:
-                try:
-                    current = ops[op_index](current, lock, rng)
-                except ValueError:
-                    continue
+                current = ops[op_index](current, lock, rng)
         for pos in lock.locked:
             assert genotype_bit(current, pos) == genotype_bit(g, pos)
 

@@ -167,12 +167,15 @@ def test_benchmark_names_exist(path):
     assert missing_package_names(path.read_text(encoding="utf-8")) == []
 
 
-def unbound_calls(source: str) -> list[str]:
+def unbound_calls(source: str, recorded: dict[str, tuple[str, ...]] | None = None) -> list[str]:
     """Each direct call in source of an existing tscsynth name, f(...) or
     module.f(...), whose positional count and keyword names the name's
-    signature does not accept, as "path at line n: why".  Calls that spread
-    * or ** arguments are skipped, and so are names that do not exist,
-    which missing_package_names reports."""
+    signature does not accept, as "path at line n: why".  Given recorded,
+    the parameters each name's positional arguments bind to, in order, a
+    call whose n positional arguments bind to other parameters than the
+    first n recorded is reported too.  Calls that spread * or ** arguments
+    are skipped, and so are names that do not exist, which
+    missing_package_names reports."""
     tree = ast.parse(source)
     bound = package_bindings(tree)
     unbound = []
@@ -194,9 +197,23 @@ def unbound_calls(source: str) -> list[str]:
         if not callable(found):
             continue
         try:
-            inspect.signature(found).bind(*node.args, **{kw.arg: None for kw in node.keywords})
+            binding = inspect.signature(found).bind(
+                *node.args, **{kw.arg: None for kw in node.keywords})
         except TypeError as exc:
             unbound.append(f"{path} at line {node.lineno}: {exc}")
+            continue
+        if recorded is None:
+            continue
+        # Keyword values are None, so a parameter holding an argument node
+        # took a positional argument; a *args parameter holds a tuple of them.
+        names = []
+        for name, value in binding.arguments.items():
+            taken = value if isinstance(value, tuple) else (value,)
+            names += [name] * sum(any(v is arg for arg in node.args) for v in taken)
+        want = recorded.get(path, ())[: len(node.args)]
+        if tuple(names) != want:
+            unbound.append(f"{path} at line {node.lineno}: positional arguments bind to "
+                           f"{tuple(names)}, recorded {want}")
     return unbound
 
 
@@ -211,9 +228,52 @@ def test_finds_unbound_calls():
     ]
 
 
+def test_finds_moved_positional_arguments():
+    # decode(g, rng, reading) binds wherever the signature has three
+    # parameters; only the recorded names tell that rng went to another one.
+    source = ("from tscsynth.genome import decode, Genotype\ndecode(g, rng)\n"
+              "decode(g, rng, reading)\ndecode(g, rng=r)\nGenotype(1, lay)\n"
+              "Genotype(value=1, layout=lay)\n")
+    recorded = {"tscsynth.genome.decode": ("genotype", "reading", "rng")}
+    assert [line.split(":")[0] for line in unbound_calls(source, recorded)] == [
+        "tscsynth.genome.decode at line 2", "tscsynth.genome.decode at line 3",
+        "tscsynth.genome.Genotype at line 5",
+    ]
+
+
+# The parameters each package name the benchmark calls takes its positional
+# arguments in, in order: a call of n positional arguments binds to the
+# first n.  A parameter that is removed or reordered can leave a call that
+# still binds, its argument landing in the next parameter, as decode(g, rng)
+# would bind rng to reading if decode lost its rng.
+BENCHMARK_POSITIONAL = {
+    "tscsynth.evolve.run": ("config", "target", "seed_circuit"),
+    "tscsynth.fitness.evaluate_checking": ("circuit", "resp_free"),
+    "tscsynth.fitness.evaluate_circuit": ("circuit", "target", "max_gates"),
+    "tscsynth.fitness.fault_free_response": ("circuit",),
+    "tscsynth.formats.TargetSpec": ("r", "q", "columns"),
+    "tscsynth.formats.parse_blif": ("text",),
+    "tscsynth.formats.parse_pla": ("text",),
+    "tscsynth.genome.GenomeLayout": ("r", "q", "b"),
+    "tscsynth.genome.LockMask": ("locked",),
+    "tscsynth.genome.crossover_single_point": ("a", "b", "rng"),
+    "tscsynth.genome.decode": ("genotype", "rng"),
+    "tscsynth.genome.default_address_width": ("r", "seed_gates", "q"),
+    "tscsynth.genome.encode_seed": ("circuit", "layout", "rng"),
+    "tscsynth.netlist.Circuit": ("r", "gates", "func_outputs"),
+    "tscsynth.netlist.Gate": ("tt", "a", "b"),
+    "tscsynth.netlist.build_duplication_baseline": ("seed",),
+    "tscsynth.netlist.duplication_overhead": ("g", "q"),
+    "tscsynth.sim.simulate": ("circuit",),
+    "tscsynth.verify.verify_fs": ("circuit", "scope"),
+    "tscsynth.verify.verify_tsc": ("circuit",),
+}
+
+
 @pytest.mark.parametrize("path", BENCHMARK_SOURCES, ids=lambda path: path.name)
 def test_benchmark_calls_bind(path):
     # A source change that renames a parameter a call names, such as
-    # IslandConfig's stop_on_goal, or that changes how many positional
-    # arguments a name takes, must fail here too, not only in a benchmark run.
-    assert unbound_calls(path.read_text(encoding="utf-8")) == []
+    # IslandConfig's stop_on_goal, that changes how many positional
+    # arguments a name takes, or that moves a positional argument to
+    # another parameter, must fail here too, not only in a benchmark run.
+    assert unbound_calls(path.read_text(encoding="utf-8"), BENCHMARK_POSITIONAL) == []
