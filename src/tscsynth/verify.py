@@ -3,7 +3,9 @@
 Every fault in the full set (output and both input lines, both polarities,
 per gate) is simulated directly, with no manifestation shortcut: each call
 runs the fault-free wave once, then every fault once, in its own slot of a
-packed pass (fault_pass); nothing is kept across calls.  The oracle shares
+packed pass (fault_pass); no simulation result is kept across calls.  The
+Fault objects a report lists are shared by every report (one table, in slot
+order), which is safe because a Fault is immutable.  The oracle shares
 the gate table kernel (sim.GATE_EVAL) and the fault-free wave (sim.values)
 with fitness, and nothing of the fault model: its injection (fault_pass)
 and readout (verify_tsc) are its own, not fitness's inverted-output slots.
@@ -45,11 +47,26 @@ _SLOT_FAULTS = ((FaultSite.OUTPUT, 0), (FaultSite.OUTPUT, 1), (FaultSite.INPUT_A
                 (FaultSite.INPUT_A, 1), (FaultSite.INPUT_B, 0), (FaultSite.INPUT_B, 1))
 
 
-def _fault(i: int) -> Fault:
-    """The circuit's fault i in slot order: gate i // 6, _SLOT_FAULTS[i % 6]."""
-    gate, j = divmod(i, 6)
-    site, stuck = _SLOT_FAULTS[j]
-    return Fault(site, gate, stuck)
+# Every circuit's faults in slot order: fault i is gate i // 6 with
+# _SLOT_FAULTS[i % 6].  _faults grows it by rebinding the name to a longer
+# tuple that starts with the same objects, never in place, so a tuple a
+# caller holds stays whole and a fault listed before and after growth is
+# one object.
+_FAULTS: tuple[Fault, ...] = ()
+
+
+def _faults(n_gates: int) -> tuple[Fault, ...]:
+    """The fault table, covering at least n_gates gates: when it is short,
+    it grows to n_gates or to twice its gates, whichever is more."""
+    global _FAULTS
+    faults = _FAULTS
+    have = len(faults) // 6
+    if have < n_gates:
+        faults = _FAULTS = faults + tuple(
+            Fault(site, gate, stuck)
+            for gate in range(have, max(n_gates, 2 * have))
+            for site, stuck in _SLOT_FAULTS)
+    return faults
 
 
 @dataclass
@@ -58,7 +75,8 @@ class TscReport:
     undetected fault) and fault-secure (is_fs, no violation and no fault-free
     false alarm).  computes_target says whether every function output equals
     its target column on the applied words; it is None when no target was
-    given."""
+    given.  The report holds no simulation result; the Fault objects it
+    lists are immutable and shared with every other report."""
 
     false_alarm: bool
     undetected: list[Fault] = field(default_factory=list)
@@ -144,7 +162,10 @@ def fault_pass(circuit: Circuit, free: list[int], first: int,
                    | gate(fa, 0, full) << 4 * width
                    | gate(fa, full, full) << 5 * width)
             shift = (k - first) * block_width
-            out = out & ~(block << shift) | own << shift
+            # XOR with (what the slots hold) ^ own overwrites them with own:
+            # three operations over the wide int where masking them out and
+            # or-ing own in takes five.
+            out ^= (out >> shift & block ^ own) << shift
         v[r + k] = out
     return v, rep
 
@@ -187,6 +208,7 @@ def verify_tsc(
     width = 1 << r
     step = max(1, FAULT_PASS_BITS // (6 * width))
     n = len(circuit.tt)
+    faults = _faults(n)
     undetected: list[Fault] = []
     violations: list[tuple[Fault, int]] = []
     for first in range(0, n, step):
@@ -202,8 +224,9 @@ def verify_tsc(
         top = rep << (width - 1)
         low = wide ^ top
         seen = ((signalled & low) + low | signalled) & top
-        for m in _ONE.finditer(format(seen ^ top, "b")[::-1]):
-            undetected.append(_fault(6 * first + (m.start() >> r)))
+        base = 6 * first
+        undetected += [faults[base + (m.start() >> r)]
+                       for m in _ONE.finditer(format(seen ^ top, "b")[::-1])]
         if false_alarm:
             continue  # no violations are listed
         wrong = 0
@@ -211,13 +234,9 @@ def verify_tsc(
             if v[s] is not None:
                 wrong |= v[s] ^ free[s] * rep
         # Each set bit of a fault's slot, ascending, is one violation.
-        slot = -1
-        for m in _ONE.finditer(format(wrong & applied_wide & ~signalled, "b")[::-1]):
-            at = m.start()
-            if at >> r != slot:
-                slot = at >> r
-                f = _fault(6 * first + slot)
-            violations.append((f, at & width - 1))
+        unsignalled = wrong & applied_wide & ~signalled
+        violations += [(faults[base + ((i := m.start()) >> r)], i & width - 1)
+                       for m in _ONE.finditer(format(unsignalled, "b")[::-1])]
     return TscReport(false_alarm, undetected, violations, computes_target)
 
 

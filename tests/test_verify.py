@@ -456,6 +456,41 @@ class TestUndetectedReadout:
         assert report == full_wave_report(pair, FaultScope.OUTPUTS_ONLY)
 
 
+class TestSharedFaultTable:
+    """Reports list their faults from one table in slot order, shared across
+    calls.  It grows by rebinding to a longer tuple that starts with the old
+    one's objects, to the circuit's gates or twice its own, whichever is
+    more."""
+
+    @pytest.mark.parametrize("slots", [None, 1], ids=["default-cap", "one-slot-cap"])
+    def test_reports_share_faults_across_calls(self, monkeypatch, slots):
+        # y = z_1 = AND(x0, x1) and z_0 = NOT(y): a fault of the AND output
+        # flips both rails, so it is undetected and silently wrong.
+        pair = Circuit(2, (Gate(TT_AND, X(0), X(1)), Gate(TT_NOT_A, G(0), G(0))),
+                       (G(0),), (G(1), G(0)))
+        decod = duplication_baseline("decod")
+        monkeypatch.setattr(verify, "_FAULTS", ())
+        tables, faults = [], {}
+        # 2 gates, 3 (the table doubles to 4), 146 (it grows to 146), 2.
+        for c, mask in ((pair, None), (rail_probe(1), None), (decod, 0x5A5A5A5A),
+                        (pair, None)):
+            if slots is not None:
+                # One gate per pass: every pass but the first has a nonzero
+                # offset into the table.
+                monkeypatch.setattr(verify, "FAULT_PASS_BITS", slots << c.r)
+            report = verify_tsc(c, mask)
+            assert report == full_wave_report(c, FaultScope.ALL, mask)
+            listed = report.undetected + [f for f, _ in report.violations]
+            assert listed
+            for f in listed:
+                assert faults.setdefault(f, f) is f  # one object per fault
+            tables.append(verify._FAULTS)
+        assert [len(t) for t in tables] == [12, 24, 6 * 146, 6 * 146]
+        assert list(tables[-1]) == enumerate_faults(decod, FaultScope.ALL)
+        for old, new in zip(tables, tables[1:]):
+            assert all(a is b for a, b in zip(old, new))
+
+
 class TestAppliedWords:
     """Verdicts of the duplication baselines on part of the input words."""
 
