@@ -16,9 +16,11 @@ genotype bit 0 is the first bit of the first output field.
 Decoding reads genes on demand: a depth-first search from the routed outputs
 reads a gene when it first reaches its slot and emits the gate in post-order,
 once both sources are done.  Unreached genes are never read, so every
-emitted gate is live.  decode emits the Circuit's flat arrays directly
-(Circuit.from_arrays) and builds no Gate object; encode_seed reads the same
-arrays back.
+emitted gate is live.  decode emits the Circuit's flat arrays directly and
+builds no Gate object; encode_seed reads the same arrays back.  The arrays
+are a valid netlist by construction (see decode), so decode and redraw store
+them with Circuit._unchecked: the reference check that from_arrays runs on
+netlists from outside the search would find nothing here.
 
 The walk is one loop with no call per slot.  The slot being walked (its
 table, sources and next pin) lives in locals, and one list tells every
@@ -228,6 +230,16 @@ def decode(
     into, with the slot kept as a frame on the stack; a source on the path
     is repaired; a done source is taken.  Once both are done the gate is
     emitted, and so is every waiting frame whose other source is done too.
+
+    The arrays pass Circuit's reference check by construction, so they are
+    stored without it (Circuit._unchecked):
+    - a gate is emitted only after both its sources, so each source index is
+      below the gate's own index (a repaired source is a primary input);
+    - each table is a _REV4 entry, so every table value is 0 to 15;
+    - every emitted gate is read: by the frame that waits for it, or, for
+      the gate a root's walk ends with, by that routed output;
+    - each routed output is an input or an emitted gate, and the last two
+      of the m = q + 2 routing fields are the two rails.
     """
     lay = genotype.layout
     b = lay.b
@@ -327,7 +339,7 @@ def decode(
             repairs[i] = 2 * (index[s >> 1] - r) + (s & 1)
         reading.repairs = tuple(repairs)
     outs = [index[a] for a in out_addrs]
-    return Circuit.from_arrays(r, tt, src_a, src_b, outs[: lay.q], outs[lay.q :])
+    return Circuit._unchecked(r, tt, src_a, src_b, outs[: lay.q], outs[lay.q :])
 
 
 def same_reading(reading: Reading, parent: Genotype, child: Genotype) -> bool:
@@ -340,7 +352,11 @@ def same_reading(reading: Reading, parent: Genotype, child: Genotype) -> bool:
 def redraw(circuit: Circuit, repairs: tuple[int, ...], rng: random.Random) -> Circuit:
     """decode's result for a genotype that reads as circuit's did: circuit
     with the source at each repair site drawn again from rng, in order.
-    Returns circuit itself when no drawn input differs from the old one."""
+    Returns circuit itself when no drawn input differs from the old one.
+    A repair site's source is a primary input and a redraw makes it another
+    one, so no gate loses a reader and every source stays below its gate:
+    the result keeps every property decode's docstring lists, and is stored,
+    like decode's, without the reference check."""
     if not repairs:
         return circuit
     r = circuit.r
@@ -351,8 +367,8 @@ def redraw(circuit: Circuit, repairs: tuple[int, ...], rng: random.Random) -> Ci
     src_a, src_b = new = (list(circuit.src_a), list(circuit.src_b))
     for s, j in zip(repairs, draws):
         new[s & 1][s >> 1] = j
-    return Circuit.from_arrays(r, circuit.tt, src_a, src_b, circuit.outputs,
-                               circuit.rails)
+    return Circuit._unchecked(r, circuit.tt, src_a, src_b, circuit.outputs,
+                              circuit.rails)
 
 
 def seed_lock_mask(circuit: Circuit, layout: GenomeLayout) -> LockMask:

@@ -8,12 +8,19 @@ and the error condition is z_0 == z_1.
 A Circuit is one form: flat int arrays over one index space (input x_j at
 j, gate k at r + k).  A truth table is an int, bit 2*a + b holding the
 output for inputs (a, b), and a signal is an index.  A gate reads only
-lower indices, so the list order is a topological order.  decode and
-read_native build these arrays through Circuit.from_arrays; parse_blif, the
-duplication baseline and the benchmark seeds through a Builder, gate by gate.
+lower indices, so the list order is a topological order.  read_native
+builds these arrays through Circuit.from_arrays; parse_blif, the duplication
+baseline and the benchmark seeds through a Builder, gate by gate, which ends
+in from_arrays too; genome.decode and genome.redraw emit them directly.
 Fitness, the verify oracle's simulator and the text formats read them.  Gate
 and SignalRef are only the input of the Gate-form constructor Circuit(r,
 gates, func_outputs, error_rails), and Circuit.gates gives them back.
+
+from_arrays and the Gate-form constructor check every table and reference
+of the arrays they store, so a netlist from outside the search is rejected
+with the reason.  decode and redraw store theirs without that check
+(Circuit._unchecked): their arrays pass it by construction, as decode's
+docstring shows.
 
 Every gate is live: a later gate, a function output or a rail reads it, so
 each has a path to an output.  Simulation, fault enumeration and size
@@ -128,7 +135,9 @@ class Circuit:
     outputs holds the index of each function output, rails those of z_0 and
     z_1 (or None).  Equality and hash are over these fields.  The constructor
     converts Gate and SignalRef objects, from_arrays takes the arrays; both
-    go through _store.  The gates view is built at most once."""
+    store them as tuples (_store) and then check them (_check).  _unchecked
+    stores decode's and redraw's arrays, valid by construction, without the
+    check.  The gates view is built at most once."""
 
     r: int
     tt: tuple[int, ...]
@@ -151,21 +160,36 @@ class Circuit:
         outputs = [index(s) for s in func_outputs]
         rails = None if error_rails is None else [index(s) for s in error_rails]
         self._store(r, tt, src_a, src_b, outputs, rails)
+        self._check()
         self.__dict__["gates"] = gates
 
     @classmethod
     def from_arrays(cls, r: int, tt, src_a, src_b, outputs, rails) -> "Circuit":
+        circuit = cls._unchecked(r, tt, src_a, src_b, outputs, rails)
+        circuit._check()
+        return circuit
+
+    @classmethod
+    def _unchecked(cls, r: int, tt, src_a, src_b, outputs, rails) -> "Circuit":
+        """The circuit of arrays that _check would pass, stored without that
+        check.  Only genome.decode and genome.redraw call it; their
+        docstrings say why their arrays pass."""
         circuit = object.__new__(cls)
         circuit._store(r, tt, src_a, src_b, outputs, rails)
         return circuit
 
     def _store(self, r: int, tt, src_a, src_b, outputs, rails) -> None:
-        """Store the arrays as tuples if they are a feed-forward netlist of
-        live gates.  Gate k may read only indices below r + k, an output or
-        rail only indices below r + n; a negative index is an input beyond r.
-        A gate index that nothing reads is rejected."""
-        tt, src_a, src_b, outputs = tuple(tt), tuple(src_a), tuple(src_b), tuple(outputs)
-        rails = None if rails is None else tuple(rails)
+        d = self.__dict__
+        d["r"], d["tt"], d["src_a"], d["src_b"] = r, tuple(tt), tuple(src_a), tuple(src_b)
+        d["outputs"], d["rails"] = tuple(outputs), None if rails is None else tuple(rails)
+
+    def _check(self) -> None:
+        """Raise ValueError unless the stored arrays are a feed-forward
+        netlist of live gates.  Gate k may read only indices below r + k, an
+        output or rail only indices below r + n; a negative index is an input
+        beyond r.  A gate index that nothing reads is rejected."""
+        r, tt, src_a, src_b, outputs, rails = (
+            self.r, self.tt, self.src_a, self.src_b, self.outputs, self.rails)
         if r < 0:
             raise ValueError("negative input count")
         n = len(tt)
@@ -188,9 +212,6 @@ class Circuit:
         if not read.issuperset(range(r, r + n)):
             unread = min(set(range(r, r + n)) - read)
             raise ValueError(f"gate read by no later gate, output or rail: g{unread - r}")
-        d = self.__dict__
-        d["r"], d["tt"], d["src_a"], d["src_b"] = r, tt, src_a, src_b
-        d["outputs"], d["rails"] = outputs, rails
 
     @property
     def q(self) -> int:

@@ -38,6 +38,11 @@ X = SignalRef.x
 G = SignalRef.g
 
 
+def rebuilt(c: Circuit) -> Circuit:
+    """c's arrays through from_arrays, which runs Circuit's reference check."""
+    return Circuit.from_arrays(c.r, c.tt, c.src_a, c.src_b, c.outputs, c.rails)
+
+
 def bits_to_genotype(bit_string: str, layout: GenomeLayout) -> Genotype:
     assert len(bit_string) == layout.total_len
     return Genotype(int(bit_string, 2), layout)
@@ -150,15 +155,38 @@ class TestDecode:
         b=st.integers(1, 4),
     )
     def test_decode_never_cyclic(self, data, r, b):
-        # Circuit construction itself enforces topological validity, so a
-        # successful decode proves the repaired graph is feed-forward.
+        # decode stores its arrays without Circuit's reference check, so the
+        # test runs that check: from_arrays accepts the repaired graph, and
+        # every source lies below its gate, so the graph is feed-forward.
         if (1 << b) - r < MIN_GENE_SLOTS:
             return
         lay = GenomeLayout(r=r, q=1, b=b)
         value = data.draw(st.integers(0, (1 << lay.total_len) - 1))
         circuit = decode(Genotype(value, lay), random.Random(42))
+        assert rebuilt(circuit) == circuit
         for k, (a, b) in enumerate(zip(circuit.src_a, circuit.src_b)):
             assert a < r + k and b < r + k
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           shape=st.sampled_from([(2, 1, 2), (2, 2, 2), (3, 2, 3), (4, 3, 5), (5, 4, 6),
+                                  (5, 16, 8)]))
+    def test_decode_and_redraw_pass_the_reference_check(self, data, shape):
+        # decode and redraw store their arrays unchecked; from_arrays, which
+        # checks, must accept them and give back the same circuit.  The
+        # layouts are test_decode_pinned's, whose small b makes cycle
+        # repairs common.  redraw builds the netlist of any child that reads
+        # as the parent: the parent's with each repair site drawn again.
+        r, q, b = shape
+        lay = GenomeLayout(r=r, q=q, b=b)
+        rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+        parent = Genotype(data.draw(st.integers(0, (1 << lay.total_len) - 1)), lay)
+        reading = Reading()
+        circuit = decode(parent, rng, reading)
+        assert rebuilt(circuit) == circuit
+        for _ in range(4):
+            again = redraw(circuit, reading.repairs, rng)
+            assert rebuilt(again) == again
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(),
